@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race bench bench-json bench-check profile examples repro csv ci lint lint-baseline chaos chaos-fleet smoke-service clean
+.PHONY: all build test test-short test-race bench bench-json bench-check profile examples repro csv ci lint lint-baseline chaos chaos-fleet smoke-service fuzz clean
 
 all: build test
 
@@ -74,6 +74,18 @@ endif
 # mid-lease, every job still completes byte-identically elsewhere.
 smoke-service:
 	$(GO) test -count=1 -run 'TestSmoke' ./cmd/uvmsimd ./cmd/uvmfleet -v
+
+# Fuzz smoke: run every fuzz target for FUZZTIME each (go test -fuzz takes
+# one target in one package per run). Plain `go test` only replays the seed
+# corpora; this explores past them. A failing input is written under the
+# package's testdata/fuzz/ and replays in every later `go test`.
+FUZZTIME ?= 15s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faultinject
+	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime $(FUZZTIME) ./internal/experiments
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzAdvise$$' -fuzztime $(FUZZTIME) ./internal/advisor
 
 # One testing.B benchmark per paper table/figure + ablations + extensions.
 bench:

@@ -88,50 +88,42 @@ type NameResolver func(allocID int) string
 // resolve may be nil.
 func Analyze(rec *trace.Recorder, resolve NameResolver) *Report {
 	rep := &Report{}
-	if rec == nil || rec.Len() == 0 {
-		return rep
-	}
-	type blockKey struct{ alloc, block int }
-	perBlock := map[blockKey][]trace.Event{}
-	for _, ev := range rec.Events() {
-		k := blockKey{ev.Alloc, ev.Block}
-		perBlock[k] = append(perBlock[k], ev)
-		if ev.Kind == trace.TransferH2D || ev.Kind == trace.TransferD2H {
-			rep.TotalTraffic += ev.Bytes
+	// ForEachBlock visits allocations in ascending order, one block at a
+	// time, so the allocation being summed is always the last one.
+	var aggs []allocAgg
+	rec.ForEachBlock(func(alloc, _ int, evs []trace.Event) {
+		if len(aggs) == 0 || aggs[len(aggs)-1].id != alloc {
+			aggs = append(aggs, allocAgg{id: alloc})
 		}
-	}
-
-	perAlloc := map[int]*allocAgg{}
-	for k, evs := range perBlock {
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
+		a := &aggs[len(aggs)-1]
 		wasted, intervals, sawDiscard := deadIntervalWaste(evs)
-		if sawDiscard {
-			a := ensureAgg(perAlloc, k.alloc)
-			a.discarded = true
+		for _, ev := range evs {
+			if ev.Kind == trace.TransferH2D || ev.Kind == trace.TransferD2H {
+				rep.TotalTraffic += ev.Bytes
+			}
 		}
-		if wasted == 0 {
-			continue
+		a.discarded = a.discarded || sawDiscard
+		if wasted > 0 {
+			a.blocks++
+			a.intervals += intervals
+			a.wasted += wasted
 		}
-		a := ensureAgg(perAlloc, k.alloc)
-		a.blocks[k.block] = true
-		a.intervals += intervals
-		a.wasted += wasted
-	}
+	})
 
-	for id, a := range perAlloc {
+	for _, a := range aggs {
 		if a.wasted == 0 {
 			continue
 		}
-		name := fmt.Sprintf("alloc-%d", id)
+		name := fmt.Sprintf("alloc-%d", a.id)
 		if resolve != nil {
-			if n := resolve(id); n != "" {
+			if n := resolve(a.id); n != "" {
 				name = n
 			}
 		}
 		rep.Recommendations = append(rep.Recommendations, Recommendation{
-			AllocID:          id,
+			AllocID:          a.id,
 			AllocName:        name,
-			Blocks:           len(a.blocks),
+			Blocks:           a.blocks,
 			DeadIntervals:    a.intervals,
 			WastedBytes:      a.wasted,
 			AlreadyDiscarded: a.discarded,
@@ -148,19 +140,10 @@ func Analyze(rec *trace.Recorder, resolve NameResolver) *Report {
 }
 
 type allocAgg struct {
-	blocks    map[int]bool
-	intervals int
-	wasted    uint64
-	discarded bool
-}
-
-func ensureAgg(m map[int]*allocAgg, id int) *allocAgg {
-	a := m[id]
-	if a == nil {
-		a = &allocAgg{blocks: map[int]bool{}}
-		m[id] = a
-	}
-	return a
+	id                int
+	blocks, intervals int
+	wasted            uint64
+	discarded         bool
 }
 
 // deadIntervalWaste walks one block's event timeline and accumulates the
@@ -169,21 +152,18 @@ func ensureAgg(m map[int]*allocAgg, id int) *allocAgg {
 // proves no further read was coming.
 func deadIntervalWaste(evs []trace.Event) (wasted uint64, intervals int, sawDiscard bool) {
 	var pendingDead uint64 // transfer bytes since the last consuming read
-	var inInterval bool
 	closeInterval := func() {
 		if pendingDead > 0 {
 			wasted += pendingDead
 			intervals++
 		}
 		pendingDead = 0
-		inInterval = false
 	}
 	for _, ev := range evs {
 		switch ev.Kind {
 		case trace.GPURead, trace.CPURead:
 			// The data was consumed: transfers so far were useful.
 			pendingDead = 0
-			inInterval = false
 		case trace.GPUWrite, trace.CPUWrite, trace.ZeroFill:
 			// Previous contents died without the pending transfers being
 			// read: they were wasted.
@@ -193,11 +173,9 @@ func deadIntervalWaste(evs []trace.Event) (wasted uint64, intervals int, sawDisc
 			closeInterval()
 		case trace.TransferH2D, trace.TransferD2H:
 			pendingDead += ev.Bytes
-			inInterval = true
 		}
 	}
 	// Data never consumed again before the program ended.
-	_ = inInterval
 	closeInterval()
 	return wasted, intervals, sawDiscard
 }

@@ -19,22 +19,10 @@ type jsonEvent struct {
 	Bytes uint64 `json:"bytes"`
 }
 
-var kindNames = map[Kind]string{
-	TransferH2D:  "h2d",
-	TransferD2H:  "d2h",
-	TransferPeer: "peer",
-	GPURead:      "gpu-read",
-	GPUWrite:     "gpu-write",
-	CPURead:      "cpu-read",
-	CPUWrite:     "cpu-write",
-	Discard:      "discard",
-	ZeroFill:     "zero",
-}
-
 var kindValues = func() map[string]Kind {
 	m := make(map[string]Kind, len(kindNames))
 	for k, n := range kindNames {
-		m[n] = k
+		m[n] = Kind(k)
 	}
 	return m
 }()
@@ -42,17 +30,21 @@ var kindValues = func() map[string]Kind {
 // WriteJSON streams the recorder's events as JSON Lines (one event per
 // line), a format external tools can consume incrementally.
 func WriteJSON(w io.Writer, r *Recorder) error {
+	if r.Len() == 0 {
+		return nil
+	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, ev := range r.Events() {
-		name, ok := kindNames[ev.Kind]
-		if !ok {
-			return fmt.Errorf("trace: unknown kind %d", int(ev.Kind))
-		}
-		if err := enc.Encode(jsonEvent{
-			T: int64(ev.T), Kind: name, Alloc: ev.Alloc, Block: ev.Block, Bytes: ev.Bytes,
-		}); err != nil {
-			return err
+	for _, c := range r.chunks() {
+		for _, ev := range c {
+			if !ev.Kind.named() {
+				return fmt.Errorf("trace: unknown kind %d", int(ev.Kind))
+			}
+			if err := enc.Encode(jsonEvent{
+				T: int64(ev.T), Kind: kindNames[ev.Kind], Alloc: ev.Alloc, Block: ev.Block, Bytes: ev.Bytes,
+			}); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()

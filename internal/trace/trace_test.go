@@ -39,7 +39,7 @@ func TestRecorderBasics(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	kinds := []Kind{TransferH2D, TransferD2H, GPURead, GPUWrite, CPURead,
-		CPUWrite, Discard, ZeroFill}
+		CPUWrite, TransferPeer, Discard, ZeroFill}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

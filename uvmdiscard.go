@@ -83,7 +83,8 @@ type (
 	GPUProfile = gpudev.Profile
 	// Metrics collects transfer/fault/eviction instrumentation.
 	Metrics = metrics.Collector
-	// TraceRecorder records driver events for RMT analysis.
+	// TraceRecorder records driver events for RMT analysis. Its Events
+	// method returns a copy of the recorded events.
 	TraceRecorder = trace.Recorder
 	// RMTAnalysis classifies recorded transfers as required or redundant.
 	RMTAnalysis = trace.Analysis
