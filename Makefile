@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race bench bench-json bench-check profile examples repro csv ci lint lint-baseline chaos chaos-fleet smoke-service fuzz clean
+.PHONY: all build test test-short test-race bench bench-json bench-check bench-harness profile examples repro csv ci lint lint-baseline chaos chaos-fleet smoke-service fuzz clean
 
 all: build test
 
@@ -119,6 +119,15 @@ bench-check:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x -count=3 . \
 		| $(GO) run ./cmd/benchjson -check $(BENCH_BASELINE) \
 			-threshold $(BENCH_THRESHOLD) -alloc-threshold $(BENCH_ALLOC_THRESHOLD)
+
+# Compile and test the benchmark harness. _perfbench has its own go.mod,
+# so the root `go build ./...` never compiles it: renaming an API it calls
+# (fir.RunCheckpointed, the workload Run/DefaultConfig functions,
+# experiments.All, fleet.RunExperiment) would otherwise break only when the
+# benchmark runs. Its tests check the op plan and diff every op's output
+# against _perfbench/golden.json (~10 s).
+bench-harness:
+	cd _perfbench && GOPROXY=off $(GO) vet . && GOPROXY=off $(GO) test -count=1 .
 
 # CPU+heap profiles of a driver-loop-dominated run (fully oversubscribed
 # FIR), the workflow behind the §15 hot-path work:

@@ -24,9 +24,7 @@ import (
 	"uvmdiscard/internal/pcie"
 	"uvmdiscard/internal/trace"
 	"uvmdiscard/internal/workloads"
-	"uvmdiscard/internal/workloads/fir"
-	"uvmdiscard/internal/workloads/hashjoin"
-	"uvmdiscard/internal/workloads/radixsort"
+	"uvmdiscard/internal/workloads/catalog"
 )
 
 var (
@@ -36,7 +34,7 @@ var (
 
 func main() {
 	var (
-		workload = flag.String("workload", "dl", "dl | fir | radixsort | hashjoin")
+		workload = flag.String("workload", "dl", strings.Join(append([]string{"dl"}, catalog.Names()...), " | "))
 		system   = flag.String("system", "UVM-opt", "system to characterize")
 		ovsp     = flag.Int("ovsp", 200, "oversubscription percent for the micro-benchmarks")
 		model    = flag.String("model", "resnet53", "dl model")
@@ -45,25 +43,19 @@ func main() {
 	)
 	flag.Parse()
 
-	sys := workloads.UVMOpt
-	for _, s := range []workloads.System{workloads.UVMOpt, workloads.UvmDiscard, workloads.UvmDiscardLazy} {
-		if strings.EqualFold(s.String(), *system) {
-			sys = s
-		}
+	sys, err := workloads.ParseSystem(*system)
+	if err != nil {
+		fail(err)
 	}
 
 	p := workloads.Platform{GPU: gpudev.RTX3080Ti(), Gen: pcie.Gen4, TraceRMT: true}
 
 	switch strings.ToLower(*workload) {
 	case "dl", "dnn":
-		m := map[string]func() *dnn.ModelSpec{
-			"vgg16": dnn.VGG16, "darknet19": dnn.Darknet19,
-			"resnet53": dnn.ResNet53, "rnn": dnn.RNN,
-		}[strings.ToLower(*model)]
-		if m == nil {
-			fail(fmt.Errorf("unknown model %q", *model))
+		spec, err := dnn.ModelByName(*model)
+		if err != nil {
+			fail(err)
 		}
-		spec := m()
 		var bs []int
 		for _, s := range strings.Split(*batches, ",") {
 			b, err := strconv.Atoi(strings.TrimSpace(s))
@@ -90,32 +82,21 @@ func main() {
 			}
 			printRow(fmt.Sprintf("%d", b), results[i])
 		}
-	case "fir":
-		p.OversubPercent = *ovsp
-		r, err := fir.Run(p, sys, fir.DefaultConfig())
-		if err != nil {
-			fail(err)
-		}
-		header(sys, *ovsp)
-		printRow("fir", r)
-	case "radixsort", "radix":
-		p.OversubPercent = *ovsp
-		r, err := radixsort.Run(p, sys, radixsort.DefaultConfig())
-		if err != nil {
-			fail(err)
-		}
-		header(sys, *ovsp)
-		printRow("radix", r)
-	case "hashjoin", "hash":
-		p.OversubPercent = *ovsp
-		r, err := hashjoin.Run(p, sys, hashjoin.DefaultConfig())
-		if err != nil {
-			fail(err)
-		}
-		header(sys, *ovsp)
-		printRow("hashjoin", r)
 	default:
-		fail(fmt.Errorf("unknown workload %q", *workload))
+		w, err := catalog.Lookup(*workload)
+		if err != nil {
+			fail(fmt.Errorf("unknown workload %q (want %s)", *workload, flag.Lookup("workload").Usage))
+		}
+		p.OversubPercent = *ovsp
+		s, _ := w.New(false)
+		r, err := workloads.Run(p, sys, s, nil)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Printf("RMT characterization under %v at %d%% oversubscription\n\n", sys, *ovsp)
+		fmt.Printf("%-8s %-12s %-12s %-12s %-12s %s\n",
+			"run", "total GB", "required", "redundant", "redundant%", "transfers")
+		printRow(w.Name, r)
 	}
 }
 
@@ -144,12 +125,6 @@ func sweep(n, parallelism int, fn func(i int)) {
 	}
 	close(jobs)
 	wg.Wait()
-}
-
-func header(sys workloads.System, ovsp int) {
-	fmt.Printf("RMT characterization under %v at %d%% oversubscription\n\n", sys, ovsp)
-	fmt.Printf("%-8s %-12s %-12s %-12s %-12s %s\n",
-		"run", "total GB", "required", "redundant", "redundant%", "transfers")
 }
 
 func dumpTrace(r workloads.Result) {

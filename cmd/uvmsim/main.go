@@ -19,7 +19,8 @@
 // entry point `make profile` uses to attribute driver hot-path time
 // (DESIGN.md §15).
 //
-// The -checkpoint-out/-restore flags (fir only) persist and resume the live
+// The -checkpoint-out/-restore flags (workloads that can resume from a
+// snapshot, which today is fir) persist and resume the live
 // simulation: -checkpoint-out durably rewrites a versioned, checksummed
 // snapshot of the whole driver/engine/RNG state at every step boundary, and
 // -restore resumes from such a snapshot, producing output byte-identical to
@@ -44,17 +45,15 @@ import (
 	"uvmdiscard/internal/pcie"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
-	"uvmdiscard/internal/workloads/fir"
+	"uvmdiscard/internal/workloads/catalog"
 	"uvmdiscard/internal/workloads/graph"
-	"uvmdiscard/internal/workloads/hashjoin"
-	"uvmdiscard/internal/workloads/radixsort"
 )
 
 var jsonOut = flag.Bool("json", false, "emit the result as JSON (for scripting)")
 
 func main() {
 	var (
-		workload = flag.String("workload", "fir", "fir | radixsort | hashjoin | graph | dl | infer")
+		workload = flag.String("workload", "fir", strings.Join(append(catalog.Names(), "dl", "infer"), " | "))
 		system   = flag.String("system", "UVM-opt", "UVM-opt | UvmDiscard | UvmDiscardLazy | No-UVM | PyTorch-LMS")
 		ovsp     = flag.Int("ovsp", 0, "oversubscription percent (0 = fits; 200/300/400 reserve GPU memory)")
 		gen      = flag.Int("pcie", 4, "PCIe generation (3 or 4)")
@@ -93,7 +92,7 @@ func main() {
 		defer writeMemProfile(*memprof)
 	}
 
-	sys, err := parseSystem(*system)
+	sys, err := workloads.ParseSystem(*system)
 	if err != nil {
 		fail(err)
 	}
@@ -118,21 +117,6 @@ func main() {
 	}
 
 	switch strings.ToLower(*workload) {
-	case "fir":
-		res, err := fir.RunCheckpointed(p, sys, fir.DefaultConfig(), ckptEnv)
-		if ckptEnv != nil && ckptEnv.Stats.Resumed {
-			fmt.Fprintf(os.Stderr, "uvmsim: resumed from step %d (%d steps executed this run)\n",
-				ckptEnv.Stats.ResumedFrom, ckptEnv.Stats.StepsExecuted)
-		}
-		report(res, err)
-	case "radixsort", "radix":
-		report(radixsort.Run(p, sys, radixsort.DefaultConfig()))
-	case "hashjoin", "hash":
-		report(hashjoin.Run(p, sys, hashjoin.DefaultConfig()))
-	case "graph", "bfs":
-		cfg := graph.DefaultConfig()
-		cfg.ReadMostlyEdges = *readMost
-		report(graph.Run(p, sys, cfg))
 	case "infer", "inference":
 		total, err := units.Parse(*weights)
 		if err != nil {
@@ -144,7 +128,7 @@ func main() {
 		})
 		reportTrain(r, err)
 	case "dl", "dnn":
-		m, err := parseModel(*model)
+		m, err := dnn.ModelByName(*model)
 		if err != nil {
 			fail(err)
 		}
@@ -158,20 +142,33 @@ func main() {
 		})
 		reportTrain(r, err)
 	default:
-		fail(fmt.Errorf("unknown workload %q", *workload))
+		w, err := catalog.Lookup(*workload)
+		if err != nil {
+			fail(fmt.Errorf("unknown workload %q (want %s)", *workload, flag.Lookup("workload").Usage))
+		}
+		s, _ := w.New(false)
+		if g, ok := s.(*graph.BFS); ok {
+			g.ReadMostlyEdges = *readMost
+		}
+		res, err := workloads.Run(p, sys, s, ckptEnv)
+		if ckptEnv != nil && ckptEnv.Stats.Resumed {
+			fmt.Fprintf(os.Stderr, "uvmsim: resumed from step %d (%d steps executed this run)\n",
+				ckptEnv.Stats.ResumedFrom, ckptEnv.Stats.StepsExecuted)
+		}
+		report(res, err)
 	}
 }
 
 // checkpointEnv wires the -checkpoint-out/-restore flags into a checkpoint
-// environment, or nil when neither flag is set. Both are fir-only: the
-// snapshot digest covers the whole deterministic simulation, which rules out
-// fault injection, and the step-boundary consistency points are fir's.
+// environment, or nil when neither flag is set. Both need a workload that
+// can resume from a snapshot (fir), and the snapshot digest covers the
+// whole deterministic simulation, which rules out fault injection.
 func checkpointEnv(out, restore, workload, faults string) (*checkpoint.Env, error) {
 	if out == "" && restore == "" {
 		return nil, nil
 	}
-	if wl := strings.ToLower(workload); wl != "fir" {
-		return nil, fmt.Errorf("-checkpoint-out/-restore support the fir workload only (got %q)", workload)
+	if w, err := catalog.Lookup(workload); err != nil || !w.Resumable() {
+		return nil, fmt.Errorf("-checkpoint-out/-restore: workload %q cannot resume from a snapshot", workload)
 	}
 	if faults != "" {
 		return nil, fmt.Errorf("-checkpoint-out/-restore cannot be combined with -faults")
@@ -193,32 +190,6 @@ func checkpointEnv(out, restore, workload, faults string) (*checkpoint.Env, erro
 		env.Restore = blob
 	}
 	return env, nil
-}
-
-func parseSystem(s string) (workloads.System, error) {
-	for _, sys := range []workloads.System{
-		workloads.UVMOpt, workloads.UvmDiscard, workloads.UvmDiscardLazy,
-		workloads.NoUVM, workloads.PyTorchLMS,
-	} {
-		if strings.EqualFold(sys.String(), s) {
-			return sys, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown system %q", s)
-}
-
-func parseModel(s string) (*dnn.ModelSpec, error) {
-	switch strings.ToLower(s) {
-	case "vgg16", "vgg-16":
-		return dnn.VGG16(), nil
-	case "darknet19", "darknet-19":
-		return dnn.Darknet19(), nil
-	case "resnet53", "resnet-53":
-		return dnn.ResNet53(), nil
-	case "rnn":
-		return dnn.RNN(), nil
-	}
-	return nil, fmt.Errorf("unknown model %q", s)
 }
 
 func report(r workloads.Result, err error) {

@@ -2,34 +2,6 @@ package main
 
 import "testing"
 
-func TestParseSystem(t *testing.T) {
-	for _, name := range []string{"UVM-opt", "uvm-opt", "UvmDiscard", "uvmdiscardlazy",
-		"No-UVM", "PyTorch-LMS"} {
-		if _, err := parseSystem(name); err != nil {
-			t.Errorf("parseSystem(%q): %v", name, err)
-		}
-	}
-	if _, err := parseSystem("bogus"); err == nil {
-		t.Error("bogus system accepted")
-	}
-}
-
-func TestParseModel(t *testing.T) {
-	for _, name := range []string{"vgg16", "VGG-16", "darknet19", "resnet53", "RNN"} {
-		m, err := parseModel(name)
-		if err != nil {
-			t.Errorf("parseModel(%q): %v", name, err)
-			continue
-		}
-		if err := m.Validate(); err != nil {
-			t.Errorf("parseModel(%q) invalid: %v", name, err)
-		}
-	}
-	if _, err := parseModel("gpt"); err == nil {
-		t.Error("unknown model accepted")
-	}
-}
-
 func TestGB(t *testing.T) {
 	if gb(2_500_000_000) != 2.5 {
 		t.Errorf("gb = %v", gb(2_500_000_000))

@@ -3,6 +3,7 @@ package checkpoint_test
 import (
 	"bytes"
 	"context"
+	"os"
 	"reflect"
 	"testing"
 
@@ -203,5 +204,28 @@ func TestStepBeyondEndRejected(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r, ref) {
 		t.Errorf("fallback diverged:\n got %+v\nwant %+v", r, ref)
+	}
+}
+
+// TestResumeCommittedSnapshot resumes testdata/fir-step4.ckpt, a snapshot an
+// earlier build wrote for smallCfg() on plat() after step 4. It pins the
+// snapshot format and FIR's digest inputs, so snapshots already on disk (a
+// uvmsimd -data-dir) still resume after an upgrade.
+func TestResumeCommittedSnapshot(t *testing.T) {
+	blob, err := os.ReadFile("testdata/fir-step4.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reason string
+	env := &checkpoint.Env{Restore: blob, OnReject: func(r string) { reason = r }}
+	r, err := fir.RunCheckpointed(plat(), sysUnderTest, smallCfg(), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !env.Stats.Resumed || env.Stats.ResumedFrom != 4 || env.Stats.StepsExecuted != 4 {
+		t.Fatalf("stats %+v (reject reason %q), want a resume from step 4", env.Stats, reason)
+	}
+	if ref := reference(t); !reflect.DeepEqual(r, ref) {
+		t.Errorf("resumed run diverged:\n got %+v\nwant %+v", r, ref)
 	}
 }

@@ -15,6 +15,32 @@ var paperAllocations = map[string][2][2]float64{
 	"RNN":        {{150, 10.2}, {300, 20.0}},
 }
 
+func TestModelByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"vgg16": "VGG-16", "VGG-16": "VGG-16", "Vgg-16": "VGG-16",
+		"darknet19": "Darknet-19", "Darknet-19": "Darknet-19",
+		"resnet53": "ResNet-53", "RESNET-53": "ResNet-53",
+		"RNN": "RNN", "rnn": "RNN",
+	} {
+		m, err := ModelByName(name)
+		if err != nil {
+			t.Errorf("ModelByName(%q): %v", name, err)
+			continue
+		}
+		if m.Name != want {
+			t.Errorf("ModelByName(%q) = %s, want %s", name, m.Name, want)
+		}
+		if err := m.Validate(); err != nil {
+			t.Errorf("ModelByName(%q) invalid: %v", name, err)
+		}
+	}
+	for _, bad := range []string{"gpt", "", "vgg19"} {
+		if _, err := ModelByName(bad); err == nil {
+			t.Errorf("ModelByName(%q) accepted", bad)
+		}
+	}
+}
+
 func TestZooValidates(t *testing.T) {
 	for _, m := range Zoo() {
 		if err := m.Validate(); err != nil {

@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"fmt"
+	"strings"
 
 	"uvmdiscard/internal/units"
 )
@@ -183,4 +184,18 @@ func RNN() *ModelSpec {
 // Zoo returns all four networks in the paper's order.
 func Zoo() []*ModelSpec {
 	return []*ModelSpec{VGG16(), Darknet19(), ResNet53(), RNN()}
+}
+
+// ModelByName finds a zoo network by name, ignoring case and hyphens:
+// "VGG-16", "vgg16" and "Vgg-16" all name VGG-16.
+func ModelByName(name string) (*ModelSpec, error) {
+	norm := func(s string) string { return strings.ToLower(strings.ReplaceAll(s, "-", "")) }
+	var names []string
+	for _, m := range Zoo() {
+		if norm(m.Name) == norm(name) {
+			return m, nil
+		}
+		names = append(names, m.Name)
+	}
+	return nil, fmt.Errorf("unknown model %q (want %s)", name, strings.Join(names, ", "))
 }

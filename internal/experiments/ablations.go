@@ -26,13 +26,6 @@ func init() {
 // the LRU queue makes the eviction process swap live data out while free
 // discarded chunks sit idle — traffic rises toward the no-discard level.
 func runAblationEvictionOrder(o Options) (*Table, error) {
-	cfg := fir.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.InputBytes = 512 * units.MiB
-		cfg.WindowBytes = 64 * units.MiB
-		gpu = gpudev.Generic(1536 * units.MiB)
-	}
 	orders := []struct {
 		name  string
 		order []metrics.EvictSource
@@ -47,10 +40,11 @@ func runAblationEvictionOrder(o Options) (*Table, error) {
 		Header: []string{"Order", "Traffic GB", "Runtime", "LRU evictions", "Discarded reclaims"},
 	}
 	for _, spec := range orders {
+		f, gpu := fir.Preset(o.Quick)
 		params := core.DefaultParams()
 		params.EvictionOrder = spec.order
 		p := workloads.Platform{GPU: gpu, OversubPercent: 300, Params: &params}
-		r, err := fir.Run(o.arm(p), workloads.UvmDiscard, cfg)
+		r, err := workloads.Run(o.arm(p), workloads.UvmDiscard, f, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -69,13 +63,6 @@ func runAblationEvictionOrder(o Options) (*Table, error) {
 // delayed reclamation lets re-accessed buffers recover their chunks without
 // re-zeroing or re-populating.
 func runAblationImmediateReclaim(o Options) (*Table, error) {
-	cfg := radixsort.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.DataBytes = 256 * units.MiB
-		cfg.StripBytes = 32 * units.MiB
-		gpu = gpudev.Generic(768 * units.MiB)
-	}
 	t := &Table{
 		ID:     "A2",
 		Title:  "Ablation: delayed vs immediate reclamation (Radix-sort @<100%, UvmDiscard)",
@@ -88,10 +75,11 @@ func runAblationImmediateReclaim(o Options) (*Table, error) {
 		{"delayed (paper, §5.6)", false},
 		{"immediate", true},
 	} {
+		rs, gpu := radixsort.Preset(o.Quick)
 		params := core.DefaultParams()
 		params.ImmediateReclaim = spec.immediate
 		p := workloads.Platform{GPU: gpu, OversubPercent: 0, Params: &params}
-		r, err := radixsort.Run(o.arm(p), workloads.UvmDiscard, cfg)
+		r, err := workloads.Run(o.arm(p), workloads.UvmDiscard, rs, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -241,23 +229,17 @@ func init() {
 // the fault-service latency per block; large batches amortize it — the
 // batching the real driver performs when the GPU reports faults (§2.2).
 func runAblationFaultBatch(o Options) (*Table, error) {
-	cfg := radixsort.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.DataBytes = 256 * units.MiB
-		cfg.StripBytes = 32 * units.MiB
-		gpu = gpudev.Generic(768 * units.MiB)
-	}
 	t := &Table{
 		ID:     "A5",
 		Title:  "Ablation: fault-service batch size (Radix-sort @200%, UVM-opt)",
 		Header: []string{"Batch blocks", "Runtime", "Traffic GB"},
 	}
 	for _, batch := range []int{1, 4, 16, 64} {
+		rs, gpu := radixsort.Preset(o.Quick)
 		params := core.DefaultParams()
 		params.FaultBatchBlocks = batch
 		p := workloads.Platform{GPU: gpu, OversubPercent: 200, Params: &params}
-		r, err := radixsort.Run(o.arm(p), workloads.UVMOpt, cfg)
+		r, err := workloads.Run(o.arm(p), workloads.UVMOpt, rs, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/pcie"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
@@ -26,27 +25,24 @@ func init() {
 // from Options.Checkpoint.Stats instead; the fleet layer surfaces it
 // through worker logs and the uvmfleet_checkpoint_* counters.
 func runCheckpointFIR(o Options) (*Table, error) {
-	cfg := fir.DefaultConfig()
-	p := workloads.Platform{GPU: gpudev.RTX3080Ti(), Gen: pcie.Gen4, OversubPercent: 200}
+	f, gpu := fir.Preset(o.Quick)
 	if o.Quick {
 		// 24 windows: enough step boundaries for mid-job kills to land
 		// between checkpoints while the run still finishes in well under a
 		// second.
-		cfg = fir.Config{InputBytes: 768 * units.MiB, WindowBytes: 32 * units.MiB, FilterRate: 28e9}
-		p.GPU = gpudev.Generic(1536 * units.MiB)
+		f.InputBytes, f.WindowBytes = 768*units.MiB, 32*units.MiB
 	}
-	p = o.arm(p)
-	r, err := fir.RunCheckpointed(p, workloads.UvmDiscard, cfg, o.Checkpoint)
+	p := workloads.Platform{GPU: gpu, Gen: pcie.Gen4, OversubPercent: 200}
+	r, err := workloads.Run(o.arm(p), workloads.UvmDiscard, f, o.Checkpoint)
 	if err != nil {
 		return nil, err
 	}
-	steps := int((cfg.InputBytes + cfg.WindowBytes - 1) / cfg.WindowBytes)
 	t := &Table{
 		ID:     "X10",
 		Title:  "Extension (robustness): checkpointed FIR @200% (resumes byte-identical mid-job)",
 		Header: []string{"System", "Runtime", "Traffic GB", "Saved D2H GB", "Steps"},
 	}
 	t.AddRow(workloads.UvmDiscard.String(), r.Runtime.String(), fmtGB(r.TrafficBytes),
-		fmtGB(r.SavedD2H), fmt.Sprintf("%d", steps))
+		fmtGB(r.SavedD2H), fmt.Sprintf("%d", f.Steps()))
 	return t, nil
 }

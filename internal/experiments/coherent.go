@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"uvmdiscard/internal/core"
-	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/pcie"
-	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
 	"uvmdiscard/internal/workloads/radixsort"
 )
@@ -23,13 +21,6 @@ func init() {
 // served remotely and access counters migrate hot blocks — and shows that
 // discard keeps eliminating a similar share of traffic in both regimes.
 func runCoherentRemote(o Options) (*Table, error) {
-	cfg := radixsort.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.DataBytes = 256 * units.MiB
-		cfg.StripBytes = 32 * units.MiB
-		gpu = gpudev.Generic(768 * units.MiB)
-	}
 	t := &Table{
 		ID:    "X1",
 		Title: "Extension (§2.3/§3.2): coherent remote access still needs discard (Radix-sort @200%)",
@@ -47,12 +38,13 @@ func runCoherentRemote(o Options) (*Table, error) {
 	} {
 		var base workloads.Result
 		for _, sys := range []workloads.System{workloads.UVMOpt, workloads.UvmDiscard} {
+			rs, gpu := radixsort.Preset(o.Quick)
 			params := core.DefaultParams()
 			params.RemoteAccessMigrateThreshold = link.threshold
 			p := workloads.Platform{
 				GPU: gpu, Gen: link.gen, OversubPercent: 200, Params: &params,
 			}
-			r, err := radixsort.Run(o.arm(p), sys, cfg)
+			r, err := workloads.Run(o.arm(p), sys, rs, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"uvmdiscard/internal/faultinject"
-	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/sim"
-	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
 	"uvmdiscard/internal/workloads/radixsort"
 )
@@ -28,13 +26,6 @@ func init() {
 // shareable; an Injector never is), and the driver is single-threaded per
 // run, so the tables are byte-identical at any runner parallelism.
 func runFaultResilience(o Options) (*Table, error) {
-	cfg := radixsort.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.DataBytes = 256 * units.MiB
-		cfg.StripBytes = 32 * units.MiB
-		gpu = gpudev.Generic(768 * units.MiB)
-	}
 	t := &Table{
 		ID:    "X8",
 		Title: "Extension (robustness): discard savings and recovery under injected faults (Radix-sort @200%)",
@@ -67,8 +58,9 @@ func runFaultResilience(o Options) (*Table, error) {
 	for _, sched := range schedules {
 		var base workloads.Result
 		for _, sys := range []workloads.System{workloads.UVMOpt, workloads.UvmDiscard} {
+			rs, gpu := radixsort.Preset(o.Quick)
 			p := workloads.Platform{GPU: gpu, OversubPercent: 200, Faults: sched.fault}
-			r, err := radixsort.Run(o.arm(p), sys, cfg)
+			r, err := workloads.Run(o.arm(p), sys, rs, nil)
 			if err != nil {
 				return nil, err
 			}

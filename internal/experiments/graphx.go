@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"uvmdiscard/internal/gpudev"
-	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
 	"uvmdiscard/internal/workloads/graph"
 )
@@ -21,13 +19,9 @@ func init() {
 // instructive equivalence on read-only data that does not hold for the
 // paper's writable intermediates.
 func runGraphTraversal(o Options) (*Table, error) {
-	cfg := graph.DefaultConfig()
+	g, gpu := graph.Preset(o.Quick)
 	p := workloads.DefaultPlatform()
-	if o.Quick {
-		cfg.EdgeBytes = 512 * units.MiB
-		cfg.VertexBytes = 16 * units.MiB
-		p.GPU = gpudev.Generic(384 * units.MiB)
-	}
+	p.GPU = gpu
 	p = o.arm(p)
 	t := &Table{
 		ID:    "X7",
@@ -44,7 +38,7 @@ func runGraphTraversal(o Options) (*Table, error) {
 		{"discard retired partitions", workloads.UvmDiscard, false},
 		{"read-mostly edges", workloads.UvmDiscard, true},
 	} {
-		c := cfg
+		c := g.Config
 		c.ReadMostlyEdges = spec.rm
 		r, err := graph.Run(p, spec.sys, c)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/pcie"
-	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
 	"uvmdiscard/internal/workloads/fir"
 	"uvmdiscard/internal/workloads/hashjoin"
@@ -14,22 +13,22 @@ import (
 
 func init() {
 	register(Experiment{ID: "T3", Name: "fir-runtime", Run: func(o Options) (*Table, error) {
-		return runtimeTable("T3", "Normalized runtime of FIR (PCIe-3/4)", firRunner(o), paperT3)
+		return runtimeTable("T3", "Normalized runtime of FIR (PCIe-3/4)", micro(o, fir.Preset), paperT3)
 	}})
 	register(Experiment{ID: "T4", Name: "fir-traffic", Run: func(o Options) (*Table, error) {
-		return trafficTable("T4", "PCIe traffic (GB) of FIR", firRunner(o), paperT4, !o.Quick)
+		return trafficTable("T4", "PCIe traffic (GB) of FIR", micro(o, fir.Preset), paperT4, !o.Quick)
 	}})
 	register(Experiment{ID: "T5", Name: "radix-runtime", Run: func(o Options) (*Table, error) {
-		return runtimeTable("T5", "Normalized runtime of Radix-sort (PCIe-3/4)", radixRunner(o), paperT5)
+		return runtimeTable("T5", "Normalized runtime of Radix-sort (PCIe-3/4)", micro(o, radixsort.Preset), paperT5)
 	}})
 	register(Experiment{ID: "T6", Name: "radix-traffic", Run: func(o Options) (*Table, error) {
-		return trafficTable("T6", "PCIe traffic (GB) of Radix-sort", radixRunner(o), paperT6, !o.Quick)
+		return trafficTable("T6", "PCIe traffic (GB) of Radix-sort", micro(o, radixsort.Preset), paperT6, !o.Quick)
 	}})
 	register(Experiment{ID: "T7", Name: "hashjoin-runtime", Run: func(o Options) (*Table, error) {
-		return runtimeTable("T7", "Normalized runtime of Hash-join (PCIe-3/4)", hashRunner(o), paperT7)
+		return runtimeTable("T7", "Normalized runtime of Hash-join (PCIe-3/4)", micro(o, hashjoin.Preset), paperT7)
 	}})
 	register(Experiment{ID: "T8", Name: "hashjoin-traffic", Run: func(o Options) (*Table, error) {
-		return trafficTable("T8", "PCIe traffic (GB) of Hash-join", hashRunner(o), paperT8, !o.Quick)
+		return trafficTable("T8", "PCIe traffic (GB) of Hash-join", micro(o, hashjoin.Preset), paperT8, !o.Quick)
 	}})
 }
 
@@ -68,47 +67,13 @@ var (
 	}
 )
 
-func firRunner(o Options) microRunner {
-	cfg := fir.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.InputBytes = 512 * units.MiB
-		cfg.WindowBytes = 64 * units.MiB
-		gpu = gpudev.Generic(1536 * units.MiB)
-	}
+// micro runs a fresh step workload at its full or quick preset on each
+// cell's platform.
+func micro[S workloads.Stepper](o Options, preset func(quick bool) (S, gpudev.Profile)) microRunner {
 	return func(p workloads.Platform, sys workloads.System) (workloads.Result, error) {
+		s, gpu := preset(o.Quick)
 		p.GPU = gpu
-		return fir.Run(o.arm(p), sys, cfg)
-	}
-}
-
-func radixRunner(o Options) microRunner {
-	cfg := radixsort.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.DataBytes = 256 * units.MiB
-		cfg.StripBytes = 32 * units.MiB
-		gpu = gpudev.Generic(768 * units.MiB)
-	}
-	return func(p workloads.Platform, sys workloads.System) (workloads.Result, error) {
-		p.GPU = gpu
-		return radixsort.Run(o.arm(p), sys, cfg)
-	}
-}
-
-func hashRunner(o Options) microRunner {
-	cfg := hashjoin.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.TableBytes = 24 * units.MiB
-		cfg.IntermediateBytes = 80 * units.MiB
-		cfg.WorkspaceBytes = 110 * units.MiB
-		cfg.ResultBytes = 104 * units.MiB
-		gpu = gpudev.Generic(600 * units.MiB)
-	}
-	return func(p workloads.Platform, sys workloads.System) (workloads.Result, error) {
-		p.GPU = gpu
-		return hashjoin.Run(o.arm(p), sys, cfg)
+		return workloads.Run(o.arm(p), sys, s, nil)
 	}
 }
 

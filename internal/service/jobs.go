@@ -5,14 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"uvmdiscard/internal/experiments"
 	"uvmdiscard/internal/faultinject"
-	"uvmdiscard/internal/metrics"
 	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/sim"
+	"uvmdiscard/internal/workloads"
+	"uvmdiscard/internal/workloads/catalog"
 )
 
 type jobKind string
@@ -40,9 +42,9 @@ const (
 
 // RunRequest submits one workload simulation.
 type RunRequest struct {
-	// Workload is fir | radixsort | hashjoin | graph | spin. "spin" is a
-	// deliberately unterminated simulation used to exercise the watchdog:
-	// it only ever ends by cancellation, deadline, or sim budget.
+	// Workload is a catalog name (fir | radixsort | hashjoin | graph, or an
+	// alias) or spin: a deliberately unterminated simulation used to
+	// exercise the watchdog, which only ends by cancel, deadline or budget.
 	Workload string `json:"workload"`
 	// System is the memory-management system under test (UVM-opt,
 	// UvmDiscard, UvmDiscardLazy; workload-dependent). Defaults to UVM-opt.
@@ -61,22 +63,25 @@ type RunRequest struct {
 	// time; 0 uses the server default.
 	SimBudgetMS int64 `json:"sim_budget_ms"`
 	// Checkpoint names this run's crash-survivable snapshot file (a
-	// path-safe slug, fir only). The run persists a snapshot at every step
-	// boundary; a re-submitted run with the same name resumes from the last
-	// one — byte-identical to an uninterrupted run — and a clean completion
-	// deletes the file. Requires the server to run with a data directory.
+	// path-safe slug; resumable workloads only, i.e. fir). The run persists
+	// a snapshot at every step boundary; a re-submitted run with the same
+	// name resumes from the last one — byte-identical to an uninterrupted
+	// run — and a clean completion deletes the file. Needs a data directory.
 	Checkpoint string `json:"checkpoint"`
 
 	faults *faultinject.Config
 }
 
 func (r *RunRequest) validate() error {
-	switch r.Workload {
-	case "fir", "radixsort", "hashjoin", "graph", "spin":
-	default:
-		return fmt.Errorf("unknown workload %q (want fir, radixsort, hashjoin, graph, or spin)", r.Workload)
+	resumable := false
+	if r.Workload != "spin" {
+		w, err := catalog.Lookup(r.Workload)
+		if err != nil {
+			return fmt.Errorf("unknown workload %q (want %s, or spin)", r.Workload, strings.Join(catalog.Names(), ", "))
+		}
+		r.Workload, resumable = w.Name, w.Resumable()
 	}
-	if _, err := parseSystem(r.System); err != nil {
+	if _, err := workloads.ParseSystem(r.System); err != nil {
 		return err
 	}
 	if r.Ovsp < 0 || r.Ovsp > 1000 {
@@ -93,8 +98,8 @@ func (r *RunRequest) validate() error {
 		r.faults = cfg
 	}
 	if r.Checkpoint != "" {
-		if r.Workload != "fir" {
-			return fmt.Errorf("checkpointing is supported for the fir workload only (got %q)", r.Workload)
+		if !resumable {
+			return fmt.Errorf("the %s workload cannot resume from a snapshot, so it cannot checkpoint", r.Workload)
 		}
 		if !journalName.MatchString(r.Checkpoint) {
 			return fmt.Errorf("checkpoint name %q: want 1-128 chars of [A-Za-z0-9._-]", r.Checkpoint)
@@ -180,9 +185,6 @@ type job struct {
 	// stream reads sim-time advance through. Workload jobs arm exactly one;
 	// batch jobs re-arm per experiment (via experiments.Options.OnControl).
 	ctl *runctl.Control
-	// col is the run's live simulation collector (workload jobs only); the
-	// /metrics exporter snapshots it while the run executes.
-	col *metrics.Collector
 	// finished counts batch experiments completed so far, for progress.
 	finished int
 
@@ -248,18 +250,6 @@ func (j *job) currentControl() *runctl.Control {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.ctl
-}
-
-func (j *job) setCollector(c *metrics.Collector) {
-	j.mu.Lock()
-	j.col = c
-	j.mu.Unlock()
-}
-
-func (j *job) collector() *metrics.Collector {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.col
 }
 
 func (j *job) addFinished(n int) {

@@ -105,11 +105,11 @@ func (ss *simState) view() (*metrics.Collector, []simView) {
 	return tot, runs
 }
 
-// beginRun/endRun wrap simState for one job's simulation run, also wiring
-// the job's live collector slot for tests and future introspection.
+// beginRun/endRun wrap simState for one job's simulation run: beginRun
+// returns the run's live collector, which the /metrics exporter snapshots
+// while the run executes.
 func (s *Server) beginRun(j *job, workload string) *metrics.Collector {
 	col := metrics.New()
-	j.setCollector(col)
 	s.sims.begin(j.id, workload, col)
 	return col
 }

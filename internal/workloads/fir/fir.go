@@ -18,7 +18,7 @@ import (
 	"uvmdiscard/internal/checkpoint"
 	"uvmdiscard/internal/core"
 	"uvmdiscard/internal/cuda"
-	"uvmdiscard/internal/runctl"
+	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
@@ -45,6 +45,17 @@ func DefaultConfig() Config {
 	}
 }
 
+// Preset returns a fresh run at the paper's size on the RTX 3080 Ti or,
+// with quick, at the scaled-down size of the quick suite and quick service
+// jobs, and the GPU the preset runs on.
+func Preset(quick bool) (*Filter, gpudev.Profile) {
+	f, gpu := &Filter{Config: DefaultConfig()}, gpudev.RTX3080Ti()
+	if quick {
+		f.InputBytes, f.WindowBytes, gpu = 512*units.MiB, 64*units.MiB, gpudev.Generic(1536*units.MiB)
+	}
+	return f, gpu
+}
+
 // Footprint returns the application's GPU memory consumption: the input
 // plus the equally sized output, which is produced on the GPU.
 func (c Config) Footprint() units.Size {
@@ -55,177 +66,123 @@ func (c Config) Footprint() units.Size {
 // and traffic. A run interrupted by the platform's run control (cancel,
 // wall deadline, sim budget) returns a *runctl.Interrupt error.
 func Run(p workloads.Platform, sys workloads.System, cfg Config) (workloads.Result, error) {
-	return RunCheckpointed(p, sys, cfg, nil)
+	return workloads.Run(p, sys, &Filter{Config: cfg}, nil)
 }
 
-// digest identifies a FIR configuration for checkpoint compatibility: any
-// value that steers the simulation's trajectory is folded in, so a snapshot
-// can only be restored into the run that would have produced it.
-func digest(p workloads.Platform, sys workloads.System, cfg Config) string {
+// RunCheckpointed is Run with a checkpoint environment (see workloads.Run).
+func RunCheckpointed(p workloads.Platform, sys workloads.System, cfg Config, env *checkpoint.Env) (workloads.Result, error) {
+	return workloads.Run(p, sys, &Filter{Config: cfg}, env)
+}
+
+// Filter is one FIR run for workloads.Run: step i filters window i. It is
+// a workloads.Resumer, because between windows its only state besides the
+// driver's is the four handles it rebinds by name.
+type Filter struct {
+	Config
+
+	ctx             *cuda.Context
+	sys             workloads.System
+	in, out         *cuda.Buffer
+	copyS, computeS *cuda.Stream
+	accesses        []cuda.Access
+}
+
+// Name implements workloads.Stepper.
+func (f *Filter) Name() string { return "fir" }
+
+// Steps is the number of windows.
+func (f *Filter) Steps() int { return int((f.InputBytes + f.WindowBytes - 1) / f.WindowBytes) }
+
+func (f *Filter) validate() error {
+	if f.WindowBytes == 0 || f.InputBytes == 0 || f.FilterRate <= 0 {
+		return fmt.Errorf("fir: invalid config %+v", f.Config)
+	}
+	return nil
+}
+
+// Setup allocates the input and output and has the host generate the full
+// input signal.
+func (f *Filter) Setup(ctx *cuda.Context, _ workloads.Platform, sys workloads.System) (err error) {
+	if err := f.validate(); err != nil {
+		return err
+	}
+	if f.in, err = ctx.MallocManaged("fir-in", f.InputBytes); err != nil {
+		return err
+	}
+	if f.out, err = ctx.MallocManaged("fir-out", f.InputBytes); err != nil {
+		return err
+	}
+	if err := f.in.HostWrite(0, f.in.Size()); err != nil {
+		return err
+	}
+	f.bind(ctx, sys, ctx.Stream("copy"), ctx.Stream("compute"))
+	return nil
+}
+
+// Digest identifies a FIR configuration for checkpoint compatibility. Its
+// inputs are part of the on-disk snapshot format: changing them orphans
+// every snapshot already written.
+func (f *Filter) Digest(p workloads.Platform, sys workloads.System) string {
 	params := "default"
 	if p.Params != nil {
 		params = fmt.Sprintf("%+v", *p.Params)
 	}
 	return checkpoint.Digest("fir/1", sys, p.GPU, p.Gen, p.OversubPercent, params,
-		cfg.InputBytes, cfg.WindowBytes, cfg.FilterRate)
+		f.InputBytes, f.WindowBytes, f.FilterRate)
 }
 
-// RunCheckpointed is Run with an optional checkpoint environment: when env
-// is non-nil the run resumes from env.Restore if present (falling back to a
-// fresh start if the blob is rejected — corrupt state is never resumed) and
-// captures a snapshot through env.Save after every env.Every-th window, or
-// when the platform's run control requests one. A resumed run's Result is
-// byte-identical to an uninterrupted run's. env == nil is exactly the old
-// Run: no capture, nothing on the warm path.
-func RunCheckpointed(p workloads.Platform, sys workloads.System, cfg Config, env *checkpoint.Env) (res workloads.Result, err error) {
-	defer runctl.Recover(&err)
-	if sys == workloads.NoUVM || sys == workloads.PyTorchLMS {
-		return workloads.Result{}, fmt.Errorf("fir: system %v not part of the paper's FIR evaluation", sys)
+// Resume rebinds the buffers and streams of a restored run.
+func (f *Filter) Resume(ctx *cuda.Context, _ workloads.Platform, sys workloads.System, r *checkpoint.Restored) error {
+	if err := f.validate(); err != nil {
+		return err
 	}
-	if cfg.WindowBytes == 0 || cfg.InputBytes == 0 || cfg.FilterRate <= 0 {
-		return workloads.Result{}, fmt.Errorf("fir: invalid config %+v", cfg)
+	f.in, f.out = r.Bufs["fir-in"], r.Bufs["fir-out"]
+	copyS, computeS := r.Streams["copy"], r.Streams["compute"]
+	if f.in == nil || f.out == nil || copyS == nil || computeS == nil {
+		return fmt.Errorf("fir: snapshot is missing the fir buffers or streams")
 	}
-	ctx, err := p.NewContext(cfg.Footprint())
-	if err != nil {
-		return workloads.Result{}, err
-	}
+	f.bind(ctx, sys, copyS, computeS)
+	return nil
+}
 
-	var (
-		in, out                   *cuda.Buffer
-		copyStream, computeStream *cuda.Stream
-		start                     sim.Time
-		firstStep                 int
-		dig                       string
-	)
-	if env != nil {
-		dig = digest(p, sys, cfg)
-	}
-	if env != nil && env.Restore != nil {
-		snap, rerr := checkpoint.DecodeSnapshot(env.Restore)
-		if rerr == nil && snap.Digest != dig {
-			rerr = fmt.Errorf("fir: snapshot digest %s does not match this run's %s", snap.Digest, dig)
-		}
-		if numSteps := int((cfg.InputBytes + cfg.WindowBytes - 1) / cfg.WindowBytes); rerr == nil && snap.Step > numSteps {
-			rerr = fmt.Errorf("fir: snapshot resumes at step %d of a %d-step run", snap.Step, numSteps)
-		}
-		var got *checkpoint.Restored
-		if rerr == nil {
-			got, rerr = checkpoint.Restore(ctx, snap)
-		}
-		if rerr == nil {
-			in, out = got.Bufs["fir-in"], got.Bufs["fir-out"]
-			copyStream, computeStream = got.Streams["copy"], got.Streams["compute"]
-			if in == nil || out == nil || copyStream == nil || computeStream == nil {
-				rerr = fmt.Errorf("fir: snapshot is missing the fir buffers or streams")
-			}
-		}
-		if rerr != nil {
-			// Rejected: fall back to restart-from-zero on a brand-new
-			// context (the failed restore may have partially applied
-			// state, including into a shared metrics collector).
-			env.Stats.Rejected = true
-			if env.OnReject != nil {
-				env.OnReject(rerr.Error())
-			}
-			if p.Metrics != nil {
-				p.Metrics.Reset()
-			}
-			if ctx, err = p.NewContext(cfg.Footprint()); err != nil {
-				return workloads.Result{}, err
-			}
-		} else {
-			start = snap.Start
-			firstStep = snap.Step
-			env.Stats.Resumed = true
-			env.Stats.ResumedFrom = snap.Step
-		}
-	}
-
-	if in == nil {
-		if in, err = ctx.MallocManaged("fir-in", cfg.InputBytes); err != nil {
-			return workloads.Result{}, err
-		}
-		if out, err = ctx.MallocManaged("fir-out", cfg.InputBytes); err != nil {
-			return workloads.Result{}, err
-		}
-		// The host generates the full input signal. This pre-processing is
-		// excluded from the measured runtime.
-		if err := in.HostWrite(0, in.Size()); err != nil {
-			return workloads.Result{}, err
-		}
-		start = ctx.Elapsed()
-		copyStream = ctx.Stream("copy")
-		computeStream = ctx.Stream("compute")
-	}
-
+func (f *Filter) bind(ctx *cuda.Context, sys workloads.System, copyS, computeS *cuda.Stream) {
+	f.ctx, f.sys, f.copyS, f.computeS = ctx, sys, copyS, computeS
 	// One access list reused across windows: only the window offset/length
 	// change per launch, so the slice is built once instead of per kernel.
-	accesses := []cuda.Access{
-		{Buf: in, Mode: core.Read},
-		{Buf: out, Mode: core.Write},
+	f.accesses = []cuda.Access{
+		{Buf: f.in, Mode: core.Read},
+		{Buf: f.out, Mode: core.Write},
 	}
-	for step, off := firstStep, units.Size(firstStep)*cfg.WindowBytes; off < cfg.InputBytes; step, off = step+1, off+cfg.WindowBytes {
-		win := cfg.WindowBytes
-		if off+win > cfg.InputBytes {
-			win = cfg.InputBytes - off
-		}
-		// Prefetch the next input window and prefault the output window on
-		// the copy stream — this is the overlap the "-opt" baseline uses.
-		if err := copyStream.MemPrefetchAsync(in, off, win, cuda.ToGPU); err != nil {
-			return workloads.Result{}, err
-		}
-		if err := copyStream.MemPrefetchAsync(out, off, win, cuda.ToGPU); err != nil {
-			return workloads.Result{}, err
-		}
-		ready := ctx.NewEvent()
-		copyStream.RecordEvent(ready)
-		computeStream.WaitEvent(ready)
-
-		accesses[0].Offset, accesses[0].Length = off, win
-		accesses[1].Offset, accesses[1].Length = off, win
-		err := computeStream.Launch(cuda.Kernel{
-			Name:     "fir",
-			Compute:  sim.TransferTime(uint64(win), cfg.FilterRate),
-			Accesses: accesses,
-		})
-		if err != nil {
-			return workloads.Result{}, err
-		}
-		// The consumed window is dead: discard it (stream-ordered after
-		// the kernel, §4.2). FIR's windows are never reused, so the lazy
-		// flavor needs no pairing prefetch.
-		if err := workloads.DiscardRange(sys, computeStream, in, off, win); err != nil {
-			return workloads.Result{}, err
-		}
-		if env != nil {
-			env.Stats.StepsExecuted++
-			if env.Due(step) || p.Control.TakeCheckpointRequest() {
-				captureAndSave(ctx, env, dig, step+1, start)
-			}
-		}
-	}
-	ctx.DeviceSynchronize()
-	return workloads.CollectSince(sys, ctx, start), nil
 }
 
-// captureAndSave snapshots the run after step-1 has completed and hands the
-// encoded blob to env.Save. Failures are non-fatal — the simulation's
-// answer does not depend on checkpoint durability — but counted, so the
-// service layer can surface a run that silently lost crash protection.
-func captureAndSave(ctx *cuda.Context, env *checkpoint.Env, dig string, nextStep int, start sim.Time) {
-	if env.Save == nil {
-		return
+// Step prefetches window i, filters it and discards the consumed input.
+func (f *Filter) Step(i int) error {
+	off := units.Size(i) * f.WindowBytes
+	win := min(f.WindowBytes, f.InputBytes-off)
+	// Prefetch the next input window and prefault the output window on
+	// the copy stream — this is the overlap the "-opt" baseline uses.
+	if err := f.copyS.MemPrefetchAsync(f.in, off, win, cuda.ToGPU); err != nil {
+		return err
 	}
-	snap, err := checkpoint.Capture(ctx, dig, nextStep, start)
-	if err == nil {
-		var blob []byte
-		if blob, err = checkpoint.EncodeSnapshot(snap); err == nil {
-			err = env.Save(blob)
-		}
+	if err := f.copyS.MemPrefetchAsync(f.out, off, win, cuda.ToGPU); err != nil {
+		return err
 	}
+	ready := f.ctx.NewEvent()
+	f.copyS.RecordEvent(ready)
+	f.computeS.WaitEvent(ready)
+
+	f.accesses[0].Offset, f.accesses[0].Length = off, win
+	f.accesses[1].Offset, f.accesses[1].Length = off, win
+	err := f.computeS.Launch(cuda.Kernel{
+		Name:     "fir",
+		Compute:  sim.TransferTime(uint64(win), f.FilterRate),
+		Accesses: f.accesses,
+	})
 	if err != nil {
-		env.Stats.SaveErrors++
-		return
+		return err
 	}
-	env.Stats.Captures++
+	// The consumed window is dead: discard it (stream-ordered after the
+	// kernel, §4.2). FIR's windows are never reused, so the lazy flavor
+	// needs no pairing prefetch.
+	return workloads.DiscardRange(f.sys, f.computeS, f.in, off, win)
 }

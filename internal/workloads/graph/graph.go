@@ -23,7 +23,7 @@ import (
 
 	"uvmdiscard/internal/core"
 	"uvmdiscard/internal/cuda"
-	"uvmdiscard/internal/runctl"
+	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
@@ -60,6 +60,17 @@ func DefaultConfig() Config {
 	}
 }
 
+// Preset returns a fresh run at the paper's size on the RTX 3080 Ti or,
+// with quick, at the scaled-down size of the quick suite and quick service
+// jobs, and the GPU the preset runs on.
+func Preset(quick bool) (*BFS, gpudev.Profile) {
+	g, gpu := &BFS{Config: DefaultConfig()}, gpudev.RTX3080Ti()
+	if quick {
+		g.EdgeBytes, g.VertexBytes, gpu = 512*units.MiB, 16*units.MiB, gpudev.Generic(384*units.MiB)
+	}
+	return g, gpu
+}
+
 // Footprint is the application's GPU memory consumption.
 func (c Config) Footprint() units.Size {
 	al := func(n units.Size) units.Size { return units.AlignUp(n, units.BlockSize) }
@@ -79,119 +90,114 @@ func (c Config) validate() error {
 }
 
 // Run executes the traversal under the given system.
-func Run(p workloads.Platform, sys workloads.System, cfg Config) (res workloads.Result, err error) {
-	defer runctl.Recover(&err)
-	if sys == workloads.NoUVM || sys == workloads.PyTorchLMS {
-		return workloads.Result{}, fmt.Errorf("graph: system %v not supported", sys)
-	}
-	if err := cfg.validate(); err != nil {
-		return workloads.Result{}, err
-	}
-	ctx, err := p.NewContext(cfg.Footprint())
-	if err != nil {
-		return workloads.Result{}, err
-	}
+func Run(p workloads.Platform, sys workloads.System, cfg Config) (workloads.Result, error) {
+	return workloads.Run(p, sys, &BFS{Config: cfg}, nil)
+}
 
-	edges, err := ctx.MallocManaged("edges", cfg.EdgeBytes)
-	if err != nil {
-		return workloads.Result{}, err
-	}
-	offsets, err := ctx.MallocManaged("offsets", cfg.VertexBytes)
-	if err != nil {
-		return workloads.Result{}, err
-	}
-	visited, err := ctx.MallocManaged("visited", cfg.VertexBytes)
-	if err != nil {
-		return workloads.Result{}, err
-	}
-	frontierA, err := ctx.MallocManaged("frontier-a", cfg.VertexBytes)
-	if err != nil {
-		return workloads.Result{}, err
-	}
-	frontierB, err := ctx.MallocManaged("frontier-b", cfg.VertexBytes)
-	if err != nil {
-		return workloads.Result{}, err
-	}
+// BFS is one traversal run for workloads.Run: step i is BFS level i.
+type BFS struct {
+	Config
 
-	// The host loads the graph (pre-processing, excluded from runtime).
-	if err := edges.HostWrite(0, edges.Size()); err != nil {
-		return workloads.Result{}, err
-	}
-	if err := offsets.HostWrite(0, offsets.Size()); err != nil {
-		return workloads.Result{}, err
-	}
-	start := ctx.Elapsed()
+	sys                                workloads.System
+	s                                  *cuda.Stream
+	edges, offsets, visited, cur, next *cuda.Buffer
+	edgeBlocks, startBlock             int
+}
 
-	s := ctx.Stream("bfs")
-	if cfg.ReadMostlyEdges && sys != workloads.UVMOpt {
-		if err := s.MemAdviseAll(edges, core.AdviseSetReadMostly); err != nil {
-			return workloads.Result{}, err
-		}
-	}
+// Name implements workloads.Stepper.
+func (g *BFS) Name() string { return "graph" }
 
-	// The frontier sweeps through the edge partitions: each level touches
-	// the next window of blocks (a Subway-style vertex-grouped layout
-	// keeps the active set contiguous), and the window behind it — the
-	// edges of exhausted vertices — is never touched again.
-	edgeBlocks := units.BlocksIn(cfg.EdgeBytes)
-	touchedBlocks := func(f float64) int {
-		n := int(f * float64(edgeBlocks))
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
+// Steps is the number of BFS levels.
+func (g *BFS) Steps() int { return len(g.LevelFractions) }
 
-	cur, next := frontierA, frontierB
-	startBlock := 0
-	for level, f := range cfg.LevelFractions {
-		n := touchedBlocks(f)
-		if startBlock+n > edgeBlocks {
-			n = edgeBlocks - startBlock
-		}
-		if n <= 0 {
-			break
-		}
-		offset := units.Size(startBlock) * units.BlockSize
-		err := s.Launch(cuda.Kernel{
-			Name:    fmt.Sprintf("bfs-level-%d", level),
-			Compute: sim.TransferTime(uint64(n)*uint64(units.BlockSize), cfg.ScanRate),
-			Accesses: []cuda.Access{
-				{Buf: cur, Mode: core.Read},
-				{Buf: offsets, Mode: core.Read},
-				{Buf: edges, Offset: offset, Length: units.Size(n) * units.BlockSize,
-					Mode: core.Read, Scatter: true},
-				{Buf: visited, Mode: core.ReadWrite},
-				{Buf: next, Mode: core.Write},
-			},
-		})
+// Setup allocates the CSR graph and the vertex buffers and has the host
+// load the graph.
+func (g *BFS) Setup(ctx *cuda.Context, _ workloads.Platform, sys workloads.System) error {
+	if err := g.validate(); err != nil {
+		return err
+	}
+	for _, spec := range []struct {
+		dst  **cuda.Buffer
+		name string
+		size units.Size
+	}{
+		{&g.edges, "edges", g.EdgeBytes},
+		{&g.offsets, "offsets", g.VertexBytes},
+		{&g.visited, "visited", g.VertexBytes},
+		{&g.cur, "frontier-a", g.VertexBytes},
+		{&g.next, "frontier-b", g.VertexBytes},
+	} {
+		b, err := ctx.MallocManaged(spec.name, spec.size)
 		if err != nil {
-			return workloads.Result{}, err
+			return err
 		}
-		// The consumed frontier is dead.
-		if err := workloads.Discard(sys, s, cur); err != nil {
-			return workloads.Result{}, err
-		}
-		// The window just consumed is retired: its vertices are exhausted
-		// and their edges will never be read again. The discard system
-		// states that explicitly; the read-mostly variant needs no such
-		// knowledge — evicting clean duplicated pages is free anyway.
-		if sys.UsesDiscard() && !cfg.ReadMostlyEdges {
-			if err := workloads.DiscardRange(sys, s, edges,
-				offset, units.Size(n)*units.BlockSize); err != nil {
-				return workloads.Result{}, err
-			}
-		}
-		// Re-prefault the next level's frontier buffer (the §4.2 pairing
-		// for the lazy flavor).
-		if sys == workloads.UvmDiscardLazy {
-			if err := s.PrefetchAll(next, cuda.ToGPU); err != nil {
-				return workloads.Result{}, err
-			}
-		}
-		startBlock += n
-		cur, next = next, cur
+		*spec.dst = b
 	}
-	ctx.DeviceSynchronize()
-	return workloads.CollectSince(sys, ctx, start), nil
+	if err := g.edges.HostWrite(0, g.edges.Size()); err != nil {
+		return err
+	}
+	if err := g.offsets.HostWrite(0, g.offsets.Size()); err != nil {
+		return err
+	}
+	g.sys, g.s = sys, ctx.Stream("bfs")
+	g.edgeBlocks = units.BlocksIn(g.EdgeBytes)
+	return nil
+}
+
+// Step runs level i. The frontier sweeps through the edge partitions: each
+// level touches the next window of blocks (a Subway-style vertex-grouped
+// layout keeps the active set contiguous), and the window behind it — the
+// edges of exhausted vertices — is never touched again. Level 0 first
+// applies the read-mostly advice when configured.
+func (g *BFS) Step(level int) error {
+	if level == 0 && g.ReadMostlyEdges && g.sys != workloads.UVMOpt {
+		if err := g.s.MemAdviseAll(g.edges, core.AdviseSetReadMostly); err != nil {
+			return err
+		}
+	}
+	n := min(max(1, int(g.LevelFractions[level]*float64(g.edgeBlocks))), g.edgeBlocks-g.startBlock)
+	if n <= 0 {
+		// The sweep has passed the last edge block.
+		return nil
+	}
+	offset := units.Size(g.startBlock) * units.BlockSize
+	err := g.s.Launch(cuda.Kernel{
+		Name:    fmt.Sprintf("bfs-level-%d", level),
+		Compute: sim.TransferTime(uint64(n)*uint64(units.BlockSize), g.ScanRate),
+		Accesses: []cuda.Access{
+			{Buf: g.cur, Mode: core.Read},
+			{Buf: g.offsets, Mode: core.Read},
+			{Buf: g.edges, Offset: offset, Length: units.Size(n) * units.BlockSize,
+				Mode: core.Read, Scatter: true},
+			{Buf: g.visited, Mode: core.ReadWrite},
+			{Buf: g.next, Mode: core.Write},
+		},
+	})
+	if err != nil {
+		return err
+	}
+	// The consumed frontier is dead.
+	if err := workloads.Discard(g.sys, g.s, g.cur); err != nil {
+		return err
+	}
+	// The window just consumed is retired: its vertices are exhausted and
+	// their edges will never be read again. The discard system states that
+	// explicitly; the read-mostly variant needs no such knowledge —
+	// evicting clean duplicated pages is free anyway.
+	if g.sys.UsesDiscard() && !g.ReadMostlyEdges {
+		if err := workloads.DiscardRange(g.sys, g.s, g.edges,
+			offset, units.Size(n)*units.BlockSize); err != nil {
+			return err
+		}
+	}
+	// Re-prefault the next level's frontier buffer (the §4.2 pairing for
+	// the lazy flavor).
+	if g.sys == workloads.UvmDiscardLazy {
+		if err := g.s.PrefetchAll(g.next, cuda.ToGPU); err != nil {
+			return err
+		}
+	}
+	g.startBlock += n
+	g.cur, g.next = g.next, g.cur
+	return nil
 }

@@ -31,7 +31,7 @@ import (
 
 	"uvmdiscard/internal/core"
 	"uvmdiscard/internal/cuda"
-	"uvmdiscard/internal/runctl"
+	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
@@ -72,6 +72,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// Preset returns a fresh run at the paper's size on the RTX 3080 Ti or,
+// with quick, at the scaled-down size of the quick suite and quick service
+// jobs, and the GPU the preset runs on.
+func Preset(quick bool) (*Join, gpudev.Profile) {
+	h, gpu := &Join{Config: DefaultConfig()}, gpudev.RTX3080Ti()
+	if quick {
+		h.TableBytes, h.IntermediateBytes = 24*units.MiB, 80*units.MiB
+		h.WorkspaceBytes, h.ResultBytes, gpu = 110*units.MiB, 104*units.MiB, gpudev.Generic(600*units.MiB)
+	}
+	return h, gpu
+}
+
 // Footprint is the application's GPU memory consumption.
 func (c Config) Footprint() units.Size {
 	al := func(n units.Size) units.Size { return units.AlignUp(n, units.BlockSize) }
@@ -87,177 +99,161 @@ func (c Config) validate() error {
 }
 
 // Run executes the hash joins under the given system and platform.
-func Run(p workloads.Platform, sys workloads.System, cfg Config) (res workloads.Result, err error) {
-	defer runctl.Recover(&err)
-	if sys == workloads.NoUVM || sys == workloads.PyTorchLMS {
-		return workloads.Result{}, fmt.Errorf("hashjoin: system %v not part of the paper's evaluation", sys)
-	}
-	if err := cfg.validate(); err != nil {
-		return workloads.Result{}, err
-	}
-	ctx, err := p.NewContext(cfg.Footprint())
-	if err != nil {
-		return workloads.Result{}, err
-	}
+func Run(p workloads.Platform, sys workloads.System, cfg Config) (workloads.Result, error) {
+	return workloads.Run(p, sys, &Join{Config: cfg}, nil)
+}
 
-	type buffers struct {
-		ir, is, w1, w2, out *cuda.Buffer
+// Join is one hash-join run for workloads.Run: step i is batch
+// i%Batches of join i/Batches. It cannot resume from a snapshot: each
+// batch frees its consumed tables, and checkpoint.Capture refuses a VA
+// space with freed allocations.
+type Join struct {
+	Config
+
+	ctx                 *cuda.Context
+	sys                 workloads.System
+	s                   *cuda.Stream
+	ir, is, w1, w2, out *cuda.Buffer
+	// r and sTab are the current batch's table partitions.
+	r, sTab *cuda.Buffer
+}
+
+// Name implements workloads.Stepper.
+func (h *Join) Name() string { return "hashjoin" }
+
+// Steps is the number of batches over all joins.
+func (h *Join) Steps() int { return h.Joins * h.Batches }
+
+// Setup allocates the reused buffers and generates the first batch's
+// tables: that generation is pre-processing, while later batches generate
+// mid-pipeline as a database would.
+func (h *Join) Setup(ctx *cuda.Context, _ workloads.Platform, sys workloads.System) error {
+	if err := h.validate(); err != nil {
+		return err
 	}
-	var bufs buffers
+	h.ctx, h.sys = ctx, sys
 	for _, spec := range []struct {
 		dst  **cuda.Buffer
 		name string
 		size units.Size
 	}{
-		{&bufs.ir, "parts-r", cfg.IntermediateBytes},
-		{&bufs.is, "parts-s", cfg.IntermediateBytes},
-		{&bufs.w1, "workspace-r", cfg.WorkspaceBytes},
-		{&bufs.w2, "workspace-s", cfg.WorkspaceBytes},
-		{&bufs.out, "result", cfg.ResultBytes},
+		{&h.ir, "parts-r", h.IntermediateBytes},
+		{&h.is, "parts-s", h.IntermediateBytes},
+		{&h.w1, "workspace-r", h.WorkspaceBytes},
+		{&h.w2, "workspace-s", h.WorkspaceBytes},
+		{&h.out, "result", h.ResultBytes},
 	} {
 		b, err := ctx.MallocManaged(spec.name, spec.size)
 		if err != nil {
-			return workloads.Result{}, err
+			return err
 		}
 		*spec.dst = b
 	}
+	h.s = ctx.Stream("main")
+	return h.tables(0)
+}
 
-	stream := ctx.Stream("main")
-	var start sim.Time
+// tables generates step i's table partitions on the host, in fresh
+// allocations: the database hands the join new input buffers each batch
+// and they are freed once consumed.
+func (h *Join) tables(i int) (err error) {
+	join, batch := i/h.Batches, i%h.Batches
+	if h.r, err = h.ctx.MallocManaged(fmt.Sprintf("table-r-%d-%d", join, batch), h.TableBytes); err != nil {
+		return err
+	}
+	if h.sTab, err = h.ctx.MallocManaged(fmt.Sprintf("table-s-%d-%d", join, batch), h.TableBytes); err != nil {
+		return err
+	}
+	if err := h.r.HostWrite(0, h.r.Size()); err != nil {
+		return err
+	}
+	return h.sTab.HostWrite(0, h.sTab.Size())
+}
 
-	// discard issues the system's flavor; lazy only where the reuse is
-	// prefetch-paired (§7.1) — the workspaces are repurposed by the next
-	// batch's preprocessing kernels through faults, without a prefetch, so
-	// their discards stay eager even under the lazy system.
-	discard := func(b *cuda.Buffer, paired bool) error {
-		switch {
-		case sys == workloads.UvmDiscard:
-			return stream.DiscardAll(b)
-		case sys == workloads.UvmDiscardLazy && paired:
-			return stream.DiscardLazyAll(b)
-		case sys == workloads.UvmDiscardLazy:
-			return stream.DiscardAll(b)
-		default:
-			return nil
+// Step runs one batch: load the tables, preprocess both sides into the
+// hashed partitions, probe, and discard everything the batch left dead.
+func (h *Join) Step(i int) error {
+	if i > 0 {
+		if err := h.tables(i); err != nil {
+			return err
+		}
+	}
+	if err := h.s.PrefetchAll(h.r, cuda.ToGPU); err != nil {
+		return err
+	}
+	if err := h.s.PrefetchAll(h.sTab, cuda.ToGPU); err != nil {
+		return err
+	}
+
+	// Preprocess each side: re-prefault the repurposed partitions (§4.2;
+	// mandatory pairing for the lazy flavor), then build. The consumed table
+	// is freed. The workspace is dead until the next batch, whose kernels
+	// repurpose it through faults, without a prefetch, so its discard stays
+	// eager even under the lazy system.
+	for _, side := range [...]struct {
+		kernel             string
+		table, work, parts *cuda.Buffer
+	}{{"preprocess-r", h.r, h.w1, h.ir}, {"preprocess-s", h.sTab, h.w2, h.is}} {
+		if err := h.s.PrefetchAll(side.parts, cuda.ToGPU); err != nil {
+			return err
+		}
+		err := h.kernel(side.kernel,
+			cuda.Access{Buf: side.table, Mode: core.Read},
+			cuda.Access{Buf: side.work, Mode: core.ReadWrite},
+			cuda.Access{Buf: side.parts, Mode: core.Write},
+		)
+		if err != nil {
+			return err
+		}
+		if err := side.table.Free(); err != nil {
+			return err
+		}
+		if err := workloads.DiscardPaired(h.sys, h.s, side.work, false); err != nil {
+			return err
 		}
 	}
 
-	kernel := func(name string, accesses ...cuda.Access) error {
-		var touched float64
-		for _, a := range accesses {
-			length := a.Length
-			if length == 0 {
-				length = a.Buf.Size()
-			}
-			passes := a.Passes
-			if passes <= 0 {
-				passes = 1
-			}
-			touched += float64(length) * float64(passes)
-		}
-		return stream.Launch(cuda.Kernel{
-			Name:     name,
-			Compute:  sim.TransferTime(uint64(touched), cfg.Rate),
-			Accesses: accesses,
-		})
+	// Probe: scattered pass over the build side, stream the probe side,
+	// emit results, then a second scattered probe pass after the result
+	// writes — the pass that thrashes once the probe set no longer fits
+	// (>=300%).
+	if err := h.s.PrefetchAll(h.out, cuda.ToGPU); err != nil {
+		return err
 	}
-
-	for join := 0; join < cfg.Joins; join++ {
-		for batch := 0; batch < cfg.Batches; batch++ {
-			// Fresh table partitions for this batch, in fresh allocations
-			// (the database hands the join new input buffers each batch;
-			// they are freed once consumed).
-			r, err := ctx.MallocManaged(fmt.Sprintf("table-r-%d-%d", join, batch), cfg.TableBytes)
-			if err != nil {
-				return workloads.Result{}, err
-			}
-			sTab, err := ctx.MallocManaged(fmt.Sprintf("table-s-%d-%d", join, batch), cfg.TableBytes)
-			if err != nil {
-				return workloads.Result{}, err
-			}
-			if err := r.HostWrite(0, r.Size()); err != nil {
-				return workloads.Result{}, err
-			}
-			if err := sTab.HostWrite(0, sTab.Size()); err != nil {
-				return workloads.Result{}, err
-			}
-			if join == 0 && batch == 0 {
-				// The first batch's generation is pre-processing; later
-				// batches generate mid-pipeline as a database would.
-				start = ctx.Elapsed()
-			}
-			if err := stream.PrefetchAll(r, cuda.ToGPU); err != nil {
-				return workloads.Result{}, err
-			}
-			if err := stream.PrefetchAll(sTab, cuda.ToGPU); err != nil {
-				return workloads.Result{}, err
-			}
-
-			// Preprocess R: re-prefault the repurposed partitions (§4.2;
-			// mandatory pairing for the lazy flavor), then build.
-			if err := stream.PrefetchAll(bufs.ir, cuda.ToGPU); err != nil {
-				return workloads.Result{}, err
-			}
-			err = kernel("preprocess-r",
-				cuda.Access{Buf: r, Mode: core.Read},
-				cuda.Access{Buf: bufs.w1, Mode: core.ReadWrite},
-				cuda.Access{Buf: bufs.ir, Mode: core.Write},
-			)
-			if err != nil {
-				return workloads.Result{}, err
-			}
-			// The R-side table is consumed — free it; the workspace is
-			// dead until the next batch.
-			if err := r.Free(); err != nil {
-				return workloads.Result{}, err
-			}
-			if err := discard(bufs.w1, false); err != nil {
-				return workloads.Result{}, err
-			}
-
-			// Preprocess S.
-			if err := stream.PrefetchAll(bufs.is, cuda.ToGPU); err != nil {
-				return workloads.Result{}, err
-			}
-			err = kernel("preprocess-s",
-				cuda.Access{Buf: sTab, Mode: core.Read},
-				cuda.Access{Buf: bufs.w2, Mode: core.ReadWrite},
-				cuda.Access{Buf: bufs.is, Mode: core.Write},
-			)
-			if err != nil {
-				return workloads.Result{}, err
-			}
-			if err := sTab.Free(); err != nil {
-				return workloads.Result{}, err
-			}
-			if err := discard(bufs.w2, false); err != nil {
-				return workloads.Result{}, err
-			}
-
-			// Probe: scattered pass over the build side, stream the probe
-			// side, emit results, then a second scattered probe pass after
-			// the result writes — the pass that thrashes once the probe
-			// set no longer fits (>=300%).
-			if err := stream.PrefetchAll(bufs.out, cuda.ToGPU); err != nil {
-				return workloads.Result{}, err
-			}
-			err = kernel("probe-join",
-				cuda.Access{Buf: bufs.ir, Mode: core.Read},
-				cuda.Access{Buf: bufs.is, Mode: core.Read},
-				cuda.Access{Buf: bufs.ir, Length: cfg.IntermediateBytes / 2, Mode: core.Read, Scatter: true},
-				cuda.Access{Buf: bufs.out, Mode: core.Write},
-			)
-			if err != nil {
-				return workloads.Result{}, err
-			}
-			// The partitions and the consumed result are dead.
-			for _, b := range []*cuda.Buffer{bufs.ir, bufs.is, bufs.out} {
-				if err := discard(b, true); err != nil {
-					return workloads.Result{}, err
-				}
-			}
+	err := h.kernel("probe-join",
+		cuda.Access{Buf: h.ir, Mode: core.Read},
+		cuda.Access{Buf: h.is, Mode: core.Read},
+		cuda.Access{Buf: h.ir, Length: h.IntermediateBytes / 2, Mode: core.Read, Scatter: true},
+		cuda.Access{Buf: h.out, Mode: core.Write},
+	)
+	if err != nil {
+		return err
+	}
+	// The partitions and the consumed result are dead.
+	for _, b := range []*cuda.Buffer{h.ir, h.is, h.out} {
+		if err := workloads.Discard(h.sys, h.s, b); err != nil {
+			return err
 		}
 	}
-	ctx.DeviceSynchronize()
-	return workloads.CollectSince(sys, ctx, start), nil
+	return nil
+}
+
+func (h *Join) kernel(name string, accesses ...cuda.Access) error {
+	var touched float64
+	for _, a := range accesses {
+		length := a.Length
+		if length == 0 {
+			length = a.Buf.Size()
+		}
+		passes := a.Passes
+		if passes <= 0 {
+			passes = 1
+		}
+		touched += float64(length) * float64(passes)
+	}
+	return h.s.Launch(cuda.Kernel{
+		Name:     name,
+		Compute:  sim.TransferTime(uint64(touched), h.Rate),
+		Accesses: accesses,
+	})
 }

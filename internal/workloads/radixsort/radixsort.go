@@ -24,7 +24,7 @@ import (
 
 	"uvmdiscard/internal/core"
 	"uvmdiscard/internal/cuda"
-	"uvmdiscard/internal/runctl"
+	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
@@ -60,6 +60,17 @@ func DefaultConfig() Config {
 	}
 }
 
+// Preset returns a fresh run at the paper's size on the RTX 3080 Ti or,
+// with quick, at the scaled-down size of the quick suite and quick service
+// jobs, and the GPU the preset runs on.
+func Preset(quick bool) (*Sort, gpudev.Profile) {
+	r, gpu := &Sort{Config: DefaultConfig()}, gpudev.RTX3080Ti()
+	if quick {
+		r.DataBytes, r.StripBytes, gpu = 256*units.MiB, 32*units.MiB, gpudev.Generic(768*units.MiB)
+	}
+	return r, gpu
+}
+
 // Footprint is the application's GPU memory consumption: data + temp.
 func (c Config) Footprint() units.Size {
 	return 2 * units.AlignUp(c.DataBytes, units.BlockSize)
@@ -74,101 +85,85 @@ func (c Config) validate() error {
 }
 
 // Run executes the radix sort under the given system and platform.
-func Run(p workloads.Platform, sys workloads.System, cfg Config) (res workloads.Result, err error) {
-	defer runctl.Recover(&err)
-	if sys == workloads.NoUVM || sys == workloads.PyTorchLMS {
-		return workloads.Result{}, fmt.Errorf("radixsort: system %v not part of the paper's evaluation", sys)
-	}
-	if err := cfg.validate(); err != nil {
-		return workloads.Result{}, err
-	}
-	ctx, err := p.NewContext(cfg.Footprint())
-	if err != nil {
-		return workloads.Result{}, err
-	}
-	fits := p.OversubPercent <= 100
+func Run(p workloads.Platform, sys workloads.System, cfg Config) (workloads.Result, error) {
+	return workloads.Run(p, sys, &Sort{Config: cfg}, nil)
+}
 
-	kv, err := ctx.MallocManaged("radix-kv", cfg.DataBytes)
-	if err != nil {
-		return workloads.Result{}, err
-	}
-	tmp, err := ctx.MallocManaged("radix-tmp", cfg.DataBytes)
-	if err != nil {
-		return workloads.Result{}, err
-	}
-	// Host generates the unsorted keys (pre-processing, excluded from the
-	// measured runtime).
-	if err := kv.HostWrite(0, kv.Size()); err != nil {
-		return workloads.Result{}, err
-	}
-	start := ctx.Elapsed()
+// Sort is one radix-sort run for workloads.Run, one kernel per step.
+// It cannot resume from a snapshot: the kernels' scatter orders come from a
+// private RNG that a snapshot does not hold.
+type Sort struct {
+	Config
 
-	s := ctx.Stream("main")
-	rng := sim.NewRNG(0xadc0de)
-	if fits {
-		// Initial placement: pull the data in before the first kernel.
-		if err := s.PrefetchAll(kv, cuda.ToGPU); err != nil {
-			return workloads.Result{}, err
-		}
-		if err := s.PrefetchAll(tmp, cuda.ToGPU); err != nil {
-			return workloads.Result{}, err
-		}
-	}
+	sys     workloads.System
+	s       *cuda.Stream
+	kv, tmp *cuda.Buffer
+	rng     *sim.RNG
+	fits    bool
+}
 
-	// discardBuf issues the system's discard. Lazy is only usable where
-	// the pairing prefetch will be issued (fits); otherwise the lazy
-	// system falls back to the eager call (§7.1).
-	discardBuf := func(b *cuda.Buffer) error {
-		switch {
-		case sys == workloads.UvmDiscard:
-			return s.DiscardAll(b)
-		case sys == workloads.UvmDiscardLazy && fits:
-			return s.DiscardLazyAll(b)
-		case sys == workloads.UvmDiscardLazy:
-			return s.DiscardAll(b)
-		default:
-			return nil
-		}
-	}
-	// revive re-pre-faults a previously discarded buffer before its
-	// reuse — mandatory for lazy, beneficial for eager (§4.2) — but only
-	// when not oversubscribed.
-	revive := func(b *cuda.Buffer) error {
-		if !fits {
-			return nil
-		}
-		return s.PrefetchAll(b, cuda.ToGPU)
-	}
+// Name implements workloads.Stepper.
+func (r *Sort) Name() string { return "radixsort" }
 
-	for round := 0; round < cfg.Rounds; round++ {
-		if err := s.Launch(sortKernel(ctx, "local-sort", kv, tmp, cfg, rng)); err != nil {
-			return workloads.Result{}, err
+// Steps is two kernels per digit round.
+func (r *Sort) Steps() int { return 2 * r.Rounds }
+
+// Setup allocates the key/value and temp buffers and has the host generate
+// the unsorted keys.
+func (r *Sort) Setup(ctx *cuda.Context, p workloads.Platform, sys workloads.System) (err error) {
+	if err := r.validate(); err != nil {
+		return err
+	}
+	if r.kv, err = ctx.MallocManaged("radix-kv", r.DataBytes); err != nil {
+		return err
+	}
+	if r.tmp, err = ctx.MallocManaged("radix-tmp", r.DataBytes); err != nil {
+		return err
+	}
+	if err := r.kv.HostWrite(0, r.kv.Size()); err != nil {
+		return err
+	}
+	r.sys, r.fits = sys, p.OversubPercent <= 100
+	r.s = ctx.Stream("main")
+	r.rng = sim.NewRNG(0xadc0de)
+	return nil
+}
+
+// Step runs kernel i: a local sort (kv → tmp) on even steps, a reorder
+// (tmp → kv) on odd ones. Step 0 first places the data on the GPU when it
+// fits.
+func (r *Sort) Step(i int) error {
+	if i == 0 && r.fits {
+		if err := r.s.PrefetchAll(r.kv, cuda.ToGPU); err != nil {
+			return err
 		}
-		// The input is dead: its contents were partitioned into tmp.
-		if err := discardBuf(kv); err != nil {
-			return workloads.Result{}, err
-		}
-		if err := revive(kv); err != nil {
-			return workloads.Result{}, err
-		}
-		if err := s.Launch(sortKernel(ctx, "reorder", tmp, kv, cfg, rng)); err != nil {
-			return workloads.Result{}, err
-		}
-		// The temp partitions are dead: results went back to the input.
-		if err := discardBuf(tmp); err != nil {
-			return workloads.Result{}, err
-		}
-		if err := revive(tmp); err != nil {
-			return workloads.Result{}, err
+		if err := r.s.PrefetchAll(r.tmp, cuda.ToGPU); err != nil {
+			return err
 		}
 	}
-	ctx.DeviceSynchronize()
-	return workloads.CollectSince(sys, ctx, start), nil
+	name, src, dst := "local-sort", r.kv, r.tmp
+	if i%2 == 1 {
+		name, src, dst = "reorder", r.tmp, r.kv
+	}
+	if err := r.s.Launch(sortKernel(name, src, dst, r.Config, r.rng)); err != nil {
+		return err
+	}
+	// The source is dead: its contents moved to dst. Lazy is only usable
+	// where the pairing prefetch is issued (fits).
+	if err := workloads.DiscardPaired(r.sys, r.s, src, r.fits); err != nil {
+		return err
+	}
+	if !r.fits {
+		return nil
+	}
+	// Re-pre-fault the discarded buffer before its reuse: mandatory for
+	// lazy, beneficial for eager (§4.2), but only when not oversubscribed.
+	return r.s.PrefetchAll(src, cuda.ToGPU)
 }
 
 // sortKernel builds one radix kernel: interleaved scattered strips of
 // source reads and destination writes, swept Passes times.
-func sortKernel(ctx *cuda.Context, name string, src, dst *cuda.Buffer, cfg Config, rng *sim.RNG) cuda.Kernel {
+func sortKernel(name string, src, dst *cuda.Buffer, cfg Config, rng *sim.RNG) cuda.Kernel {
 	strips := int((cfg.DataBytes + cfg.StripBytes - 1) / cfg.StripBytes)
 	var accesses []cuda.Access
 	touched := 0.0
@@ -193,8 +188,5 @@ func sortKernel(ctx *cuda.Context, name string, src, dst *cuda.Buffer, cfg Confi
 }
 
 func stripLen(cfg Config, off units.Size) units.Size {
-	if off+cfg.StripBytes > cfg.DataBytes {
-		return cfg.DataBytes - off
-	}
-	return cfg.StripBytes
+	return min(cfg.StripBytes, cfg.DataBytes-off)
 }

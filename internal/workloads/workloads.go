@@ -1,12 +1,17 @@
 // Package workloads holds the shared vocabulary of the paper's evaluation
 // (§7.1): the systems under test, the platform description (GPU profile,
 // PCIe generation, oversubscription ratio), and the result record every
-// benchmark produces. The concrete workloads live in subpackages (fir,
-// radixsort, hashjoin) and in internal/dnn.
+// benchmark produces. It also holds the step contract: fir, radixsort,
+// hashjoin and graph (the subpackages) are each a Stepper (host setup, then
+// a fixed sequence of prefetch → kernel → discard steps), and Run is the
+// one runner that owns run control, context construction and checkpoint
+// capture/restore for all of them. The subpackage catalog looks them up by
+// name. The DNN workloads live in internal/dnn.
 package workloads
 
 import (
 	"fmt"
+	"strings"
 
 	"uvmdiscard/internal/advisor"
 	"uvmdiscard/internal/core"
@@ -57,6 +62,24 @@ func (s System) String() string {
 	}
 }
 
+// systemNames maps each accepted system name, lower-cased, to its system:
+// the name the paper's tables print (System.String) and a short alias.
+var systemNames = map[string]System{
+	"": UVMOpt, "uvm-opt": UVMOpt, "uvmopt": UVMOpt,
+	"uvmdiscard": UvmDiscard, "discard": UvmDiscard,
+	"uvmdiscardlazy": UvmDiscardLazy, "lazy": UvmDiscardLazy,
+	"no-uvm": NoUVM, "nouvm": NoUVM,
+	"pytorch-lms": PyTorchLMS, "lms": PyTorchLMS,
+}
+
+// ParseSystem resolves a system name, ignoring case; empty means UVM-opt.
+func ParseSystem(name string) (System, error) {
+	if sys, ok := systemNames[strings.ToLower(strings.TrimSpace(name))]; ok {
+		return sys, nil
+	}
+	return 0, fmt.Errorf("unknown system %q (want UVM-opt, UvmDiscard, UvmDiscardLazy, No-UVM or PyTorch-LMS)", name)
+}
+
 // UsesDiscard reports whether the system issues discard directives.
 func (s System) UsesDiscard() bool { return s == UvmDiscard || s == UvmDiscardLazy }
 
@@ -73,6 +96,15 @@ func Discard(sys System, s *cuda.Stream, b *cuda.Buffer) error {
 	default:
 		return nil
 	}
+}
+
+// DiscardPaired is Discard with the lazy flavor only where the buffer's
+// reuse is prefetch-paired; unpaired, the lazy system discards eagerly (§7.1).
+func DiscardPaired(sys System, s *cuda.Stream, b *cuda.Buffer, paired bool) error {
+	if sys == UvmDiscardLazy && !paired {
+		sys = UvmDiscard
+	}
+	return Discard(sys, s, b)
 }
 
 // DiscardRange is Discard over a sub-range.

@@ -18,6 +18,33 @@ type (
 	cudaAccess = cuda.Access
 )
 
+func TestParseSystem(t *testing.T) {
+	for name, want := range map[string]System{
+		"UVM-opt": UVMOpt, "uvm-opt": UVMOpt, "uvmopt": UVMOpt, "": UVMOpt,
+		"UvmDiscard": UvmDiscard, "discard": UvmDiscard,
+		"uvmdiscardlazy": UvmDiscardLazy, "Lazy": UvmDiscardLazy,
+		"No-UVM": NoUVM, "nouvm": NoUVM,
+		"PyTorch-LMS": PyTorchLMS, "lms": PyTorchLMS,
+		" UvmDiscard ": UvmDiscard,
+	} {
+		got, err := ParseSystem(name)
+		if err != nil || got != want {
+			t.Errorf("ParseSystem(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	// Every system parses back from the name its tables print.
+	for _, sys := range []System{UVMOpt, UvmDiscard, UvmDiscardLazy, NoUVM, PyTorchLMS} {
+		if got, err := ParseSystem(sys.String()); err != nil || got != sys {
+			t.Errorf("ParseSystem(%q) = %v, %v", sys.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"bogus", "Bogus", "UVM", "discard-lazy"} {
+		if _, err := ParseSystem(bad); err == nil {
+			t.Errorf("ParseSystem(%q) accepted", bad)
+		}
+	}
+}
+
 func TestSystemStrings(t *testing.T) {
 	names := map[System]string{
 		UVMOpt:         "UVM-opt",
