@@ -34,6 +34,7 @@ test-race:
 # Everything CI runs (.github/workflows/ci.yml mirrors this target).
 ci: lint lint-baseline
 	$(GO) build ./...
+	$(MAKE) examples
 	$(GO) test -race ./...
 
 # Full suite, including the full-scale reproduction gates (~1 min).

@@ -9,19 +9,21 @@ import (
 	"uvmdiscard/internal/workloads"
 )
 
-func dpGPU() gpudev.Profile { return gpudev.Generic(512 * units.MiB) }
+func dpPlatform(gpus int) workloads.Platform {
+	return workloads.Platform{GPU: gpudev.Generic(512 * units.MiB), Gen: pcie.Gen4, GPUs: gpus}
+}
 
 func TestDataParallelValidation(t *testing.T) {
-	if _, err := TrainDataParallel(dpGPU(), pcie.Gen4, workloads.UVMOpt,
+	if _, err := TrainDataParallel(dpPlatform(0), workloads.UVMOpt,
 		DataParallelConfig{}); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := TrainDataParallel(dpGPU(), pcie.Gen4, workloads.UVMOpt,
-		DataParallelConfig{Model: tinyModel(), GlobalBatch: 7, GPUs: 2}); err == nil {
+	if _, err := TrainDataParallel(dpPlatform(2), workloads.UVMOpt,
+		DataParallelConfig{Model: tinyModel(), GlobalBatch: 7}); err == nil {
 		t.Error("indivisible batch accepted")
 	}
-	if _, err := TrainDataParallel(dpGPU(), pcie.Gen4, workloads.NoUVM,
-		DataParallelConfig{Model: tinyModel(), GlobalBatch: 8, GPUs: 2}); err == nil {
+	if _, err := TrainDataParallel(dpPlatform(2), workloads.NoUVM,
+		DataParallelConfig{Model: tinyModel(), GlobalBatch: 8}); err == nil {
 		t.Error("No-UVM accepted")
 	}
 }
@@ -30,13 +32,13 @@ func TestDataParallelValidation(t *testing.T) {
 // all-reduce cost.
 func TestDataParallelScaling(t *testing.T) {
 	m := tinyModel()
-	one, err := TrainDataParallel(dpGPU(), pcie.Gen4, workloads.UVMOpt,
-		DataParallelConfig{Model: m, GlobalBatch: 16, GPUs: 1, Steps: 4})
+	one, err := TrainDataParallel(dpPlatform(1), workloads.UVMOpt,
+		DataParallelConfig{Model: m, GlobalBatch: 16, Steps: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := TrainDataParallel(dpGPU(), pcie.Gen4, workloads.UVMOpt,
-		DataParallelConfig{Model: m, GlobalBatch: 16, GPUs: 2, Steps: 4})
+	two, err := TrainDataParallel(dpPlatform(2), workloads.UVMOpt,
+		DataParallelConfig{Model: m, GlobalBatch: 16, Steps: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +58,13 @@ func TestDataParallelScaling(t *testing.T) {
 func TestDataParallelReducesPressure(t *testing.T) {
 	m := tinyModel()
 	batch := 56 // one GPU: ~1 GB footprint vs 0.5 GB; two GPUs: fits
-	one, err := TrainDataParallel(dpGPU(), pcie.Gen4, workloads.UVMOpt,
-		DataParallelConfig{Model: m, GlobalBatch: batch, GPUs: 1, Steps: 3})
+	one, err := TrainDataParallel(dpPlatform(1), workloads.UVMOpt,
+		DataParallelConfig{Model: m, GlobalBatch: batch, Steps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := TrainDataParallel(dpGPU(), pcie.Gen4, workloads.UVMOpt,
-		DataParallelConfig{Model: m, GlobalBatch: batch, GPUs: 2, Steps: 3})
+	two, err := TrainDataParallel(dpPlatform(2), workloads.UVMOpt,
+		DataParallelConfig{Model: m, GlobalBatch: batch, Steps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +81,13 @@ func TestDataParallelReducesPressure(t *testing.T) {
 func TestDataParallelWithDiscard(t *testing.T) {
 	m := tinyModel()
 	batch := 112 // each of 2 replicas still oversubscribes (~1 GB shard)
-	base, err := TrainDataParallel(dpGPU(), pcie.Gen4, workloads.UVMOpt,
-		DataParallelConfig{Model: m, GlobalBatch: batch, GPUs: 2, Steps: 3})
+	base, err := TrainDataParallel(dpPlatform(2), workloads.UVMOpt,
+		DataParallelConfig{Model: m, GlobalBatch: batch, Steps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	disc, err := TrainDataParallel(dpGPU(), pcie.Gen4, workloads.UvmDiscard,
-		DataParallelConfig{Model: m, GlobalBatch: batch, GPUs: 2, Steps: 3})
+	disc, err := TrainDataParallel(dpPlatform(2), workloads.UvmDiscard,
+		DataParallelConfig{Model: m, GlobalBatch: batch, Steps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +103,12 @@ func TestDataParallelWithDiscard(t *testing.T) {
 
 func TestDataParallelDeterminism(t *testing.T) {
 	m := tinyModel()
-	cfg := DataParallelConfig{Model: m, GlobalBatch: 32, GPUs: 2, Steps: 3}
-	a, err := TrainDataParallel(dpGPU(), pcie.Gen4, workloads.UvmDiscard, cfg)
+	cfg := DataParallelConfig{Model: m, GlobalBatch: 32, Steps: 3}
+	a, err := TrainDataParallel(dpPlatform(2), workloads.UvmDiscard, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrainDataParallel(dpGPU(), pcie.Gen4, workloads.UvmDiscard, cfg)
+	b, err := TrainDataParallel(dpPlatform(2), workloads.UvmDiscard, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,25 +5,9 @@ import (
 
 	"uvmdiscard/internal/core"
 	"uvmdiscard/internal/cuda"
-	"uvmdiscard/internal/gpudev"
-	"uvmdiscard/internal/pcie"
-	"uvmdiscard/internal/runctl"
-	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
 )
-
-// gpudevProfile aliases the device profile for the stage builder.
-type gpudevProfile = gpudev.Profile
-
-// pcieLink resolves the platform's link preset.
-func pcieLink(p workloads.Platform) *pcie.Link {
-	gen := p.Gen
-	if gen == 0 {
-		gen = pcie.Gen4
-	}
-	return pcie.Preset(gen)
-}
 
 // InferConfig describes an inference-serving measurement: forward passes
 // only, over a model whose *weights* dominate memory (the large-model
@@ -37,6 +21,10 @@ func pcieLink(p workloads.Platform) *pcie.Link {
 //     nothing; only the re-fetch H2D remains.
 //   - Discard kills each activation buffer the moment the next layer has
 //     consumed it.
+//
+// With Platform.GPUs > 1 the model's layers are partitioned across the GPUs
+// (pipeline/model parallelism for serving): each stage holds its own
+// weights, and activations hand off over the peer fabric.
 type InferConfig struct {
 	// Model to serve. Weights are loaded once and never modified.
 	Model *ModelSpec
@@ -49,11 +37,6 @@ type InferConfig struct {
 	Discard bool
 	// AdviseWeights applies SetReadMostly to all weights.
 	AdviseWeights bool
-	// GPUs partitions the model's layers across this many GPUs
-	// (pipeline/model parallelism for serving): each stage holds its own
-	// weights, and activations hand off over the peer fabric. Zero or one
-	// serves on a single GPU.
-	GPUs int
 }
 
 // LargeModel returns a synthetic serving model in the large-language-model
@@ -83,54 +66,44 @@ func LargeModel(total units.Size, layers int) *ModelSpec {
 }
 
 // Infer serves Requests forward passes and reports throughput and traffic.
-func Infer(p workloads.Platform, cfg InferConfig) (out TrainResult, err error) {
-	defer runctl.Recover(&err)
-	if cfg.Model == nil || cfg.Batch <= 0 {
-		return TrainResult{}, fmt.Errorf("dnn: invalid inference config %+v", cfg)
-	}
-	if err := cfg.Model.Validate(); err != nil {
+func Infer(p workloads.Platform, cfg InferConfig) (TrainResult, error) {
+	if err := CheckConfig("dnn: invalid inference config", cfg.Model, cfg.Batch); err != nil {
 		return TrainResult{}, err
 	}
-	requests := cfg.Requests
-	if requests <= 0 {
-		requests = 4
+	if cfg.Requests <= 0 {
+		cfg.Requests = 4
 	}
-	m := cfg.Model
-	batch := units.Size(cfg.Batch)
-	gpus := cfg.GPUs
-	if gpus <= 0 {
-		gpus = 1
+	if gpus := max(p.GPUs, 1); gpus > len(cfg.Model.Layers) {
+		return TrainResult{}, fmt.Errorf("dnn: %d stages for %d layers", gpus, len(cfg.Model.Layers))
 	}
-	if gpus > len(m.Layers) {
-		return TrainResult{}, fmt.Errorf("dnn: %d stages for %d layers", gpus, len(m.Layers))
-	}
+	return Measure(p, workloads.UVMOpt, &server{cfg: cfg}, cfg.Batch)
+}
 
-	// Inference footprint: single-copy weights plus double-buffered
-	// activations and the input.
-	footprint := m.TotalWeights() + batch*(m.SampleBytes+2*m.MaxOutPerSample())
-	ctx, err := p.NewContext(footprint)
-	if err != nil {
-		return TrainResult{}, err
-	}
-	if gpus > 1 {
-		// Rebuild the context with peer GPUs (the platform only sizes the
-		// primary; pipeline stages replicate the profile).
-		reserved, rerr := p.Reservation(footprint)
-		if rerr != nil {
-			return TrainResult{}, rerr
-		}
-		peers := make([]gpudevProfile, gpus-1)
-		for i := range peers {
-			peers[i] = p.GPU
-		}
-		ctx, err = cuda.NewContext(core.Config{
-			GPU: p.GPU, PeerGPUs: peers, ReservedBytes: reserved,
-			Link: pcieLink(p),
-		})
-		if err != nil {
-			return TrainResult{}, err
-		}
-	}
+// server is one inference-serving run; step i serves request i.
+type server struct {
+	cfg InferConfig
+
+	stream            *cuda.Stream
+	input, actA, actB *cuda.Buffer
+	layers            []cuda.Kernel
+}
+
+func (s *server) Name() string { return "infer" }
+func (s *server) Steps() int   { return s.cfg.Requests }
+
+// Footprint is single-copy weights plus double-buffered activations and the
+// input.
+func (s *server) Footprint() units.Size {
+	m := s.cfg.Model
+	return m.TotalWeights() + units.Size(s.cfg.Batch)*(m.SampleBytes+2*m.MaxOutPerSample())
+}
+
+// Setup places the layers on the pipeline stages, allocates the weights and
+// activations and loads the weights: the host materializes the checkpoint,
+// optionally marks it read-mostly, and the first pass pulls it in.
+func (s *server) Setup(ctx *cuda.Context, p workloads.Platform, _ workloads.System) (err error) {
+	m, gpus := s.cfg.Model, max(p.GPUs, 1)
+	batch := units.Size(s.cfg.Batch)
 	// stageOf balances layers across stages by weight volume.
 	stageOf := make([]int, len(m.Layers))
 	if gpus > 1 {
@@ -146,103 +119,93 @@ func Infer(p workloads.Platform, cfg InferConfig) (out TrainResult, err error) {
 		}
 	}
 
+	nm := m.names()
 	weights := make([]*cuda.Buffer, len(m.Layers))
 	for i, l := range m.Layers {
-		if weights[i], err = ctx.MallocManaged("w-"+l.Name, l.WeightBytes); err != nil {
-			return TrainResult{}, err
+		if weights[i], err = ctx.MallocManaged(nm[i].W, l.WeightBytes); err != nil {
+			return err
 		}
 	}
-	input, err := ctx.MallocManaged("input", batch*m.SampleBytes)
-	if err != nil {
-		return TrainResult{}, err
+	if s.input, err = ctx.MallocManaged("input", batch*m.SampleBytes); err != nil {
+		return err
 	}
-	actA, err := ctx.MallocManaged("act-a", batch*m.MaxOutPerSample())
-	if err != nil {
-		return TrainResult{}, err
+	if s.actA, err = ctx.MallocManaged("act-a", batch*m.MaxOutPerSample()); err != nil {
+		return err
 	}
-	actB, err := ctx.MallocManaged("act-b", batch*m.MaxOutPerSample())
-	if err != nil {
-		return TrainResult{}, err
+	if s.actB, err = ctx.MallocManaged("act-b", batch*m.MaxOutPerSample()); err != nil {
+		return err
+	}
+	s.stream = ctx.Stream("serve")
+
+	// Layer i reads the input (layer 0) or the other activation buffer and
+	// writes act-b for even i, act-a for odd i, on every request.
+	s.layers = make([]cuda.Kernel, len(m.Layers))
+	src, dst := s.actA, s.actB
+	for i, l := range m.Layers {
+		in := s.input
+		if i > 0 {
+			in = src
+		}
+		s.layers[i] = cuda.Kernel{
+			Name: "serve-" + l.Name, GPU: stageOf[i],
+			Compute: LayerTime(ctx, m, l, s.cfg.Batch, 1),
+			Accesses: []cuda.Access{
+				{Buf: weights[i], Mode: core.Read},
+				{Buf: in, Mode: core.Read},
+				{Buf: dst, Mode: core.Write},
+			},
+		}
+		src, dst = dst, src
 	}
 
-	stream := ctx.Stream("serve")
-
-	// Load the weights: the host materializes the checkpoint, optionally
-	// marks it read-mostly, and the first pass pulls it in.
 	for _, w := range weights {
 		if err := w.HostWrite(0, w.Size()); err != nil {
-			return TrainResult{}, err
+			return err
 		}
-		if cfg.AdviseWeights {
-			if err := stream.MemAdviseAll(w, core.AdviseSetReadMostly); err != nil {
-				return TrainResult{}, err
+		if s.cfg.AdviseWeights {
+			if err := s.stream.MemAdviseAll(w, core.AdviseSetReadMostly); err != nil {
+				return err
 			}
 		}
 	}
+	return nil
+}
 
-	var measureFrom sim.Time
-	for req := 0; req < requests; req++ {
-		if req == 1 {
-			ctx.DeviceSynchronize()
-			measureFrom = ctx.Elapsed()
-		}
-		if err := input.HostWrite(0, input.Size()); err != nil {
-			return TrainResult{}, err
-		}
-		if err := stream.PrefetchAll(input, cuda.ToGPU); err != nil {
-			return TrainResult{}, err
-		}
-		src, dst := actA, actB
-		for i, l := range m.Layers {
-			in := input
-			if i > 0 {
-				in = src
-			}
-			if cfg.Discard {
-				// Repurposing a previously discarded activation buffer:
-				// prefault it (§4.2).
-				if err := stream.PrefetchAll(dst, cuda.ToGPU); err != nil {
-					return TrainResult{}, err
-				}
-			}
-			err := stream.Launch(cuda.Kernel{
-				Name: "serve-" + l.Name, GPU: stageOf[i],
-				Compute: layerTime(ctx, m, l, cfg.Batch, 1),
-				Accesses: []cuda.Access{
-					{Buf: weights[i], Mode: core.Read},
-					{Buf: in, Mode: core.Read},
-					{Buf: dst, Mode: core.Write},
-				},
-			})
-			if err != nil {
-				return TrainResult{}, err
-			}
-			if cfg.Discard && i > 0 {
-				// The consumed activation is dead.
-				if err := stream.DiscardAll(src); err != nil {
-					return TrainResult{}, err
-				}
-			}
-			src, dst = dst, src
-		}
-		// The final activation is the response; it is consumed (read) by
-		// the serving layer and then dead.
-		if err := src.HostRead(0, src.Size()); err != nil {
-			return TrainResult{}, err
-		}
-		if cfg.Discard {
-			if err := stream.DiscardAll(src); err != nil {
-				return TrainResult{}, err
-			}
-		}
+// Step serves one request batch.
+func (s *server) Step(int) error {
+	if err := s.input.HostWrite(0, s.input.Size()); err != nil {
+		return err
 	}
-	ctx.DeviceSynchronize()
-
-	res := workloads.CollectSince(workloads.UVMOpt, ctx, 0)
-	elapsed := ctx.Elapsed() - measureFrom
-	tr := TrainResult{Result: res, Footprint: footprint}
-	if measured := requests - 1; elapsed > 0 && measured > 0 {
-		tr.Throughput = float64(cfg.Batch*measured) / elapsed.Seconds()
+	if err := s.stream.PrefetchAll(s.input, cuda.ToGPU); err != nil {
+		return err
 	}
-	return tr, nil
+	src, dst := s.actA, s.actB
+	for i := range s.layers {
+		if s.cfg.Discard {
+			// Repurposing a previously discarded activation buffer:
+			// prefault it (§4.2).
+			if err := s.stream.PrefetchAll(dst, cuda.ToGPU); err != nil {
+				return err
+			}
+		}
+		if err := s.stream.Launch(s.layers[i]); err != nil {
+			return err
+		}
+		if s.cfg.Discard && i > 0 {
+			// The consumed activation is dead.
+			if err := s.stream.DiscardAll(src); err != nil {
+				return err
+			}
+		}
+		src, dst = dst, src
+	}
+	// The final activation is the response; it is consumed (read) by the
+	// serving layer and then dead.
+	if err := src.HostRead(0, src.Size()); err != nil {
+		return err
+	}
+	if s.cfg.Discard {
+		return s.stream.DiscardAll(src)
+	}
+	return nil
 }

@@ -128,8 +128,10 @@ func TestInferPipelineAcrossGPUs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := Infer(servingPlatform(), InferConfig{
-		Model: servedModel(), Batch: 8, Requests: 3, GPUs: 2,
+	p := servingPlatform()
+	p.GPUs = 2
+	two, err := Infer(p, InferConfig{
+		Model: servedModel(), Batch: 8, Requests: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,9 +148,8 @@ func TestInferPipelineAcrossGPUs(t *testing.T) {
 		t.Errorf("pipeline not faster: %.1f <= %.1f", two.Throughput, one.Throughput)
 	}
 	// Validation: more stages than layers.
-	if _, err := Infer(servingPlatform(), InferConfig{
-		Model: servedModel(), Batch: 8, GPUs: 99,
-	}); err == nil {
+	p.GPUs = 99
+	if _, err := Infer(p, InferConfig{Model: servedModel(), Batch: 8}); err == nil {
 		t.Error("over-partitioning accepted")
 	}
 }

@@ -114,10 +114,8 @@ func runAblationPreparedTracking(o Options) (*Table, error) {
 	} {
 		params := core.DefaultParams()
 		params.PreparedTracking = spec.tracking
-		ctx, err := cuda.NewContext(core.Config{
-			GPU:    gpudev.Generic(units.Size(blocks+8) * units.BlockSize),
-			Params: &params,
-		})
+		p := workloads.Platform{GPU: gpudev.Generic(units.Size(blocks+8) * units.BlockSize), Params: &params}
+		ctx, err := o.arm(p).NewContext(0)
 		if err != nil {
 			return nil, err
 		}
@@ -170,10 +168,8 @@ func runAblationPartialDiscard(o Options) (*Table, error) {
 	} {
 		params := core.DefaultParams()
 		params.AllowPartialDiscard = spec.allow
-		ctx, err := cuda.NewContext(core.Config{
-			GPU:    gpudev.Generic(units.Size(blocks+4) * units.BlockSize),
-			Params: &params,
-		})
+		p := workloads.Platform{GPU: gpudev.Generic(units.Size(blocks+4) * units.BlockSize), Params: &params}
+		ctx, err := o.arm(p).NewContext(0)
 		if err != nil {
 			return nil, err
 		}

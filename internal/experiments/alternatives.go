@@ -8,6 +8,7 @@ import (
 	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
+	"uvmdiscard/internal/workloads"
 )
 
 func init() {
@@ -42,9 +43,7 @@ func runFreeVsDiscard(o Options) (*Table, error) {
 		runtime sim.Time
 	}
 	run := func(strategy string) (outcome, error) {
-		ctx, err := cuda.NewContext(core.Config{
-			GPU: gpudev.Generic(units.Size(gpuBlocks) * units.BlockSize),
-		})
+		ctx, err := o.arm(workloads.Platform{GPU: gpudev.Generic(units.Size(gpuBlocks) * units.BlockSize)}).NewContext(0)
 		if err != nil {
 			return outcome{}, err
 		}

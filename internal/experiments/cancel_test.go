@@ -3,8 +3,11 @@ package experiments
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"uvmdiscard/internal/runctl"
 )
 
 func stubExperiment(id string, run func(Options) (*Table, error)) Experiment {
@@ -131,5 +134,29 @@ func TestRunAllCancelKeepsDeterministicPartialResults(t *testing.T) {
 	}
 	if interrupted != len(selected)-1 {
 		t.Errorf("%d of %d post-cancel runs interrupted", interrupted, len(selected)-1)
+	}
+}
+
+// Options reach every experiment: run directly (as fleet.RunExperiment
+// does, outside RunAll) under an already-canceled context, each one stops
+// with an interrupt error, never a panic or a finished table, and arms at
+// least one run control, which is what fleet lease renewal and SSE progress
+// hook into. T2 is exempt: it renders calibrated API cost curves and builds
+// no driver.
+func TestEveryExperimentHonorsCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, e := range All() {
+		if e.ID == "T2" {
+			continue
+		}
+		var armed atomic.Int32
+		tbl, err := e.Run(Options{Quick: true, Ctx: ctx, OnControl: func(*runctl.Control) { armed.Add(1) }})
+		if !(RunResult{Err: err}).Interrupted() || tbl != nil {
+			t.Errorf("%s: table %v, err %v; want an interrupt", e.ID, tbl != nil, err)
+		}
+		if armed.Load() == 0 {
+			t.Errorf("%s: armed no run control", e.ID)
+		}
 	}
 }

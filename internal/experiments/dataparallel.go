@@ -41,9 +41,8 @@ func runDataParallel(o Options) (*Table, error) {
 			continue
 		}
 		for _, sys := range []workloads.System{workloads.UVMOpt, workloads.UvmDiscard} {
-			r, err := dnn.TrainDataParallel(gpu, pcie.Gen4, sys, dnn.DataParallelConfig{
-				Model: model, GlobalBatch: globalBatch, GPUs: gpus,
-			})
+			p := o.arm(workloads.Platform{GPU: gpu, Gen: pcie.Gen4, GPUs: gpus})
+			r, err := dnn.TrainDataParallel(p, sys, dnn.DataParallelConfig{Model: model, GlobalBatch: globalBatch})
 			if err != nil {
 				return nil, err
 			}

@@ -133,9 +133,17 @@ type Experiment struct {
 
 var registry = map[string]Experiment{}
 
+// register adds e, wrapping its Run in runctl.Recover: an experiment that
+// drives a context directly meets an armed control's interrupt as a panic,
+// which becomes its error here for every caller of Run.
 func register(e Experiment) {
 	if _, dup := registry[e.ID]; dup {
 		panic("experiments: duplicate id " + e.ID)
+	}
+	run := e.Run
+	e.Run = func(o Options) (t *Table, err error) {
+		defer runctl.Recover(&err)
+		return run(o)
 	}
 	registry[e.ID] = e
 }

@@ -8,6 +8,7 @@ import (
 	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/pcie"
 	"uvmdiscard/internal/units"
+	"uvmdiscard/internal/workloads"
 )
 
 func init() {
@@ -69,10 +70,7 @@ func runFigure4(opts Options) (*Table, error) {
 		var tps [2]float64
 		var fracs [2]float64
 		for i, gen := range []pcie.Generation{pcie.Gen3, pcie.Gen4} {
-			ctx, err := cuda.NewContext(core.Config{
-				GPU:  gpudev.RTX3080Ti(),
-				Link: pcie.Preset(gen),
-			})
+			ctx, err := opts.arm(workloads.Platform{GPU: gpudev.RTX3080Ti(), Gen: gen}).NewContext(0)
 			if err != nil {
 				return nil, err
 			}

@@ -38,10 +38,7 @@ func runMultiGPUPipeline(o Options) (*Table, error) {
 			"PCIe GB", "Runtime"},
 	}
 	for _, sys := range []workloads.System{workloads.UVMOpt, workloads.UvmDiscard, workloads.UvmDiscardLazy} {
-		ctx, err := cuda.NewContext(core.Config{
-			GPU:      gpudev.Generic(gpuMem),
-			PeerGPUs: []gpudev.Profile{gpudev.Generic(gpuMem)},
-		})
+		ctx, err := o.arm(workloads.Platform{GPU: gpudev.Generic(gpuMem), GPUs: 2}).NewContext(0)
 		if err != nil {
 			return nil, err
 		}
@@ -82,15 +79,8 @@ func runMultiGPUPipeline(o Options) (*Table, error) {
 				return nil, err
 			}
 			// The handed-off activation is dead once stage 1 consumed it.
-			switch sys {
-			case workloads.UvmDiscard:
-				if err := s.DiscardAll(act); err != nil {
-					return nil, err
-				}
-			case workloads.UvmDiscardLazy:
-				if err := s.DiscardLazyAll(act); err != nil {
-					return nil, err
-				}
+			if err := workloads.Discard(sys, s, act); err != nil {
+				return nil, err
 			}
 		}
 		ctx.DeviceSynchronize()

@@ -50,10 +50,10 @@ func runInferenceAdvice(o Options) (*Table, error) {
 		{"+ both", true, true, 1},
 		{"2-GPU pipeline (no hints)", false, false, 2},
 	} {
-		p := o.arm(workloads.Platform{GPU: gpu, Gen: pcie.Gen4})
+		p := o.arm(workloads.Platform{GPU: gpu, Gen: pcie.Gen4, GPUs: spec.gpus})
 		r, err := dnn.Infer(p, dnn.InferConfig{
 			Model: model, Batch: batch, Requests: 4,
-			Discard: spec.discard, AdviseWeights: spec.advise, GPUs: spec.gpus,
+			Discard: spec.discard, AdviseWeights: spec.advise,
 		})
 		if err != nil {
 			return nil, err

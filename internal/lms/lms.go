@@ -16,8 +16,6 @@ import (
 
 	"uvmdiscard/internal/cuda"
 	"uvmdiscard/internal/dnn"
-	"uvmdiscard/internal/runctl"
-	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
 )
@@ -37,105 +35,87 @@ type Config struct {
 // updated weights out. The caching allocator keeps a working set of device
 // buffers so no allocation calls appear in the steady state; transfers are
 // synchronous with the compute stream, which is why LMS cannot hide them.
-func Train(p workloads.Platform, cfg Config) (out dnn.TrainResult, err error) {
-	defer runctl.Recover(&err)
-	if cfg.Model == nil || cfg.Batch <= 0 {
-		return dnn.TrainResult{}, fmt.Errorf("lms: invalid config %+v", cfg)
-	}
-	if err := cfg.Model.Validate(); err != nil {
+func Train(p workloads.Platform, cfg Config) (dnn.TrainResult, error) {
+	if err := dnn.CheckConfig("lms: invalid config", cfg.Model, cfg.Batch); err != nil {
 		return dnn.TrainResult{}, err
 	}
-	steps := cfg.Steps
-	if steps <= 0 {
-		steps = dnn.DefaultSteps
+	if cfg.Steps <= 0 {
+		cfg.Steps = dnn.DefaultSteps
 	}
-	m := cfg.Model
-	footprint := m.FootprintBytes(cfg.Batch)
-	ctx, err := p.NewContext(footprint)
-	if err != nil {
-		return dnn.TrainResult{}, err
-	}
+	return dnn.Measure(p, workloads.PyTorchLMS, &trainer{cfg: cfg}, cfg.Batch)
+}
 
+// trainer is one LMS training run; step i trains mini-batch i.
+type trainer struct {
+	cfg Config
+
+	stream   *cuda.Stream
+	fwd, bwd []cuda.Kernel
+}
+
+func (t *trainer) Name() string          { return "lms" }
+func (t *trainer) Footprint() units.Size { return t.cfg.Model.FootprintBytes(t.cfg.Batch) }
+func (t *trainer) Steps() int            { return t.cfg.Steps }
+
+// Setup reserves the caching allocator's device memory and builds the
+// step-invariant kernels.
+func (t *trainer) Setup(ctx *cuda.Context, _ workloads.Platform, _ workloads.System) error {
+	m := t.cfg.Model
 	// The caching allocator holds the largest consecutive-layer working
 	// set on the device. If even that does not fit, LMS cannot run.
 	var peak units.Size
-	batch := units.Size(cfg.Batch)
+	batch := units.Size(t.cfg.Batch)
 	for i, l := range m.Layers {
-		var prev units.Size
+		prev := batch * m.SampleBytes
 		if i > 0 {
 			prev = batch * m.Layers[i-1].OutPerSample
-		} else {
-			prev = batch * m.SampleBytes
 		}
 		set := prev + batch*(l.OutPerSample+l.StashPerSample) +
 			3*l.WeightBytes + l.WorkspaceFixed + batch*m.MaxOutPerSample()
-		if set > peak {
-			peak = set
-		}
+		peak = max(peak, set)
 	}
-	cache, err := ctx.Malloc(units.AlignUp(peak, units.BlockSize))
-	if err != nil {
-		return dnn.TrainResult{}, fmt.Errorf("lms: working set %s does not fit: %w",
-			units.Format(peak), err)
-	}
-	defer cache.Free()
-
-	stream := ctx.Stream("main")
-	layerFlopsTime := func(l dnn.LayerSpec, dir float64) sim.Time {
-		flops := l.FlopsPerSample * float64(cfg.Batch) * dir
-		tflops := ctx.Driver().Device().Profile().ComputeTFLOPS * m.Efficiency
-		return sim.Time(flops / (tflops * 1e12) * float64(sim.Second))
+	if _, err := ctx.Malloc(units.AlignUp(peak, units.BlockSize)); err != nil {
+		return fmt.Errorf("lms: working set %s does not fit: %w", units.Format(peak), err)
 	}
 
-	// Step-invariant kernel specs, built once instead of per mini-batch.
-	fwdKernels := make([]cuda.Kernel, len(m.Layers))
-	bwdKernels := make([]cuda.Kernel, len(m.Layers))
+	t.stream = ctx.Stream("main")
+	t.fwd, t.bwd = make([]cuda.Kernel, len(m.Layers)), make([]cuda.Kernel, len(m.Layers))
 	for i, l := range m.Layers {
-		fwdKernels[i] = cuda.Kernel{Name: "fwd-" + l.Name, Compute: layerFlopsTime(l, 1)}
-		bwdKernels[i] = cuda.Kernel{
+		t.fwd[i] = cuda.Kernel{Name: "fwd-" + l.Name, Compute: dnn.LayerTime(ctx, m, l, t.cfg.Batch, 1)}
+		t.bwd[i] = cuda.Kernel{
 			Name:    "bwd-" + l.Name,
-			Compute: layerFlopsTime(l, 2) + ctx.ComputeForBytes(float64(3*l.WeightBytes)),
+			Compute: dnn.LayerTime(ctx, m, l, t.cfg.Batch, 2) + ctx.ComputeForBytes(float64(3*l.WeightBytes)),
 		}
 	}
+	return nil
+}
 
-	var measureFrom sim.Time
-	for step := 0; step < steps; step++ {
-		if step == 1 {
-			ctx.DeviceSynchronize()
-			measureFrom = ctx.Elapsed()
-		}
-		// Stage the batch in.
-		stream.MemcpyHostToDevice(batch * (m.SampleBytes + m.LabelBytes))
+// Step trains one mini-batch.
+func (t *trainer) Step(int) error {
+	m, batch := t.cfg.Model, units.Size(t.cfg.Batch)
+	// Stage the batch in.
+	t.stream.MemcpyHostToDevice(batch * (m.SampleBytes + m.LabelBytes))
 
-		// Forward: weights in, compute, activations + stash out (they are
-		// needed again in backward but do not fit on the device).
-		for i, l := range m.Layers {
-			stream.MemcpyHostToDevice(l.WeightBytes)
-			if err := stream.Launch(fwdKernels[i]); err != nil {
-				return dnn.TrainResult{}, err
-			}
-			stream.MemcpyDeviceToHost(batch * (l.OutPerSample + l.StashPerSample))
+	// Forward: weights in, compute, activations + stash out (they are
+	// needed again in backward but do not fit on the device).
+	for i, l := range m.Layers {
+		t.stream.MemcpyHostToDevice(l.WeightBytes)
+		if err := t.stream.Launch(t.fwd[i]); err != nil {
+			return err
 		}
-
-		// Backward: activations, stash and weights back in; compute;
-		// updated weights out.
-		for i := len(m.Layers) - 1; i >= 0; i-- {
-			l := m.Layers[i]
-			stream.MemcpyHostToDevice(batch * (l.OutPerSample + l.StashPerSample))
-			stream.MemcpyHostToDevice(l.WeightBytes)
-			if err := stream.Launch(bwdKernels[i]); err != nil {
-				return dnn.TrainResult{}, err
-			}
-			stream.MemcpyDeviceToHost(l.WeightBytes)
-		}
+		t.stream.MemcpyDeviceToHost(batch * (l.OutPerSample + l.StashPerSample))
 	}
-	ctx.DeviceSynchronize()
 
-	res := workloads.CollectSince(workloads.PyTorchLMS, ctx, 0)
-	elapsed := ctx.Elapsed() - measureFrom
-	tr := dnn.TrainResult{Result: res, Footprint: footprint}
-	if measured := steps - 1; elapsed > 0 && measured > 0 {
-		tr.Throughput = float64(cfg.Batch*measured) / elapsed.Seconds()
+	// Backward: activations, stash and weights back in; compute; updated
+	// weights out.
+	for i := len(m.Layers) - 1; i >= 0; i-- {
+		l := m.Layers[i]
+		t.stream.MemcpyHostToDevice(batch * (l.OutPerSample + l.StashPerSample))
+		t.stream.MemcpyHostToDevice(l.WeightBytes)
+		if err := t.stream.Launch(t.bwd[i]); err != nil {
+			return err
+		}
+		t.stream.MemcpyDeviceToHost(l.WeightBytes)
 	}
-	return tr, nil
+	return nil
 }

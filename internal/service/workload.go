@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -11,9 +12,7 @@ import (
 	"uvmdiscard/internal/cuda"
 	"uvmdiscard/internal/experiments"
 	"uvmdiscard/internal/gpudev"
-	"uvmdiscard/internal/metrics"
 	"uvmdiscard/internal/pcie"
-	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
@@ -45,7 +44,9 @@ func (s *Server) runWorkloadJob(j *job) (string, error) {
 	if req.Workload == "spin" {
 		// Spin never completes on its own; its only exits are the
 		// structured ones (cancel, wall deadline, sim budget).
-		return "", runSpin(j.control(), col)
+		p := workloads.Platform{GPU: gpudev.Generic(64 * units.MiB), Gen: pcie.Gen4, Control: j.control(), Metrics: col}
+		_, err := workloads.Run(p, sys, &spin{}, nil)
+		return "", err
 	}
 	w, err := catalog.Lookup(req.Workload)
 	if err != nil {
@@ -129,36 +130,42 @@ func (s *Server) checkpointEnv(j *job) *checkpoint.Env {
 	return env
 }
 
-// runSpin is the runaway simulation: an endless kernel loop over a small
+// spin is the runaway simulation: an endless kernel loop over a small
 // resident buffer. It exists so the watchdog path is testable end to end —
 // a correct service kills it at its deadline and the driver state it leaves
 // behind passes the sanitizer.
-func runSpin(ctl *runctl.Control, col *metrics.Collector) (err error) {
-	defer runctl.Recover(&err)
-	p := workloads.Platform{GPU: gpudev.Generic(64 * units.MiB), Gen: pcie.Gen4, Control: ctl, Metrics: col}
-	ctx, err := p.NewContext(32 * units.MiB)
-	if err != nil {
-		return err
-	}
+type spin struct {
+	ctx    *cuda.Context
+	stream *cuda.Stream
+	kernel cuda.Kernel
+}
+
+func (*spin) Name() string          { return "spin" }
+func (*spin) Footprint() units.Size { return 32 * units.MiB }
+func (*spin) Steps() int            { return math.MaxInt }
+
+func (sp *spin) Setup(ctx *cuda.Context, _ workloads.Platform, _ workloads.System) error {
 	buf, err := ctx.MallocManaged("spin", 16*units.MiB)
 	if err != nil {
 		return err
 	}
-	st := ctx.Stream("spin")
-	for i := 0; ; i++ {
-		if err := st.Launch(cuda.Kernel{
-			Name:    "spin",
-			Compute: 10 * sim.Microsecond,
-			Accesses: []cuda.Access{
-				{Buf: buf, Offset: 0, Length: buf.Size(), Mode: core.Read},
-			},
-		}); err != nil {
-			return err
-		}
-		if i%1024 == 1023 {
-			ctx.DeviceSynchronize()
-		}
+	sp.ctx, sp.stream = ctx, ctx.Stream("spin")
+	sp.kernel = cuda.Kernel{
+		Name:     "spin",
+		Compute:  10 * sim.Microsecond,
+		Accesses: []cuda.Access{{Buf: buf, Offset: 0, Length: buf.Size(), Mode: core.Read}},
 	}
+	return nil
+}
+
+func (sp *spin) Step(i int) error {
+	if err := sp.stream.Launch(sp.kernel); err != nil {
+		return err
+	}
+	if i%1024 == 1023 {
+		sp.ctx.DeviceSynchronize()
+	}
+	return nil
 }
 
 func (s *Server) runBatchJob(j *job) (res string, err error) {

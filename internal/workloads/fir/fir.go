@@ -93,7 +93,10 @@ func (f *Filter) Name() string { return "fir" }
 // Steps is the number of windows.
 func (f *Filter) Steps() int { return int((f.InputBytes + f.WindowBytes - 1) / f.WindowBytes) }
 
-func (f *Filter) validate() error {
+func (f *Filter) validate(sys workloads.System) error {
+	if err := workloads.RequireUVM("fir", sys); err != nil {
+		return err
+	}
 	if f.WindowBytes == 0 || f.InputBytes == 0 || f.FilterRate <= 0 {
 		return fmt.Errorf("fir: invalid config %+v", f.Config)
 	}
@@ -103,7 +106,7 @@ func (f *Filter) validate() error {
 // Setup allocates the input and output and has the host generate the full
 // input signal.
 func (f *Filter) Setup(ctx *cuda.Context, _ workloads.Platform, sys workloads.System) (err error) {
-	if err := f.validate(); err != nil {
+	if err := f.validate(sys); err != nil {
 		return err
 	}
 	if f.in, err = ctx.MallocManaged("fir-in", f.InputBytes); err != nil {
@@ -133,7 +136,7 @@ func (f *Filter) Digest(p workloads.Platform, sys workloads.System) string {
 
 // Resume rebinds the buffers and streams of a restored run.
 func (f *Filter) Resume(ctx *cuda.Context, _ workloads.Platform, sys workloads.System, r *checkpoint.Restored) error {
-	if err := f.validate(); err != nil {
+	if err := f.validate(sys); err != nil {
 		return err
 	}
 	f.in, f.out = r.Bufs["fir-in"], r.Bufs["fir-out"]

@@ -113,6 +113,9 @@ func (g *BFS) Steps() int { return len(g.LevelFractions) }
 // Setup allocates the CSR graph and the vertex buffers and has the host
 // load the graph.
 func (g *BFS) Setup(ctx *cuda.Context, _ workloads.Platform, sys workloads.System) error {
+	if err := workloads.RequireUVM("graph", sys); err != nil {
+		return err
+	}
 	if err := g.validate(); err != nil {
 		return err
 	}

@@ -128,6 +128,9 @@ func (h *Join) Steps() int { return h.Joins * h.Batches }
 // tables: that generation is pre-processing, while later batches generate
 // mid-pipeline as a database would.
 func (h *Join) Setup(ctx *cuda.Context, _ workloads.Platform, sys workloads.System) error {
+	if err := workloads.RequireUVM("hashjoin", sys); err != nil {
+		return err
+	}
 	if err := h.validate(); err != nil {
 		return err
 	}

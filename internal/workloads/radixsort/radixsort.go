@@ -111,6 +111,9 @@ func (r *Sort) Steps() int { return 2 * r.Rounds }
 // Setup allocates the key/value and temp buffers and has the host generate
 // the unsorted keys.
 func (r *Sort) Setup(ctx *cuda.Context, p workloads.Platform, sys workloads.System) (err error) {
+	if err := workloads.RequireUVM("radixsort", sys); err != nil {
+		return err
+	}
 	if err := r.validate(); err != nil {
 		return err
 	}

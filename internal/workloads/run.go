@@ -16,11 +16,13 @@ type Stepper interface {
 	// Name is the workload's name; the runner's errors start with it.
 	Name() string
 	// Footprint is the application's GPU memory consumption, which sizes
-	// the platform's oversubscription reservation.
+	// the platform's oversubscription reservation. The runner calls it
+	// before Setup, so it must not depend on Setup's validation.
 	Footprint() units.Size
-	// Setup validates the configuration, allocates the run's buffers and
-	// streams on ctx and does the host pre-processing. Runtime is measured
-	// from its return: it excludes pre-processing, as in §7.5.
+	// Setup validates the configuration, rejecting the systems the
+	// workload does not implement, allocates the run's buffers and streams
+	// on ctx and does the host pre-processing. Runtime is measured from its
+	// return: it excludes pre-processing, as in §7.5.
 	Setup(ctx *cuda.Context, p Platform, sys System) error
 	// Steps is the number of steps, valid once Setup or Resume succeeded.
 	Steps() int
@@ -53,9 +55,6 @@ type Resumer interface {
 // run's. With env == nil, Run does no checkpoint work at all.
 func Run(p Platform, sys System, s Stepper, env *checkpoint.Env) (res Result, err error) {
 	defer runctl.Recover(&err)
-	if sys == NoUVM || sys == PyTorchLMS {
-		return Result{}, fmt.Errorf("%s: system %v not part of the paper's evaluation", s.Name(), sys)
-	}
 	r, resumable := s.(Resumer)
 	if env != nil && !resumable {
 		return Result{}, fmt.Errorf("%s: cannot checkpoint: the workload cannot resume from a snapshot", s.Name())

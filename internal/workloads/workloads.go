@@ -6,7 +6,8 @@
 // a fixed sequence of prefetch → kernel → discard steps), and Run is the
 // one runner that owns run control, context construction and checkpoint
 // capture/restore for all of them. The subpackage catalog looks them up by
-// name. The DNN workloads live in internal/dnn.
+// name. The deep-learning loops (internal/dnn, internal/lms) are Steppers
+// too, which dnn.Measure runs through Run.
 package workloads
 
 import (
@@ -83,6 +84,15 @@ func ParseSystem(name string) (System, error) {
 // UsesDiscard reports whether the system issues discard directives.
 func (s System) UsesDiscard() bool { return s == UvmDiscard || s == UvmDiscardLazy }
 
+// RequireUVM is the system check of the micro-benchmarks (§7.2–7.4), which
+// the paper evaluates under UVM-opt and the discard flavors only.
+func RequireUVM(name string, sys System) error {
+	if sys == NoUVM || sys == PyTorchLMS {
+		return fmt.Errorf("%s: system %v not part of the paper's evaluation", name, sys)
+	}
+	return nil
+}
+
 // Discard issues the system's discard flavor over a whole buffer; a no-op
 // for systems without discard. For UvmDiscardLazy the caller must pair the
 // discard with a prefetch before reuse (§5.2) — the workloads do, except
@@ -124,6 +134,10 @@ type Platform struct {
 	// GPU is the device profile (RTX 3080 Ti for §7, GTX 1070 for
 	// Table 1).
 	GPU gpudev.Profile
+	// GPUs is how many GPUs of profile GPU share the peer fabric; zero or
+	// one means a single GPU. The oversubscription reservation applies to
+	// GPU 0 only.
+	GPUs int
 	// Gen selects PCIe 3 or 4.
 	Gen pcie.Generation
 	// OversubPercent is the paper's oversubscription ratio in percent:
@@ -150,8 +164,9 @@ type Platform struct {
 	Metrics *metrics.Collector
 	// Control attaches a run control (internal/runctl): the driver loop
 	// polls it and aborts the run with a structured *runctl.Interrupt on
-	// cancellation or budget exhaustion; the workload drivers convert the
-	// abort back into an ordinary error with runctl.Recover. Unlike
+	// cancellation or budget exhaustion; Run (and the experiments registry,
+	// for experiments that drive a context directly) converts the abort
+	// back into an ordinary error with runctl.Recover. Unlike
 	// Faults, a Control is per-run mutable state: build a fresh one for
 	// every run (a Platform carrying a Control must not be reused across
 	// concurrent runs).
@@ -187,7 +202,7 @@ func (p Platform) Reservation(appBytes units.Size) (units.Size, error) {
 }
 
 // NewContext builds a CUDA context for an application with the given
-// footprint on this platform.
+// footprint on this platform: the only place a platform becomes a driver.
 func (p Platform) NewContext(appBytes units.Size) (*cuda.Context, error) {
 	reserved, err := p.Reservation(appBytes)
 	if err != nil {
@@ -205,6 +220,9 @@ func (p Platform) NewContext(appBytes units.Size) (*cuda.Context, error) {
 		Faults:        p.Faults,
 		Control:       p.Control,
 		Metrics:       p.Metrics,
+	}
+	for i := 1; i < p.GPUs; i++ {
+		cfg.PeerGPUs = append(cfg.PeerGPUs, p.GPU)
 	}
 	if p.TraceRMT {
 		cfg.Trace = trace.NewRecorder()
