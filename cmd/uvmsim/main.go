@@ -12,20 +12,10 @@
 //	uvmsim -workload fir -ovsp 200 -json
 //	uvmsim -workload radixsort -ovsp 200 -faults seed=7,dma=0.05,unmap=0.01,fbcap=4
 //	uvmsim -workload fir -ovsp 400 -cpuprofile cpu.out -memprofile mem.out
-//	uvmsim -workload fir -ovsp 200 -checkpoint-out run.ckpt
-//	uvmsim -workload fir -ovsp 200 -restore run.ckpt -checkpoint-out run.ckpt
 //
 // The -cpuprofile/-memprofile flags write pprof profiles of the run, the
 // entry point `make profile` uses to attribute driver hot-path time
 // (DESIGN.md §15).
-//
-// The -checkpoint-out/-restore flags (workloads that can resume from a
-// snapshot, which today is fir) persist and resume the live
-// simulation: -checkpoint-out durably rewrites a versioned, checksummed
-// snapshot of the whole driver/engine/RNG state at every step boundary, and
-// -restore resumes from such a snapshot, producing output byte-identical to
-// an uninterrupted run (DESIGN.md §16). A torn or corrupt snapshot is
-// rejected — the run restarts from zero rather than resume wrong state.
 package main
 
 import (
@@ -37,7 +27,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"uvmdiscard/internal/checkpoint"
 	"uvmdiscard/internal/dnn"
 	"uvmdiscard/internal/faultinject"
 	"uvmdiscard/internal/gpudev"
@@ -68,15 +57,8 @@ func main() {
 		faults   = flag.String("faults", "", "fault-injection spec, e.g. seed=7,dma=0.02,unmap=0.005,poison=0.001,fbcap=8,slow=pcie@1ms+5ms*3")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile (after GC) to this file at exit")
-		ckptOut  = flag.String("checkpoint-out", "", "fir: durably write a simulation snapshot to this file at every step boundary")
-		restore  = flag.String("restore", "", "fir: resume from a snapshot file written by -checkpoint-out")
 	)
 	flag.Parse()
-
-	ckptEnv, err := checkpointEnv(*ckptOut, *restore, *workload, *faults)
-	if err != nil {
-		fail(err)
-	}
 
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
@@ -150,46 +132,8 @@ func main() {
 		if g, ok := s.(*graph.BFS); ok {
 			g.ReadMostlyEdges = *readMost
 		}
-		res, err := workloads.Run(p, sys, s, ckptEnv)
-		if ckptEnv != nil && ckptEnv.Stats.Resumed {
-			fmt.Fprintf(os.Stderr, "uvmsim: resumed from step %d (%d steps executed this run)\n",
-				ckptEnv.Stats.ResumedFrom, ckptEnv.Stats.StepsExecuted)
-		}
-		report(res, err)
+		report(workloads.Run(p, sys, s, nil))
 	}
-}
-
-// checkpointEnv wires the -checkpoint-out/-restore flags into a checkpoint
-// environment, or nil when neither flag is set. Both need a workload that
-// can resume from a snapshot (fir), and the snapshot digest covers the
-// whole deterministic simulation, which rules out fault injection.
-func checkpointEnv(out, restore, workload, faults string) (*checkpoint.Env, error) {
-	if out == "" && restore == "" {
-		return nil, nil
-	}
-	if w, err := catalog.Lookup(workload); err != nil || !w.Resumable() {
-		return nil, fmt.Errorf("-checkpoint-out/-restore: workload %q cannot resume from a snapshot", workload)
-	}
-	if faults != "" {
-		return nil, fmt.Errorf("-checkpoint-out/-restore cannot be combined with -faults")
-	}
-	env := &checkpoint.Env{
-		OnReject: func(reason string) {
-			fmt.Fprintf(os.Stderr, "uvmsim: checkpoint %s rejected (%s); restarting from zero\n", restore, reason)
-		},
-	}
-	if out != "" {
-		env.Every = 1
-		env.Save = func(blob []byte) error { return checkpoint.WriteFile(out, blob) }
-	}
-	if restore != "" {
-		blob, err := checkpoint.ReadFile(restore)
-		if err != nil {
-			return nil, fmt.Errorf("read checkpoint: %w", err)
-		}
-		env.Restore = blob
-	}
-	return env, nil
 }
 
 func report(r workloads.Result, err error) {

@@ -2,7 +2,6 @@ package checkpoint_test
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"reflect"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"uvmdiscard/internal/checkpoint"
 	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/pcie"
-	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
 	"uvmdiscard/internal/workloads/fir"
@@ -143,28 +141,6 @@ func TestDigestMismatchRejected(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r, want) {
 		t.Errorf("fallback diverged:\n got %+v\nwant %+v", r, want)
-	}
-}
-
-func TestControlRequestTriggersCapture(t *testing.T) {
-	p := plat()
-	p.Control = runctl.New(context.Background(), 0, 0)
-	p.Control.RequestCheckpoint()
-	var blobs [][]byte
-	env := &checkpoint.Env{Save: func(b []byte) error { blobs = append(blobs, b); return nil }}
-	if _, err := fir.RunCheckpointed(p, sysUnderTest, smallCfg(), env); err != nil {
-		t.Fatal(err)
-	}
-	// Every == 0: only the explicit request captures, at the first boundary.
-	if len(blobs) != 1 || env.Stats.Captures != 1 {
-		t.Fatalf("captures = %d, want exactly the requested one", len(blobs))
-	}
-	snap, err := checkpoint.DecodeSnapshot(blobs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Step != 1 {
-		t.Errorf("requested capture at step %d, want 1", snap.Step)
 	}
 }
 

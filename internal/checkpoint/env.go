@@ -1,7 +1,7 @@
 package checkpoint
 
-// Env is the checkpointing contract a caller (the uvmsimd service, the
-// fleet worker, or the uvmsim CLI) hands to a checkpoint-aware workload
+// Env is the checkpointing contract a caller (uvmsimd's -data-dir runs, or
+// the _perfbench checkpoint ladder) hands to a checkpoint-aware workload
 // run. The workload consumes Restore once at startup, calls Save with a
 // freshly encoded snapshot at each due boundary, and reports what happened
 // in Stats. A nil *Env means checkpointing is off — the workload runs
@@ -22,8 +22,7 @@ type Env struct {
 	// Every is the capture cadence in steps: a snapshot is taken after every
 	// Every-th step, counted from the start of the whole run (absolute step
 	// numbering, so a resumed run captures at the same boundaries as an
-	// uninterrupted one). Zero disables cadence-based capture; explicit
-	// runctl.RequestCheckpoint requests are honored regardless.
+	// uninterrupted one). Zero disables capture.
 	Every int
 
 	// OnReject, when non-nil, is told why a Restore blob was rejected just

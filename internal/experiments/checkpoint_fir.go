@@ -13,27 +13,18 @@ func init() {
 	register(Experiment{ID: "X10", Name: "checkpoint-fir", Run: runCheckpointFIR})
 }
 
-// runCheckpointFIR is the checkpoint-aware FIR run backing the
-// crash-survivable service jobs: a single UvmDiscard run at 200%
-// oversubscription that honors Options.Checkpoint — resuming from a prior
-// snapshot when one is supplied and capturing new ones at the configured
-// cadence. The rendered table carries ONLY the deterministic simulation
-// result: a run resumed from any snapshot must produce the exact bytes of
-// an uninterrupted run, and the fleet coordinator byte-compares duplicate
-// reports, so attempt-local provenance (steps re-executed, resume point,
-// capture count) deliberately stays out of the artifact. Callers read it
-// from Options.Checkpoint.Stats instead; the fleet layer surfaces it
-// through worker logs and the uvmfleet_checkpoint_* counters.
+// runCheckpointFIR is one FIR run, UvmDiscard at 200% oversubscription.
+// X10 now runs without snapshots in every caller. Its title and the quick
+// 24-window override stay only because the benchmark's golden digests pin
+// X10's bytes.
 func runCheckpointFIR(o Options) (*Table, error) {
 	f, gpu := fir.Preset(o.Quick)
 	if o.Quick {
-		// 24 windows: enough step boundaries for mid-job kills to land
-		// between checkpoints while the run still finishes in well under a
-		// second.
+		// 24 windows, pinned by the benchmark's golden digests.
 		f.InputBytes, f.WindowBytes = 768*units.MiB, 32*units.MiB
 	}
 	p := workloads.Platform{GPU: gpu, Gen: pcie.Gen4, OversubPercent: 200}
-	r, err := workloads.Run(o.arm(p), workloads.UvmDiscard, f, o.Checkpoint)
+	r, err := workloads.Run(o.arm(p), workloads.UvmDiscard, f, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"uvmdiscard/internal/checkpoint"
 	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/workloads"
@@ -47,11 +46,6 @@ type Options struct {
 	// call into the control beyond the documented cross-goroutine surface
 	// (Progress).
 	OnControl func(*runctl.Control)
-	// Checkpoint, when non-nil, arms checkpoint/restore for the experiments
-	// that support it (X10): the run resumes from Checkpoint.Restore when
-	// present and persists snapshots through Checkpoint.Save. Experiments
-	// that don't support checkpointing ignore it.
-	Checkpoint *checkpoint.Env
 }
 
 // arm attaches a fresh run control to a platform when the options carry a

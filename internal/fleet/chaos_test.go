@@ -9,11 +9,15 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"uvmdiscard/internal/experiments"
+	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/sim"
 )
 
@@ -50,8 +54,10 @@ func TestChaosFleet(t *testing.T) {
 }
 
 // chaosExperiments is the job mix: the four cheapest quick-mode artifacts,
-// so a chaos run exercises many lease cycles in seconds.
-var chaosExperiments = []string{"T3", "T4", "T5", "T6"}
+// so a chaos run exercises many lease cycles in seconds, plus X10, the one
+// artifact fleet jobs could once resume mid-run, so its kill-and-retry
+// from zero must still reproduce the single-process bytes.
+var chaosExperiments = []string{"T3", "T4", "T5", "T6", "X10"}
 
 // referenceOutputs renders the single-process ground truth the fleet's
 // results must match byte for byte.
@@ -80,13 +86,13 @@ func referenceOutputs(t *testing.T) map[string]string {
 // kills to land mid-job and for checkpoint-driven lease renewals to flow,
 // while the reported output stays exactly the single run's bytes.
 func chaosRunner(seed uint64) RunnerFunc {
-	return func(ctx context.Context, spec JobSpec, env *RunEnv) (string, error) {
+	return func(ctx context.Context, spec JobSpec, onControl func(*runctl.Control)) (string, error) {
 		h := fnv.New64a()
 		fmt.Fprintf(h, "%s/%s", spec.Tenant, spec.Experiment)
 		repeats := 2 + sim.NewRNG(seed).Fork(h.Sum64()).Intn(3) // 2..4, same for every attempt of a spec
 		var out string
 		for i := 0; i < repeats; i++ {
-			s, err := RunExperiment(ctx, spec, env)
+			s, err := RunExperiment(ctx, spec, onControl)
 			if err != nil {
 				return "", err
 			}
@@ -173,6 +179,45 @@ func (cs *coordServer) counters() Counters {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	return cs.coord.State().Counters
+}
+
+// dumpChaosArtifacts registers a cleanup that, when the test has failed and
+// CHAOS_ARTIFACTS names a directory, writes the coordinator's counters and
+// job table there. CI's chaos matrix uploads that directory on failure, so a
+// red seed ships with the coordinator state needed to diagnose it.
+func dumpChaosArtifacts(t *testing.T, cs *coordServer) {
+	t.Cleanup(func() {
+		dir := os.Getenv("CHAOS_ARTIFACTS")
+		if dir == "" || !t.Failed() {
+			return
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Logf("chaos artifacts: %v", err)
+			return
+		}
+		cs.mu.Lock()
+		coord := cs.coord
+		cs.mu.Unlock()
+		var sum strings.Builder
+		coord.mu.Lock()
+		fmt.Fprintf(&sum, "counters: %+v\n", coord.ctr)
+		ids := make([]string, 0, len(coord.jobs))
+		for id := range coord.jobs {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			j := coord.jobs[id]
+			fmt.Fprintf(&sum, "job %s: state=%s attempt=%d worker=%q lastErr=%q\n",
+				id, j.State, j.Attempt, j.Worker, j.LastErr)
+		}
+		coord.mu.Unlock()
+		name := filepath.Join(dir, strings.ReplaceAll(t.Name(), "/", "_")+".txt")
+		if err := os.WriteFile(name, []byte(sum.String()), 0o644); err != nil {
+			t.Logf("chaos artifacts: %v", err)
+		}
+		t.Logf("chaos artifacts for %s written under %s", t.Name(), dir)
+	})
 }
 
 func runChaosFleet(t *testing.T, seed uint64) {

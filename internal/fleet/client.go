@@ -167,43 +167,6 @@ func (c *Client) Complete(ctx context.Context, name, jobID string, attempt int, 
 	}
 }
 
-// SaveCheckpoint uploads the run's latest snapshot blob under the lease on
-// (jobID, attempt). ErrStale means the lease is gone — the caller should
-// treat it like a failed renewal.
-func (c *Client) SaveCheckpoint(ctx context.Context, name, jobID string, attempt int, blob []byte) error {
-	code, body, err := c.do(ctx, http.MethodPost, "/v1/checkpoint",
-		checkpointReq{Worker: name, JobID: jobID, Attempt: attempt, Blob: blob})
-	if err != nil {
-		return err
-	}
-	switch code {
-	case http.StatusNoContent:
-		return nil
-	case http.StatusConflict:
-		return fmt.Errorf("%w: %s", ErrStale, serverMsg(body))
-	default:
-		return fmt.Errorf("fleet: checkpoint: HTTP %d: %s", code, serverMsg(body))
-	}
-}
-
-// RejectCheckpoint tells the coordinator the granted snapshot was unusable,
-// so it drops the blob and counts the corruption.
-func (c *Client) RejectCheckpoint(ctx context.Context, name, jobID string, attempt int, reason string) error {
-	code, body, err := c.do(ctx, http.MethodPost, "/v1/checkpoint/reject",
-		checkpointRejectReq{Worker: name, JobID: jobID, Attempt: attempt, Reason: reason})
-	if err != nil {
-		return err
-	}
-	switch code {
-	case http.StatusNoContent:
-		return nil
-	case http.StatusConflict:
-		return fmt.Errorf("%w: %s", ErrStale, serverMsg(body))
-	default:
-		return fmt.Errorf("fleet: checkpoint reject: HTTP %d: %s", code, serverMsg(body))
-	}
-}
-
 // Submit admits a job.
 func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 	code, body, err := c.do(ctx, http.MethodPost, "/v1/jobs", spec)

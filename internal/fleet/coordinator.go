@@ -24,14 +24,6 @@ type jobRec struct {
 	Expiry    time.Time // lease expiry (leased only)
 	NotBefore time.Time // retry-backoff gate (queued only)
 	seq       int64     // submission order, for stable observability output
-
-	// Checkpoint is the latest snapshot a lease holder uploaded, handed to
-	// the next attempt so a requeued job resumes instead of restarting.
-	// Deliberately soft state — never journaled: losing it to a coordinator
-	// crash costs re-execution (the job restarts from zero), never
-	// correctness, and keeps multi-megabyte blobs out of the fsync'd
-	// journal's write path. Cleared on successful completion.
-	Checkpoint []byte
 }
 
 // workerRec is the coordinator's soft-state record of one worker. Worker
@@ -286,82 +278,12 @@ func (c *Coordinator) Lease(workerName string) (*LeaseGrant, error) {
 	j.NotBefore = time.Time{}
 	w.Active[j.ID] = true
 	c.ctr.LeasesGranted++
-	if len(j.Checkpoint) > 0 {
-		c.ctr.CheckpointResumes++
-		c.logf("fleet: job %s attempt %d: handing %d-byte checkpoint to %s for resume", j.ID, attempt, len(j.Checkpoint), w.Name)
-	}
 	return &LeaseGrant{
-		JobID:      j.ID,
-		Attempt:    attempt,
-		Spec:       j.Spec,
-		TTLMillis:  c.cfg.LeaseTTL.Milliseconds(),
-		Checkpoint: j.Checkpoint,
+		JobID:     j.ID,
+		Attempt:   attempt,
+		Spec:      j.Spec,
+		TTLMillis: c.cfg.LeaseTTL.Milliseconds(),
 	}, nil
-}
-
-// MaxCheckpointBytes bounds one job's stored snapshot; uploads beyond it are
-// refused (and the HTTP layer caps request bodies to match).
-const MaxCheckpointBytes = 8 << 20
-
-// SaveCheckpoint stores a snapshot uploaded by the current lease holder of
-// (jobID, attempt). The same staleness rules as Renew apply — a superseded
-// attempt cannot overwrite the blob a newer attempt will resume from. An
-// accepted upload also extends the lease: uploading is as strong a liveness
-// signal as renewal.
-func (c *Coordinator) SaveCheckpoint(workerName, jobID string, attempt int, blob []byte) error {
-	if len(blob) == 0 {
-		return fmt.Errorf("fleet: empty checkpoint blob")
-	}
-	if len(blob) > MaxCheckpointBytes {
-		return fmt.Errorf("fleet: checkpoint blob %d bytes exceeds cap %d", len(blob), MaxCheckpointBytes)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.cfg.now()
-	c.sweepLocked(now)
-	if w := c.workers[workerName]; w != nil {
-		c.touchWorkerLocked(w, now)
-	}
-	j := c.jobs[jobID]
-	if j == nil {
-		return fmt.Errorf("%w: job %s is unknown", ErrStale, jobID)
-	}
-	if j.State != JobLeased || j.Worker != workerName || j.Attempt != attempt {
-		return fmt.Errorf("%w: job %s attempt %d (current: %s attempt %d on %q)",
-			ErrStale, jobID, attempt, j.State, j.Attempt, j.Worker)
-	}
-	j.Checkpoint = append(j.Checkpoint[:0], blob...)
-	j.Expiry = now.Add(c.cfg.LeaseTTL)
-	c.ctr.CheckpointsStored++
-	return nil
-}
-
-// RejectCheckpoint records that the current lease holder found the granted
-// snapshot unusable (torn, corrupt, wrong digest, failed audit). The stored
-// blob is dropped so no later attempt receives it again, and the event is
-// counted — a corrupt checkpoint must surface in metrics, never be silently
-// retried forever.
-func (c *Coordinator) RejectCheckpoint(workerName, jobID string, attempt int, reason string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.cfg.now()
-	c.sweepLocked(now)
-	if w := c.workers[workerName]; w != nil {
-		c.touchWorkerLocked(w, now)
-	}
-	j := c.jobs[jobID]
-	if j == nil {
-		return fmt.Errorf("%w: job %s is unknown", ErrStale, jobID)
-	}
-	if j.State != JobLeased || j.Worker != workerName || j.Attempt != attempt {
-		return fmt.Errorf("%w: job %s attempt %d (current: %s attempt %d on %q)",
-			ErrStale, jobID, attempt, j.State, j.Attempt, j.Worker)
-	}
-	j.Checkpoint = nil
-	c.ctr.CheckpointsCorrupt++
-	c.logf("fleet: job %s attempt %d on %s rejected its checkpoint: %s (restarting from zero)",
-		jobID, attempt, workerName, reason)
-	return nil
 }
 
 // shouldDeferLocked implements placement scoring: would granting to w leave
@@ -468,7 +390,6 @@ func (c *Coordinator) Complete(workerName, jobID string, attempt int, output, er
 	j.State = JobDone
 	j.Output = output
 	j.LastErr = ""
-	j.Checkpoint = nil
 	c.ctr.Completions++
 	return CompleteRecorded, nil
 }

@@ -189,13 +189,6 @@ type LeaseGrant struct {
 	Spec    JobSpec `json:"spec"`
 	// TTLMillis is the lease TTL; the worker renews well inside it.
 	TTLMillis int64 `json:"ttl_ms"`
-	// Checkpoint, when non-empty, is the enveloped snapshot a previous
-	// attempt of this job uploaded: the worker resumes the simulation from
-	// it instead of re-executing the finished steps. The blob is
-	// self-validating (internal/checkpoint); a worker that finds it corrupt
-	// reports that back (RejectCheckpoint) and restarts from zero, so a bad
-	// blob costs re-execution, never wrong results.
-	Checkpoint []byte `json:"checkpoint,omitempty"`
 }
 
 // CompleteStatus classifies the coordinator's verdict on a reported result.
@@ -274,15 +267,6 @@ type Counters struct {
 	WorkersDied      int64 `json:"workers_died"`
 	WorkersRevived   int64 `json:"workers_revived"`
 	OrphanedLeases   int64 `json:"orphaned_leases"`
-	// CheckpointsStored counts accepted snapshot uploads from live leases.
-	CheckpointsStored int64 `json:"checkpoints_stored"`
-	// CheckpointResumes counts lease grants that carried a stored snapshot
-	// for the worker to resume from.
-	CheckpointResumes int64 `json:"checkpoint_resumes"`
-	// CheckpointsCorrupt counts snapshots a worker reported unusable
-	// (failed decode, digest mismatch, or sanitizer audit); each costs a
-	// restart-from-zero but never a wrong result.
-	CheckpointsCorrupt int64 `json:"checkpoints_corrupt"`
 }
 
 // FleetState is the GET /v1/fleet payload: the whole fleet at a glance.

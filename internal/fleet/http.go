@@ -23,8 +23,6 @@ import (
 //	POST /v1/lease             {worker}                → 200 LeaseGrant | 204 nothing
 //	POST /v1/lease/renew       {worker, job_id, attempt} → 200 {ttl_ms} | 409 stale
 //	POST /v1/complete          {worker, job_id, attempt, output, error} → 200 {status}
-//	POST /v1/checkpoint        {worker, job_id, attempt, blob} → 204 | 409 stale
-//	POST /v1/checkpoint/reject {worker, job_id, attempt, reason} → 204 | 409 stale
 //
 // Error mapping: quota → 429, unknown worker / unknown job → 404, stale
 // renewal → 409, determinism mismatch → 409 with status "mismatch".
@@ -44,8 +42,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/lease", c.handleLease)
 	mux.HandleFunc("POST /v1/lease/renew", c.handleRenew)
 	mux.HandleFunc("POST /v1/complete", c.handleComplete)
-	mux.HandleFunc("POST /v1/checkpoint", c.handleCheckpoint)
-	mux.HandleFunc("POST /v1/checkpoint/reject", c.handleCheckpointReject)
 	return mux
 }
 
@@ -62,14 +58,7 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	return decodeBodyCap(w, r, v, 1<<20)
-}
-
-// decodeBodyCap is decodeBody with an explicit body cap: checkpoint uploads
-// carry multi-megabyte snapshot blobs (base64 in JSON), everything else
-// stays under the tight default.
-func decodeBodyCap(w http.ResponseWriter, r *http.Request, v any, capBytes int64) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, capBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -192,49 +181,6 @@ type completeReq struct {
 	Attempt int    `json:"attempt"`
 	Output  string `json:"output"`
 	Error   string `json:"error"`
-}
-
-type checkpointReq struct {
-	Worker  string `json:"worker"`
-	JobID   string `json:"job_id"`
-	Attempt int    `json:"attempt"`
-	Blob    []byte `json:"blob"`
-}
-
-func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	var req checkpointReq
-	// Base64 in JSON inflates the blob by 4/3, plus framing slack.
-	if !decodeBodyCap(w, r, &req, MaxCheckpointBytes*3/2+4096) {
-		return
-	}
-	if err := c.SaveCheckpoint(req.Worker, req.JobID, req.Attempt, req.Blob); err != nil {
-		if errors.Is(err, ErrStale) {
-			writeErr(w, http.StatusConflict, err)
-		} else {
-			writeErr(w, http.StatusBadRequest, err)
-		}
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-type checkpointRejectReq struct {
-	Worker  string `json:"worker"`
-	JobID   string `json:"job_id"`
-	Attempt int    `json:"attempt"`
-	Reason  string `json:"reason"`
-}
-
-func (c *Coordinator) handleCheckpointReject(w http.ResponseWriter, r *http.Request) {
-	var req checkpointRejectReq
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if err := c.RejectCheckpoint(req.Worker, req.JobID, req.Attempt, req.Reason); err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {

@@ -113,12 +113,6 @@ func (c *Coordinator) PromFamilies() []promexp.Family {
 			"Workers that came back after being declared dead.", float64(st.Counters.WorkersRevived)),
 		promexp.Counter("uvmfleet_orphaned_leases_total",
 			"Leases found dangling in the journal at coordinator restart.", float64(st.Counters.OrphanedLeases)),
-		promexp.Counter("uvmfleet_checkpoints_stored_total",
-			"Snapshot uploads accepted from live leases.", float64(st.Counters.CheckpointsStored)),
-		promexp.Counter("uvmfleet_checkpoint_resumes_total",
-			"Lease grants that carried a stored snapshot for resume.", float64(st.Counters.CheckpointResumes)),
-		promexp.Counter("uvmfleet_checkpoints_corrupt_total",
-			"Snapshots workers rejected as unusable (restart-from-zero fallbacks).", float64(st.Counters.CheckpointsCorrupt)),
 	}
 	return fams
 }

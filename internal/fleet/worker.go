@@ -9,50 +9,31 @@ import (
 	"sync/atomic"
 	"time"
 
-	"uvmdiscard/internal/checkpoint"
 	"uvmdiscard/internal/experiments"
 	"uvmdiscard/internal/runctl"
 )
 
-// RunEnv carries the per-attempt plumbing a runner threads into its run:
-// the control observer the worker renews leases from, and the optional
-// checkpoint environment that lets a resumed attempt skip already-executed
-// steps. Fields may be nil; a runner must tolerate both.
-type RunEnv struct {
-	// OnControl must be passed through to the run's control construction
-	// (experiments.Options.OnControl) so the worker can renew the lease
-	// from runctl checkpoints.
-	OnControl func(*runctl.Control)
-	// Checkpoint, when non-nil, is wired to the coordinator: Restore holds
-	// the granted snapshot (if any), Save uploads new ones, and the Stats
-	// report what the run did with them.
-	Checkpoint *checkpoint.Env
-}
-
-// RunnerFunc executes one leased job and returns its rendered result. Tests
-// substitute slow or failing runners.
-type RunnerFunc func(ctx context.Context, spec JobSpec, env *RunEnv) (string, error)
+// RunnerFunc executes one leased job and returns its rendered result. The
+// runner must pass onControl through to the run's control construction
+// (experiments.Options.OnControl) so the worker can renew the lease from
+// runctl checkpoints; onControl may be nil. Tests substitute slow or failing
+// runners.
+type RunnerFunc func(ctx context.Context, spec JobSpec, onControl func(*runctl.Control)) (string, error)
 
 // RunExperiment is the production runner: resolve the experiment artifact
 // and run it with the job's Quick flag. Deterministic — the same spec
 // renders byte-identical output on any worker, which is what lets the
-// coordinator assert duplicates byte-identical (a checkpointed resume
-// included: the snapshot restores the exact mid-run state, so the finished
-// table carries the same bytes either way).
-func RunExperiment(ctx context.Context, spec JobSpec, env *RunEnv) (string, error) {
+// coordinator assert duplicates byte-identical.
+func RunExperiment(ctx context.Context, spec JobSpec, onControl func(*runctl.Control)) (string, error) {
 	e, ok := experiments.Lookup(spec.Experiment)
 	if !ok {
 		return "", fmt.Errorf("unknown experiment %q", spec.Experiment)
 	}
-	opts := experiments.Options{
-		Quick: spec.Quick,
-		Ctx:   ctx,
-	}
-	if env != nil {
-		opts.OnControl = env.OnControl
-		opts.Checkpoint = env.Checkpoint
-	}
-	tbl, err := e.Run(opts)
+	tbl, err := e.Run(experiments.Options{
+		Quick:     spec.Quick,
+		Ctx:       ctx,
+		OnControl: onControl,
+	})
 	if err != nil {
 		return "", err
 	}
@@ -75,10 +56,6 @@ type WorkerConfig struct {
 	HeartbeatInterval time.Duration
 	// Runner executes leased jobs; nil means RunExperiment.
 	Runner RunnerFunc
-	// CheckpointEvery asks the runner to upload a snapshot to the
-	// coordinator every N workload steps (for runs that support it);
-	// <=0 disables checkpointing.
-	CheckpointEvery int
 	// Log receives worker events; nil discards them.
 	Log *log.Logger
 }
@@ -296,32 +273,9 @@ func (w *Worker) runLeased(ctx context.Context, g *LeaseGrant) {
 		}
 	}()
 
-	env := &RunEnv{OnControl: onControl}
-	if w.cfg.CheckpointEvery > 0 {
-		ck := &checkpoint.Env{
-			Restore: g.Checkpoint,
-			Every:   w.cfg.CheckpointEvery,
-			Save: func(blob []byte) error {
-				return w.client.SaveCheckpoint(jctx, w.cfg.Name, g.JobID, g.Attempt, blob)
-			},
-			OnReject: func(reason string) {
-				w.logf("fleet worker %s: job %s attempt %d: checkpoint rejected (%s); restarting from zero",
-					w.cfg.Name, g.JobID, g.Attempt, reason)
-				if err := w.client.RejectCheckpoint(jctx, w.cfg.Name, g.JobID, g.Attempt, reason); err != nil {
-					w.logf("fleet worker %s: job %s attempt %d: checkpoint reject report: %v",
-						w.cfg.Name, g.JobID, g.Attempt, err)
-				}
-			},
-		}
-		env.Checkpoint = ck
-	}
-	output, runErr := w.cfg.Runner(jctx, g.Spec, env)
+	output, runErr := w.cfg.Runner(jctx, g.Spec, onControl)
 	cancel()
 	renewWG.Wait()
-	if env.Checkpoint != nil && env.Checkpoint.Stats.Resumed {
-		w.logf("fleet worker %s: job %s attempt %d: resumed from step %d, executed %d steps",
-			w.cfg.Name, g.JobID, g.Attempt, env.Checkpoint.Stats.ResumedFrom, env.Checkpoint.Stats.StepsExecuted)
-	}
 
 	if w.killed.Load() || lost.Load() || ctx.Err() != nil {
 		// Killed, lease lost, or graceful stop: report nothing. The lease

@@ -148,13 +148,6 @@ type Control struct {
 	observe      func(Progress)
 
 	prog atomic.Pointer[Progress]
-
-	// ckptReq is the checkpoint-request flag: any goroutine may raise it
-	// (RequestCheckpoint), and the run's own goroutine consumes it at the
-	// next step boundary (TakeCheckpointRequest). Like prog it is one of the
-	// two cross-goroutine surfaces of the type; everything else is
-	// single-threaded.
-	ckptReq atomic.Bool
 }
 
 // New builds a control for one run. ctx may be nil (never canceled);
@@ -187,28 +180,6 @@ func (c *Control) SetObserver(fn func(Progress)) {
 		return
 	}
 	c.observe = fn
-}
-
-// RequestCheckpoint asks the run to capture a checkpoint snapshot at its
-// next step boundary — the same sanitizer-consistent points Check is polled
-// at, which is what makes a mid-run snapshot safe to resume from. Safe to
-// call from any goroutine and on a nil receiver; requests are idempotent
-// until consumed.
-func (c *Control) RequestCheckpoint() {
-	if c == nil {
-		return
-	}
-	c.ckptReq.Store(true)
-}
-
-// TakeCheckpointRequest consumes a pending checkpoint request, reporting
-// whether one was raised since the last take. Called by the run's own
-// goroutine at step boundaries. Safe on a nil receiver (never requested).
-func (c *Control) TakeCheckpointRequest() bool {
-	if c == nil {
-		return false
-	}
-	return c.ckptReq.Swap(false)
 }
 
 // Active reports whether the control can ever trip.

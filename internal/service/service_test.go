@@ -341,6 +341,39 @@ func renderSelection(t *testing.T, ids ...string) string {
 }
 
 // Sanity: the status endpoints answer.
+// A submit body over the 1 MiB cap is refused with 400 and admits no job,
+// even when it holds a valid request: here one padded with 2 MiB of
+// whitespace inside the object, which the decoder must read through.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := newTestService(t, Config{Workers: 1})
+	pad := strings.Repeat(" ", 2<<20)
+	for path, body := range map[string]string{
+		"/v1/runs":    `{` + pad + `"workload":"fir","quick":true}`,
+		"/v1/batches": `{` + pad + `"experiments":["T4"],"quick":true}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: padded body answered %d, want 400", path, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var jobs []jobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 0 {
+		t.Errorf("oversized submits admitted %d jobs: %+v", len(jobs), jobs)
+	}
+}
+
 func TestStatusEndpoints(t *testing.T) {
 	_, ts := newTestService(t, Config{Workers: 1})
 	for _, path := range []string{"/healthz", "/v1/metrics", "/v1/experiments", "/v1/jobs"} {

@@ -50,9 +50,9 @@ type Resumer interface {
 // A non-nil env needs a Resumer; otherwise Run fails before simulating
 // anything. The run resumes from env.Restore when present, restarting from
 // zero if the blob is rejected (corrupt state is never resumed), and saves
-// a snapshot through env.Save after every env.Every-th step or when the run
-// control requests one. A resumed run's Result equals an uninterrupted
-// run's. With env == nil, Run does no checkpoint work at all.
+// a snapshot through env.Save after every env.Every-th step. A resumed
+// run's Result equals an uninterrupted run's. With env == nil, Run does no
+// checkpoint work at all.
 func Run(p Platform, sys System, s Stepper, env *checkpoint.Env) (res Result, err error) {
 	defer runctl.Recover(&err)
 	r, resumable := s.(Resumer)
@@ -102,7 +102,7 @@ func Run(p Platform, sys System, s Stepper, env *checkpoint.Env) (res Result, er
 		}
 		if env != nil {
 			env.Stats.StepsExecuted++
-			if env.Due(i) || p.Control.TakeCheckpointRequest() {
+			if env.Due(i) {
 				save(ctx, env, dig, i+1, start)
 			}
 		}
