@@ -100,7 +100,7 @@ bench:
 # predecessor's so regressions are attributable (override with
 # BENCH_OUT=BENCH_PR<n>.json). Compare against a branch with:
 #   jq -r '.benchmarks[].raw' BENCH_PR6.json > old.txt && benchstat old.txt new.txt
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_OUT ?= BENCH_PR17.json
 bench-json:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x -count=3 . \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
@@ -113,7 +113,7 @@ bench-json:
 # default absorbs measured same-code noise; tighten BENCH_THRESHOLD on
 # quiet dedicated hardware, or raise it (CI uses 3.0) where the hardware
 # differs from the baseline host's.
-BENCH_BASELINE ?= BENCH_PR10.json
+BENCH_BASELINE ?= BENCH_PR17.json
 BENCH_THRESHOLD ?= 1.60
 BENCH_ALLOC_THRESHOLD ?= 1.10
 bench-check:

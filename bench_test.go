@@ -8,6 +8,7 @@ package uvmdiscard_test
 // with the paper's sizes is `go run ./cmd/paperbench`.
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,8 +16,26 @@ import (
 	"uvmdiscard/internal/experiments"
 )
 
-// benchExperiment runs one registered experiment per iteration.
+// benchExperiment runs one registered experiment per iteration at quick
+// sizes.
 func benchExperiment(b *testing.B, id string) *experiments.Table {
+	b.Helper()
+	return benchRun(b, id, experiments.Options{Quick: true})
+}
+
+// benchArmed is benchExperiment with a run control armed by a cancelable
+// context, the way paperbench, the service and fleet workers run every
+// experiment: it gates what polling the control costs the driver loop.
+func benchArmed(b *testing.B, id string) {
+	b.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	benchRun(b, id, experiments.Options{Quick: true, Ctx: ctx})
+}
+
+// benchRun runs experiment id with options o once per iteration and
+// returns the last table.
+func benchRun(b *testing.B, id string, o experiments.Options) *experiments.Table {
 	b.Helper()
 	e, ok := experiments.Lookup(id)
 	if !ok {
@@ -25,7 +44,7 @@ func benchExperiment(b *testing.B, id string) *experiments.Table {
 	var tbl *experiments.Table
 	for i := 0; i < b.N; i++ {
 		var err error
-		tbl, err = e.Run(experiments.Options{Quick: true})
+		tbl, err = e.Run(o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,4 +186,16 @@ func BenchmarkExtension_DataParallel(b *testing.B) {
 
 func BenchmarkExtension_GraphTraversal(b *testing.B) {
 	benchExperiment(b, "X7")
+}
+
+func BenchmarkArmed_Table1_VGG16GTX1070(b *testing.B) {
+	benchArmed(b, "T1")
+}
+
+func BenchmarkArmed_Table3_FIRRuntime(b *testing.B) {
+	benchArmed(b, "T3")
+}
+
+func BenchmarkArmed_Figure5_DLTraffic(b *testing.B) {
+	benchArmed(b, "F5")
 }

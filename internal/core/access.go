@@ -116,7 +116,7 @@ func (d *Driver) CPUAccessRange(a *vaspace.Alloc, off, length uint64, mode Acces
 // cpuAccessBlock services one block of a host-side access: the shared body
 // of CPUAccess and CPUAccessRange.
 func (d *Driver) cpuAccessBlock(b *vaspace.Block, mode AccessMode, cur sim.Time) sim.Time {
-	d.checkpoint("CPUAccess", cur)
+	d.blockCheckpoint("CPUAccess", cur)
 	cur = d.ensureCPUBlock(b, cur, metrics.CauseFault, mode.writes())
 	if mode.reads() {
 		d.record(cur, trace.CPURead, b, b.Bytes())
@@ -168,7 +168,7 @@ func (d *Driver) PrefetchToCPU(a *vaspace.Alloc, off, length uint64, now sim.Tim
 	}
 	cur := now
 	for _, b := range blocks {
-		d.checkpoint("PrefetchToCPU", cur)
+		d.blockCheckpoint("PrefetchToCPU", cur)
 		cur = d.ensureCPUBlock(b, cur, metrics.CausePrefetch, false)
 	}
 	d.verify("PrefetchToCPU")

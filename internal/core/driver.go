@@ -96,9 +96,15 @@ type Driver struct {
 	// sampling stride (sanitizer.go). A Driver is single-threaded per
 	// run (see internal/experiments isolation rules), so no lock.
 	opCount uint64
-	// pubTick counts checkpoints for the residency-gauge publishing stride
-	// (see checkpoint / PublishResidency). Same single-threaded rule.
+	// pubTick counts full control polls for the residency-gauge publishing
+	// stride (see poll / PublishResidency). Same single-threaded rule.
 	pubTick uint64
+	// blockPolls counts down the block checkpoints left before the next
+	// full poll of ctl, and simLimit caches ctl's sim budget
+	// (runctl.Control.SimLimit), so a block checkpoint costs one decrement
+	// and one compare (see blockCheckpoint). Same single-threaded rule.
+	blockPolls int
+	simLimit   sim.Time
 
 	// Scratch buffers reused across driver operations so the hot path does
 	// not allocate per access. The rules (DESIGN.md §15): a scratch is
@@ -225,6 +231,7 @@ func New(cfg Config) (*Driver, error) {
 		costs:    costs,
 		fi:       fi,
 		ctl:      cfg.Control,
+		simLimit: cfg.Control.SimLimit(),
 		dma:      sim.NewEngine("dma"),
 		peer:     sim.NewEngine("peer-fabric"),
 		// Pre-size the range scratch for a typical prefetch/discard window
@@ -300,17 +307,39 @@ func (d *Driver) RestoreDeviceAlloc(bytes units.Size, chunks int) error {
 	return nil
 }
 
-// checkpoint polls the run control at a driver operation boundary. All
-// call sites sit at points where the memory-management state is
-// self-consistent (between per-block transitions, before an eviction pops a
-// queue), so an aborted run always passes the runtime sanitizer — the
-// invariant the service's deadline tests pin down. The abort is a typed
-// panic that runctl.Recover converts back into an error at the workload
-// boundary; it never escapes to callers as a panic.
+// checkpoint polls the run control at a public driver operation's entry.
+// All checkpoint sites, these and the per-block ones (blockCheckpoint), sit
+// at points where the memory-management state is self-consistent (between
+// per-block transitions, before an eviction pops a queue), so an aborted
+// run always passes the runtime sanitizer — the invariant the service's
+// deadline tests pin down. The abort is a typed panic that runctl.Recover
+// converts back into an error at the workload boundary; it never escapes to
+// callers as a panic. Without a control this inlines to one nil compare.
 func (d *Driver) checkpoint(op string, now sim.Time) {
-	if d.ctl == nil {
-		return
+	if d.ctl != nil {
+		d.poll(op, now)
 	}
+}
+
+// blockCheckpoint is the checkpoint of the per-block loops (fault-in,
+// eviction, host access, prefetch to host), which run millions of times
+// per experiment. It compares now with the cached sim budget on every
+// block, so a budget trips on the same block as if every block polled, and
+// runs the full poll only every blockPollStride-th block: a cancel is seen
+// within that many block checkpoints. The countdown starts at zero, so the
+// first one polls.
+func (d *Driver) blockCheckpoint(op string, now sim.Time) {
+	if d.ctl != nil {
+		if d.blockPolls--; d.blockPolls <= 0 || now > d.simLimit {
+			d.poll(op, now)
+		}
+	}
+}
+
+// poll runs the full run-control check at op, aborting the run if it
+// trips, and restarts the block countdown.
+func (d *Driver) poll(op string, now sim.Time) {
+	d.blockPolls = blockPollStride
 	if i := d.ctl.Check(op, now); i != nil {
 		runctl.Abort(i)
 	}
@@ -323,7 +352,11 @@ func (d *Driver) checkpoint(op string, now sim.Time) {
 	}
 }
 
-// residencyPublishStride is how many checkpoints elapse between residency
+// blockPollStride is how many block checkpoints elapse between full polls
+// of the run control.
+const blockPollStride = 32
+
+// residencyPublishStride is how many full polls elapse between residency
 // gauge refreshes; a power of two so the stride test is a mask.
 const residencyPublishStride = 64
 

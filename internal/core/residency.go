@@ -26,7 +26,7 @@ func (d *Driver) allocChunk(b *vaspace.Block, gpu int, now sim.Time) (*gpudev.Ch
 	// pressure a single access can trigger a long train of evictions, and a
 	// deadline must be able to stop the run between them. The queues are
 	// consistent here — nothing has been popped for this allocation yet.
-	d.checkpoint("evict", now)
+	d.blockCheckpoint("evict", now)
 	dev := d.devs[gpu]
 	if c := dev.PopFree(); c != nil {
 		d.m.AddEviction(metrics.EvictFree)
@@ -328,7 +328,7 @@ func (d *Driver) ensureGPUBlocks(blocks []*vaspace.Block, now sim.Time, cause me
 	}
 
 	for _, b := range blocks {
-		d.checkpoint("ensure-gpu", cur)
+		d.blockCheckpoint("ensure-gpu", cur)
 		act := d.classifyForGPU(b, gpu, viaFault)
 		if act != actTransfer || b.LivePages > 0 {
 			flush()

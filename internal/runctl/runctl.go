@@ -23,7 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"uvmdiscard/internal/sim"
@@ -103,28 +103,31 @@ func AsInterrupt(err error) *Interrupt {
 	return nil
 }
 
-// wallCheckStride is how many Check calls elapse between wall-clock reads:
-// the context and sim-budget checks are branch-cheap and run every time,
-// while time.Now is only consulted every strideth call so the watchdog adds
-// no measurable overhead to the driver loop.
+// wallCheckStride is how many Check calls elapse between wall-clock reads.
+// The cancel poll (a non-blocking receive on the cached Done channel) and
+// the sim-budget compare run on every call; time.Now costs more than both
+// together, so it is only consulted every strideth call.
 const wallCheckStride = 32
 
 // progressStride is how many Check calls elapse between progress-snapshot
-// publications. Publishing allocates one Progress record, so it shares the
-// watchdog's philosophy: cheap per call, amortized heavier work.
+// publications. Publishing copies the snapshot into the control's one
+// Progress under a mutex and runs the observer, so it is amortized like
+// the wall clock.
 const progressStride = 64
 
 // Progress is a point-in-time observation of a run taken at a driver
 // checkpoint: which operation the run last crossed, how far the simulated
-// clock has advanced, and how many checkpoints it has passed. It is the
-// payload of the uvmsimd progress stream — a client watching a job sees
+// clock has advanced, and how many times it has polled its control. It is
+// the payload of the uvmsimd progress stream — a client watching a job sees
 // sim-time advance without polling the job resource.
 type Progress struct {
 	// Op is the driver operation at the observed checkpoint.
 	Op string
 	// SimTime is the simulated clock at the observed checkpoint.
 	SimTime sim.Time
-	// Checks is the number of checkpoints the run has crossed so far.
+	// Checks is the number of Check calls the run has made so far. The
+	// driver calls Check at operation entries and on every 32nd block
+	// checkpoint, so this counts full polls, not blocks.
 	Checks uint64
 	// Done marks the final observation of an interrupted run (the trip
 	// point); completed runs simply stop publishing.
@@ -135,11 +138,14 @@ type Progress struct {
 // and the nil pointer are both inert (Check always passes), so fault-free
 // code paths pay a single nil comparison.
 //
-// A Control is single-threaded except for prog: the run publishes progress
-// snapshots from inside Check, and any number of observer goroutines may
-// read them through Progress — the one cross-goroutine surface of the type.
+// A Control is single-threaded except for the published progress snapshot
+// (the fields after mu): the run writes it from inside Check, and any
+// number of observer goroutines may read it through Progress — the one
+// cross-goroutine surface of the type. mu is a leaf lock: nothing else is
+// acquired while it is held, and the observer runs after it is released.
 type Control struct {
 	ctx          context.Context
+	done         <-chan struct{} // ctx.Done(), cached; nil when never canceled
 	wallDeadline time.Time
 	started      time.Time
 	simBudget    sim.Time
@@ -147,21 +153,36 @@ type Control struct {
 	tripped      *Interrupt
 	observe      func(Progress)
 
-	prog atomic.Pointer[Progress]
+	mu        sync.Mutex
+	prog      Progress
+	published bool
 }
 
 // New builds a control for one run. ctx may be nil (never canceled);
-// wallBudget and simBudget of zero mean unlimited. The wall-clock deadline
-// starts counting when New is called — construct the control at run start.
+// wallBudget and simBudget of zero mean unlimited. The run's host clock —
+// Interrupt.Wall and the wall-clock deadline — starts counting when New is
+// called, so construct the control at run start.
 func New(ctx context.Context, wallBudget time.Duration, simBudget sim.Time) *Control {
-	c := &Control{ctx: ctx, simBudget: simBudget}
-	if wallBudget > 0 || simBudget > 0 {
-		c.started = time.Now()
+	c := &Control{ctx: ctx, simBudget: simBudget, started: time.Now()}
+	if ctx != nil {
+		c.done = ctx.Done()
 	}
 	if wallBudget > 0 {
 		c.wallDeadline = c.started.Add(wallBudget)
 	}
 	return c
+}
+
+// SimLimit returns the latest simulated time at which Check still passes
+// the sim budget: the budget itself, or sim.Infinity when there is none. A
+// caller that polls Check on a stride compares against it on every step,
+// so a sim budget still trips at exactly the first point past it. Safe on
+// a nil receiver.
+func (c *Control) SimLimit() sim.Time {
+	if c == nil || c.simBudget <= 0 {
+		return sim.Infinity
+	}
+	return c.simBudget
 }
 
 // SetObserver registers fn to be called from inside Check whenever a
@@ -199,8 +220,11 @@ func (c *Control) Interrupted() *Interrupt {
 
 // Check polls the control at a driver operation boundary named op with the
 // simulated clock at now. It returns nil when the run may continue and a
-// sticky *Interrupt once any limit trips. Check never blocks and never
-// advances simulated time. Safe on a nil receiver.
+// sticky *Interrupt once any limit trips. In order, it publishes progress on
+// the 1st and every progressStride-th call, polls cancellation and compares
+// the sim budget on every call, and reads the wall clock every
+// wallCheckStride-th call. Check never blocks and never advances simulated
+// time. Safe on a nil receiver.
 func (c *Control) Check(op string, now sim.Time) *Interrupt {
 	if c == nil {
 		return nil
@@ -210,15 +234,11 @@ func (c *Control) Check(op string, now sim.Time) *Interrupt {
 	}
 	c.calls++
 	if c.calls == 1 || c.calls%progressStride == 0 {
-		p := Progress{Op: op, SimTime: now, Checks: c.calls}
-		c.prog.Store(&p)
-		if c.observe != nil {
-			c.observe(p)
-		}
+		c.publish(Progress{Op: op, SimTime: now, Checks: c.calls})
 	}
-	if c.ctx != nil {
+	if c.done != nil {
 		select {
-		case <-c.ctx.Done():
+		case <-c.done:
 			return c.trip(Canceled, op, now, c.ctx.Err())
 		default:
 		}
@@ -235,19 +255,23 @@ func (c *Control) Check(op string, now sim.Time) *Interrupt {
 }
 
 func (c *Control) trip(r Reason, op string, now sim.Time, cause error) *Interrupt {
-	var wall time.Duration
-	if !c.started.IsZero() {
-		wall = time.Since(c.started)
-	}
-	c.tripped = &Interrupt{Reason: r, Op: op, SimTime: now, Wall: wall, Cause: cause}
+	c.tripped = &Interrupt{Reason: r, Op: op, SimTime: now, Wall: time.Since(c.started), Cause: cause}
 	// Final progress observation: observers see exactly where the run
 	// stopped, marked Done so streams can close promptly.
-	p := Progress{Op: op, SimTime: now, Checks: c.calls, Done: true}
-	c.prog.Store(&p)
+	c.publish(Progress{Op: op, SimTime: now, Checks: c.calls, Done: true})
+	return c.tripped
+}
+
+// publish makes p the control's current progress snapshot and hands it to
+// the observer. The snapshot is copied into the control, so publishing
+// never allocates.
+func (c *Control) publish(p Progress) {
+	c.mu.Lock()
+	c.prog, c.published = p, true
+	c.mu.Unlock()
 	if c.observe != nil {
 		c.observe(p)
 	}
-	return c.tripped
 }
 
 // Progress returns the most recently published progress observation and
@@ -257,11 +281,9 @@ func (c *Control) Progress() (Progress, bool) {
 	if c == nil {
 		return Progress{}, false
 	}
-	p := c.prog.Load()
-	if p == nil {
-		return Progress{}, false
-	}
-	return *p, true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.prog, c.published
 }
 
 // Abort panics with the interrupt. The driver calls this when a Check

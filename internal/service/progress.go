@@ -30,7 +30,8 @@ type progressEvent struct {
 	SimTimeUS int64 `json:"sim_time_us"`
 	// SimTime is the same clock, human-formatted.
 	SimTime string `json:"sim_time,omitempty"`
-	// Checks counts driver checkpoints the run has crossed.
+	// Checks counts the run's full control polls (runctl.Progress.Checks):
+	// operation entries and every 32nd block checkpoint.
 	Checks uint64 `json:"checks"`
 	// Finished counts completed batch experiments (batch jobs only).
 	Finished int `json:"finished,omitempty"`
