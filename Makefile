@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race bench bench-json bench-check bench-harness profile examples repro csv ci lint lint-baseline chaos chaos-fleet smoke-service fuzz clean
+.PHONY: all build test test-short test-race bench bench-json bench-check bench-harness profile examples repro csv ci determinism lint lint-baseline chaos chaos-fleet smoke-service fuzz clean
 
 all: build test
 
@@ -36,6 +36,16 @@ ci: lint lint-baseline
 	$(GO) build ./...
 	$(MAKE) examples
 	$(GO) test -race ./...
+	$(MAKE) determinism
+
+# Output must not depend on parallelism: the quick paper suite at -j 1 and
+# -j 8 must be byte-identical on stdout (the experiments.RunAll contract).
+determinism:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/paperbench" ./cmd/paperbench && \
+	"$$tmp/paperbench" -quick -j 1 > "$$tmp/j1.txt" && \
+	"$$tmp/paperbench" -quick -j 8 > "$$tmp/j8.txt" && \
+	cmp "$$tmp/j1.txt" "$$tmp/j8.txt"
 
 # Full suite, including the full-scale reproduction gates (~1 min).
 test:

@@ -78,24 +78,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	p := workloads.Platform{
-		Gen:            pcie.Generation(*gen),
-		OversubPercent: *ovsp,
-	}
-	if *faults != "" {
-		fcfg, err := faultinject.ParseSpec(*faults)
-		if err != nil {
-			fail(err)
-		}
-		p.Faults = fcfg
-	}
-	switch strings.ToLower(*gpu) {
-	case "3080ti":
-		p.GPU = gpudev.RTX3080Ti()
-	case "gtx1070":
-		p.GPU = gpudev.GTX1070()
-	default:
-		fail(fmt.Errorf("unknown GPU %q", *gpu))
+	p, err := platform(*gen, *ovsp, *gpu, *faults)
+	if err != nil {
+		fail(err)
 	}
 
 	switch strings.ToLower(*workload) {
@@ -134,6 +119,34 @@ func main() {
 		}
 		report(workloads.Run(p, sys, s, nil))
 	}
+}
+
+// platform builds the simulated machine from the -pcie, -ovsp, -gpu and
+// -faults flag values.
+func platform(gen, ovsp int, gpu, faults string) (workloads.Platform, error) {
+	p := workloads.Platform{OversubPercent: ovsp}
+	switch g := pcie.Generation(gen); g {
+	case pcie.Gen3, pcie.Gen4:
+		p.Gen = g
+	default:
+		return p, fmt.Errorf("unsupported PCIe generation %d (want 3 or 4)", gen)
+	}
+	switch strings.ToLower(gpu) {
+	case "3080ti":
+		p.GPU = gpudev.RTX3080Ti()
+	case "gtx1070":
+		p.GPU = gpudev.GTX1070()
+	default:
+		return p, fmt.Errorf("unknown GPU %q", gpu)
+	}
+	if faults != "" {
+		fcfg, err := faultinject.ParseSpec(faults)
+		if err != nil {
+			return p, err
+		}
+		p.Faults = fcfg
+	}
+	return p, nil
 }
 
 func report(r workloads.Result, err error) {

@@ -59,11 +59,6 @@ func TestParamsValidation(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("zero batch size accepted")
 	}
-	bad = DefaultParams()
-	bad.CPUMinorFault = -1
-	if bad.Validate() == nil {
-		t.Error("negative cost accepted")
-	}
 }
 
 // §5.6 ablation: immediate reclamation forfeits cheap recovery — the
@@ -460,7 +455,7 @@ func TestSplitMappingTLBPenalty(t *testing.T) {
 	if after <= 2000 {
 		t.Error("split-block access should pay the TLB penalty")
 	}
-	if got := after - 2000; got != d.Params().SplitTLBPenalty {
-		t.Errorf("penalty = %v, want %v", got, d.Params().SplitTLBPenalty)
+	if got := after - 2000; got != splitTLBPenalty {
+		t.Errorf("penalty = %v, want %v", got, splitTLBPenalty)
 	}
 }

@@ -94,7 +94,7 @@ func isDuplicated(b *vaspace.Block) bool {
 // GPU copy authoritative (used when the GPU writes, or the hint is
 // removed while the block is GPU-resident).
 func (d *Driver) collapseDupToGPU(b *vaspace.Block, now sim.Time) sim.Time {
-	cur := now + d.p.CPUMinorFault // host-side unmap of the duplicate
+	cur := now + cpuMinorFault // host-side unmap of the duplicate
 	if b.CPUPinned {
 		d.host.Unpin(b.Bytes())
 		b.CPUPinned = false
@@ -103,7 +103,6 @@ func (d *Driver) collapseDupToGPU(b *vaspace.Block, now sim.Time) sim.Time {
 	b.CPUHasPages = false
 	b.CPUMapped = false
 	b.CPUStale = false
-	d.touch(b)
 	return cur
 }
 
@@ -122,6 +121,5 @@ func (d *Driver) collapseDupToCPU(b *vaspace.Block, now sim.Time) sim.Time {
 	b.GPUMapped = false
 	b.Residency = vaspace.CPUResident
 	b.CPUMapped = true
-	d.touch(b)
 	return cur
 }

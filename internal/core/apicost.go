@@ -95,13 +95,14 @@ type APICosts struct {
 	KernelLaunch sim.Time
 }
 
-// sharedDefaultCosts is the one instance handed to every driver built with
-// Config.Costs == nil. CostCurves are immutable after NewCostCurve and
-// APICosts fields are never written post-construction, so sharing is safe;
-// it avoids rebuilding (and re-sorting) the Table 2 anchor tables per run.
+// apiCosts is the one instance every driver's Costs returns. CostCurves are
+// immutable after NewCostCurve and APICosts fields are never written
+// post-construction, so sharing is safe; it avoids rebuilding (and
+// re-sorting) the Table 2 anchor tables per run, which experiment sweeps
+// would otherwise pay for each of the thousands of drivers they build.
 // DefaultAPICosts itself still returns a fresh value so external callers
 // that do want a private copy keep getting one.
-var sharedDefaultCosts = DefaultAPICosts()
+var apiCosts = DefaultAPICosts()
 
 // DefaultAPICosts returns curves anchored on Table 2.
 func DefaultAPICosts() *APICosts {

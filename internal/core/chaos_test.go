@@ -105,6 +105,9 @@ func runChaosProgram(t *testing.T, seed uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := d.Params().CheckInvariantsEvery; got != 1 {
+		t.Fatalf("seed %d: chaos driver checks invariants at stride %d, want 1", seed, got)
+	}
 
 	var allocs []*vaspace.Alloc
 	// lazyDirty marks allocations with lazily discarded blocks that have not

@@ -103,7 +103,6 @@ func (d *Driver) discardBlock(b *vaspace.Block, now sim.Time, lazy bool) (sim.Ti
 			dev.PushFree(c)
 		}
 	}
-	d.touch(b)
 	return cur, true
 }
 
@@ -157,7 +156,6 @@ func (d *Driver) discardPartialEdges(a *vaspace.Alloc, off, length uint64, now s
 			cur, _ = d.discardBlock(b, cur, lazy)
 		} else {
 			b.LivePages = live
-			d.touch(b)
 		}
 	}
 	return cur

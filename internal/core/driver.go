@@ -19,13 +19,10 @@ import (
 type Config struct {
 	// GPU is the hardware profile of the primary GPU (index 0).
 	GPU gpudev.Profile
-	// PeerGPUs adds further GPUs (indices 1..n) connected to the primary
-	// through PeerLink — the multi-GPU topology §2.3 and §5.1 describe.
+	// PeerGPUs adds further GPUs (indices 1..n), connected to the primary
+	// through a 600 GB/s NVSwitch-class fabric (the figure the paper quotes
+	// for A100 systems): the multi-GPU topology §2.3 and §5.1 describe.
 	PeerGPUs []gpudev.Profile
-	// PeerLink is the GPU-to-GPU fabric (NVLink/NVSwitch class); defaults
-	// to a 600 GB/s NVSwitch-like link, the figure the paper quotes for
-	// A100 systems (§2.3).
-	PeerLink *pcie.Link
 	// ReservedBytes of GPU memory are pinned away to force an
 	// oversubscription ratio, modeling the paper's idle co-resident
 	// program (§7.1). Applies to the primary GPU.
@@ -34,10 +31,8 @@ type Config struct {
 	Link *pcie.Link
 	// Host models host DRAM; defaults to the paper's 64 GB host if nil.
 	Host *hostmem.Host
-	// Params are driver policy knobs; zero value means DefaultParams.
+	// Params are driver policy knobs; nil means DefaultParams.
 	Params *Params
-	// Costs are the API cost models; nil means DefaultAPICosts (Table 2).
-	Costs *APICosts
 	// Metrics receives instrumentation; nil allocates a fresh collector.
 	Metrics *metrics.Collector
 	// Trace, when non-nil, records driver events for RMT analysis.
@@ -60,17 +55,15 @@ type Config struct {
 // device's physical-chunk queues, the unified VA space, and the DMA
 // engines.
 type Driver struct {
-	devs     []*gpudev.Device
-	host     *hostmem.Host
-	link     *pcie.Link
-	peerLink *pcie.Link
-	space    *vaspace.Space
-	m        *metrics.Collector
-	tr       *trace.Recorder
-	p        Params
-	costs    *APICosts
-	fi       *faultinject.Injector // nil when running fault-free
-	ctl      *runctl.Control       // nil when the run is unbounded
+	devs  []*gpudev.Device
+	host  *hostmem.Host
+	link  *pcie.Link
+	space *vaspace.Space
+	m     *metrics.Collector
+	tr    *trace.Recorder
+	p     Params
+	fi    *faultinject.Injector // nil when running fault-free
+	ctl   *runctl.Control       // nil when the run is unbounded
 
 	// dma is the migration path between host and device. Although PCIe is
 	// full duplex and the GPU has per-direction copy engines, the paper's
@@ -89,7 +82,7 @@ type Driver struct {
 	// deviceChunkCount tracks how many chunks those bytes pin. Membership
 	// itself lives on the chunks (gpudev.Chunk.DeviceBuffer), so hot-path
 	// ownership tests are a field load; the count is what the sanitizer's
-	// O(1) conservation check compares against detached chunks.
+	// conservation check compares against detached chunks.
 	deviceChunkCount int
 
 	// opCount numbers the public driver operations for the sanitizer's
@@ -118,13 +111,6 @@ type Driver struct {
 	rangeScratch []*vaspace.Block
 	edgeScratch  []*vaspace.Block
 	runScratch   []*vaspace.Block
-
-	// Incremental-sanitizer state (sanitizer.go): blocks whose structural
-	// state changed since the last check, and how many incremental checks
-	// have run since the last full audit. Only maintained when
-	// p.CheckInvariants is on.
-	touched         []*vaspace.Block
-	checksSinceFull int
 }
 
 // scratchCap is the initial capacity of the driver's scratch block slices:
@@ -133,29 +119,29 @@ type Driver struct {
 // ranges still work — the slice grows once and keeps the larger backing.
 const scratchCap = 256
 
-// Default interconnects are immutable after construction (pcie.Link has no
-// setters), so every driver built without an explicit link shares one
-// instance instead of rebuilding it per run.
+// Interconnects are immutable after construction (pcie.Link has no
+// setters), so every driver shares one instance instead of rebuilding it
+// per run.
 var (
-	// NVSwitch-class fabric: "the GPU-to-GPU remote access bandwidth is
-	// limited to 600 GB/s" (§2.3).
-	sharedDefaultPeerLink = pcie.NewLink(pcie.GenNVLink, 600e9, sim.Micros(4))
-	sharedDefaultLink     = pcie.Preset(pcie.Gen4)
+	// peerLink is the GPU-to-GPU fabric, NVSwitch class: "the GPU-to-GPU
+	// remote access bandwidth is limited to 600 GB/s" (§2.3).
+	peerLink = pcie.NewLink(pcie.GenNVLink, 600e9, sim.Micros(4))
+	// sharedDefaultLink serves drivers built without Config.Link.
+	sharedDefaultLink = pcie.Preset(pcie.Gen4)
 )
 
-var (
-	forceCheckInvariants      bool
-	forceCheckInvariantsEvery int
-)
+// forceCheckInvariantsEvery is the sanitizer stride New gives every driver
+// whose Params leave CheckInvariantsEvery at 0 (see
+// EnableInvariantChecksForTests); 0 forces nothing.
+var forceCheckInvariantsEvery int
 
 // EnableInvariantChecksForTests turns the runtime sanitizer on for every
-// driver subsequently built by New, regardless of Params.CheckInvariants,
-// with the given sampling stride (values < 2 mean every operation). It
-// exists for TestMain functions — the core and experiments test binaries
-// call it so every driver constructed anywhere in a test run is checked —
-// and must only be called before tests start.
+// driver subsequently built by New whose Params leave CheckInvariantsEvery
+// at 0, checking after every stride'th operation; an explicit stride in
+// Params is kept. It exists for TestMain functions — the core and
+// experiments test binaries call it so every driver constructed anywhere
+// in a test run is checked — and must only be called before tests start.
 func EnableInvariantChecksForTests(stride int) {
-	forceCheckInvariants = true
 	forceCheckInvariantsEvery = stride
 }
 
@@ -165,12 +151,8 @@ func New(cfg Config) (*Driver, error) {
 	if cfg.Params != nil {
 		p = *cfg.Params
 	}
-	if forceCheckInvariants && !p.CheckInvariants {
-		p.CheckInvariants = true
+	if p.CheckInvariantsEvery == 0 {
 		p.CheckInvariantsEvery = forceCheckInvariantsEvery
-		// Test mode wants maximal detection promptness: every check is a
-		// full sweep, never the incremental pass.
-		p.FullAuditEvery = 1
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -188,10 +170,6 @@ func New(cfg Config) (*Driver, error) {
 		}
 		devs = append(devs, pd)
 	}
-	peerLink := cfg.PeerLink
-	if peerLink == nil {
-		peerLink = sharedDefaultPeerLink
-	}
 	link := cfg.Link
 	if link == nil {
 		link = sharedDefaultLink
@@ -204,14 +182,6 @@ func New(cfg Config) (*Driver, error) {
 	if m == nil {
 		m = metrics.New()
 	}
-	costs := cfg.Costs
-	if costs == nil {
-		// Cost curves are immutable after construction, so every driver
-		// with default costs shares one instance instead of rebuilding the
-		// Table 2 interpolation tables per run (visible in alloc profiles
-		// of experiment sweeps, which build thousands of drivers).
-		costs = sharedDefaultCosts
-	}
 	var fi *faultinject.Injector
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		fi, err = faultinject.New(*cfg.Faults)
@@ -223,12 +193,10 @@ func New(cfg Config) (*Driver, error) {
 		devs:     devs,
 		host:     host,
 		link:     link,
-		peerLink: peerLink,
 		space:    vaspace.NewSpace(),
 		m:        m,
 		tr:       cfg.Trace,
 		p:        p,
-		costs:    costs,
 		fi:       fi,
 		ctl:      cfg.Control,
 		simLimit: cfg.Control.SimLimit(),
@@ -254,7 +222,7 @@ func (d *Driver) DeviceAt(i int) *gpudev.Device { return d.devs[i] }
 func (d *Driver) NumGPUs() int { return len(d.devs) }
 
 // PeerLink returns the GPU-to-GPU fabric model.
-func (d *Driver) PeerLink() *pcie.Link { return d.peerLink }
+func (d *Driver) PeerLink() *pcie.Link { return peerLink }
 
 // EnginePeer exposes the peer fabric engine.
 func (d *Driver) EnginePeer() *sim.Engine { return d.peer }
@@ -275,7 +243,7 @@ func (d *Driver) Metrics() *metrics.Collector { return d.m }
 func (d *Driver) Trace() *trace.Recorder { return d.tr }
 
 // Costs returns the API cost models.
-func (d *Driver) Costs() *APICosts { return d.costs }
+func (d *Driver) Costs() *APICosts { return apiCosts }
 
 // Params returns the active policy parameters.
 func (d *Driver) Params() Params { return d.p }

@@ -67,7 +67,7 @@ func (d *Driver) reserveTransfer(eng *sim.Engine, link faultinject.LinkID, dur, 
 		if attempt >= d.p.MaxMigrateRetries {
 			return end, false
 		}
-		cur = end + d.p.MigrateRetryBackoff<<attempt
+		cur = end + migrateRetryBackoff<<attempt
 	}
 }
 
@@ -87,7 +87,7 @@ func (d *Driver) retryH2D(b *vaspace.Block, now sim.Time) (sim.Time, bool) {
 		if attempt >= d.p.MaxMigrateRetries {
 			return end, false
 		}
-		cur = end + d.p.MigrateRetryBackoff<<attempt
+		cur = end + migrateRetryBackoff<<attempt
 		if !d.fi.DMAFails() {
 			return cur, true
 		}
@@ -106,7 +106,6 @@ func (d *Driver) degradeToHost(b *vaspace.Block, now sim.Time) sim.Time {
 	d.m.AddTransfer(metrics.H2D, metrics.CauseRemote, uint64(b.Bytes()))
 	d.m.AddDegraded(uint64(b.Bytes()))
 	b.Degraded = true
-	d.touch(b)
 	return end
 }
 
@@ -222,6 +221,5 @@ func (d *Driver) poisonChunk(gpu int, c *gpudev.Chunk, now sim.Time) sim.Time {
 	b.RemoteAccesses = 0
 	b.LivePages = 0
 	dev.PushPoisoned(c)
-	d.touch(b)
 	return cur
 }

@@ -18,8 +18,7 @@ import (
 	"uvmdiscard/internal/sim"
 )
 
-// Params holds the driver's policy knobs and the cost constants that are
-// not part of the GPU hardware profile. The zero value is not valid; use
+// Params holds the driver's policy knobs. The zero value is not valid; use
 // DefaultParams.
 type Params struct {
 	// EvictionOrder is the sequence of queues the eviction process tries
@@ -48,64 +47,25 @@ type Params struct {
 	// one replayable-fault batch.
 	FaultBatchBlocks int
 
-	// PrefetchRecencyPerBlock is the driver work to update access recency
-	// for an already-resident prefetched block — the prefetch that
-	// "neither transfers nor prefaults memory but only updates the
-	// recency of page accesses" and still measurably costs time on
-	// CNN-style pipelines (§7.5.1).
-	PrefetchRecencyPerBlock sim.Time
-
-	// CPUFirstTouchPerBlock is the host-side cost to populate one 2 MiB
-	// block with zero-filled pages on first touch (512 minor faults).
-	CPUFirstTouchPerBlock sim.Time
-
-	// CPUMinorFault is the cost of re-establishing a destroyed CPU
-	// mapping (after an eager discard) on next host access.
-	CPUMinorFault sim.Time
-
-	// PageDMALatency is the per-operation latency charged when a partial
-	// block must move as individual 4 KiB DMA operations (§5.4 ablation);
-	// each 4 KiB page pays this on top of link bandwidth.
-	PageDMALatency sim.Time
-
-	// SplitTLBPenalty is the extra per-access translation cost on a block
-	// whose 2 MiB mapping was split into 4 KiB PTEs (§5.4: "Using 2MB
-	// mappings ... can greatly increase the coverage of GPU TLBs and
-	// reduce GPU address translation overhead"). Charged on every GPU
-	// access to a split block under the AllowPartialDiscard ablation.
-	SplitTLBPenalty sim.Time
-
-	// CheckInvariants enables the runtime sanitizer (sanitizer.go): after
-	// every public driver operation the full invariant sweep runs —
+	// CheckInvariantsEvery runs the runtime sanitizer (sanitizer.go) after
+	// every Nth public driver operation: the full sweep of
 	// chunk-in-exactly-one-queue, chunk↔block back-pointers, byte
 	// conservation across all devices, host accounting, and the discard
-	// protocol rules — and panics with a diagnostic naming the offending
-	// alloc/block/chunk. Off by default (it is O(blocks + chunks) per
-	// operation); every core and experiments test turns it on.
-	CheckInvariants bool
-
-	// CheckInvariantsEvery samples the sanitizer sweep to every Nth
-	// operation when > 1 (0 and 1 both mean every operation). Full-scale
-	// experiment runs use a stride so the sweep's cost stays negligible
-	// while still bracketing any corruption to a small operation window.
+	// protocol rules, panicking with a diagnostic naming the offending
+	// alloc/block/chunk. 0 (the default) turns it off; 1 checks after every
+	// operation. The sweep is O(blocks + chunks), so full-scale runs use a
+	// stride that keeps its cost small while still bracketing any
+	// corruption to an N-operation window. The core and experiments test
+	// binaries turn it on for every driver (EnableInvariantChecksForTests).
 	CheckInvariantsEvery int
-
-	// FullAuditEvery escalates every Nth sanitizer check from the
-	// incremental O(touched blocks) pass to the full O(device) sweep
-	// (sanitizer.go). Values <= 1 make every check a full sweep — the
-	// pre-PR 9 behavior, which the seeded-corruption tests rely on for
-	// prompt detection. DefaultParams picks a stride that keeps stride-1
-	// checking affordable while bounding how long device-wide drift can
-	// hide.
-	FullAuditEvery int
 
 	// PanicOnSilentReuse escalates the §5.2 lazy-discard protocol hazard
 	// from silently-modeled (the paper's semantics: the driver never
 	// observes the access, and a later reclaim loses the data) to an
-	// immediate panic naming the block. Separate from CheckInvariants
+	// immediate panic naming the block. Separate from CheckInvariantsEvery
 	// because the hazard is an *application* protocol violation, not a
 	// driver-state inconsistency — tests that deliberately model the
-	// hazard keep it off.
+	// hazard keep it off while the sanitizer runs.
 	PanicOnSilentReuse bool
 
 	// MaxMigrateRetries bounds how many times a failed migration (an
@@ -114,12 +74,6 @@ type Params struct {
 	// coherent host-pinned service. Only consulted when a fault injector
 	// is attached; 0 means degrade on the first failure.
 	MaxMigrateRetries int
-
-	// MigrateRetryBackoff is the base sim-time backoff between migration
-	// retry attempts; attempt n waits backoff << (n-1) (bounded
-	// exponential, §5.7-style driver pacing). Only consulted when a fault
-	// injector is attached.
-	MigrateRetryBackoff sim.Time
 
 	// RemoteAccessMigrateThreshold enables the cache-coherent
 	// remote-access mode of §2.3 when the link is coherent and the value
@@ -131,8 +85,42 @@ type Params struct {
 	RemoteAccessMigrateThreshold int
 }
 
-// DefaultParams returns the configuration that reproduces the paper's
-// system.
+// Driver costs that are not part of the GPU hardware profile.
+const (
+	// prefetchRecencyPerBlock is the driver work to update access recency
+	// for an already-resident prefetched block — the prefetch that
+	// "neither transfers nor prefaults memory but only updates the
+	// recency of page accesses" and still measurably costs time on
+	// CNN-style pipelines (§7.5.1).
+	prefetchRecencyPerBlock = 400 * sim.Nanosecond
+
+	// cpuFirstTouchPerBlock is the host-side cost to populate one 2 MiB
+	// block with zero-filled pages on first touch (512 minor faults).
+	cpuFirstTouchPerBlock = 520 * sim.Microsecond
+
+	// cpuMinorFault is the cost of re-establishing a destroyed CPU
+	// mapping (after an eager discard) on next host access.
+	cpuMinorFault = 1200 * sim.Nanosecond
+
+	// pageDMALatency is the per-operation latency charged when a partial
+	// block must move as individual 4 KiB DMA operations (§5.4 ablation);
+	// each 4 KiB page pays this on top of link bandwidth.
+	pageDMALatency = 2500 * sim.Nanosecond
+
+	// splitTLBPenalty is the extra per-access translation cost on a block
+	// whose 2 MiB mapping was split into 4 KiB PTEs (§5.4: "Using 2MB
+	// mappings ... can greatly increase the coverage of GPU TLBs and
+	// reduce GPU address translation overhead"). Charged on every GPU
+	// access to a split block under the AllowPartialDiscard ablation.
+	splitTLBPenalty = 8 * sim.Microsecond
+
+	// migrateRetryBackoff is the base sim-time backoff between migration
+	// retry attempts; attempt n waits migrateRetryBackoff << (n-1)
+	// (bounded exponential, §5.7-style driver pacing). Only consulted when
+	// a fault injector is attached.
+	migrateRetryBackoff = 25 * sim.Microsecond
+)
+
 // defaultEvictionOrder backs every DefaultParams copy. It is treated as
 // immutable: all call sites override EvictionOrder by assigning a fresh
 // slice, never by writing elements, so the copies can share one backing
@@ -142,19 +130,14 @@ var defaultEvictionOrder = []metrics.EvictSource{
 	metrics.EvictUnused, metrics.EvictDiscarded, metrics.EvictLRU,
 }
 
+// DefaultParams returns the configuration that reproduces the paper's
+// system.
 func DefaultParams() Params {
 	return Params{
-		EvictionOrder:           defaultEvictionOrder,
-		PreparedTracking:        true,
-		FaultBatchBlocks:        16,
-		PrefetchRecencyPerBlock: sim.Micros(0.4),
-		CPUFirstTouchPerBlock:   sim.Micros(520),
-		CPUMinorFault:           sim.Micros(1.2),
-		PageDMALatency:          sim.Micros(2.5),
-		SplitTLBPenalty:         sim.Micros(8),
-		MaxMigrateRetries:       4,
-		MigrateRetryBackoff:     sim.Micros(25),
-		FullAuditEvery:          64,
+		EvictionOrder:     defaultEvictionOrder,
+		PreparedTracking:  true,
+		FaultBatchBlocks:  16,
+		MaxMigrateRetries: 4,
 	}
 }
 
@@ -179,24 +162,14 @@ func (p *Params) Validate() error {
 	if p.FaultBatchBlocks <= 0 {
 		return fmt.Errorf("core: fault batch size must be positive")
 	}
-	if p.PrefetchRecencyPerBlock < 0 || p.CPUFirstTouchPerBlock < 0 ||
-		p.CPUMinorFault < 0 || p.PageDMALatency < 0 || p.SplitTLBPenalty < 0 {
-		return fmt.Errorf("core: negative cost parameter")
-	}
 	if p.RemoteAccessMigrateThreshold < 0 {
 		return fmt.Errorf("core: negative remote-access threshold")
 	}
 	if p.MaxMigrateRetries < 0 || p.MaxMigrateRetries > 16 {
 		return fmt.Errorf("core: MaxMigrateRetries %d outside [0,16]", p.MaxMigrateRetries)
 	}
-	if p.MigrateRetryBackoff < 0 {
-		return fmt.Errorf("core: negative migrate retry backoff")
-	}
 	if p.CheckInvariantsEvery < 0 {
 		return fmt.Errorf("core: negative sanitizer stride")
-	}
-	if p.FullAuditEvery < 0 {
-		return fmt.Errorf("core: negative sanitizer full-audit stride")
 	}
 	return nil
 }

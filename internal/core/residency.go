@@ -113,7 +113,6 @@ func (d *Driver) reclaimDiscarded(c *gpudev.Chunk, now sim.Time) sim.Time {
 	vb.CPUHasPages, vb.CPUPinned, vb.CPUStale = false, false, false
 	vb.Discarded, vb.LazyDiscard = false, false
 	vb.Degraded = false
-	d.touch(vb)
 	return cur
 }
 
@@ -140,7 +139,6 @@ func (d *Driver) evictUsed(c *gpudev.Chunk, now sim.Time) sim.Time {
 		vb.Residency = vaspace.CPUResident
 		vb.Chunk = nil
 		vb.RemoteAccesses = 0
-		d.touch(vb)
 		return cur
 	}
 
@@ -173,7 +171,6 @@ func (d *Driver) evictUsed(c *gpudev.Chunk, now sim.Time) sim.Time {
 	vb.CPUStale = false
 	vb.RemoteAccesses = 0
 	vb.Chunk = nil
-	d.touch(vb)
 	return cur
 }
 
@@ -182,7 +179,7 @@ func (d *Driver) evictUsed(c *gpudev.Chunk, now sim.Time) sim.Time {
 func (d *Driver) migrationCost(b *vaspace.Block) (units.Size, sim.Time) {
 	if b.LivePages > 0 {
 		n := units.Size(b.LivePages) * units.PageSize
-		t := sim.Time(b.LivePages)*d.p.PageDMALatency + sim.TransferTime(uint64(n), d.link.PeakBandwidth())
+		t := sim.Time(b.LivePages)*pageDMALatency + sim.TransferTime(uint64(n), d.link.PeakBandwidth())
 		return n, t
 	}
 	n := b.Bytes()
@@ -341,13 +338,13 @@ func (d *Driver) ensureGPUBlocks(blocks []*vaspace.Block, now sim.Time, cause me
 			if viaFault && b.LivePages > 0 {
 				// The block's 2 MiB mapping was split by a partial
 				// discard: 4 KiB PTEs blow the TLB coverage (§5.4).
-				cur += d.p.SplitTLBPenalty
+				cur += splitTLBPenalty
 			}
 			if !viaFault {
 				// A prefetch of already-resident memory neither transfers
 				// nor prefaults; it only updates access recency — and that
 				// bookkeeping still costs driver time (§7.5.1).
-				cur += d.p.PrefetchRecencyPerBlock
+				cur += prefetchRecencyPerBlock
 			}
 		case actSilent:
 			// Nothing: no fault, no driver knowledge. Under the
@@ -452,7 +449,6 @@ func (d *Driver) ensureGPUBlocks(blocks []*vaspace.Block, now sim.Time, cause me
 			b.Degraded = false
 			b.RemoteAccesses = 0
 			dev.PushUsed(b.Chunk)
-			d.touch(b)
 		}
 	}
 	flush()
@@ -484,7 +480,6 @@ func (d *Driver) recoverDiscarded(b *vaspace.Block, now sim.Time, viaFault bool)
 	c.NeedsUnmapOnReclaim = false
 	b.Discarded, b.LazyDiscard = false, false
 	dev.PushUsed(c)
-	d.touch(b)
 	return cur
 }
 
@@ -499,7 +494,7 @@ func (d *Driver) migratePeer(b *vaspace.Block, gpu int, now sim.Time) (sim.Time,
 		return cur, err
 	}
 	n := uint64(b.Bytes())
-	end, ok := d.reserveTransfer(d.peer, faultinject.LinkPeer, d.peerLink.TransferTime(n), cur)
+	end, ok := d.reserveTransfer(d.peer, faultinject.LinkPeer, peerLink.TransferTime(n), cur)
 	if ok {
 		cur = end
 		d.m.AddPeer(n)
@@ -524,7 +519,6 @@ func (d *Driver) migratePeer(b *vaspace.Block, gpu int, now sim.Time) (sim.Time,
 	b.GPUMapped = true
 	b.RemoteAccesses = 0
 	d.devs[gpu].PushUsed(chunk)
-	d.touch(b)
 	return cur, nil
 }
 
@@ -562,7 +556,6 @@ func (d *Driver) populateZeroed(b *vaspace.Block, gpu int, now sim.Time) (sim.Ti
 	b.CPUMapped = false
 	b.Degraded = false
 	dev.PushUsed(chunk)
-	d.touch(b)
 	d.record(cur, trace.ZeroFill, b, b.Bytes())
 	return cur, nil
 }
@@ -574,19 +567,18 @@ func (d *Driver) populateZeroed(b *vaspace.Block, gpu int, now sim.Time) (sim.Ti
 // migrated (the write-intent collapse happens in CPUAccess).
 func (d *Driver) ensureCPUBlock(b *vaspace.Block, now sim.Time, cause metrics.Cause, forWrite bool) sim.Time {
 	cur := now
-	d.touch(b)
 	switch b.Residency {
 	case vaspace.CPUResident:
 		if !b.CPUMapped {
 			// The eager discard destroyed the CPU mapping; re-fault.
-			cur += d.p.CPUMinorFault
+			cur += cpuMinorFault
 			b.CPUMapped = true
 		}
 	case vaspace.Untouched:
 		if err := d.host.Reserve(b.Bytes()); err != nil {
 			panic(err)
 		}
-		cur += d.p.CPUFirstTouchPerBlock
+		cur += cpuFirstTouchPerBlock
 		b.CPUHasPages = true
 		b.CPUMapped = true
 		b.Residency = vaspace.CPUResident
@@ -594,7 +586,7 @@ func (d *Driver) ensureCPUBlock(b *vaspace.Block, now sim.Time, cause metrics.Ca
 		if isDuplicated(b) {
 			// Valid host copy already: a local access.
 			if !b.CPUMapped {
-				cur += d.p.CPUMinorFault
+				cur += cpuMinorFault
 				b.CPUMapped = true
 			}
 			return cur

@@ -11,8 +11,8 @@ import (
 
 // This file is the driver's runtime sanitizer: an always-available
 // invariant checker over the whole memory-management model, enabled by
-// Params.CheckInvariants and run after every public driver operation. It
-// enforces the paper's state machine mechanically:
+// Params.CheckInvariantsEvery and run after every Nth public driver
+// operation. It enforces the paper's state machine mechanically:
 //
 //   - every physical chunk lives in exactly one queue, and the per-device
 //     queue bookkeeping is self-consistent (§5.5);
@@ -31,7 +31,7 @@ import (
 // tests is now caught at the operation that introduces it.
 
 // CheckNow runs the full invariant sweep immediately, regardless of
-// Params.CheckInvariants, and returns the first violation found (nil if
+// Params.CheckInvariantsEvery, and returns the first violation found (nil if
 // the state is consistent). Tests use it directly; the driver's internal
 // hook wraps it in a panic.
 func (d *Driver) CheckNow() error {
@@ -46,90 +46,22 @@ func (d *Driver) CheckNow() error {
 	return d.checkBlocks()
 }
 
-// maxTouchedBacklog bounds the incremental sanitizer's touched-block list;
-// past this, an operation has churned so much state that a full sweep is
-// both safer and barely more expensive, so verify escalates to one.
-const maxTouchedBacklog = 4096
-
-// verify is the per-operation hook, subject to the sampling stride. When a
-// check is due it is usually *incremental* — O(blocks touched since the
-// last check) instead of O(device): every touched block is re-validated
-// structurally and chunk conservation is checked from the queues' O(1)
-// size counters. Every Params.FullAuditEvery'th check (and whenever the
-// touched backlog overflows) escalates to the full CheckNow sweep, so
-// drift the incremental pass cannot see — e.g. corruption of a block the
-// driver never touched — is still caught, just later. FullAuditEvery <= 1
-// keeps the old full-sweep-every-check behavior. Violations panic, labeled
-// with the operation that exposed them.
+// verify is the per-operation hook: after every
+// Params.CheckInvariantsEvery'th public operation it runs the full CheckNow
+// sweep and panics, labeled with the operation that exposed the violation.
+// A stride of 0 (the default) turns it off.
 func (d *Driver) verify(op string) {
-	if !d.p.CheckInvariants {
+	stride := d.p.CheckInvariantsEvery
+	if stride == 0 {
 		return
 	}
 	d.opCount++
-	if stride := d.p.CheckInvariantsEvery; stride > 1 && d.opCount%uint64(stride) != 0 {
+	if d.opCount%uint64(stride) != 0 {
 		return
 	}
-	var err error
-	if d.p.FullAuditEvery <= 1 || d.checksSinceFull+1 >= d.p.FullAuditEvery || len(d.touched) > maxTouchedBacklog {
-		err = d.CheckNow()
-		d.checksSinceFull = 0
-	} else {
-		err = d.checkIncremental()
-		d.checksSinceFull++
-	}
-	d.touched = d.touched[:0]
-	if err != nil {
+	if err := d.CheckNow(); err != nil {
 		panic(fmt.Sprintf("core: after %s: %v", op, err))
 	}
-}
-
-// touch records a block whose structural state an operation changed, for
-// the incremental sanitizer. A single branch when checks are off, so hot
-// paths call it unconditionally. Duplicates are fine (checkBlock is
-// idempotent); the list is cleared whenever a check actually runs.
-func (d *Driver) touch(b *vaspace.Block) {
-	if !d.p.CheckInvariants {
-		return
-	}
-	d.touched = append(d.touched, b)
-}
-
-// checkIncremental validates only state the driver reports having changed
-// since the last check, plus O(1)-per-device conservation:
-//
-//   - every queue's size counter sums to capacity minus detached chunks,
-//     and detached chunks are exactly the cudaMalloc'd device buffers
-//     (deviceChunkCount on GPU 0, zero on peers);
-//   - deviceAllocBytes agrees with deviceChunkCount;
-//   - every touched block passes the same per-block structural rules the
-//     full sweep applies (checkBlock), including its chunk back-pointer.
-//
-// It deliberately skips the O(device) chunk walk and the O(live bytes)
-// host-accounting reconciliation; the periodic full audit covers those.
-func (d *Driver) checkIncremental() error {
-	for gpu, dev := range d.devs {
-		want := 0
-		if gpu == 0 {
-			want = d.deviceChunkCount
-		}
-		if got := dev.TotalChunks() - dev.QueuedChunks(); got != want {
-			return fmt.Errorf("sanitizer: GPU %d conservation broken: %d detached chunks but %d device-buffer chunks tracked",
-				gpu, got, want)
-		}
-	}
-	if want := units.Size(d.deviceChunkCount) * units.BlockSize; d.deviceAllocBytes != want {
-		return fmt.Errorf("sanitizer: deviceAllocBytes %s but %d device-buffer chunks (%s)",
-			units.Format(d.deviceAllocBytes), d.deviceChunkCount, units.Format(want))
-	}
-	for _, b := range d.touched {
-		if b.Alloc.Freed() {
-			continue // freed since it was touched; the free reset its state
-		}
-		if err := d.checkBlock(b); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // checkChunks validates one device's chunks from the physical side:

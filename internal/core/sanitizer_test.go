@@ -202,12 +202,7 @@ func TestPanicOnSilentReuseAllowsPrefetchProtocol(t *testing.T) {
 // between sample points, then catches the corruption at the next one.
 func TestSanitizerSamplingStride(t *testing.T) {
 	p := DefaultParams()
-	p.CheckInvariants = true
 	p.CheckInvariantsEvery = 4
-	// The corruption below hits a block no operation touches, which only a
-	// full sweep can see; pin every sample point to a full audit so the
-	// test isolates the CheckInvariantsEvery stride.
-	p.FullAuditEvery = 1
 	d, err := New(Config{GPU: gpudev.Generic(8 * units.BlockSize), Params: &p})
 	if err != nil {
 		t.Fatal(err)
@@ -232,5 +227,27 @@ func TestSanitizerSamplingStride(t *testing.T) {
 	}()
 	if !<-panicked {
 		t.Fatal("sample-point operation missed the corruption")
+	}
+}
+
+// One knob turns the sanitizer on: DefaultParams leaves it off, the core
+// test binary's TestMain forces stride 1 onto every driver whose Params
+// leave it at 0, an explicit stride survives that force, and a negative
+// stride is refused.
+func TestSanitizerStrideKnob(t *testing.T) {
+	if got := DefaultParams().CheckInvariantsEvery; got != 0 {
+		t.Fatalf("DefaultParams().CheckInvariantsEvery = %d, want 0 (off)", got)
+	}
+	if got := testDriver(t, 8).Params().CheckInvariantsEvery; got != 1 {
+		t.Fatalf("default-Params driver in the core test binary checks at stride %d, want 1", got)
+	}
+	d := driverWithParams(t, 8, func(p *Params) { p.CheckInvariantsEvery = 4 })
+	if got := d.Params().CheckInvariantsEvery; got != 4 {
+		t.Fatalf("explicit stride 4 became %d under the test force", got)
+	}
+	bad := DefaultParams()
+	bad.CheckInvariantsEvery = -1
+	if bad.Validate() == nil {
+		t.Fatal("negative sanitizer stride accepted")
 	}
 }

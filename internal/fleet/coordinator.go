@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"uvmdiscard/internal/experiments"
 	"uvmdiscard/internal/jsonl"
 )
 
@@ -177,10 +178,17 @@ func (c *Coordinator) touchWorkerLocked(w *workerRec, now time.Time) {
 }
 
 // Submit admits one job to the durable queue, subject to the tenant's
-// admission quota over non-terminal (queued + leased) jobs.
+// admission quota over non-terminal (queued + leased) jobs. An experiment ID
+// this binary does not register is refused here rather than admitted to
+// burn every attempt on workers that cannot run it. The check is not in
+// JobSpec.Validate, which journal replay also calls: a journal written by an
+// older binary may name an experiment since removed.
 func (c *Coordinator) Submit(spec JobSpec) (JobStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
+	}
+	if _, ok := experiments.Lookup(spec.Experiment); !ok {
+		return JobStatus{}, fmt.Errorf("fleet: unknown experiment %q", spec.Experiment)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

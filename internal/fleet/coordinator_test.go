@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -587,5 +589,55 @@ func TestJournalTornTailIsRepaired(t *testing.T) {
 	}
 	if err := c2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// An experiment ID this binary does not register is refused at Submit, over
+// the API and over HTTP (400), before anything is journaled or counted, so
+// it cannot burn MaxAttempts leases on workers that cannot run it.
+func TestSubmitRefusesUnknownExperiment(t *testing.T) {
+	clk := newFakeClock()
+	cfg := testConfig(clk)
+	cfg.JournalPath = filepath.Join(t.TempDir(), "fleet.journal")
+	c := newTestCoord(t, cfg)
+
+	_, err := c.Submit(JobSpec{Tenant: "t", Experiment: "NOPE"})
+	if err == nil || !strings.Contains(err.Error(), `"NOPE"`) {
+		t.Fatalf("Submit(NOPE) error = %v, want one naming the experiment", err)
+	}
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs",
+		strings.NewReader(`{"tenant":"t","experiment":"NOPE","quick":true}`)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("POST /v1/jobs NOPE = %d, want 400", rec.Code)
+	}
+	if got := c.State().Counters.Submitted; got != 0 {
+		t.Fatalf("Counters.Submitted = %d after refused submits, want 0", got)
+	}
+	if b, err := os.ReadFile(cfg.JournalPath); err != nil || len(b) != 0 {
+		t.Fatalf("journal after refused submits = %q, %v; want empty", b, err)
+	}
+	// The refusal consumed no job ID.
+	if st := mustSubmit(t, c, "t", "T3"); st.ID != "fj-1" {
+		t.Fatalf("first admitted job = %s, want fj-1", st.ID)
+	}
+}
+
+// Replay does not re-check experiment IDs: a journal written by a binary
+// that registered an experiment since removed still opens, and the job is
+// restored as it was.
+func TestJournalReplayKeepsUnregisteredExperiment(t *testing.T) {
+	clk := newFakeClock()
+	path := filepath.Join(t.TempDir(), "fleet.journal")
+	rec := `{"op":"submit","id":"fj-1","spec":{"tenant":"a","experiment":"X99","quick":true}}`
+	if err := os.WriteFile(path, []byte(rec+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(clk)
+	cfg.JournalPath = path
+	c := newTestCoord(t, cfg)
+	job, err := c.Job("fj-1")
+	if err != nil || job.State != JobQueued || job.Spec.Experiment != "X99" {
+		t.Fatalf("replayed job = %+v, %v; want queued X99", job, err)
 	}
 }

@@ -228,15 +228,6 @@ func (d *Device) EachChunk(fn func(*Chunk) bool) {
 // EachDiscarded visits discarded-queue chunks in FIFO order.
 func (d *Device) EachDiscarded(fn func(*Chunk) bool) { d.discarded.forEach(d.chunks, fn) }
 
-// QueuedChunks returns the number of chunks currently on any queue, from
-// the queues' O(1) size counters. TotalChunks() - QueuedChunks() is the
-// number of detached chunks, which the incremental sanitizer checks against
-// the driver's device-buffer accounting without walking the chunk array.
-func (d *Device) QueuedChunks() int {
-	return d.free.size + d.unused.size + d.used.size + d.discarded.size +
-		d.reserved.size + d.poisoned.size
-}
-
 // ChunkByID returns the chunk with the given id, or an error when the id is
 // out of range. It is the checkpoint-restore lookup: snapshot payloads name
 // chunks by id, and a corrupt snapshot must produce an error, not an
