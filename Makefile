@@ -31,7 +31,9 @@ lint-baseline:
 test-race:
 	$(GO) test -race ./...
 
-# Everything CI runs (.github/workflows/ci.yml mirrors this target).
+# What the CI lint and ci jobs run (.github/workflows/ci.yml). The
+# workflow's other six jobs match the targets of the same names: fuzz,
+# bench-check, bench-harness, smoke-service, chaos and chaos-fleet.
 ci: lint lint-baseline
 	$(GO) build ./...
 	$(MAKE) examples
@@ -94,6 +96,7 @@ FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faultinject
 	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime $(FUZZTIME) ./internal/experiments
+	$(GO) test -run '^$$' -fuzz '^FuzzCoordinatorJournal$$' -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzAdvise$$' -fuzztime $(FUZZTIME) ./internal/advisor

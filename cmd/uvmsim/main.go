@@ -10,8 +10,16 @@
 //	uvmsim -workload dl -model vgg16 -batch 60 -system PyTorch-LMS -gpu gtx1070
 //	uvmsim -workload infer -batch 64 -discard -readmostly
 //	uvmsim -workload fir -ovsp 200 -json
+//	uvmsim -workload dl -model resnet53 -batch 115 -rmt
+//	uvmsim -workload fir -ovsp 200 -rmt -advise -dump trace.jsonl
 //	uvmsim -workload radixsort -ovsp 200 -faults seed=7,dma=0.05,unmap=0.01,fbcap=4
 //	uvmsim -workload fir -ovsp 400 -cpuprofile cpu.out -memprofile mem.out
+//
+// The -rmt, -advise and -dump flags trace the run's driver events: -rmt
+// splits its transfers into required and redundant ones the way the
+// paper's Figure 3 does (the batch sweep itself is `paperbench -run F3`),
+// -advise prints where discards would have saved traffic (§8 extension),
+// and -dump writes the trace as JSON Lines.
 //
 // The -cpuprofile/-memprofile flags write pprof profiles of the run, the
 // entry point `make profile` uses to attribute driver hot-path time
@@ -32,13 +40,19 @@ import (
 	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/lms"
 	"uvmdiscard/internal/pcie"
+	"uvmdiscard/internal/trace"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
 	"uvmdiscard/internal/workloads/catalog"
 	"uvmdiscard/internal/workloads/graph"
 )
 
-var jsonOut = flag.Bool("json", false, "emit the result as JSON (for scripting)")
+var (
+	jsonOut = flag.Bool("json", false, "emit the result as JSON (for scripting)")
+	rmt     = flag.Bool("rmt", false, "trace the run and split its transfers into required and redundant (cf. Figure 3)")
+	advise  = flag.Bool("advise", false, "trace the run and print discard-insertion advice (§8 extension); text output only")
+	dump    = flag.String("dump", "", "trace the run and write its driver events as JSON Lines to this file")
+)
 
 func main() {
 	var (
@@ -82,6 +96,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	if *advise && *jsonOut {
+		fail(fmt.Errorf("-advise prints a text report and does not combine with -json"))
+	}
+	p.TraceRMT = *rmt || *advise || *dump != ""
 
 	switch strings.ToLower(*workload) {
 	case "infer", "inference":
@@ -154,7 +172,7 @@ func report(r workloads.Result, err error) {
 		fail(err)
 	}
 	if *jsonOut {
-		emitJSON(map[string]any{
+		emitJSON(r, map[string]any{
 			"system":      r.System.String(),
 			"runtimeNs":   int64(r.Runtime),
 			"trafficGB":   gb(r.TrafficBytes),
@@ -175,6 +193,11 @@ func report(r workloads.Result, err error) {
 		})
 		return
 	}
+	printResult(r)
+	printTrace(r)
+}
+
+func printResult(r workloads.Result) {
 	fmt.Printf("system:    %v\n", r.System)
 	fmt.Printf("runtime:   %v\n", r.Runtime)
 	fmt.Printf("traffic:   %.2f GB (H2D %.2f, D2H %.2f)\n",
@@ -193,7 +216,7 @@ func reportTrain(r dnn.TrainResult, err error) {
 		fail(err)
 	}
 	if *jsonOut {
-		emitJSON(map[string]any{
+		emitJSON(r.Result, map[string]any{
 			"system":      r.System.String(),
 			"runtimeNs":   int64(r.Runtime),
 			"trafficGB":   gb(r.TrafficBytes),
@@ -202,15 +225,68 @@ func reportTrain(r dnn.TrainResult, err error) {
 		})
 		return
 	}
-	report(r.Result, nil)
+	printResult(r.Result)
 	fmt.Printf("footprint: %.2f GB\n", gb(uint64(r.Footprint)))
 	fmt.Printf("throughput: %.1f img/s\n", r.Throughput)
+	printTrace(r.Result)
 }
 
-func emitJSON(v map[string]any) {
+// printTrace prints what -rmt, -advise and -dump ask of a traced run: the
+// RMT split, the trace file written, and the advisor's report.
+func printTrace(r workloads.Result) {
+	if *rmt {
+		fmt.Println(rmtLine(r.Analysis))
+	}
+	if *dump != "" {
+		writeDump(r)
+		fmt.Printf("trace:     %d events written to %s\n", r.Trace.Len(), *dump)
+	}
+	if *advise {
+		fmt.Println()
+		fmt.Print(r.Advice.String())
+	}
+}
+
+// rmtLine renders the RMT split: all UVM transfers, and how many bytes and
+// transfers of them were required and redundant.
+func rmtLine(a *trace.Analysis) string {
+	return fmt.Sprintf("rmt:       %.2f GB (required %.2f, redundant %.2f = %.1f%%), %d transfers (%d redundant)",
+		gb(a.Total()), gb(a.RequiredBytes), gb(a.Redundant()),
+		100*a.RedundantFraction(), a.TransferCount, a.RedundantCount)
+}
+
+// emitJSON prints v, plus the RMT split under -rmt, as one JSON object and
+// writes the -dump file.
+func emitJSON(r workloads.Result, v map[string]any) {
+	if *rmt {
+		a := r.Analysis
+		v["rmt"] = map[string]any{
+			"totalGB":     gb(a.Total()),
+			"requiredGB":  gb(a.RequiredBytes),
+			"redundantGB": gb(a.Redundant()),
+			"transfers":   a.TransferCount,
+		}
+	}
+	if *dump != "" {
+		writeDump(r)
+	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
+		fail(err)
+	}
+}
+
+// writeDump writes the run's driver trace as JSON Lines to the -dump file.
+func writeDump(r workloads.Result) {
+	f, err := os.Create(*dump)
+	if err != nil {
+		fail(err)
+	}
+	if err := trace.WriteJSON(f, r.Trace); err != nil {
+		fail(err)
+	}
+	if err := f.Close(); err != nil {
 		fail(err)
 	}
 }

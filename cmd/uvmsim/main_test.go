@@ -1,10 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"uvmdiscard/internal/pcie"
+	"uvmdiscard/internal/trace"
+	"uvmdiscard/internal/workloads"
+	"uvmdiscard/internal/workloads/catalog"
 )
 
 func TestGB(t *testing.T) {
@@ -53,5 +62,101 @@ func TestPlatform(t *testing.T) {
 				t.Fatalf("faults = %v for spec %q", p.Faults, tc.faults)
 			}
 		})
+	}
+}
+
+// buildUvmsim compiles the command into a temporary directory.
+func buildUvmsim(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "uvmsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+func runUvmsim(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	out, err := exec.Command(bin, args...).Output()
+	if err != nil {
+		t.Fatalf("uvmsim %s: %v", strings.Join(args, " "), err)
+	}
+	return string(out)
+}
+
+// -rmt, -advise and -dump report the traced run itself: the RMT split,
+// the advice and the events of an in-process traced run of the same
+// workload, on stdout, in the JSON object and in the dump file.
+func TestTraceFlags(t *testing.T) {
+	bin := buildUvmsim(t)
+	p, err := platform(4, 200, "3080ti", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.TraceRMT = true
+	w, err := catalog.Lookup("fir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := w.New(false)
+	r, err := workloads.Run(p, workloads.UVMOpt, s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := r.Analysis
+	if a.RedundantCount == 0 || a.RedundantCount == a.TransferCount {
+		t.Fatalf("reference run splits %d transfers into %d redundant; want both kinds", a.TransferCount, a.RedundantCount)
+	}
+	var wantDump bytes.Buffer
+	if err := trace.WriteJSON(&wantDump, r.Trace); err != nil {
+		t.Fatal(err)
+	}
+
+	dump := filepath.Join(t.TempDir(), "trace.jsonl")
+	out := runUvmsim(t, bin, "-workload", "fir", "-ovsp", "200", "-rmt", "-advise", "-dump", dump)
+	for _, want := range []string{rmtLine(a) + "\n", r.Advice.String(), fmt.Sprintf("%d events written to %s", r.Trace.Len(), dump)} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if got, err := os.ReadFile(dump); err != nil || !bytes.Equal(got, wantDump.Bytes()) {
+		t.Errorf("-dump file differs from the reference trace (%d bytes, want %d; err %v)", len(got), wantDump.Len(), err)
+	}
+
+	var obj struct {
+		RMT *struct {
+			TotalGB     float64 `json:"totalGB"`
+			RequiredGB  float64 `json:"requiredGB"`
+			RedundantGB float64 `json:"redundantGB"`
+			Transfers   int     `json:"transfers"`
+		} `json:"rmt"`
+	}
+	if err := json.Unmarshal([]byte(runUvmsim(t, bin, "-workload", "fir", "-ovsp", "200", "-rmt", "-json")), &obj); err != nil {
+		t.Fatal(err)
+	}
+	if obj.RMT == nil || obj.RMT.TotalGB != gb(a.Total()) || obj.RMT.RequiredGB != gb(a.RequiredBytes) ||
+		obj.RMT.RedundantGB != gb(a.Redundant()) || obj.RMT.Transfers != a.TransferCount {
+		t.Errorf("-json -rmt split = %+v, want %.9f GB total, %.9f required, %.9f redundant, %d transfers",
+			obj.RMT, gb(a.Total()), gb(a.RequiredBytes), gb(a.Redundant()), a.TransferCount)
+	}
+
+	// Untraced runs print no split, and the DNN loops trace like the step
+	// workloads do.
+	if out := runUvmsim(t, bin, "-workload", "fir", "-ovsp", "200"); strings.Contains(out, "rmt:") {
+		t.Errorf("untraced run printed a split:\n%s", out)
+	}
+	if out := runUvmsim(t, bin, "-workload", "fir", "-json"); strings.Contains(out, `"rmt"`) {
+		t.Errorf("untraced -json run carries a split:\n%s", out)
+	}
+	for _, args := range [][]string{
+		{"-workload", "dl", "-model", "resnet53", "-batch", "30", "-rmt"},
+		{"-workload", "infer", "-rmt"},
+	} {
+		if out := runUvmsim(t, bin, args...); !strings.Contains(out, "rmt:") || strings.Contains(out, " 0 transfers") {
+			t.Errorf("uvmsim %s: want a split over traced transfers:\n%s", strings.Join(args, " "), out)
+		}
+	}
+	if err := exec.Command(bin, "-advise", "-json").Run(); err == nil {
+		t.Error("-advise -json succeeded; the advice is a text report")
 	}
 }

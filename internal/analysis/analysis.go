@@ -146,17 +146,6 @@ func (m *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ObjectFact is one exported fact and the object carrying it.
-type ObjectFact struct {
-	Obj  types.Object
-	Fact any
-}
-
-// AllObjectFacts returns every object fact this analyzer exported.
-func (m *ModulePass) AllObjectFacts() []ObjectFact {
-	return m.facts.allObjects()
-}
-
 // ImportPackageFact copies into *ptr the first fact exported on pkg whose
 // type matches ptr's element type.
 func (m *ModulePass) ImportPackageFact(pkg *types.Package, ptr any) bool {
@@ -165,9 +154,8 @@ func (m *ModulePass) ImportPackageFact(pkg *types.Package, ptr any) bool {
 
 // factStore holds one analyzer's exported facts.
 type factStore struct {
-	obj     map[types.Object][]any
-	objList []ObjectFact // export order, for deterministic iteration
-	pkg     map[*types.Package][]any
+	obj map[types.Object][]any
+	pkg map[*types.Package][]any
 }
 
 func newFactStore() *factStore {
@@ -176,7 +164,6 @@ func newFactStore() *factStore {
 
 func (s *factStore) exportObject(obj types.Object, fact any) {
 	s.obj[obj] = append(s.obj[obj], fact)
-	s.objList = append(s.objList, ObjectFact{obj, fact})
 }
 
 func (s *factStore) importObject(obj types.Object, ptr any) bool {
@@ -190,8 +177,6 @@ func (s *factStore) exportPackage(pkg *types.Package, fact any) {
 func (s *factStore) importPackage(pkg *types.Package, ptr any) bool {
 	return assignFact(s.pkg[pkg], ptr)
 }
-
-func (s *factStore) allObjects() []ObjectFact { return s.objList }
 
 // assignFact copies the first fact assignable to *ptr into it. Facts are
 // conventionally exported as pointers (`ExportPackageFact(&FnLocks{...})`)

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Package is one directory's worth of parsed, type-checked Go source: the
@@ -39,25 +38,4 @@ type Package struct {
 	primary  []*ast.File // the primary compilation unit
 	xtest    []*ast.File // the external test unit (package foo_test)
 	xtestPkg *types.Package
-}
-
-// ImportName returns the local name under which file f imports the package
-// with the given import path, or "" if f does not import it. The default
-// name (last path element) is returned for unnamed imports; "_" and "."
-// imports return their literal names.
-func ImportName(f *ast.File, path string) string {
-	for _, imp := range f.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		if p != path {
-			continue
-		}
-		if imp.Name != nil {
-			return imp.Name.Name
-		}
-		if i := strings.LastIndex(p, "/"); i >= 0 {
-			return p[i+1:]
-		}
-		return p
-	}
-	return ""
 }

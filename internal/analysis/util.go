@@ -72,17 +72,3 @@ func IsPkgFunc(fn *types.Func, pkgPath, name string) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	return ok && sig.Recv() == nil
 }
-
-// IsMethod reports whether fn is the method recvPkgPath.recvName.name
-// (pointer or value receiver).
-func IsMethod(fn *types.Func, recvPkgPath, recvName, name string) bool {
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	recv := ReceiverNamed(fn)
-	if recv == nil {
-		return false
-	}
-	obj := recv.Obj()
-	return obj.Name() == recvName && ObjPkgPath(obj) == recvPkgPath
-}

@@ -32,8 +32,9 @@ func fuzzLine(id string, quick bool) string {
 //   - Open either fails with an ordinary error or succeeds — never panics.
 //   - The only mutation Open may make is truncating a torn tail: the file
 //     after a successful open is a prefix of the input.
-//   - Interior corruption is a hard error, torn tails (unterminated or
-//     complete-but-undecodable final line) are repaired, duplicate IDs
+//   - Interior corruption and a complete final record that is valid JSON
+//     but not a journal record are hard errors, torn tails (unterminated,
+//     or a final line that is not valid JSON) are repaired, duplicate IDs
 //     collapse last-writer-wins, and records under the other quick flag are
 //     preserved but not loaded.
 //   - A repaired journal stays writable and a second open round-trips every
@@ -51,11 +52,15 @@ func FuzzJournal(f *testing.F) {
 	// Mixed quick flags: both legal, only the matching one loads.
 	f.Add([]byte(good+"\n"+goodSlow+"\n"), true)
 	f.Add([]byte(good+"\n"+goodSlow+"\n"), false)
-	// Torn tails: unterminated, and complete-but-undecodable final lines.
+	// Torn tails: unterminated, and a terminated final line that is not
+	// valid JSON.
 	f.Add([]byte(good+"\n"+other[:len(other)/2]), true)
 	f.Add([]byte(good+"\n"+"{\"id\":\"T9\",\"table\"\n"), true)
+	// Complete final lines of valid JSON that are not records: written
+	// whole, so not torn, and refused like interior corruption.
 	f.Add([]byte(good+"\n"+"null\n"), true)
 	f.Add([]byte(good+"\n"+"{}\n"), true)
+	// Torn: a lone unterminated brace.
 	f.Add([]byte("{"), true)
 	// Interior corruption: garbage, valid JSON of the wrong shape, and a
 	// record missing required fields, each followed by a valid record.
@@ -74,7 +79,8 @@ func FuzzJournal(f *testing.F) {
 		// Oracle: the valid prefix per the documented contract. A line is a
 		// valid record iff it JSON-decodes into a journalRecord with a
 		// non-empty ID and a table. The final line is torn (repairable) if
-		// unterminated or invalid; an invalid earlier line is a hard error.
+		// unterminated or not valid JSON; any other invalid line is a hard
+		// error.
 		decode := func(line []byte) bool {
 			var rec journalRecord
 			if json.Unmarshal(line, &rec) != nil {
@@ -92,7 +98,7 @@ func FuzzJournal(f *testing.F) {
 			}
 			line := data[off : off+nl]
 			if !decode(line) {
-				if off+nl+1 != len(data) {
+				if off+nl+1 != len(data) || json.Valid(line) {
 					wantErr = true
 				}
 				break // final line: truncated

@@ -43,9 +43,10 @@ type Journal struct {
 
 // OpenJournal opens (creating if needed) the journal at path and loads the
 // records previously completed under the same quick flag. A torn trailing
-// line — the signature of a crash mid-write — is truncated away and the
-// experiment it belonged to simply re-runs; corruption anywhere earlier is
-// an error, since silently skipping a record would resurrect completed work
+// line — the signature of a crash mid-write: unterminated, or not valid
+// JSON — is truncated away and the experiment it belonged to simply
+// re-runs; any other line that is not a record is an error, on the final
+// line too, since silently skipping a record would resurrect completed work
 // and corrupt the resumed output.
 func OpenJournal(path string, quick bool) (*Journal, error) {
 	done := make(map[string]*Table)

@@ -24,7 +24,6 @@ type jobRec struct {
 
 	Expiry    time.Time // lease expiry (leased only)
 	NotBefore time.Time // retry-backoff gate (queued only)
-	seq       int64     // submission order, for stable observability output
 }
 
 // workerRec is the coordinator's soft-state record of one worker. Worker
@@ -37,7 +36,7 @@ type workerRec struct {
 	MemBytes uint64
 	LastHB   time.Time
 	Live     bool
-	Active   map[string]bool // job IDs currently leased to this worker
+	Active   map[string]*jobRec // jobs currently leased to this worker, by ID
 }
 
 // Coordinator owns the durable job queue and the lease protocol. All methods
@@ -56,7 +55,6 @@ type Coordinator struct {
 	rrNext     int                  // fair-share ring position
 	workers    map[string]*workerRec
 	lastJobNum int64
-	seqCounter int64
 	ctr        Counters
 	closed     bool
 }
@@ -122,11 +120,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-func (c *Coordinator) nextSeqLocked() int64 {
-	c.seqCounter++
-	return c.seqCounter
-}
-
 // Register upserts a worker. Registration is idempotent and survives
 // re-registration with new capacity; a worker that was declared dead comes
 // back live.
@@ -144,7 +137,7 @@ func (c *Coordinator) Register(name string, capacity int, memBytes uint64) error
 	w := c.workers[name]
 	if w == nil {
 		// Born live so first contact is a registration, not a "revival".
-		w = &workerRec{Name: name, Live: true, Active: make(map[string]bool)}
+		w = &workerRec{Name: name, Live: true, Active: make(map[string]*jobRec)}
 		c.workers[name] = w
 		c.logf("fleet: worker %s registered (capacity %d)", name, capacity)
 	}
@@ -178,11 +171,11 @@ func (c *Coordinator) touchWorkerLocked(w *workerRec, now time.Time) {
 }
 
 // Submit admits one job to the durable queue, subject to the tenant's
-// admission quota over non-terminal (queued + leased) jobs. An experiment ID
-// this binary does not register is refused here rather than admitted to
-// burn every attempt on workers that cannot run it. The check is not in
-// JobSpec.Validate, which journal replay also calls: a journal written by an
-// older binary may name an experiment since removed.
+// admission quota over non-terminal jobs (its queue plus its leases). An
+// experiment ID this binary does not register is refused here rather than
+// admitted to burn every attempt on workers that cannot run it. The check
+// is not in JobSpec.Validate, which journal replay also calls: a journal
+// written by an older binary may name an experiment since removed.
 func (c *Coordinator) Submit(spec JobSpec) (JobStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
@@ -194,10 +187,12 @@ func (c *Coordinator) Submit(spec JobSpec) (JobStatus, error) {
 	defer c.mu.Unlock()
 	now := c.cfg.now()
 	c.sweepLocked(now)
-	open := 0
-	for _, j := range c.jobs {
-		if j.Spec.Tenant == spec.Tenant && !j.State.Terminal() {
-			open++
+	open := len(c.queues[spec.Tenant])
+	for _, w := range c.workers {
+		for _, j := range w.Active {
+			if j.Spec.Tenant == spec.Tenant {
+				open++
+			}
 		}
 	}
 	if open >= c.cfg.TenantQuota {
@@ -209,7 +204,7 @@ func (c *Coordinator) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	c.lastJobNum++
-	j := &jobRec{ID: id, Spec: spec, State: JobQueued, seq: c.nextSeqLocked()}
+	j := &jobRec{ID: id, Spec: spec, State: JobQueued}
 	c.jobs[id] = j
 	c.enqueueLocked(j, now)
 	c.ctr.Submitted++
@@ -284,7 +279,7 @@ func (c *Coordinator) Lease(workerName string) (*LeaseGrant, error) {
 	j.Worker = w.Name
 	j.Expiry = now.Add(c.cfg.LeaseTTL)
 	j.NotBefore = time.Time{}
-	w.Active[j.ID] = true
+	w.Active[j.ID] = j
 	c.ctr.LeasesGranted++
 	return &LeaseGrant{
 		JobID:     j.ID,
@@ -451,7 +446,9 @@ func (c *Coordinator) State() FleetState {
 // heartbeat timeout are declared dead, and leases that expired — or whose
 // holder is dead, which expires them immediately rather than waiting out
 // the TTL — are requeued. Called at every public entry point, so the
-// protocol makes progress without a background ticker.
+// protocol makes progress without a background ticker. It walks the
+// workers' Active sets, which hold every leased job, so its cost follows the
+// open leases, not every job the coordinator has held.
 func (c *Coordinator) sweepLocked(now time.Time) {
 	for _, w := range c.workers {
 		if w.Live && now.Sub(w.LastHB) > c.cfg.HeartbeatTimeout {
@@ -459,23 +456,18 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 			c.ctr.WorkersDied++
 			c.logf("fleet: worker %s declared dead (silent for %v)", w.Name, now.Sub(w.LastHB))
 		}
-	}
-	for _, j := range c.jobs {
-		if j.State != JobLeased {
-			continue
+		for _, j := range w.Active {
+			if w.Live && now.Before(j.Expiry) {
+				continue
+			}
+			c.ctr.LeasesExpired++
+			reason := fmt.Sprintf("lease expired during attempt %d on worker %s", j.Attempt, j.Worker)
+			if !w.Live {
+				reason = fmt.Sprintf("worker %s died during attempt %d", j.Worker, j.Attempt)
+			}
+			c.logf("fleet: job %s: %s", j.ID, reason)
+			c.requeueLocked(j, reason, now)
 		}
-		w := c.workers[j.Worker]
-		holderDead := w == nil || !w.Live
-		if !holderDead && now.Before(j.Expiry) {
-			continue
-		}
-		c.ctr.LeasesExpired++
-		reason := fmt.Sprintf("lease expired during attempt %d on worker %s", j.Attempt, j.Worker)
-		if holderDead {
-			reason = fmt.Sprintf("worker %s died during attempt %d", j.Worker, j.Attempt)
-		}
-		c.logf("fleet: job %s: %s", j.ID, reason)
-		c.requeueLocked(j, reason, now)
 	}
 }
 

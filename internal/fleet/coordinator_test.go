@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -592,6 +593,29 @@ func TestJournalTornTailIsRepaired(t *testing.T) {
 	}
 }
 
+// A complete final record that fails replay was written whole, so it is
+// corruption, not a torn write: New fails as it does for the same record
+// one line earlier, and the acknowledged records stay on disk.
+func TestJournalRejectedFinalRecordFailsOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.journal")
+	content := `{"op":"submit","id":"fj-1","spec":{"tenant":"a","experiment":"T3","quick":true}}` + "\n" +
+		`{"op":"lease","id":"fj-9","attempt":1,"worker":"w"}` + "\n"
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(newFakeClock())
+	cfg.JournalPath = path
+	if c, err := New(cfg); err == nil || !strings.Contains(err.Error(), "lease for unknown job fj-9") {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("New on a rejected final record = %v, want the lease-for-unknown-job error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != content {
+		t.Fatalf("journal after the refused open = %q, %v; want it untouched", got, err)
+	}
+}
+
 // An experiment ID this binary does not register is refused at Submit, over
 // the API and over HTTP (400), before anything is journaled or counted, so
 // it cannot burn MaxAttempts leases on workers that cannot run it.
@@ -639,5 +663,42 @@ func TestJournalReplayKeepsUnregisteredExperiment(t *testing.T) {
 	job, err := c.Job("fj-1")
 	if err != nil || job.State != JobQueued || job.Spec.Experiment != "X99" {
 		t.Fatalf("replayed job = %+v, %v; want queued X99", job, err)
+	}
+}
+
+// A Submit→Lease→Complete cycle costs about the same after 10 000 finished
+// jobs as on a fresh coordinator: the sweep every call runs and Submit's
+// quota count follow the open jobs, not every job the coordinator has held.
+// Compares medians, so a stray GC pause or scheduler hiccup cannot fail it.
+func TestCycleCostIgnoresFinishedJobs(t *testing.T) {
+	c := newTestCoord(t, testConfig(newFakeClock()))
+	mustRegister(t, c, "w", 1)
+	cycle := func() time.Duration {
+		start := time.Now()
+		if _, err := c.Submit(JobSpec{Tenant: "t", Experiment: "T3", Quick: true}); err != nil {
+			t.Fatal(err)
+		}
+		g := mustLease(t, c, "w")
+		if cs, err := c.Complete("w", g.JobID, g.Attempt, "OUT", ""); err != nil || cs != CompleteRecorded {
+			t.Fatalf("Complete = %v, %v", cs, err)
+		}
+		return time.Since(start)
+	}
+	median := func() time.Duration {
+		ds := make([]time.Duration, 201)
+		for i := range ds {
+			ds[i] = cycle()
+		}
+		slices.Sort(ds)
+		return ds[len(ds)/2]
+	}
+	fresh := median()
+	for i := 0; i < 10_000; i++ {
+		cycle()
+	}
+	loaded := median()
+	t.Logf("median cycle: %v fresh, %v after 10 000 finished jobs", fresh, loaded)
+	if loaded > 3*fresh {
+		t.Fatalf("median cycle after 10 000 finished jobs = %v, on a fresh coordinator %v: want at most 3x", loaded, fresh)
 	}
 }

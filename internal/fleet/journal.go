@@ -59,9 +59,9 @@ func (c *Coordinator) appendRecLocked(rec journalRec) error {
 // replayRecLocked applies one journal record to coordinator state during Open.
 // Replay is strict: a record that does not compose with the state built so
 // far (duplicate submit, lease of an unknown job, done without a lease) is
-// interior corruption and fails the open — except when jsonl classifies it
-// as a torn tail, in which case it is truncated and the transition simply
-// re-happens live.
+// corruption and fails the open, on the final line too. Only a final line
+// that is unterminated or not valid JSON is a torn tail, which jsonl
+// truncates; the transition it held simply re-happens live.
 func (c *Coordinator) replayRecLocked(rec journalRec) error {
 	switch rec.Op {
 	case "submit":
@@ -74,7 +74,7 @@ func (c *Coordinator) replayRecLocked(rec journalRec) error {
 		if err := rec.Spec.Validate(); err != nil {
 			return fmt.Errorf("submit %s: %v", rec.ID, err)
 		}
-		j := &jobRec{ID: rec.ID, Spec: *rec.Spec, State: JobQueued, seq: c.nextSeqLocked()}
+		j := &jobRec{ID: rec.ID, Spec: *rec.Spec, State: JobQueued}
 		c.jobs[rec.ID] = j
 		c.enqueueLocked(j, c.cfg.now())
 		c.noteJobIDLocked(rec.ID)

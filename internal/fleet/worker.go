@@ -111,9 +111,6 @@ func (w *Worker) Kill() {
 	w.cancels.Unlock()
 }
 
-// Killed reports whether Kill was called.
-func (w *Worker) Killed() bool { return w.killed.Load() }
-
 // Run registers the worker and pulls jobs until ctx is canceled or the
 // worker is killed. It returns the context's error (context.Canceled on a
 // graceful stop and on a kill).

@@ -225,9 +225,6 @@ func (d *Device) EachChunk(fn func(*Chunk) bool) {
 	}
 }
 
-// EachDiscarded visits discarded-queue chunks in FIFO order.
-func (d *Device) EachDiscarded(fn func(*Chunk) bool) { d.discarded.forEach(d.chunks, fn) }
-
 // ChunkByID returns the chunk with the given id, or an error when the id is
 // out of range. It is the checkpoint-restore lookup: snapshot payloads name
 // chunks by id, and a corrupt snapshot must produce an error, not an

@@ -11,14 +11,18 @@
 //     silently skipping an interior record would resurrect completed work.
 //
 // The torn-tail rule has two shapes. A final line with no terminating
-// newline is always torn. A final line that is newline-terminated but fails
-// the caller's decoder is the same crash signature (the newline made it to
-// disk, the payload did not) and is also truncated. A decoder failure on
-// any earlier line refuses the whole file.
+// newline is always torn. A final line that is newline-terminated but is
+// not valid JSON is the same crash signature (the newline made it to disk,
+// the payload did not) and is also truncated. Nothing else is torn: Append
+// writes one record and its newline in one call and refuses embedded
+// newlines, so a crash cannot leave a complete line of valid JSON. A
+// complete record that the caller's decoder rejects is corruption or
+// version skew, and refuses the whole file wherever it stands.
 package jsonl
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
@@ -36,9 +40,10 @@ type Appender struct {
 // and returns an appender positioned at the end of the valid prefix.
 //
 // decode is called once per newline-terminated line, in file order, and
-// reports whether the line is a valid record. A decode error on the final
-// line is treated as a torn write and truncated away; a decode error on any
-// earlier line fails Open — interior corruption must never be skipped.
+// reports whether the line is a valid record. A decode error on a final
+// line that is not valid JSON is treated as a torn write and truncated
+// away; any other decode error fails Open and leaves the file untouched —
+// a record that was written whole must never be skipped.
 func Open(path string, decode func(line []byte) error) (*Appender, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -53,9 +58,9 @@ func Open(path string, decode func(line []byte) error) (*Appender, error) {
 		}
 		line := data[off : off+nl]
 		if derr := decode(line); derr != nil {
-			if off+nl+1 == len(data) {
-				// Complete but undecodable final line: same torn-write crash
-				// signature; truncate and let the caller re-do that record.
+			if off+nl+1 == len(data) && !json.Valid(line) {
+				// Terminated but unparsable final line: same torn-write
+				// crash signature; truncate and let the caller re-do it.
 				break
 			}
 			return nil, fmt.Errorf("%s: corrupt record at byte %d: %v", path, off, derr)

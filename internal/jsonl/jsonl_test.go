@@ -96,6 +96,27 @@ func TestOpenRefusesInteriorCorruption(t *testing.T) {
 	}
 }
 
+// A newline-terminated final line that is valid JSON was written whole, so
+// a decoder that rejects it has found corruption or version skew, not a
+// torn write: Open fails and leaves the file byte-identical.
+func TestOpenRefusesRejectedFinalRecord(t *testing.T) {
+	for _, tail := range []string{`{"n":"three"}`, `[3]`, `"3"`} {
+		content := `{"n":1}` + "\n" + `{"n":2}` + "\n" + tail + "\n"
+		path := writeFile(t, content)
+		ap, _, err := replay(t, path)
+		if err == nil {
+			ap.Close()
+			t.Fatalf("%s: Open accepted a complete record its decoder rejects", tail)
+		}
+		if want := fmt.Sprintf("corrupt record at byte %d", 2*len(`{"n":1}`+"\n")); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %q", tail, err, want)
+		}
+		if got := readFile(t, path); got != content {
+			t.Errorf("%s: Open changed a file it refused: %q", tail, got)
+		}
+	}
+}
+
 func TestAppendRefusesNewline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.jsonl")
 	ap, _, err := replay(t, path)

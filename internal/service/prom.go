@@ -84,7 +84,6 @@ type simView struct {
 	job      string
 	workload string
 	snap     *metrics.Collector
-	live     bool
 }
 
 // view returns (cumulative counters incl. live runs, per-run snapshots for
@@ -97,7 +96,7 @@ func (ss *simState) view() (*metrics.Collector, []simView) {
 	for _, r := range ss.active {
 		snap := r.col.Snapshot()
 		tot.Merge(snap)
-		runs = append(runs, simView{job: r.job, workload: r.workload, snap: snap, live: true})
+		runs = append(runs, simView{job: r.job, workload: r.workload, snap: snap})
 	}
 	if ss.last != nil {
 		runs = append(runs, simView{job: ss.last.job, workload: ss.last.workload, snap: ss.last.col.Snapshot()})

@@ -1,6 +1,6 @@
 // Package catalog is the one name lookup for the step workloads: the names
-// and aliases uvmsim, rmtchar and the uvmsimd service accept, each mapped
-// to a fresh workloads.Stepper at the workload's full or quick preset.
+// and aliases uvmsim and the uvmsimd service accept, each mapped to a fresh
+// workloads.Stepper at the workload's full or quick preset.
 package catalog
 
 import (
