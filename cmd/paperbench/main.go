@@ -7,14 +7,17 @@
 //	paperbench -run T3,T4      # only the FIR tables
 //	paperbench -run fir-runtime
 //	paperbench -quick          # scaled-down sizes (seconds instead of minutes)
-//	paperbench -j 8            # run experiments across 8 workers
+//	paperbench -j 8            # up to 8 experiments in flight at once
 //	paperbench -list           # list available experiments
 //	paperbench -o results.txt  # also write the output to a file
 //
-// Experiments execute across -j worker goroutines (default: all CPUs), but
-// tables are always emitted on stdout in deterministic artifact order, so
-// the output bytes are identical whatever the parallelism. Per-experiment
-// progress and wall-time lines stream to stderr as runs finish.
+// Up to -j experiments run at once (default: all CPUs), and each one runs
+// the independent simulations of its table concurrently; all of those
+// share one process-wide limit of GOMAXPROCS simulations in flight, so
+// even -j 1 keeps every core busy. Tables are always emitted on stdout in
+// deterministic artifact order, so the output bytes are identical whatever
+// -j and GOMAXPROCS are. Per-experiment progress and wall-time lines
+// stream to stderr as runs finish.
 package main
 
 import (
@@ -41,7 +44,7 @@ func main() {
 		out     = flag.String("o", "", "also write results to this file")
 		csvDir  = flag.String("csv", "", "also write each table as <dir>/<id>.csv for plotting")
 		chart   = flag.Bool("chart", false, "render figure experiments as terminal bar charts")
-		jobs    = flag.Int("j", runtime.GOMAXPROCS(0), "run experiments across this many workers")
+		jobs    = flag.Int("j", runtime.GOMAXPROCS(0), "run at most this many experiments at once; their simulations share one limit of GOMAXPROCS in flight")
 		journal = flag.String("journal", "", "crash-safe batch journal: completed experiments are appended here and skipped on re-run")
 	)
 	flag.Parse()

@@ -14,6 +14,7 @@ package dnn
 
 import (
 	"fmt"
+	"sync"
 
 	"uvmdiscard/internal/units"
 )
@@ -61,9 +62,10 @@ type ModelSpec struct {
 	// uses a different size of workspace buffer." Zero value disables it.
 	AlgoSwitch AlgoSwitch
 
-	// derived memoizes the per-layer name strings built from Layers; see
-	// names().
-	derived []layerNames
+	// derived memoizes the per-layer name strings built from Layers, once;
+	// see names().
+	derivedOnce sync.Once
+	derived     []layerNames
 }
 
 // layerNames holds the buffer and kernel name strings derived from one
@@ -77,10 +79,11 @@ type layerNames struct {
 }
 
 // names returns the memoized per-layer derived names, building them on
-// first use. Layer names must not change afterwards; first use is not
-// concurrency-safe (runners construct specs before spawning workers).
+// first use. Layer names must not change afterwards. It is safe for
+// concurrent use: the cells of one experiment train one spec from several
+// goroutines at once.
 func (m *ModelSpec) names() []layerNames {
-	if m.derived == nil {
+	m.derivedOnce.Do(func() {
 		d := make([]layerNames, len(m.Layers))
 		for i, l := range m.Layers {
 			d[i] = layerNames{
@@ -96,7 +99,7 @@ func (m *ModelSpec) names() []layerNames {
 			}
 		}
 		m.derived = d
-	}
+	})
 	return m.derived
 }
 

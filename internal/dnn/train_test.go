@@ -1,6 +1,7 @@
 package dnn
 
 import (
+	"sync"
 	"testing"
 
 	"uvmdiscard/internal/gpudev"
@@ -243,5 +244,43 @@ func TestRecomputeComposesWithDiscard(t *testing.T) {
 	if withDiscard.TrafficBytes > plain.TrafficBytes {
 		t.Errorf("discard increased recompute traffic: %d > %d",
 			withDiscard.TrafficBytes, plain.TrafficBytes)
+	}
+}
+
+// One spec may train from several goroutines at once, as the cells of one
+// experiment table do: the first use of its memoized layer names must not
+// race (go test -race checks it), and every run gives the serial result.
+// A trial races only when both first uses overlap, so it runs several,
+// each on a fresh spec.
+func TestTrainSharedSpecConcurrently(t *testing.T) {
+	want, err := Train(tinyPlatform(), workloads.UvmDiscard, TrainConfig{Model: tinyModel(), Batch: 24, Steps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 8; trial++ {
+		cfg := TrainConfig{Model: tinyModel(), Batch: 24, Steps: 2}
+		var results [2]TrainResult
+		var errs [2]error
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range results {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				results[i], errs[i] = Train(tinyPlatform(), workloads.UvmDiscard, cfg)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i, r := range results {
+			if errs[i] != nil {
+				t.Fatalf("trial %d run %d: %v", trial, i, errs[i])
+			}
+			if r.Runtime != want.Runtime || r.TrafficBytes != want.TrafficBytes {
+				t.Fatalf("trial %d run %d: runtime %v, traffic %d; serial run: %v, %d",
+					trial, i, r.Runtime, r.TrafficBytes, want.Runtime, want.TrafficBytes)
+			}
+		}
 	}
 }

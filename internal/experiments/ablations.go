@@ -39,19 +39,25 @@ func runAblationEvictionOrder(o Options) (*Table, error) {
 		Title:  "Ablation: eviction queue priority (FIR @300%, UvmDiscard)",
 		Header: []string{"Order", "Traffic GB", "Runtime", "LRU evictions", "Discarded reclaims"},
 	}
-	for _, spec := range orders {
+	t.Rows = make([][]string, len(orders))
+	err := runCells(o, workloads.Platform{OversubPercent: 300}, len(t.Rows), func(p workloads.Platform, i int) error {
+		spec := orders[i]
 		f, gpu := fir.Preset(o.Quick)
 		params := core.DefaultParams()
 		params.EvictionOrder = spec.order
-		p := workloads.Platform{GPU: gpu, OversubPercent: 300, Params: &params}
-		r, err := workloads.Run(o.arm(p), workloads.UvmDiscard, f, nil)
+		p.GPU, p.Params = gpu, &params
+		r, err := workloads.Run(p, workloads.UvmDiscard, f, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Re-derive queue stats from a dedicated run with a shared
 		// collector is overkill; saved counters tell the story.
-		t.AddRow(spec.name, fmtGB(r.TrafficBytes), r.Runtime.String(),
-			fmtGB(r.EvictD2H), fmtGB(r.SavedD2H))
+		t.Rows[i] = []string{spec.name, fmtGB(r.TrafficBytes), r.Runtime.String(),
+			fmtGB(r.EvictD2H), fmtGB(r.SavedD2H)}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"columns 4-5 are eviction D2H bytes vs transfer bytes saved by reclaiming discarded chunks")
@@ -68,22 +74,29 @@ func runAblationImmediateReclaim(o Options) (*Table, error) {
 		Title:  "Ablation: delayed vs immediate reclamation (Radix-sort @<100%, UvmDiscard)",
 		Header: []string{"Policy", "Runtime", "Traffic GB"},
 	}
-	for _, spec := range []struct {
+	policies := []struct {
 		name      string
 		immediate bool
 	}{
 		{"delayed (paper, §5.6)", false},
 		{"immediate", true},
-	} {
+	}
+	t.Rows = make([][]string, len(policies))
+	err := runCells(o, workloads.Platform{OversubPercent: 0}, len(t.Rows), func(p workloads.Platform, i int) error {
+		spec := policies[i]
 		rs, gpu := radixsort.Preset(o.Quick)
 		params := core.DefaultParams()
 		params.ImmediateReclaim = spec.immediate
-		p := workloads.Platform{GPU: gpu, OversubPercent: 0, Params: &params}
-		r, err := workloads.Run(o.arm(p), workloads.UvmDiscard, rs, nil)
+		p.GPU, p.Params = gpu, &params
+		r, err := workloads.Run(p, workloads.UvmDiscard, rs, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		t.AddRow(spec.name, r.Runtime.String(), fmtGB(r.TrafficBytes))
+		t.Rows[i] = []string{spec.name, r.Runtime.String(), fmtGB(r.TrafficBytes)}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"immediate reclamation forfeits §5.7 recovery: every re-use re-zeroes a fresh chunk")
@@ -230,16 +243,22 @@ func runAblationFaultBatch(o Options) (*Table, error) {
 		Title:  "Ablation: fault-service batch size (Radix-sort @200%, UVM-opt)",
 		Header: []string{"Batch blocks", "Runtime", "Traffic GB"},
 	}
-	for _, batch := range []int{1, 4, 16, 64} {
+	batches := []int{1, 4, 16, 64}
+	t.Rows = make([][]string, len(batches))
+	err := runCells(o, workloads.Platform{OversubPercent: 200}, len(t.Rows), func(p workloads.Platform, i int) error {
 		rs, gpu := radixsort.Preset(o.Quick)
 		params := core.DefaultParams()
-		params.FaultBatchBlocks = batch
-		p := workloads.Platform{GPU: gpu, OversubPercent: 200, Params: &params}
-		r, err := workloads.Run(o.arm(p), workloads.UVMOpt, rs, nil)
+		params.FaultBatchBlocks = batches[i]
+		p.GPU, p.Params = gpu, &params
+		r, err := workloads.Run(p, workloads.UVMOpt, rs, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		t.AddRow(fmt.Sprintf("%d", batch), r.Runtime.String(), fmtGB(r.TrafficBytes))
+		t.Rows[i] = []string{fmt.Sprintf("%d", batches[i]), r.Runtime.String(), fmtGB(r.TrafficBytes)}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"traffic is identical by construction; the batch size only changes fault-service time")

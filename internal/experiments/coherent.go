@@ -32,33 +32,36 @@ func runCoherentRemote(o Options) (*Table, error) {
 		gen       pcie.Generation
 		threshold int
 	}
-	for _, link := range []linkSpec{
+	links := []linkSpec{
 		{"PCIe-4 (migrate always)", pcie.Gen4, 0},
 		{"NVLink coherent (counter=2)", pcie.GenNVLink, 2},
-	} {
-		var base workloads.Result
-		for _, sys := range []workloads.System{workloads.UVMOpt, workloads.UvmDiscard} {
-			rs, gpu := radixsort.Preset(o.Quick)
-			params := core.DefaultParams()
-			params.RemoteAccessMigrateThreshold = link.threshold
-			p := workloads.Platform{
-				GPU: gpu, Gen: link.gen, OversubPercent: 200, Params: &params,
-			}
-			r, err := workloads.Run(o.arm(p), sys, rs, nil)
-			if err != nil {
-				return nil, err
-			}
-			cut := "-"
-			if sys == workloads.UVMOpt {
-				base = r
-			} else if base.TrafficBytes > 0 {
-				cut = fmt.Sprintf("%.0f%%", 100*(1-float64(r.TrafficBytes)/float64(base.TrafficBytes)))
-			}
-			remote := r.RemoteH2D
-			migrated := r.TrafficBytes - remote
-			t.AddRow(link.name, sys.String(), fmtGB(r.TrafficBytes), fmtGB(remote),
-				fmtGB(migrated), r.Runtime.String(), cut)
+	}
+	systems := []workloads.System{workloads.UVMOpt, workloads.UvmDiscard}
+	ns := len(systems)
+	results := make([]workloads.Result, len(links)*ns)
+	err := runCells(o, workloads.Platform{OversubPercent: 200}, len(results), func(p workloads.Platform, i int) error {
+		link := links[i/ns]
+		rs, gpu := radixsort.Preset(o.Quick)
+		params := core.DefaultParams()
+		params.RemoteAccessMigrateThreshold = link.threshold
+		p.GPU, p.Gen, p.Params = gpu, link.gen, &params
+		r, err := workloads.Run(p, systems[i%ns], rs, nil)
+		results[i] = r
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range results {
+		base := results[i/ns*ns] // the link's UVM-opt run
+		cut := "-"
+		if i%ns > 0 && base.TrafficBytes > 0 {
+			cut = fmt.Sprintf("%.0f%%", 100*(1-float64(r.TrafficBytes)/float64(base.TrafficBytes)))
 		}
+		remote := r.RemoteH2D
+		migrated := r.TrafficBytes - remote
+		t.AddRow(links[i/ns].name, systems[i%ns].String(), fmtGB(r.TrafficBytes), fmtGB(remote),
+			fmtGB(migrated), r.Runtime.String(), cut)
 	}
 	t.Notes = append(t.Notes,
 		"remote accesses cross the link without migrating; migrations (and their RMTs) remain for hot blocks",

@@ -36,20 +36,34 @@ func runDataParallel(o Options) (*Table, error) {
 		Header: []string{"GPUs", "System", "Shard footprint", "PCIe GB",
 			"Peer GB", "Throughput img/s"},
 	}
+	type cell struct {
+		gpus int
+		sys  workloads.System
+	}
+	var cells []cell
 	for _, gpus := range []int{1, 2, 4} {
 		if globalBatch%gpus != 0 {
 			continue
 		}
 		for _, sys := range []workloads.System{workloads.UVMOpt, workloads.UvmDiscard} {
-			p := o.arm(workloads.Platform{GPU: gpu, Gen: pcie.Gen4, GPUs: gpus})
-			r, err := dnn.TrainDataParallel(p, sys, dnn.DataParallelConfig{Model: model, GlobalBatch: globalBatch})
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(fmt.Sprintf("%d", gpus), sys.String(),
-				units.Format(r.Footprint), fmtGB(r.TrafficBytes),
-				fmtGB(r.PeerBytes), fmt.Sprintf("%.1f", r.Throughput))
+			cells = append(cells, cell{gpus, sys})
 		}
+	}
+	t.Rows = make([][]string, len(cells))
+	err := runCells(o, workloads.Platform{GPU: gpu, Gen: pcie.Gen4}, len(cells), func(p workloads.Platform, i int) error {
+		c := cells[i]
+		p.GPUs = c.gpus
+		r, err := dnn.TrainDataParallel(p, c.sys, dnn.DataParallelConfig{Model: model, GlobalBatch: globalBatch})
+		if err != nil {
+			return err
+		}
+		t.Rows[i] = []string{fmt.Sprintf("%d", c.gpus), c.sys.String(),
+			units.Format(r.Footprint), fmtGB(r.TrafficBytes),
+			fmtGB(r.PeerBytes), fmt.Sprintf("%.1f", r.Throughput)}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"sharding shrinks each replica's footprint: single-GPU RMTs (and discard's benefit) fade as replicas fit",

@@ -7,6 +7,7 @@ import (
 	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/lms"
 	"uvmdiscard/internal/pcie"
+	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
 )
@@ -33,16 +34,29 @@ var dlBatches = map[string][]int{
 	"RNN":        {100, 140, 172, 215, 260, 300},
 }
 
-// dlModels returns the sweep set: the paper's zoo, or a small synthetic
-// network in quick mode.
-func dlModels(o Options) ([]*dnn.ModelSpec, map[string][]int, workloads.Platform) {
+// dlRun is one row of the deep-learning sweeps: a network at one batch
+// size.
+type dlRun struct {
+	model *dnn.ModelSpec
+	batch int
+}
+
+// dlSweep returns the sweep's rows, every network at each of its batch
+// sizes, and their platform: the paper's zoo, or a small synthetic network
+// in quick mode.
+func dlSweep(o Options) ([]dlRun, workloads.Platform) {
 	if o.Quick {
 		m := quickModel()
-		return []*dnn.ModelSpec{m},
-			map[string][]int{m.Name: {8, 24, 48, 72}},
-			o.arm(workloads.Platform{GPU: gpudev.Generic(512 * units.MiB), Gen: pcie.Gen4})
+		return []dlRun{{m, 8}, {m, 24}, {m, 48}, {m, 72}},
+			workloads.Platform{GPU: gpudev.Generic(512 * units.MiB), Gen: pcie.Gen4}
 	}
-	return dnn.Zoo(), dlBatches, o.arm(workloads.DefaultPlatform())
+	var rows []dlRun
+	for _, m := range dnn.Zoo() {
+		for _, b := range dlBatches[m.Name] {
+			rows = append(rows, dlRun{m, b})
+		}
+	}
+	return rows, workloads.DefaultPlatform()
 }
 
 func quickModel() *dnn.ModelSpec {
@@ -110,35 +124,35 @@ func runFigure3(o Options) (*Table, error) {
 // four networks under UVM-opt, UvmDiscard, and UvmDiscardLazy. The paper's
 // caption: "UvmDiscard and UvmDiscardLazy fully eliminate RMTs".
 func runFigure5(o Options) (*Table, error) {
-	models, batches, p := dlModels(o)
+	rows, p := dlSweep(o)
 	t := &Table{
 		ID:     "F5",
 		Title:  "PCIe traffic in deep learning (GB)",
 		Header: []string{"Model", "Batch", "UVM-opt", "UvmDiscard", "UvmDiscardLazy", "saved%"},
 	}
-	for _, m := range models {
-		for _, b := range batches[m.Name] {
-			var cells []string
-			var base, disc uint64
-			for _, sys := range tableSystems {
-				r, err := dnn.Train(p, sys, dnn.TrainConfig{Model: m, Batch: b})
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, fmtGB(r.TrafficBytes))
-				if sys == workloads.UVMOpt {
-					base = r.TrafficBytes
-				}
-				if sys == workloads.UvmDiscard {
-					disc = r.TrafficBytes
-				}
-			}
-			saved := "-"
-			if base > 0 {
-				saved = fmt.Sprintf("%.0f%%", 100*(1-float64(disc)/float64(base)))
-			}
-			t.AddRow(append([]string{m.Name, fmt.Sprintf("%d", b)}, append(cells, saved)...)...)
+	ns := len(tableSystems)
+	traffic := make([]uint64, len(rows)*ns)
+	err := runCells(o, p, len(traffic), func(p workloads.Platform, i int) error {
+		row := rows[i/ns]
+		r, err := dnn.Train(p, tableSystems[i%ns], dnn.TrainConfig{Model: row.model, Batch: row.batch})
+		traffic[i] = r.TrafficBytes
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for n, row := range rows {
+		cells := []string{row.model.Name, fmt.Sprintf("%d", row.batch)}
+		for _, b := range traffic[n*ns : (n+1)*ns] {
+			cells = append(cells, fmtGB(b))
 		}
+		// tableSystems: UVM-opt, UvmDiscard, UvmDiscardLazy.
+		base, disc := traffic[n*ns], traffic[n*ns+1]
+		saved := "-"
+		if base > 0 {
+			saved = fmt.Sprintf("%.0f%%", 100*(1-float64(disc)/float64(base)))
+		}
+		t.AddRow(append(cells, saved)...)
 	}
 	t.Notes = append(t.Notes,
 		"paper headline: discard eliminates >60% of transfers on oversubscribing batches")
@@ -149,7 +163,7 @@ func runFigure5(o Options) (*Table, error) {
 // throughput in img/s across batch sizes for No-UVM (where it fits),
 // UVM-opt, and both discard flavors.
 func dlThroughput(id string, gen pcie.Generation, o Options) (*Table, error) {
-	models, batches, p := dlModels(o)
+	rows, p := dlSweep(o)
 	p.Gen = gen
 	t := &Table{
 		ID:     id,
@@ -159,22 +173,26 @@ func dlThroughput(id string, gen pcie.Generation, o Options) (*Table, error) {
 	systems := []workloads.System{
 		workloads.NoUVM, workloads.UVMOpt, workloads.UvmDiscard, workloads.UvmDiscardLazy,
 	}
-	for _, m := range models {
-		for _, b := range batches[m.Name] {
-			row := []string{m.Name, fmt.Sprintf("%d", b)}
-			for _, sys := range systems {
-				r, err := dnn.Train(p, sys, dnn.TrainConfig{Model: m, Batch: b})
-				if err != nil {
-					if sys == workloads.NoUVM {
-						row = append(row, "-") // does not fit: the Listing 4 failure
-						continue
-					}
-					return nil, err
-				}
-				row = append(row, fmt.Sprintf("%.1f", r.Throughput))
-			}
-			t.AddRow(row...)
+	ns := len(systems)
+	cells := make([]string, len(rows)*ns)
+	err := runCells(o, p, len(cells), func(p workloads.Platform, i int) error {
+		row, sys := rows[i/ns], systems[i%ns]
+		r, err := dnn.Train(p, sys, dnn.TrainConfig{Model: row.model, Batch: row.batch})
+		switch {
+		case err != nil && sys == workloads.NoUVM && runctl.AsInterrupt(err) == nil:
+			cells[i] = "-" // does not fit: the Listing 4 failure
+		case err != nil:
+			return err
+		default:
+			cells[i] = fmt.Sprintf("%.1f", r.Throughput)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for n, row := range rows {
+		t.AddRow(append([]string{row.model.Name, fmt.Sprintf("%d", row.batch)}, cells[n*ns:(n+1)*ns]...)...)
 	}
 	t.Notes = append(t.Notes,
 		"\"-\" marks No-UVM failing because the footprint exceeds GPU memory",
@@ -196,7 +214,6 @@ func runTable1(o Options) (*Table, error) {
 		p = workloads.Platform{GPU: gpudev.Generic(512 * units.MiB), Gen: pcie.Gen3}
 		steps = 4
 	}
-	p = o.arm(p)
 	t := &Table{
 		ID:     "T1",
 		Title:  fmt.Sprintf("Throughput(img/s)/PCIe traffic(GB) of training %s on %s", model.Name, p.GPU.Name),
@@ -209,28 +226,34 @@ func runTable1(o Options) (*Table, error) {
 	}
 	rows := []struct {
 		name string
-		run  func(batch int) (dnn.TrainResult, error)
+		run  func(p workloads.Platform, batch int) (dnn.TrainResult, error)
 	}{
-		{"PyTorch-LMS", func(b int) (dnn.TrainResult, error) {
+		{"PyTorch-LMS", func(p workloads.Platform, b int) (dnn.TrainResult, error) {
 			return lms.Train(p, lms.Config{Model: model, Batch: b, Steps: steps})
 		}},
-		{"DarkNet-UVM", func(b int) (dnn.TrainResult, error) {
+		{"DarkNet-UVM", func(p workloads.Platform, b int) (dnn.TrainResult, error) {
 			return dnn.Train(p, workloads.UVMOpt, dnn.TrainConfig{Model: model, Batch: b, Steps: steps})
 		}},
-		{"DarkNet-Discard", func(b int) (dnn.TrainResult, error) {
+		{"DarkNet-Discard", func(p workloads.Platform, b int) (dnn.TrainResult, error) {
 			return dnn.Train(p, workloads.UvmDiscard, dnn.TrainConfig{Model: model, Batch: b, Steps: steps})
 		}},
 	}
-	for _, spec := range rows {
-		row := []string{spec.name}
-		for _, b := range batches {
-			r, err := spec.run(b)
-			if err != nil {
-				return nil, fmt.Errorf("T1 %s batch %d: %w", spec.name, b, err)
-			}
-			row = append(row, fmt.Sprintf("%.0f/%.0f", r.Throughput, r.TrafficGB()))
+	nb := len(batches)
+	cells := make([]string, len(rows)*nb)
+	err := runCells(o, p, len(cells), func(p workloads.Platform, i int) error {
+		spec, b := rows[i/nb], batches[i%nb]
+		r, err := spec.run(p, b)
+		if err != nil {
+			return fmt.Errorf("T1 %s batch %d: %w", spec.name, b, err)
 		}
-		t.AddRow(row...)
+		cells[i] = fmt.Sprintf("%.0f/%.0f", r.Throughput, r.TrafficGB())
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for n, spec := range rows {
+		t.AddRow(append([]string{spec.name}, cells[n*nb:(n+1)*nb]...)...)
 		if ref, ok := paper[spec.name]; ok && !o.Quick {
 			t.AddRow(append([]string{"  (paper)"}, ref...)...)
 		}

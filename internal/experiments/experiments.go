@@ -34,26 +34,32 @@ type Options struct {
 	Ctx context.Context
 	// WallBudget caps the host wall-clock time of the runs armed from these
 	// options (the watchdog that kills runaway simulations); zero means no
-	// wall deadline.
+	// wall deadline. One armed control spans every run it is reused for:
+	// an experiment that runs its cells concurrently arms once per cell
+	// worker, so the budget covers that worker's cells and its waits for a
+	// cell slot, and an experiment that drives one context arms once.
 	WallBudget time.Duration
 	// SimBudget caps each run's simulated time; zero means no budget.
 	SimBudget sim.Time
 	// OnControl, when non-nil, observes every run control armed from these
 	// options immediately after construction. The uvmsimd service uses it
 	// to track a batch job's currently active control for the progress
-	// stream. arm is called from whichever worker goroutine builds the
-	// platform, so the hook must be safe for concurrent use; it must not
-	// call into the control beyond the documented cross-goroutine surface
-	// (Progress).
+	// stream; fleet workers use it to renew their lease. An experiment
+	// that runs its cells concurrently arms once per cell worker, so the
+	// hook is called once per worker, from that worker's goroutine, before
+	// the worker's first cell; it must be safe for concurrent use and must
+	// not call into the control beyond the documented cross-goroutine
+	// surface (Progress, and SetObserver before the control's run starts).
 	OnControl func(*runctl.Control)
 }
 
 // arm attaches a fresh run control to a platform when the options carry a
 // cancellation or budget source; with nothing to enforce it returns p
 // unchanged, so default runs take the exact code path they always did.
-// Experiments call this at every Platform construction site — a control is
-// single-threaded mutable state and must never be shared across concurrent
-// runs, so each site gets its own.
+// Experiments that drive one context call this where they build it, and
+// runCells calls it once per cell worker — a control is single-threaded
+// mutable state and must never be shared across concurrent runs, but one
+// goroutine may reuse it for run after run.
 func (o Options) arm(p workloads.Platform) workloads.Platform {
 	if o.Ctx == nil && o.WallBudget <= 0 && o.SimBudget <= 0 {
 		return p

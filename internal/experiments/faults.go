@@ -55,25 +55,28 @@ func runFaultResilience(o Options) (*Table, error) {
 			}},
 		}},
 	}
-	for _, sched := range schedules {
-		var base workloads.Result
-		for _, sys := range []workloads.System{workloads.UVMOpt, workloads.UvmDiscard} {
-			rs, gpu := radixsort.Preset(o.Quick)
-			p := workloads.Platform{GPU: gpu, OversubPercent: 200, Faults: sched.fault}
-			r, err := workloads.Run(o.arm(p), sys, rs, nil)
-			if err != nil {
-				return nil, err
-			}
-			cut := "-"
-			if sys == workloads.UVMOpt {
-				base = r
-			} else if base.TrafficBytes > 0 {
-				cut = fmt.Sprintf("%.0f%%", 100*(1-float64(r.TrafficBytes)/float64(base.TrafficBytes)))
-			}
-			t.AddRow(sched.name, sys.String(), r.Runtime.String(), fmtGB(r.TrafficBytes),
-				fmt.Sprint(r.MigrateRetries), fmt.Sprint(r.UnmapRetries),
-				fmt.Sprint(r.FaultReplays), fmt.Sprint(r.DegradedXfers), cut)
+	systems := []workloads.System{workloads.UVMOpt, workloads.UvmDiscard}
+	ns := len(systems)
+	results := make([]workloads.Result, len(schedules)*ns)
+	err := runCells(o, workloads.Platform{OversubPercent: 200}, len(results), func(p workloads.Platform, i int) error {
+		rs, gpu := radixsort.Preset(o.Quick)
+		p.GPU, p.Faults = gpu, schedules[i/ns].fault
+		r, err := workloads.Run(p, systems[i%ns], rs, nil)
+		results[i] = r
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range results {
+		base := results[i/ns*ns] // the schedule's UVM-opt run
+		cut := "-"
+		if i%ns > 0 && base.TrafficBytes > 0 {
+			cut = fmt.Sprintf("%.0f%%", 100*(1-float64(r.TrafficBytes)/float64(base.TrafficBytes)))
 		}
+		t.AddRow(schedules[i/ns].name, systems[i%ns].String(), r.Runtime.String(), fmtGB(r.TrafficBytes),
+			fmt.Sprint(r.MigrateRetries), fmt.Sprint(r.UnmapRetries),
+			fmt.Sprint(r.FaultReplays), fmt.Sprint(r.DegradedXfers), cut)
 	}
 	t.Notes = append(t.Notes,
 		"schedules are seeded: every cell is deterministic and identical at any -j",

@@ -22,14 +22,13 @@ func runGraphTraversal(o Options) (*Table, error) {
 	g, gpu := graph.Preset(o.Quick)
 	p := workloads.DefaultPlatform()
 	p.GPU = gpu
-	p = o.arm(p)
 	t := &Table{
 		ID:    "X7",
 		Title: "Extension: out-of-core graph traversal (read-only edge partitions)",
 		Header: []string{"Strategy", "Traffic GB", "H2D GB", "D2H GB",
 			"Saved D2H GB", "Runtime"},
 	}
-	for _, spec := range []struct {
+	strategies := []struct {
 		name string
 		sys  workloads.System
 		rm   bool
@@ -37,15 +36,22 @@ func runGraphTraversal(o Options) (*Table, error) {
 		{"plain UVM", workloads.UVMOpt, false},
 		{"discard retired partitions", workloads.UvmDiscard, false},
 		{"read-mostly edges", workloads.UvmDiscard, true},
-	} {
+	}
+	t.Rows = make([][]string, len(strategies))
+	err := runCells(o, p, len(t.Rows), func(p workloads.Platform, i int) error {
+		spec := strategies[i]
 		c := g.Config
 		c.ReadMostlyEdges = spec.rm
 		r, err := graph.Run(p, spec.sys, c)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		t.AddRow(spec.name, fmtGB(r.TrafficBytes), fmtGB(r.H2DBytes),
-			fmtGB(r.D2HBytes), fmtGB(r.SavedD2H), r.Runtime.String())
+		t.Rows[i] = []string{spec.name, fmtGB(r.TrafficBytes), fmtGB(r.H2DBytes),
+			fmtGB(r.D2HBytes), fmtGB(r.SavedD2H), r.Runtime.String()}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"UVM swaps exhausted read-only partitions out because the GPU has no dirty bits (§5)",

@@ -33,34 +33,39 @@ func runRecomputeVsDiscard(o Options) (*Table, error) {
 		batches = []int{48, 120}
 		p = workloads.Platform{GPU: gpudev.Generic(512 * units.MiB)}
 	}
-	p = o.arm(p)
 	t := &Table{
 		ID:    "X5",
 		Title: fmt.Sprintf("Extension (§8): recomputation vs discard, %s training", model.Name),
 		Header: []string{"Batch", "Strategy", "Footprint", "Traffic GB",
 			"Throughput img/s"},
 	}
-	for _, batch := range batches {
-		for _, spec := range []struct {
-			name      string
-			sys       workloads.System
-			recompute bool
-		}{
-			{"UVM-opt", workloads.UVMOpt, false},
-			{"UvmDiscard", workloads.UvmDiscard, false},
-			{"recompute", workloads.UVMOpt, true},
-			{"recompute+discard", workloads.UvmDiscard, true},
-		} {
-			r, err := dnn.Train(p, spec.sys, dnn.TrainConfig{
-				Model: model, Batch: batch, Recompute: spec.recompute,
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(fmt.Sprintf("%d", batch), spec.name,
-				units.Format(r.Footprint), fmtGB(r.TrafficBytes),
-				fmt.Sprintf("%.1f", r.Throughput))
+	strategies := []struct {
+		name      string
+		sys       workloads.System
+		recompute bool
+	}{
+		{"UVM-opt", workloads.UVMOpt, false},
+		{"UvmDiscard", workloads.UvmDiscard, false},
+		{"recompute", workloads.UVMOpt, true},
+		{"recompute+discard", workloads.UvmDiscard, true},
+	}
+	ns := len(strategies)
+	t.Rows = make([][]string, len(batches)*ns)
+	err := runCells(o, p, len(t.Rows), func(p workloads.Platform, i int) error {
+		batch, spec := batches[i/ns], strategies[i%ns]
+		r, err := dnn.Train(p, spec.sys, dnn.TrainConfig{
+			Model: model, Batch: batch, Recompute: spec.recompute,
+		})
+		if err != nil {
+			return err
 		}
+		t.Rows[i] = []string{fmt.Sprintf("%d", batch), spec.name,
+			units.Format(r.Footprint), fmtGB(r.TrafficBytes),
+			fmt.Sprintf("%.1f", r.Throughput)}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"recomputation pays ~1.5x compute to drop the stored stashes; once even that footprint oversubscribes, its RMTs return",

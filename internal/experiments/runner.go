@@ -54,15 +54,26 @@ func (r RunResult) Interrupted() bool {
 // experiment still gets a RunResult — canceled runs are reported, never
 // silently dropped. A nil ctx behaves like context.Background().
 //
+// parallelism bounds the experiments in flight. Inside an experiment, the
+// independent simulations of its table (its cells) run concurrently too
+// (runCells), and every cell of every experiment shares one process-wide
+// limit of GOMAXPROCS cells in flight, so -j 8 on a 2-core host still
+// simulates at most two cells at a time.
+//
 // Isolation rules (what makes this safe — and what any new experiment must
 // preserve):
 //
-//   - Every Experiment.Run builds its own core.Driver, metrics.Collector,
-//     trace.Recorder, and sim.RNG. Nothing run-scoped may live in a
-//     package-level variable.
+//   - Every cell builds its own core.Driver, metrics.Collector,
+//     trace.Recorder, and sim.RNG (workloads.Run and Platform.NewContext
+//     do). Nothing run-scoped may live in a package-level variable.
+//   - Inputs the cells of one experiment share, such as a *dnn.ModelSpec,
+//     a *faultinject.Config or the sweep's parameter slices, are read-only
+//     while the cells run. A cell writes only its own index of the
+//     experiment's result slices.
 //   - Package-level data in this package (the registry, paper reference
 //     tables, column layouts) is written only during init and treated as
-//     read-only afterwards.
+//     read-only afterwards; the cell-slot limiter is the one exception
+//     and guards itself.
 //   - Options is passed by value; experiments must not mutate shared
 //     pointers reached through it.
 //

@@ -38,8 +38,7 @@ func runInferenceAdvice(o Options) (*Table, error) {
 		Header: []string{"Configuration", "Throughput", "Traffic GB",
 			"H2D GB", "D2H GB", "vs baseline"},
 	}
-	var base workloads.Result
-	for _, spec := range []struct {
+	configs := []struct {
 		name            string
 		discard, advise bool
 		gpus            int
@@ -49,19 +48,26 @@ func runInferenceAdvice(o Options) (*Table, error) {
 		{"+ read-mostly (weights)", false, true, 1},
 		{"+ both", true, true, 1},
 		{"2-GPU pipeline (no hints)", false, false, 2},
-	} {
-		p := o.arm(workloads.Platform{GPU: gpu, Gen: pcie.Gen4, GPUs: spec.gpus})
+	}
+	results := make([]dnn.TrainResult, len(configs))
+	err := runCells(o, workloads.Platform{GPU: gpu, Gen: pcie.Gen4}, len(configs), func(p workloads.Platform, i int) error {
+		spec := configs[i]
+		p.GPUs = spec.gpus
 		r, err := dnn.Infer(p, dnn.InferConfig{
 			Model: model, Batch: batch, Requests: 4,
 			Discard: spec.discard, AdviseWeights: spec.advise,
 		})
-		if err != nil {
-			return nil, err
-		}
+		results[i] = r
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	base := results[0] // plain UVM
+	for i, spec := range configs {
+		r := results[i]
 		rel := "-"
-		if spec.name == "plain UVM" {
-			base = r.Result
-		} else if base.Runtime > 0 {
+		if i > 0 && base.Runtime > 0 {
 			rel = fmt.Sprintf("%.2fx faster", float64(base.Runtime)/float64(r.Runtime))
 		}
 		t.AddRow(spec.name,

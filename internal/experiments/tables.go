@@ -5,6 +5,7 @@ import (
 
 	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/pcie"
+	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/workloads"
 	"uvmdiscard/internal/workloads/fir"
 	"uvmdiscard/internal/workloads/hashjoin"
@@ -13,22 +14,22 @@ import (
 
 func init() {
 	register(Experiment{ID: "T3", Name: "fir-runtime", Run: func(o Options) (*Table, error) {
-		return runtimeTable("T3", "Normalized runtime of FIR (PCIe-3/4)", micro(o, fir.Preset), paperT3)
+		return runtimeTable(o, "T3", "Normalized runtime of FIR (PCIe-3/4)", micro(o, fir.Preset), paperT3)
 	}})
 	register(Experiment{ID: "T4", Name: "fir-traffic", Run: func(o Options) (*Table, error) {
-		return trafficTable("T4", "PCIe traffic (GB) of FIR", micro(o, fir.Preset), paperT4, !o.Quick)
+		return trafficTable(o, "T4", "PCIe traffic (GB) of FIR", micro(o, fir.Preset), paperT4)
 	}})
 	register(Experiment{ID: "T5", Name: "radix-runtime", Run: func(o Options) (*Table, error) {
-		return runtimeTable("T5", "Normalized runtime of Radix-sort (PCIe-3/4)", micro(o, radixsort.Preset), paperT5)
+		return runtimeTable(o, "T5", "Normalized runtime of Radix-sort (PCIe-3/4)", micro(o, radixsort.Preset), paperT5)
 	}})
 	register(Experiment{ID: "T6", Name: "radix-traffic", Run: func(o Options) (*Table, error) {
-		return trafficTable("T6", "PCIe traffic (GB) of Radix-sort", micro(o, radixsort.Preset), paperT6, !o.Quick)
+		return trafficTable(o, "T6", "PCIe traffic (GB) of Radix-sort", micro(o, radixsort.Preset), paperT6)
 	}})
 	register(Experiment{ID: "T7", Name: "hashjoin-runtime", Run: func(o Options) (*Table, error) {
-		return runtimeTable("T7", "Normalized runtime of Hash-join (PCIe-3/4)", micro(o, hashjoin.Preset), paperT7)
+		return runtimeTable(o, "T7", "Normalized runtime of Hash-join (PCIe-3/4)", micro(o, hashjoin.Preset), paperT7)
 	}})
 	register(Experiment{ID: "T8", Name: "hashjoin-traffic", Run: func(o Options) (*Table, error) {
-		return trafficTable("T8", "PCIe traffic (GB) of Hash-join", micro(o, hashjoin.Preset), paperT8, !o.Quick)
+		return trafficTable(o, "T8", "PCIe traffic (GB) of Hash-join", micro(o, hashjoin.Preset), paperT8)
 	}})
 }
 
@@ -68,12 +69,12 @@ var (
 )
 
 // micro runs a fresh step workload at its full or quick preset on each
-// cell's platform.
+// cell's (already armed) platform.
 func micro[S workloads.Stepper](o Options, preset func(quick bool) (S, gpudev.Profile)) microRunner {
 	return func(p workloads.Platform, sys workloads.System) (workloads.Result, error) {
 		s, gpu := preset(o.Quick)
 		p.GPU = gpu
-		return workloads.Run(o.arm(p), sys, s, nil)
+		return workloads.Run(p, sys, s, nil)
 	}
 }
 
@@ -84,47 +85,48 @@ var ovspColumns = []struct {
 	{0, "<100%"}, {200, "200%"}, {300, "300%"}, {400, "400%"},
 }
 
+// tableSystems are the rows of the micro tables and F5; the first is the
+// UVM-opt baseline the runtime tables normalize to.
 var tableSystems = []workloads.System{
 	workloads.UVMOpt, workloads.UvmDiscard, workloads.UvmDiscardLazy,
 }
 
+// runtimeGens are the two halves of each runtime table cell.
+var runtimeGens = []pcie.Generation{pcie.Gen3, pcie.Gen4}
+
 // runtimeTable builds a normalized-runtime table in the paper's layout:
 // one row per system, one column per oversubscription ratio, each cell a
 // PCIe-3/PCIe-4 pair normalized to UVM-opt at the same ratio.
-func runtimeTable(id, title string, run microRunner, paper map[workloads.System][4]string) (*Table, error) {
+func runtimeTable(o Options, id, title string, run microRunner, paper map[workloads.System][4]string) (*Table, error) {
 	t := &Table{
 		ID:     id,
 		Title:  title,
 		Header: []string{"Ovsp. rate", "<100%", "200%", "300%", "400%"},
 	}
-	// results[gen][ovsp][system]
-	type key struct {
-		gen  pcie.Generation
-		ovsp int
-		sys  workloads.System
-	}
-	results := make(map[key]workloads.Result, 2*len(ovspColumns)*len(tableSystems))
-	for _, gen := range []pcie.Generation{pcie.Gen3, pcie.Gen4} {
-		for _, col := range ovspColumns {
-			for _, sys := range tableSystems {
-				p := workloads.Platform{Gen: gen, OversubPercent: col.percent}
-				r, err := run(p, sys)
-				if err != nil {
-					return nil, fmt.Errorf("%s %v %v %d%%: %w", id, gen, sys, col.percent, err)
-				}
-				results[key{gen, col.percent, sys}] = r
-			}
+	// One run per generation, ratio and system, in that nesting order.
+	nc, ns := len(ovspColumns), len(tableSystems)
+	runtimes := make([]sim.Time, len(runtimeGens)*nc*ns)
+	err := runCells(o, workloads.Platform{}, len(runtimes), func(p workloads.Platform, i int) error {
+		gen, col, sys := runtimeGens[i/(nc*ns)], ovspColumns[i/ns%nc], tableSystems[i%ns]
+		p.Gen, p.OversubPercent = gen, col.percent
+		r, err := run(p, sys)
+		if err != nil {
+			return fmt.Errorf("%s %v %v %d%%: %w", id, gen, sys, col.percent, err)
 		}
+		runtimes[i] = r.Runtime
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, sys := range tableSystems {
-		row := make([]string, 0, len(ovspColumns)+1)
+	for s, sys := range tableSystems {
+		row := make([]string, 0, nc+1)
 		row = append(row, sys.String())
-		for _, col := range ovspColumns {
+		for c := range ovspColumns {
 			var cell [2]float64
-			for i, gen := range []pcie.Generation{pcie.Gen3, pcie.Gen4} {
-				base := results[key{gen, col.percent, workloads.UVMOpt}]
-				r := results[key{gen, col.percent, sys}]
-				cell[i] = float64(r.Runtime) / float64(base.Runtime)
+			for g := range runtimeGens {
+				base := (g*nc + c) * ns
+				cell[g] = float64(runtimes[base+s]) / float64(runtimes[base])
 			}
 			row = append(row, fmtRatio(cell[0], cell[1]))
 		}
@@ -138,30 +140,41 @@ func runtimeTable(id, title string, run microRunner, paper map[workloads.System]
 
 // trafficTable builds a PCIe-traffic table (traffic is independent of the
 // PCIe generation in the driver model; the paper reports a single value).
-// When fullScale is false the absolute GB differ from the paper (sizes are
-// scaled down) and a note says so.
-func trafficTable(id, title string, run microRunner, paper map[workloads.System][4]string, fullScale bool) (*Table, error) {
+// In quick mode the absolute GB differ from the paper (sizes are scaled
+// down) and a note says so.
+func trafficTable(o Options, id, title string, run microRunner, paper map[workloads.System][4]string) (*Table, error) {
 	t := &Table{
 		ID:     id,
 		Title:  title,
 		Header: []string{"Ovsp. rate", "<100%", "200%", "300%", "400%"},
 	}
-	for _, sys := range tableSystems {
+	// One run per system and ratio, in that nesting order.
+	nc := len(ovspColumns)
+	traffic := make([]uint64, len(tableSystems)*nc)
+	err := runCells(o, workloads.Platform{Gen: pcie.Gen4}, len(traffic), func(p workloads.Platform, i int) error {
+		sys, col := tableSystems[i/nc], ovspColumns[i%nc]
+		p.OversubPercent = col.percent
+		r, err := run(p, sys)
+		if err != nil {
+			return fmt.Errorf("%s %v %d%%: %w", id, sys, col.percent, err)
+		}
+		traffic[i] = r.TrafficBytes
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for s, sys := range tableSystems {
 		row := []string{sys.String()}
-		for _, col := range ovspColumns {
-			p := workloads.Platform{Gen: pcie.Gen4, OversubPercent: col.percent}
-			r, err := run(p, sys)
-			if err != nil {
-				return nil, fmt.Errorf("%s %v %d%%: %w", id, sys, col.percent, err)
-			}
-			row = append(row, fmtGB(r.TrafficBytes))
+		for c := range ovspColumns {
+			row = append(row, fmtGB(traffic[s*nc+c]))
 		}
 		t.AddRow(row...)
 		if p, ok := paper[sys]; ok {
 			t.AddRow("  (paper)", p[0], p[1], p[2], p[3])
 		}
 	}
-	if !fullScale {
+	if o.Quick {
 		t.Notes = append(t.Notes, "quick mode: sizes scaled down; compare ratios, not absolute GB")
 	}
 	return t, nil

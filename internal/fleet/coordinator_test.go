@@ -616,6 +616,42 @@ func TestJournalRejectedFinalRecordFailsOpen(t *testing.T) {
 	}
 }
 
+// Replay accepts retry, done and fail only as the live coordinator writes
+// them: to end the current lease, at its attempt, and done only from the
+// lease holder. Any other such record is corruption: New fails and leaves
+// the journal untouched. The first journal used to open with fj-1 done at
+// attempt 0 and queued twice, so Lease handed the done job out again.
+func TestJournalRefusesTransitionsWithoutLease(t *testing.T) {
+	submit := `{"op":"submit","id":"fj-1","spec":{"tenant":"a","experiment":"T3","quick":true}}` + "\n"
+	lease := `{"op":"lease","id":"fj-1","attempt":1,"worker":"w"}` + "\n"
+	for name, tail := range map[string]string{
+		"retry and done while queued": `{"op":"retry","id":"fj-1","attempt":0,"err":"x"}` + "\n" +
+			`{"op":"done","id":"fj-1","attempt":1,"worker":"w","output":"OUT"}` + "\n",
+		"fail while queued":        `{"op":"fail","id":"fj-1","attempt":0,"err":"x"}` + "\n",
+		"done for a later attempt": lease + `{"op":"done","id":"fj-1","attempt":2,"worker":"w","output":"OUT"}` + "\n",
+		"done from another worker": lease + `{"op":"done","id":"fj-1","attempt":1,"worker":"v","output":"OUT"}` + "\n",
+		"retry twice":              lease + strings.Repeat(`{"op":"retry","id":"fj-1","attempt":1,"err":"x"}`+"\n", 2),
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "fleet.journal")
+			content := submit + tail
+			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cfg := testConfig(newFakeClock())
+			cfg.JournalPath = path
+			if c, err := New(cfg); err == nil {
+				st, _ := c.Job("fj-1")
+				c.Close()
+				t.Fatalf("New opened the journal; fj-1 is %s at attempt %d", st.State, st.Attempt)
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) != content {
+				t.Fatalf("journal after the refused open = %q, %v; want it untouched", got, err)
+			}
+		})
+	}
+}
+
 // An experiment ID this binary does not register is refused at Submit, over
 // the API and over HTTP (400), before anything is journaled or counted, so
 // it cannot burn MaxAttempts leases on workers that cannot run it.

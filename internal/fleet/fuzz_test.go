@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // FuzzCoordinatorJournal feeds adversarial on-disk journal bytes to New and
@@ -20,6 +21,8 @@ import (
 //     lease orphaned by the restart.
 //   - A second New succeeds and leaves the file unchanged: repair and
 //     orphan recovery are idempotent.
+//   - After an open, Lease never hands out a job that was done or failed
+//     at open, however long the retry backoffs have run.
 func FuzzCoordinatorJournal(f *testing.F) {
 	submit := `{"op":"submit","id":"fj-1","spec":{"tenant":"a","experiment":"T3","quick":true}}` + "\n"
 	lease := func(attempt string) string {
@@ -34,6 +37,9 @@ func FuzzCoordinatorJournal(f *testing.F) {
 	f.Add([]byte(submit + lease("1")))
 	f.Add([]byte(submit + lease("1") + `{"op":"retry","id":"fj-1","attempt":1,"err":"x"}` + "\n" + lease("2") + lease("3")))
 	f.Add([]byte(submit + lease("1") + `{"op":"done","id":"fj-1","attempt":1,"worker":"w","output":"OUT"}` + "\n"))
+	// Transitions that end no lease: corruption.
+	f.Add([]byte(submit + `{"op":"retry","id":"fj-1","attempt":0,"err":"x"}` + "\n" +
+		`{"op":"done","id":"fj-1","attempt":1,"worker":"w","output":"OUT"}` + "\n"))
 	// Torn tails, and complete final lines that are valid JSON but not
 	// records.
 	f.Add([]byte(submit + submit[:len(submit)/2]))
@@ -49,7 +55,8 @@ func FuzzCoordinatorJournal(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cfg := testConfig(newFakeClock())
+		clk := newFakeClock()
+		cfg := testConfig(clk)
 		cfg.JournalPath = path
 		c, err := New(cfg)
 		onDisk, rerr := os.ReadFile(path)
@@ -92,7 +99,47 @@ func FuzzCoordinatorJournal(f *testing.F) {
 		if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, onDisk) {
 			t.Fatalf("second New changed the file: %q, want %q (%v)", again, onDisk, err)
 		}
+
+		leaseNeverGrantsTerminal(t, cfg, clk)
 	})
+}
+
+// leaseNeverGrantsTerminal opens the journal once more, notes every job
+// that is done or failed, and leases until nothing is granted, with every
+// retry backoff run out. Each grant is completed at once, so one worker of
+// capacity 1 drains the queue.
+func leaseNeverGrantsTerminal(t *testing.T, cfg Config, clk *fakeClock) {
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatalf("third New on a journal the first one accepted: %v", err)
+	}
+	defer c.Close()
+	terminal := map[string]JobState{}
+	for id := range c.jobs {
+		if st, err := c.Job(id); err == nil && st.State.Terminal() {
+			terminal[id] = st.State
+		}
+	}
+	if err := c.Register("oracle", 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(cfg.MaxBackoff + time.Second)
+	for range len(c.jobs) + 1 {
+		g, err := c.Lease("oracle")
+		if err != nil {
+			t.Fatalf("Lease: %v", err)
+		}
+		if g == nil {
+			return
+		}
+		if st, ok := terminal[g.JobID]; ok {
+			t.Fatalf("Lease granted %s attempt %d, which was %s at open", g.JobID, g.Attempt, st)
+		}
+		if _, err := c.Complete("oracle", g.JobID, g.Attempt, "OUT", ""); err != nil {
+			t.Fatalf("Complete(%s): %v", g.JobID, err)
+		}
+	}
+	t.Fatalf("Lease kept granting after %d jobs", len(c.jobs))
 }
 
 // tornTailStripped is data minus the final line jsonl treats as torn: an

@@ -58,10 +58,11 @@ func (c *Coordinator) appendRecLocked(rec journalRec) error {
 
 // replayRecLocked applies one journal record to coordinator state during Open.
 // Replay is strict: a record that does not compose with the state built so
-// far (duplicate submit, lease of an unknown job, done without a lease) is
-// corruption and fails the open, on the final line too. Only a final line
-// that is unterminated or not valid JSON is a torn tail, which jsonl
-// truncates; the transition it held simply re-happens live.
+// far (duplicate submit, lease of an unknown job, a retry, done or fail
+// that does not end the current lease at its attempt) is corruption and
+// fails the open, on the final line too. Only a final line that is
+// unterminated or not valid JSON is a torn tail, which jsonl truncates;
+// the transition it held simply re-happens live.
 func (c *Coordinator) replayRecLocked(rec journalRec) error {
 	switch rec.Op {
 	case "submit":
@@ -95,43 +96,35 @@ func (c *Coordinator) replayRecLocked(rec journalRec) error {
 		j.Worker = rec.Worker
 		// Expiry is left zero: wall time did not survive the restart, and
 		// recoverOrphans requeues every still-leased job anyway.
-	case "retry":
+	case "retry", "done", "fail":
 		j, ok := c.jobs[rec.ID]
 		if !ok {
-			return fmt.Errorf("retry for unknown job %s", rec.ID)
+			return fmt.Errorf("%s for unknown job %s", rec.Op, rec.ID)
 		}
-		if j.State.Terminal() {
-			return fmt.Errorf("retry for terminal job %s", rec.ID)
+		// The live coordinator writes these only to end the current
+		// lease: retry and fail from requeueLocked, done from Complete
+		// with the holder's worker and attempt.
+		if j.State != JobLeased || rec.Attempt != j.Attempt {
+			return fmt.Errorf("%s for job %s attempt %d, which is %s at attempt %d", rec.Op, rec.ID, rec.Attempt, j.State, j.Attempt)
 		}
-		j.State = JobQueued
-		j.Worker = ""
-		j.LastErr = rec.Err
-		c.enqueueLocked(j, c.cfg.now().Add(c.backoff(j.Attempt)))
-	case "done":
-		j, ok := c.jobs[rec.ID]
-		if !ok {
-			return fmt.Errorf("done for unknown job %s", rec.ID)
+		switch rec.Op {
+		case "retry":
+			j.State = JobQueued
+			j.Worker = ""
+			j.LastErr = rec.Err
+			c.enqueueLocked(j, c.cfg.now().Add(c.backoff(j.Attempt)))
+		case "done":
+			if rec.Worker != j.Worker {
+				return fmt.Errorf("done for job %s from worker %q, but attempt %d is leased to %q", rec.ID, rec.Worker, j.Attempt, j.Worker)
+			}
+			j.State = JobDone
+			j.Output = rec.Output
+			j.LastErr = ""
+		case "fail":
+			j.State = JobFailed
+			j.Worker = ""
+			j.LastErr = rec.Err
 		}
-		if j.State.Terminal() {
-			return fmt.Errorf("done for terminal job %s", rec.ID)
-		}
-		c.dequeueLocked(j)
-		j.State = JobDone
-		j.Worker = rec.Worker
-		j.Output = rec.Output
-		j.LastErr = ""
-	case "fail":
-		j, ok := c.jobs[rec.ID]
-		if !ok {
-			return fmt.Errorf("fail for unknown job %s", rec.ID)
-		}
-		if j.State.Terminal() {
-			return fmt.Errorf("fail for terminal job %s", rec.ID)
-		}
-		c.dequeueLocked(j)
-		j.State = JobFailed
-		j.Worker = ""
-		j.LastErr = rec.Err
 	default:
 		return fmt.Errorf("unknown op %q", rec.Op)
 	}
