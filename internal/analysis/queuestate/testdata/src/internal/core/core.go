@@ -12,4 +12,7 @@ func Reclaim(d *gpudev.Device) {
 	if c := d.PopUnused(); c != nil {
 		d.PushFree(c)
 	}
+	if c := d.LRUVictim(); c != nil {
+		d.TouchStretch(c, c)
+	}
 }

@@ -29,8 +29,16 @@ func Quarantine(d *gpudev.Device, c *gpudev.Chunk) {
 	d.PushPoisoned(c) // want "queue mutator PushPoisoned outside"
 }
 
-// Peek only reads; QueueLen and LRUVictim are not mutators.
+// Promote relinks a stretch of the used queue behind the driver's back:
+// only the driver knows the stretch is contiguous (a resident run).
+func Promote(d *gpudev.Device, first, last *gpudev.Chunk) {
+	d.TouchStretch(first, last) // want "queue mutator TouchStretch outside"
+}
+
+// Peek only reads; QueueLen, LRUVictim and Next are not mutators.
 func Peek(d *gpudev.Device) int {
-	_ = d.LRUVictim()
+	if c := d.LRUVictim(); c != nil {
+		_ = d.Next(c)
+	}
 	return d.QueueLen(gpudev.QueueFree)
 }

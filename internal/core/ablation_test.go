@@ -66,7 +66,7 @@ func TestParamsValidation(t *testing.T) {
 func TestImmediateReclaimAblation(t *testing.T) {
 	d := driverWithParams(t, 8, func(p *Params) { p.ImmediateReclaim = true })
 	a, _ := d.AllocManaged("a", units.BlockSize)
-	if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	chunk := a.Block(0).Chunk
@@ -83,7 +83,7 @@ func TestImmediateReclaimAblation(t *testing.T) {
 		t.Error("discarded queue should be empty")
 	}
 	// Re-access zero-fills a fresh chunk (cannot recover).
-	if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	zb, _ := d.Metrics().ZeroFills()
@@ -97,13 +97,13 @@ func TestPreparedTrackingAblation(t *testing.T) {
 	run := func(tracking bool) int64 {
 		d := driverWithParams(t, 8, func(p *Params) { p.PreparedTracking = tracking })
 		a, _ := d.AllocManaged("a", units.BlockSize)
-		if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
+		if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := d.Discard(a, 0, uint64(a.Size()), 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
+		if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err != nil {
 			t.Fatal(err)
 		}
 		zb, _ := d.Metrics().ZeroFills()
@@ -120,7 +120,7 @@ func TestPreparedTrackingAblation(t *testing.T) {
 func TestPartialDiscardAblation(t *testing.T) {
 	d := driverWithParams(t, 2, func(p *Params) { p.AllowPartialDiscard = true })
 	a, _ := d.AllocManaged("a", units.BlockSize)
-	if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Discard half the block.
@@ -137,7 +137,7 @@ func TestPartialDiscardAblation(t *testing.T) {
 	}
 	// Eviction now moves only the live half…
 	other, _ := d.AllocManaged("other", 2*units.BlockSize)
-	if _, err := d.GPUAccess(other.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccess(other, 0, uint64(other.Size()), Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Metrics().Bytes(metrics.D2H, metrics.CauseEviction); got != uint64(units.MiB) {
@@ -157,7 +157,7 @@ func TestPartialDiscardAblation(t *testing.T) {
 func TestPartialDiscardAccumulates(t *testing.T) {
 	d := driverWithParams(t, 4, func(p *Params) { p.AllowPartialDiscard = true })
 	a, _ := d.AllocManaged("a", units.BlockSize)
-	if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Discard(a, 0, uint64(units.MiB), 0); err != nil {
@@ -175,7 +175,7 @@ func TestPartialDiscardAccumulates(t *testing.T) {
 func TestPartialDiscardIgnoredByDefault(t *testing.T) {
 	d := testDriver(t, 2)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	if _, err := d.Discard(a, 0, uint64(units.MiB), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestEvictionOrderAblation(t *testing.T) {
 		}
 	})
 	a, _ := d.AllocManaged("a", units.BlockSize)
-	if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Discard(a, 0, uint64(a.Size()), 0); err != nil {
@@ -202,7 +202,7 @@ func TestEvictionOrderAblation(t *testing.T) {
 	}
 	// Stock the unused queue too.
 	aux, _ := d.AllocManaged("aux", units.BlockSize)
-	if _, err := d.GPUAccess(aux.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccess(aux, 0, uint64(aux.Size()), Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.FreeManaged(aux); err != nil {
@@ -210,11 +210,11 @@ func TestEvictionOrderAblation(t *testing.T) {
 	}
 	// One block of pressure: free queue has 1... consume it first.
 	x, _ := d.AllocManaged("x", units.BlockSize)
-	if _, err := d.GPUAccess(x.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccess(x, 0, uint64(x.Size()), Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	y, _ := d.AllocManaged("y", units.BlockSize)
-	if _, err := d.GPUAccess(y.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccess(y, 0, uint64(y.Size()), Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	// With discarded-first order, the discarded chunk went before unused.
@@ -257,7 +257,7 @@ func TestDiscardSemanticsProperty(t *testing.T) {
 				wrote = append(wrote, lastWrite)
 				writeAfterDiscard, everWrote = true, true
 			case 1: // GPU write
-				if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
+				if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err != nil {
 					return false
 				}
 				// Honor the lazy protocol: only count the write as live if
@@ -283,7 +283,7 @@ func TestDiscardSemanticsProperty(t *testing.T) {
 					writeAfterDiscard = false
 				}
 			case 4: // memory pressure
-				if _, err := d.GPUAccess(pressure.Blocks(), Write, 0); err != nil {
+				if _, err := d.GPUAccess(pressure, 0, uint64(pressure.Size()), Write, 0); err != nil {
 					return false
 				}
 			case 5: // prefetch (revives lazy discards)
@@ -343,7 +343,7 @@ func TestCoherentRemoteAccessMode(t *testing.T) {
 
 	// First two accesses: remote, no migration, no faults.
 	for i := 0; i < 2; i++ {
-		if _, err := d.GPUAccess(a.Blocks(), Read, 0); err != nil {
+		if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, 0); err != nil {
 			t.Fatal(err)
 		}
 		if a.Block(0).Residency != vaspace.CPUResident {
@@ -357,7 +357,7 @@ func TestCoherentRemoteAccessMode(t *testing.T) {
 		t.Errorf("remote accesses faulted: %d batches", batches)
 	}
 	// Third access crosses the threshold: the block migrates.
-	if _, err := d.GPUAccess(a.Blocks(), Read, 0); err != nil {
+	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, 0); err != nil {
 		t.Fatal(err)
 	}
 	if a.Block(0).Residency != vaspace.GPUResident {
@@ -386,7 +386,7 @@ func TestRemoteModeRequiresCoherentLink(t *testing.T) {
 	}
 	a, _ := d.AllocManaged("a", units.BlockSize)
 	d.CPUAccess(a.Blocks(), Write, 0)
-	if _, err := d.GPUAccess(a.Blocks(), Read, 0); err != nil {
+	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, 0); err != nil {
 		t.Fatal(err)
 	}
 	if a.Block(0).Residency != vaspace.GPUResident {
@@ -433,11 +433,11 @@ func TestNegativeRemoteThresholdRejected(t *testing.T) {
 func TestSplitMappingTLBPenalty(t *testing.T) {
 	d := driverWithParams(t, 4, func(p *Params) { p.AllowPartialDiscard = true })
 	a, _ := d.AllocManaged("a", units.BlockSize)
-	if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Baseline: resident-hit accesses are free.
-	before, err := d.GPUAccess(a.Blocks(), Read, 1000)
+	before, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestSplitMappingTLBPenalty(t *testing.T) {
 	if _, err := d.Discard(a, 0, uint64(units.MiB), 0); err != nil {
 		t.Fatal(err)
 	}
-	after, err := d.GPUAccess(a.Blocks(), Read, 2000)
+	after, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,43 +41,66 @@ func (m AccessMode) String() string {
 func (m AccessMode) reads() bool  { return m == Read || m == ReadWrite }
 func (m AccessMode) writes() bool { return m == Write || m == ReadWrite }
 
-// GPUAccess services one GPU-side access to a set of blocks during kernel
-// execution: non-resident blocks fault in (with batched fault service and
-// coalesced migrations), resident blocks update LRU recency. It returns the
-// time the access can proceed.
+// GPUAccess services one GPU-side access to [off, off+length) of
+// allocation a during kernel execution: non-resident blocks fault in (with
+// batched fault service and coalesced migrations), resident blocks update
+// LRU recency. It returns the time the access can proceed.
 //
 // Lazily discarded blocks that are still resident are touched silently —
 // the hardware has no per-PTE dirty bits, so the driver never observes the
 // access and the block stays discarded (§5.2). A write through such a
 // mapping is the protocol hazard UvmDiscardLazy documents: issue the
 // mandatory prefetch first.
-func (d *Driver) GPUAccess(blocks []*vaspace.Block, mode AccessMode, now sim.Time) (sim.Time, error) {
-	return d.GPUAccessOn(0, blocks, mode, now)
+func (d *Driver) GPUAccess(a *vaspace.Alloc, off, length uint64, mode AccessMode, now sim.Time) (sim.Time, error) {
+	return d.GPUAccessOn(0, a, off, length, nil, mode, now)
 }
 
 // GPUAccessOn is GPUAccess targeted at a specific GPU (multi-GPU systems):
-// blocks resident on a peer migrate over the peer fabric.
-func (d *Driver) GPUAccessOn(gpu int, blocks []*vaspace.Block, mode AccessMode, now sim.Time) (sim.Time, error) {
+// blocks resident on a peer migrate over the peer fabric. order, when
+// non-nil, lists the indexes of the covered blocks in the order the access
+// visits them (a Scatter pass's shuffle of the span); nil visits them in
+// address order. An access over the whole allocation in address order that
+// finds its resident run standing (run.go) is served without visiting the
+// blocks.
+func (d *Driver) GPUAccessOn(gpu int, a *vaspace.Alloc, off, length uint64, order []int, mode AccessMode, now sim.Time) (sim.Time, error) {
 	d.checkpoint("GPUAccess", now)
+	seq, err := accessSeq(a, off, length, order)
+	if err != nil {
+		return now, err
+	}
 	now = d.maybePoison(now)
-	done, err := d.ensureGPUBlocks(blocks, now, metrics.CauseFault, true, gpu)
+	if d.onRun(seq, gpu) && (a.Resident.Stale || !mode.writes()) {
+		// Every block is a clean hit: no fault, no transfer, and a write
+		// leaves every block's (already stale) host copy as it is.
+		d.touchRun(a, now, 0)
+		d.verify("GPUAccess")
+		return now, nil
+	}
+	done, err := d.ensureGPUBlocks(seq, now, metrics.CauseFault, true, gpu)
 	if err != nil {
 		return done, err
 	}
-	for _, b := range blocks {
-		if mode.reads() {
-			d.record(done, trace.GPURead, b, b.Bytes())
-		}
-		if mode.writes() {
-			d.record(done, trace.GPUWrite, b, b.Bytes())
-			if isDuplicated(b) {
-				// A write to a read-mostly duplicate collapses it: the
-				// host copy is dropped (§ SetReadMostly semantics).
-				done = d.collapseDupToGPU(b, done)
-			} else if b.Residency == vaspace.GPUResident && b.Chunk != nil {
-				b.CPUStale = true
+	if d.tr != nil || mode.writes() { // else a read changes nothing per block
+		for k := 0; k < seq.n; k++ {
+			b := seq.at(k)
+			if mode.reads() {
+				d.record(done, trace.GPURead, b, b.Bytes())
+			}
+			if mode.writes() {
+				d.record(done, trace.GPUWrite, b, b.Bytes())
+				if isDuplicated(b) {
+					// A write to a read-mostly duplicate collapses it: the
+					// host copy is dropped (§ SetReadMostly semantics).
+					done = d.collapseDupToGPU(b, done)
+				} else if b.Residency == vaspace.GPUResident && b.Chunk != nil {
+					b.CPUStale = true
+				}
 			}
 		}
+	}
+	if mode.writes() && a.Resident.On {
+		// The pass formed a run and has just made every host copy stale.
+		a.Resident.Stale = true
 	}
 	d.verify("GPUAccess")
 	return done, nil
@@ -146,12 +169,18 @@ func (d *Driver) PrefetchToGPU(a *vaspace.Alloc, off, length uint64, now sim.Tim
 // PrefetchToGPUOn prefetches toward a specific GPU.
 func (d *Driver) PrefetchToGPUOn(gpu int, a *vaspace.Alloc, off, length uint64, now sim.Time) (sim.Time, error) {
 	d.checkpoint("PrefetchToGPU", now)
-	blocks, err := a.AppendBlockRange(d.rangeScratch[:0], off, length, false)
-	d.rangeScratch = blocks[:0]
+	seq, err := accessSeq(a, off, length, nil)
 	if err != nil {
 		return now, err
 	}
-	done, err := d.ensureGPUBlocks(blocks, now, metrics.CausePrefetch, false, gpu)
+	if d.onRun(seq, gpu) {
+		// Every block is a clean hit: the prefetch only updates recency,
+		// at prefetchRecencyPerBlock of driver time per block.
+		done := d.touchRun(a, now, prefetchRecencyPerBlock)
+		d.verify("PrefetchToGPU")
+		return done, nil
+	}
+	done, err := d.ensureGPUBlocks(seq, now, metrics.CausePrefetch, false, gpu)
 	if err != nil {
 		return done, err
 	}
@@ -161,15 +190,14 @@ func (d *Driver) PrefetchToGPUOn(gpu int, a *vaspace.Alloc, off, length uint64, 
 
 // PrefetchToCPU migrates the covered blocks toward the host.
 func (d *Driver) PrefetchToCPU(a *vaspace.Alloc, off, length uint64, now sim.Time) (sim.Time, error) {
-	blocks, err := a.AppendBlockRange(d.rangeScratch[:0], off, length, false)
-	d.rangeScratch = blocks[:0]
+	first, last, err := a.BlockSpan(off, length, false)
 	if err != nil {
 		return now, err
 	}
 	cur := now
-	for _, b := range blocks {
+	for i := first; i <= last; i++ {
 		d.blockCheckpoint("PrefetchToCPU", cur)
-		cur = d.ensureCPUBlock(b, cur, metrics.CausePrefetch, false)
+		cur = d.ensureCPUBlock(a.Block(i), cur, metrics.CausePrefetch, false)
 	}
 	d.verify("PrefetchToCPU")
 	return cur, nil

@@ -54,13 +54,14 @@ func (a Advice) String() string {
 // metadata: it costs little itself and changes how later faults,
 // prefetches, and evictions treat the covered blocks.
 func (d *Driver) MemAdvise(a *vaspace.Alloc, off, length uint64, adv Advice, now sim.Time) (sim.Time, error) {
-	blocks, err := a.AppendBlockRange(d.rangeScratch[:0], off, length, false)
-	d.rangeScratch = blocks[:0]
+	first, last, err := a.BlockSpan(off, length, false)
 	if err != nil {
 		return now, err
 	}
+	d.clearRun(a)
 	cur := now
-	for _, b := range blocks {
+	for i := first; i <= last; i++ {
+		b := a.Block(i)
 		switch adv {
 		case AdviseSetPreferredCPU:
 			b.Preferred = vaspace.PreferCPU

@@ -42,7 +42,7 @@ func TestPreferredCPUServesRemotely(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		gpuAccess(t, d, a.Blocks(), Read)
+		gpuAccess(t, d, a, Read)
 		if a.Block(0).Residency != vaspace.CPUResident {
 			t.Fatalf("access %d migrated a PreferCPU block", i)
 		}
@@ -54,7 +54,7 @@ func TestPreferredCPUServesRemotely(t *testing.T) {
 	if _, err := d.MemAdvise(a, 0, uint64(a.Size()), AdviseUnsetPreferred, 0); err != nil {
 		t.Fatal(err)
 	}
-	gpuAccess(t, d, a.Blocks(), Read)
+	gpuAccess(t, d, a, Read)
 	if a.Block(0).Residency != vaspace.GPUResident {
 		t.Error("unset preference did not restore migration")
 	}
@@ -85,11 +85,11 @@ func TestPreferredGPUSkipsEviction(t *testing.T) {
 	if _, err := d.MemAdvise(pinned, 0, uint64(pinned.Size()), AdviseSetPreferredGPU, 0); err != nil {
 		t.Fatal(err)
 	}
-	gpuAccess(t, d, pinned.Blocks(), Write) // pinned is the LRU oldest
-	gpuAccess(t, d, victim.Blocks(), Write)
+	gpuAccess(t, d, pinned, Write) // pinned is the LRU oldest
+	gpuAccess(t, d, victim, Write)
 	// Pressure: 3 more blocks needed; only 2 free -> one LRU eviction.
 	big := mustAlloc(t, d, "big", 3*units.BlockSize)
-	gpuAccess(t, d, big.Blocks(), Write)
+	gpuAccess(t, d, big, Write)
 	if pinned.Block(0).Residency != vaspace.GPUResident {
 		t.Error("PreferGPU block evicted while another victim existed")
 	}
@@ -106,9 +106,9 @@ func TestPreferredGPUFallback(t *testing.T) {
 	if _, err := d.MemAdvise(a, 0, uint64(a.Size()), AdviseSetPreferredGPU, 0); err != nil {
 		t.Fatal(err)
 	}
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	b := mustAlloc(t, d, "b", units.BlockSize)
-	gpuAccess(t, d, b.Blocks(), Write) // must evict something
+	gpuAccess(t, d, b, Write) // must evict something
 	if b.Block(0).Residency != vaspace.GPUResident {
 		t.Error("allocation failed despite evictable (preferred) blocks")
 	}
@@ -123,7 +123,7 @@ func TestReadMostlyDuplication(t *testing.T) {
 	if _, err := d.MemAdvise(a, 0, uint64(a.Size()), AdviseSetReadMostly, 0); err != nil {
 		t.Fatal(err)
 	}
-	gpuAccess(t, d, a.Blocks(), Read) // duplicates H2D
+	gpuAccess(t, d, a, Read) // duplicates H2D
 	b := a.Block(0)
 	if b.Residency != vaspace.GPUResident || !b.CPUHasPages || b.CPUStale || !b.CPUMapped {
 		t.Fatalf("not duplicated: %+v", b)
@@ -141,7 +141,7 @@ func TestReadMostlyDuplication(t *testing.T) {
 
 	// Pressure: evicting the duplicate costs no transfer.
 	big := mustAlloc(t, d, "big", 4*units.BlockSize)
-	gpuAccess(t, d, big.Blocks(), Write)
+	gpuAccess(t, d, big, Write)
 	if b.Residency != vaspace.CPUResident {
 		t.Fatal("duplicate not dropped under pressure")
 	}
@@ -158,7 +158,7 @@ func TestReadMostlyDuplication(t *testing.T) {
 func TestReadMostlyDuplicatesTowardHost(t *testing.T) {
 	d := testDriver(t, 4)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write) // born on GPU
+	gpuAccess(t, d, a, Write) // born on GPU
 	if _, err := d.MemAdvise(a, 0, uint64(a.Size()), AdviseSetReadMostly, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestReadMostlyDuplicatesTowardHost(t *testing.T) {
 	}
 	// Another GPU access stays a local hit.
 	faultsBefore, _ := d.Metrics().FaultBatches()
-	gpuAccess(t, d, a.Blocks(), Read)
+	gpuAccess(t, d, a, Read)
 	faultsAfter, _ := d.Metrics().FaultBatches()
 	if faultsAfter != faultsBefore {
 		t.Error("GPU re-access of duplicate faulted")
@@ -189,8 +189,8 @@ func TestWritesCollapseDuplicate(t *testing.T) {
 	if _, err := d.MemAdvise(a, 0, uint64(a.Size()), AdviseSetReadMostly, 0); err != nil {
 		t.Fatal(err)
 	}
-	gpuAccess(t, d, a.Blocks(), Read)  // duplicate
-	gpuAccess(t, d, a.Blocks(), Write) // collapse
+	gpuAccess(t, d, a, Read)  // duplicate
+	gpuAccess(t, d, a, Write) // collapse
 	b := a.Block(0)
 	if b.CPUHasPages || b.Residency != vaspace.GPUResident {
 		t.Errorf("GPU write did not collapse host copy: %+v", b)
@@ -206,7 +206,7 @@ func TestWritesCollapseDuplicate(t *testing.T) {
 	if _, err := d2.MemAdvise(a2, 0, uint64(a2.Size()), AdviseSetReadMostly, 0); err != nil {
 		t.Fatal(err)
 	}
-	gpuAccess(t, d2, a2.Blocks(), Read) // duplicate
+	gpuAccess(t, d2, a2, Read)          // duplicate
 	d2.CPUAccess(a2.Blocks(), Write, 0) // collapse
 	b2 := a2.Block(0)
 	if b2.Residency != vaspace.CPUResident || b2.Chunk != nil {
@@ -225,7 +225,7 @@ func TestUnsetReadMostlyCollapses(t *testing.T) {
 	if _, err := d.MemAdvise(a, 0, uint64(a.Size()), AdviseSetReadMostly, 0); err != nil {
 		t.Fatal(err)
 	}
-	gpuAccess(t, d, a.Blocks(), Read)
+	gpuAccess(t, d, a, Read)
 	if _, err := d.MemAdvise(a, 0, uint64(a.Size()), AdviseUnsetReadMostly, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestDiscardOnDuplicatedBlock(t *testing.T) {
 	if _, err := d.MemAdvise(a, 0, uint64(a.Size()), AdviseSetReadMostly, 0); err != nil {
 		t.Fatal(err)
 	}
-	gpuAccess(t, d, a.Blocks(), Read)
+	gpuAccess(t, d, a, Read)
 	if _, err := d.Discard(a, 0, uint64(a.Size()), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestDiscardOnDuplicatedBlock(t *testing.T) {
 	}
 	// Pressure reclaims the chunk without a transfer.
 	big := mustAlloc(t, d, "big", 4*units.BlockSize)
-	gpuAccess(t, d, big.Blocks(), Write)
+	gpuAccess(t, d, big, Write)
 	if d.Metrics().TotalBytes(metrics.D2H) != 0 {
 		t.Error("discarded duplicate transferred on reclaim")
 	}

@@ -40,11 +40,18 @@ func TestChaosRandomFaults(t *testing.T) {
 	if *chaosSeed != 0 {
 		seeds = []uint64{*chaosSeed}
 	}
+	var runs uint64
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runChaosProgram(t, seed)
+			runs += runChaosProgram(t, seed)
 		})
+	}
+	// Runs stay on under fault injection, and the sanitizer's run check
+	// must see them: the full seed set has to take the run path.
+	t.Logf("%d accesses served through resident runs", runs)
+	if runs == 0 && len(seeds) > 1 {
+		t.Error("no access took the resident-run path")
 	}
 }
 
@@ -75,7 +82,9 @@ func chaosSchedule(rng *sim.RNG, seed uint64) *faultinject.Config {
 	return cfg
 }
 
-func runChaosProgram(t *testing.T, seed uint64) {
+// runChaosProgram runs one seeded program under its fault schedule and
+// returns how many of its accesses went through a resident run.
+func runChaosProgram(t *testing.T, seed uint64) uint64 {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	fcfg := chaosSchedule(rng, seed)
@@ -187,7 +196,7 @@ func runChaosProgram(t *testing.T, seed uint64) {
 					delete(lazyDirty, a)
 					advance(done)
 				}
-				done, err := d.GPUAccessOn(gpu, a.Blocks(), AccessMode(rng.Intn(3)), now)
+				done, err := d.GPUAccessOn(gpu, a, 0, uint64(a.Size()), nil, AccessMode(rng.Intn(3)), now)
 				if tolerateOOM(err, "gpu access", op) {
 					break
 				}
@@ -284,6 +293,7 @@ func runChaosProgram(t *testing.T, seed uint64) {
 	t.Logf("seed %d: %d migrate retries, %d unmap reissues, %d replays, %d degraded, %d poisoned",
 		seed, m.MigrateRetries(), m.UnmapRetries(), m.FaultReplays(),
 		func() int64 { n, _ := m.Degraded(); return n }(), poisonedChunks())
+	return d.runAccesses
 }
 
 func metricsDir(rng *sim.RNG) metrics.Direction {

@@ -34,13 +34,12 @@ func controlDriver(t *testing.T, blocks int, ctl *runctl.Control) *Driver {
 // times of the fill phase and of the eviction-heavy phase.
 func evictionWorkload(t *testing.T, d *Driver, a *vaspace.Alloc) (fillDone, evictDone sim.Time) {
 	t.Helper()
-	blocks := a.Blocks()
-	half := len(blocks) / 2
-	fillDone, err := d.GPUAccess(blocks[:half], Write, 0)
+	half := uint64(a.Size()) / 2
+	fillDone, err := d.GPUAccess(a, 0, half, Write, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evictDone, err = d.GPUAccess(blocks[half:], Write, fillDone)
+	evictDone, err = d.GPUAccess(a, half, half, Write, fillDone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +69,12 @@ func TestSimBudgetKillsMidEviction(t *testing.T) {
 
 	err := func() (err error) {
 		defer runctl.Recover(&err)
-		blocks := a.Blocks()
-		half := len(blocks) / 2
-		done, err := d.GPUAccess(blocks[:half], Write, 0)
+		half := uint64(a.Size()) / 2
+		done, err := d.GPUAccess(a, 0, half, Write, 0)
 		if err != nil {
 			return err
 		}
-		_, err = d.GPUAccess(blocks[half:], Write, done)
+		_, err = d.GPUAccess(a, half, half, Write, done)
 		return err
 	}()
 	i := runctl.AsInterrupt(err)
@@ -112,14 +110,14 @@ func TestCanceledContextAbortsRun(t *testing.T) {
 	a := mustAlloc(t, d, "buf", 4*units.BlockSize)
 
 	// Runs fine before the cancel.
-	done, err := d.GPUAccess(a.Blocks()[:2], Write, 0)
+	done, err := d.GPUAccess(a, 0, 2*uint64(units.BlockSize), Write, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancel()
 	err = func() (err error) {
 		defer runctl.Recover(&err)
-		_, err = d.GPUAccess(a.Blocks()[2:], Write, done)
+		_, err = d.GPUAccess(a, 2*uint64(units.BlockSize), 2*uint64(units.BlockSize), Write, done)
 		return err
 	}()
 	i := runctl.AsInterrupt(err)
@@ -146,7 +144,7 @@ func TestWallDeadlineKillsRunaway(t *testing.T) {
 		defer runctl.Recover(&err)
 		var now sim.Time
 		for i := 0; i < 10_000; i++ {
-			now, err = d.GPUAccess(a.Blocks(), Write, now)
+			now, err = d.GPUAccess(a, 0, uint64(a.Size()), Write, now)
 			if err != nil {
 				return err
 			}

@@ -30,16 +30,16 @@ func (d *Driver) discard(a *vaspace.Alloc, off, length uint64, now sim.Time, laz
 	// The driver prefers whole 2 MiB regions and ignores partial ones to
 	// avoid splitting big mappings (§5.4); the AllowPartialDiscard
 	// ablation splits instead.
-	whole, err := a.AppendBlockRange(d.rangeScratch[:0], off, length, true)
-	d.rangeScratch = whole[:0]
+	first, last, err := a.BlockSpan(off, length, true)
 	if err != nil {
 		return now, err
 	}
+	d.clearRun(a)
 	cur := now
 	covered := 0
-	for _, b := range whole {
+	for i := first; i <= last; i++ {
 		var ok bool
-		cur, ok = d.discardBlock(b, cur, lazy)
+		cur, ok = d.discardBlock(a.Block(i), cur, lazy)
 		if ok {
 			covered++
 		}
@@ -113,13 +113,13 @@ func (d *Driver) discardBlock(b *vaspace.Block, now sim.Time, lazy bool) (sim.Ti
 // accumulated partial discards kill a whole block, a DiscardLazy call must
 // still defer the unmap to reclamation rather than paying it eagerly.
 func (d *Driver) discardPartialEdges(a *vaspace.Alloc, off, length uint64, now sim.Time, lazy bool) sim.Time {
-	blocks, err := a.AppendBlockRange(d.edgeScratch[:0], off, length, false)
-	d.edgeScratch = blocks[:0]
-	if err != nil || len(blocks) == 0 {
+	first, last, err := a.BlockSpan(off, length, false)
+	if err != nil {
 		return now
 	}
 	cur := now
-	for _, b := range blocks {
+	for i := first; i <= last; i++ {
+		b := a.Block(i)
 		lo := uint64(b.Index) * uint64(units.BlockSize)
 		hi := lo + uint64(b.Bytes())
 		covLo, covHi := max64(lo, off), min64(hi, off+length)

@@ -99,25 +99,15 @@ type Driver struct {
 	blockPolls int
 	simLimit   sim.Time
 
-	// Scratch buffers reused across driver operations so the hot path does
-	// not allocate per access. The rules (DESIGN.md §15): a scratch is
-	// valid only for the duration of one public driver operation, is
-	// always re-sliced to [:0] before use, and no callee may retain a
-	// reference past the operation. rangeScratch backs the block lists the
-	// CUDA-facing entry points build; edgeScratch backs discard's partial-
-	// edge list, which must coexist with the whole-block list of the same
-	// call; runScratch backs the per-run block list of coalesced
-	// transfers in ensureGPUBlocks (only materialized when tracing).
-	rangeScratch []*vaspace.Block
-	edgeScratch  []*vaspace.Block
-	runScratch   []*vaspace.Block
+	// forming is the allocation whose resident run the current
+	// ensureGPUBlocks pass may form, or nil; clearRun resets it when the
+	// pass evicts one of that allocation's chunks (run.go). Same
+	// single-threaded rule.
+	forming *vaspace.Alloc
+	// runAccesses counts the accesses served through a resident run, so
+	// the randomized tests can show they take that path. Same rule.
+	runAccesses uint64
 }
-
-// scratchCap is the initial capacity of the driver's scratch block slices:
-// 256 blocks covers a 512 MiB operation range, comfortably beyond the
-// prefetch/discard windows the workloads issue, at 2 KiB per slice. Larger
-// ranges still work — the slice grows once and keeps the larger backing.
-const scratchCap = 256
 
 // Interconnects are immutable after construction (pcie.Link has no
 // setters), so every driver shares one instance instead of rebuilding it
@@ -202,13 +192,6 @@ func New(cfg Config) (*Driver, error) {
 		simLimit: cfg.Control.SimLimit(),
 		dma:      sim.NewEngine("dma"),
 		peer:     sim.NewEngine("peer-fabric"),
-		// Pre-size the range scratch for a typical prefetch/discard window
-		// (scratchCap blocks) so per-driver first use does not replay the
-		// whole append growth chain — experiment sweeps build thousands of
-		// short-lived drivers and pay that chain once each otherwise.
-		// edgeScratch and runScratch stay nil: most runs never take the
-		// partial-edge or traced paths that fill them.
-		rangeScratch: make([]*vaspace.Block, 0, scratchCap),
 	}, nil
 }
 
@@ -368,6 +351,7 @@ func (d *Driver) FreeManaged(a *vaspace.Alloc) error {
 	if a.Freed() {
 		return fmt.Errorf("core: free of already-freed %s", a.Name())
 	}
+	d.clearRun(a)
 	for i := 0; i < a.NumBlocks(); i++ {
 		b := a.Block(i)
 		if b.Chunk != nil {

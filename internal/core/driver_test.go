@@ -35,9 +35,10 @@ func mustAlloc(t *testing.T, d *Driver, name string, size units.Size) *vaspace.A
 	return a
 }
 
-func gpuAccess(t *testing.T, d *Driver, blocks []*vaspace.Block, mode AccessMode) {
+// gpuAccess runs one GPU access over the whole of a at time zero.
+func gpuAccess(t *testing.T, d *Driver, a *vaspace.Alloc, mode AccessMode) {
 	t.Helper()
-	if _, err := d.GPUAccess(blocks, mode, 0); err != nil {
+	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), mode, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -76,7 +77,7 @@ func TestFigure1Lifecycle(t *testing.T) {
 	}
 
 	// GPU access is now a local hit: no new faults or transfers.
-	gpuAccess(t, d, a.Blocks(), Read)
+	gpuAccess(t, d, a, Read)
 	if batches, _ := d.Metrics().FaultBatches(); batches != 0 {
 		t.Errorf("resident access faulted: %d batches", batches)
 	}
@@ -104,7 +105,7 @@ func TestFigure1Lifecycle(t *testing.T) {
 func TestFirstTouchOnGPUZeroFills(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "tmp", 3*units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	if d.Metrics().Traffic() != 0 {
 		t.Errorf("first GPU touch moved %d bytes over PCIe", d.Metrics().Traffic())
 	}
@@ -131,14 +132,14 @@ func TestFigure2RedundantPingPong(t *testing.T) {
 	other := mustAlloc(t, d, "other", 3*units.BlockSize)
 
 	// GPU writes short-lived data to tmp.
-	gpuAccess(t, d, tmp.Blocks(), Write)
+	gpuAccess(t, d, tmp, Write)
 	// Pressure: other needs 3 chunks; only 1 free -> 2 LRU evictions.
-	gpuAccess(t, d, other.Blocks(), Write)
+	gpuAccess(t, d, other, Write)
 	if got := d.Metrics().Bytes(metrics.D2H, metrics.CauseEviction); got != uint64(2*units.BlockSize) {
 		t.Fatalf("eviction D2H = %d bytes", got)
 	}
 	// tmp is re-accessed (overwritten): evicted blocks migrate back.
-	gpuAccess(t, d, tmp.Blocks(), Write)
+	gpuAccess(t, d, tmp, Write)
 	if got := d.Metrics().Bytes(metrics.H2D, metrics.CauseFault); got == 0 {
 		t.Fatal("no fault-driven H2D on re-access")
 	}
@@ -156,7 +157,7 @@ func TestFigure2DiscardEliminatesRMTs(t *testing.T) {
 	tmp := mustAlloc(t, d, "tmp", 3*units.BlockSize)
 	other := mustAlloc(t, d, "other", 3*units.BlockSize)
 
-	gpuAccess(t, d, tmp.Blocks(), Write)
+	gpuAccess(t, d, tmp, Write)
 	if _, err := d.Discard(tmp, 0, uint64(tmp.Size()), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestFigure2DiscardEliminatesRMTs(t *testing.T) {
 		t.Fatalf("discarded queue = %d", d.Device().QueueLen(gpudev.QueueDiscarded))
 	}
 	// Pressure: eviction reclaims discarded chunks without transfers.
-	gpuAccess(t, d, other.Blocks(), Write)
+	gpuAccess(t, d, other, Write)
 	if got := d.Metrics().Bytes(metrics.D2H, metrics.CauseEviction); got != 0 {
 		t.Fatalf("eviction transferred %d bytes despite discard", got)
 	}
@@ -178,7 +179,7 @@ func TestFigure2DiscardEliminatesRMTs(t *testing.T) {
 	// Re-accessing tmp allocates fresh zeroed chunks: no H2D at all. (Live
 	// "other" data may be LRU-evicted to make room — that D2H is genuine,
 	// not an RMT.)
-	gpuAccess(t, d, tmp.Blocks(), Write)
+	gpuAccess(t, d, tmp, Write)
 	if d.Metrics().TotalBytes(metrics.H2D) != 0 {
 		t.Errorf("H2D traffic = %d despite discard", d.Metrics().TotalBytes(metrics.H2D))
 	}
@@ -192,11 +193,11 @@ func TestEvictionOrder(t *testing.T) {
 	b := mustAlloc(t, d, "b", units.BlockSize)
 	c := mustAlloc(t, d, "c", 2*units.BlockSize)
 
-	gpuAccess(t, d, a.Blocks(), Write) // a on used queue
-	gpuAccess(t, d, b.Blocks(), Write) // b on used queue
+	gpuAccess(t, d, a, Write) // a on used queue
+	gpuAccess(t, d, b, Write) // b on used queue
 	// Free an allocation to stock the unused queue.
 	aux := mustAlloc(t, d, "aux", units.BlockSize)
-	gpuAccess(t, d, aux.Blocks(), Write)
+	gpuAccess(t, d, aux, Write)
 	if err := d.FreeManaged(aux); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestEvictionOrder(t *testing.T) {
 	// c needs two chunks; free queue is empty (4 = a + b + aux-freed + 1
 	// free... recount: 4 total; a=1, b=1, aux freed->unused=1, free=1).
 	// First chunk: free queue. Second: unused queue. Third (none needed).
-	gpuAccess(t, d, c.Blocks(), Write)
+	gpuAccess(t, d, c, Write)
 	if d.Metrics().Evictions(metrics.EvictUnused) != 1 {
 		t.Errorf("unused evictions = %d, want 1", d.Metrics().Evictions(metrics.EvictUnused))
 	}
@@ -220,13 +221,13 @@ func TestEvictionOrder(t *testing.T) {
 	}
 	// One more block of pressure: now the discarded queue supplies it.
 	e := mustAlloc(t, d, "e", units.BlockSize)
-	gpuAccess(t, d, e.Blocks(), Write)
+	gpuAccess(t, d, e, Write)
 	if d.Metrics().Evictions(metrics.EvictDiscarded) != 1 {
 		t.Errorf("discarded evictions = %d, want 1", d.Metrics().Evictions(metrics.EvictDiscarded))
 	}
 	// And further pressure falls back to LRU swap-out.
 	f := mustAlloc(t, d, "f", units.BlockSize)
-	gpuAccess(t, d, f.Blocks(), Write)
+	gpuAccess(t, d, f, Write)
 	if d.Metrics().Evictions(metrics.EvictLRU) != 1 {
 		t.Errorf("LRU evictions = %d, want 1", d.Metrics().Evictions(metrics.EvictLRU))
 	}
@@ -240,7 +241,7 @@ func TestEvictionOrder(t *testing.T) {
 func TestAccessAfterEagerDiscardRecovers(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	chunk := a.Block(0).Chunk
 
 	if _, err := d.Discard(a, 0, uint64(a.Size()), 0); err != nil {
@@ -254,7 +255,7 @@ func TestAccessAfterEagerDiscardRecovers(t *testing.T) {
 	}
 
 	// Re-access before any pressure: same chunk recovered, remapped.
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	if a.Block(0).Chunk != chunk {
 		t.Error("recovery did not reuse the same chunk")
 	}
@@ -281,7 +282,7 @@ func TestAccessAfterEagerDiscardRecovers(t *testing.T) {
 func TestPrefetchAfterLazyDiscardIsCheap(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 
 	if _, err := d.DiscardLazy(a, 0, uint64(a.Size()), 0); err != nil {
 		t.Fatal(err)
@@ -316,7 +317,7 @@ func TestPrefetchAfterLazyDiscardIsCheap(t *testing.T) {
 func TestLazyDiscardWriteWithoutPrefetchLosesData(t *testing.T) {
 	d := testDriver(t, 2)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	a.Data()[0] = 0xAB // functional payload written by the kernel
 
 	if _, err := d.DiscardLazy(a, 0, uint64(a.Size()), 0); err != nil {
@@ -325,7 +326,7 @@ func TestLazyDiscardWriteWithoutPrefetchLosesData(t *testing.T) {
 	// Protocol violation: the GPU writes new data without the mandatory
 	// prefetch. No fault occurs (mappings intact) and the driver never
 	// learns the block is live again.
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	a.Data()[0] = 0xCD // the new value
 	if !a.Block(0).Discarded {
 		t.Fatal("silent access must not clear the discard state")
@@ -334,7 +335,7 @@ func TestLazyDiscardWriteWithoutPrefetchLosesData(t *testing.T) {
 	// Memory pressure reclaims the chunk without a transfer: the new
 	// value is lost — reads observe zeros.
 	other := mustAlloc(t, d, "other", 2*units.BlockSize)
-	gpuAccess(t, d, other.Blocks(), Write)
+	gpuAccess(t, d, other, Write)
 	if a.Data()[0] != 0 {
 		t.Errorf("data survived reclaim: %#x (hazard not modeled)", a.Data()[0])
 	}
@@ -351,17 +352,17 @@ func TestLazyDiscardWriteWithoutPrefetchLosesData(t *testing.T) {
 func TestLazyDiscardWithPrefetchKeepsData(t *testing.T) {
 	d := testDriver(t, 3)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	if _, err := d.DiscardLazy(a, 0, uint64(a.Size()), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.PrefetchToGPU(a, 0, uint64(a.Size()), 0); err != nil {
 		t.Fatal(err)
 	}
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	a.Data()[0] = 0xCD
 	other := mustAlloc(t, d, "other", 2*units.BlockSize)
-	gpuAccess(t, d, other.Blocks(), Write) // pressure
+	gpuAccess(t, d, other, Write) // pressure
 	if a.Data()[0] != 0xCD {
 		t.Errorf("data lost despite correct protocol: %#x", a.Data()[0])
 	}
@@ -385,7 +386,7 @@ func TestWriteAfterDiscardVisibleOnCPU(t *testing.T) {
 	}
 	// Migrate to GPU and back: the value must survive (a real transfer
 	// must happen).
-	gpuAccess(t, d, a.Blocks(), Read)
+	gpuAccess(t, d, a, Read)
 	d.CPUAccess(a.Blocks(), Read, 0)
 	if a.Data()[7] != 0x22 {
 		t.Errorf("value = %#x, want 0x22", a.Data()[7])
@@ -403,7 +404,7 @@ func TestDiscardedCPUBlockSkipsH2D(t *testing.T) {
 		t.Fatal(err)
 	}
 	// GPU access: driver skips the migration and zero-fills.
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	if d.Metrics().TotalBytes(metrics.H2D) != 0 {
 		t.Errorf("H2D = %d despite discard", d.Metrics().TotalBytes(metrics.H2D))
 	}
@@ -424,7 +425,7 @@ func uint8Len(a *vaspace.Alloc) uint64 { return uint64(a.Size()) }
 func TestDiscardIgnoresPartialBlocks(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "a", 4*units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	// Discard [1MiB, 5MiB): only block 1 is fully covered.
 	if _, err := d.Discard(a, uint64(units.MiB), uint64(4*units.MiB), 0); err != nil {
 		t.Fatal(err)
@@ -444,7 +445,7 @@ func TestDiscardIgnoresPartialBlocks(t *testing.T) {
 func TestDiscardIdempotent(t *testing.T) {
 	d := testDriver(t, 4)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	for i := 0; i < 3; i++ {
 		if _, err := d.Discard(a, 0, uint64(a.Size()), 0); err != nil {
 			t.Fatal(err)
@@ -475,7 +476,7 @@ func TestFreeManagedReleasesResources(t *testing.T) {
 	d := testDriver(t, 4)
 	a := mustAlloc(t, d, "a", 2*units.BlockSize)
 	d.CPUAccess(a.Blocks(), Write, 0)
-	gpuAccess(t, d, a.Blocks(), Read)
+	gpuAccess(t, d, a, Read)
 	if err := d.FreeManaged(a); err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +521,7 @@ func TestOutOfGPUMemory(t *testing.T) {
 	}
 	defer d.FreeDevice(chunks)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	if _, err := d.GPUAccess(a.Blocks(), Write, 0); err == nil {
+	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err == nil {
 		t.Error("expected out-of-memory error")
 	}
 }
@@ -583,7 +584,9 @@ func TestLRUThrashing(t *testing.T) {
 	// 2x capacity, every access in every pass misses.
 	for pass := 0; pass < 2; pass++ {
 		for _, b := range a.Blocks() {
-			gpuAccess(t, d, []*vaspace.Block{b}, Read)
+			if _, err := d.GPUAccess(a, uint64(b.Index)*uint64(units.BlockSize), uint64(units.BlockSize), Read, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	h2d := d.Metrics().TotalBytes(metrics.H2D)

@@ -185,6 +185,7 @@ func (d *Driver) maybePoison(now sim.Time) sim.Time {
 // but *recorded* as loss, never silent.
 func (d *Driver) poisonChunk(gpu int, c *gpudev.Chunk, now sim.Time) sim.Time {
 	b := c.Owner.(*vaspace.Block)
+	d.clearRun(b.Alloc)
 	dev := d.devs[gpu]
 	dev.Detach(c)
 	cur := d.unmapBlock(dev, now)

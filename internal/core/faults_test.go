@@ -46,7 +46,7 @@ func TestMigrateRetryDegradesAfterBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := d.CPUAccess(a.Blocks(), Write, 0)
-	done, err := d.GPUAccess(a.Blocks(), Read, now)
+	done, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestMigrateRetryDegradesAfterBudget(t *testing.T) {
 	}
 	// A faulting re-access goes remote without re-attempting the migration.
 	preRetries := d.Metrics().MigrateRetries()
-	if _, err := d.GPUAccess(a.Blocks(), Read, done); err != nil {
+	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, done); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Metrics().MigrateRetries(); got != preRetries {
@@ -92,7 +92,7 @@ func TestPrefetchClearsDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := d.CPUAccess(a.Blocks(), Write, 0)
-	now, err = d.GPUAccess(a.Blocks(), Read, now)
+	now, err = d.GPUAccess(a, 0, uint64(a.Size()), Read, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestUnmapRetryAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now, err := d.GPUAccess(a.Blocks(), Write, 0)
+	now, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestFaultBufferOverflowReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	// 6 faulted blocks over a 2-block buffer: (6-1)/2 = 2 replay rounds.
@@ -174,7 +174,7 @@ func TestPoisonQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := d.CPUAccess(a.Blocks(), Write, 0)
-	now, err = d.GPUAccess(a.Blocks(), Read, now)
+	now, err = d.GPUAccess(a, 0, uint64(a.Size()), Read, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestPoisonDataLost(t *testing.T) {
 	for i := range data {
 		data[i] = 0xAB
 	}
-	now, err := d.GPUAccess(a.Blocks(), Write, 0)
+	now, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestRetryDeterminism(t *testing.T) {
 		var now sim.Time
 		for i := 0; i < 30; i++ {
 			now = d.CPUAccess(a.Blocks(), Write, now)
-			if now, err = d.GPUAccess(a.Blocks(), ReadWrite, now); err != nil {
+			if now, err = d.GPUAccess(a, 0, uint64(a.Size()), ReadWrite, now); err != nil {
 				t.Fatal(err)
 			}
 			if now, err = d.Discard(a, 0, uint64(a.Size()), now); err != nil {
@@ -372,7 +372,7 @@ func TestDegradationWindowSlowsTransfers(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := d.CPUAccess(a.Blocks(), Write, 0)
-		done, err := d.GPUAccess(a.Blocks(), Read, start)
+		done, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, start)
 		if err != nil {
 			t.Fatal(err)
 		}

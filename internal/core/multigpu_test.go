@@ -31,7 +31,7 @@ func peerDriver(t *testing.T, blocks, peerBlocks int) *Driver {
 func TestDiscardOnPeerGPU(t *testing.T) {
 	d := peerDriver(t, 8, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	if _, err := d.GPUAccessOn(1, a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccessOn(1, a, 0, uint64(a.Size()), nil, Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	b := a.Block(0)
@@ -55,7 +55,7 @@ func TestDiscardOnPeerGPU(t *testing.T) {
 
 	// Re-access on the same peer recovers the chunk in place (§5.7):
 	// back on the used queue, no cross-GPU traffic.
-	if _, err := d.GPUAccessOn(1, a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccessOn(1, a, 0, uint64(a.Size()), nil, Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := peer.QueueLen(gpudev.QueueUsed); got != 1 {
@@ -76,14 +76,14 @@ func TestDiscardOnPeerGPU(t *testing.T) {
 func TestPeerDeadSkipsTransfer(t *testing.T) {
 	d := peerDriver(t, 8, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	if _, err := d.GPUAccessOn(1, a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccessOn(1, a, 0, uint64(a.Size()), nil, Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Discard(a, 0, uint64(units.BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := d.GPUAccessOn(0, a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccessOn(0, a, 0, uint64(a.Size()), nil, Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	b := a.Block(0)
@@ -111,10 +111,10 @@ func TestPeerDeadSkipsTransfer(t *testing.T) {
 func TestPeerMigrationPaysTransfer(t *testing.T) {
 	d := peerDriver(t, 8, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	if _, err := d.GPUAccessOn(1, a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccessOn(1, a, 0, uint64(a.Size()), nil, Write, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.GPUAccessOn(0, a.Blocks(), Read, 0); err != nil {
+	if _, err := d.GPUAccessOn(0, a, 0, uint64(a.Size()), nil, Read, 0); err != nil {
 		t.Fatal(err)
 	}
 	if bytes, ops := d.Metrics().Peer(); bytes != uint64(units.BlockSize) || ops != 1 {
@@ -133,7 +133,7 @@ func TestPeerMigrationPaysTransfer(t *testing.T) {
 func TestLazyDiscardOnPeerDefersUnmap(t *testing.T) {
 	d := peerDriver(t, 8, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	if _, err := d.GPUAccessOn(1, a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccessOn(1, a, 0, uint64(a.Size()), nil, Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.DiscardLazy(a, 0, uint64(units.BlockSize), 0); err != nil {
@@ -148,7 +148,7 @@ func TestLazyDiscardOnPeerDefersUnmap(t *testing.T) {
 
 	// Touch on GPU 0: the peer chunk is reclaimed (actPeerDead) and the
 	// deferred unmap comes due now (§5.6).
-	if _, err := d.GPUAccessOn(0, a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccessOn(0, a, 0, uint64(a.Size()), nil, Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Metrics().Unmaps(); got != unmapsBefore+1 {
@@ -166,8 +166,8 @@ func TestSanitizerByteConservationAcrossDevices(t *testing.T) {
 	d := peerDriver(t, 8, 4)
 	a := mustAlloc(t, d, "a", 2*units.BlockSize)
 	p := mustAlloc(t, d, "p", 2*units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
-	if _, err := d.GPUAccessOn(1, p.Blocks(), Write, 0); err != nil {
+	gpuAccess(t, d, a, Write)
+	if _, err := d.GPUAccessOn(1, p, 0, uint64(p.Size()), nil, Write, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A cudaMalloc buffer on the primary exercises the detached-chunk
@@ -185,8 +185,11 @@ func TestSanitizerByteConservationAcrossDevices(t *testing.T) {
 	d.DeviceAt(1).Detach(p.Block(0).Chunk)
 	mustViolate(t, d, "GPU 1", "no queue")
 
-	// Repair and re-verify, then free the device buffer.
+	// Repair and re-verify, then free the device buffer. The repair
+	// restores the used queue's exact order (block 0 before block 1), which
+	// p's resident run relies on.
 	d.DeviceAt(1).PushUsed(p.Block(0).Chunk)
+	d.DeviceAt(1).Touch(p.Block(1).Chunk)
 	if err := d.CheckNow(); err != nil {
 		t.Fatal(err)
 	}

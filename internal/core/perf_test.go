@@ -28,13 +28,13 @@ func benchDriver(b *testing.B, blocks int) (*Driver, *vaspace.Alloc) {
 
 func BenchmarkDriverResidentHit(b *testing.B) {
 	d, a := benchDriver(b, 256)
-	if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err != nil {
 		b.Fatal(err)
 	}
 	blocks := a.Blocks()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.GPUAccess(blocks, Read, 0); err != nil {
+		if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func BenchmarkDriverMigrationPingPong(b *testing.B) {
 	d.CPUAccess(blocks, Write, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.GPUAccess(blocks, Read, 0); err != nil {
+		if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, 0); err != nil {
 			b.Fatal(err)
 		}
 		d.CPUAccess(blocks, Read, 0)
@@ -57,7 +57,7 @@ func BenchmarkDriverMigrationPingPong(b *testing.B) {
 
 func BenchmarkDriverDiscardRecover(b *testing.B) {
 	d, a := benchDriver(b, 256)
-	if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err != nil {
 		b.Fatal(err)
 	}
 	size := uint64(a.Size())
@@ -87,7 +87,7 @@ func BenchmarkDriverEvictionChurn(b *testing.B) {
 	d.CPUAccess(blocks, Write, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.GPUAccess(blocks, Read, 0); err != nil {
+		if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

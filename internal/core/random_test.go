@@ -23,16 +23,25 @@ import (
 //     pinned never exceeds resident.
 //  4. Virtual time never goes backwards.
 //  5. No operation fails (the GPUs always have evictable capacity).
+//  6. The programs take the resident-run path (run.go), so the sanitizer's
+//     run check sees standing runs after every operation.
 func TestRandomProgramInvariants(t *testing.T) {
+	var runs uint64
 	for seed := uint64(1); seed <= 12; seed++ {
 		seed := seed
 		t.Run("", func(t *testing.T) {
-			runRandomProgram(t, seed)
+			runs += runRandomProgram(t, seed)
 		})
+	}
+	t.Logf("%d accesses served through resident runs", runs)
+	if runs == 0 {
+		t.Error("no access took the resident-run path")
 	}
 }
 
-func runRandomProgram(t *testing.T, seed uint64) {
+// runRandomProgram runs one seeded program and returns how many of its
+// accesses went through a resident run.
+func runRandomProgram(t *testing.T, seed uint64) uint64 {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	host := hostmem.New(2 * units.GiB)
@@ -99,7 +108,7 @@ func runRandomProgram(t *testing.T, seed uint64) {
 			if a := randAlloc(); a != nil {
 				gpu := rng.Intn(d.NumGPUs())
 				mode := AccessMode(rng.Intn(3))
-				done, err := d.GPUAccessOn(gpu, a.Blocks(), mode, now)
+				done, err := d.GPUAccessOn(gpu, a, 0, uint64(a.Size()), nil, mode, now)
 				if err != nil {
 					t.Fatalf("seed %d op %d: gpu access: %v", seed, op, err)
 				}
@@ -162,6 +171,7 @@ func runRandomProgram(t *testing.T, seed uint64) {
 		}
 		checkGlobalInvariants(t, d, allocs, seed, op)
 	}
+	return d.runAccesses
 }
 
 func checkGlobalInvariants(t *testing.T, d *Driver, allocs []*vaspace.Alloc, seed uint64, op int) {

@@ -15,7 +15,7 @@ import (
 func TestPartialDiscardKeepsLazyFlag(t *testing.T) {
 	d := driverWithParams(t, 4, func(p *Params) { p.AllowPartialDiscard = true })
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 
 	// Two lazy half-block discards accumulate to a whole dead block.
 	if _, err := d.DiscardLazy(a, 0, uint64(units.MiB), 0); err != nil {
@@ -40,7 +40,7 @@ func TestPartialDiscardKeepsLazyFlag(t *testing.T) {
 
 	// Eager partial discards must still be eager.
 	a2 := mustAlloc(t, d, "a2", units.BlockSize)
-	gpuAccess(t, d, a2.Blocks(), Write)
+	gpuAccess(t, d, a2, Write)
 	if _, err := d.Discard(a2, 0, uint64(units.MiB), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestFreeDeviceDoubleFree(t *testing.T) {
 func TestEvictPartialBlockCreditsSavedD2H(t *testing.T) {
 	d := driverWithParams(t, 2, func(p *Params) { p.AllowPartialDiscard = true })
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 
 	// Kill half the block; the other half stays live.
 	if _, err := d.Discard(a, 0, uint64(units.MiB), 0); err != nil {
@@ -128,7 +128,7 @@ func TestEvictPartialBlockCreditsSavedD2H(t *testing.T) {
 
 	// Force an LRU eviction of the split block.
 	other := mustAlloc(t, d, "other", 2*units.BlockSize)
-	gpuAccess(t, d, other.Blocks(), Write)
+	gpuAccess(t, d, other, Write)
 
 	moved := d.Metrics().Bytes(metrics.D2H, metrics.CauseEviction)
 	if moved != uint64(units.MiB) {
@@ -150,7 +150,7 @@ func TestEvictPartialBlockCreditsSavedD2H(t *testing.T) {
 func TestFreeManagedClearsDeferredUnmap(t *testing.T) {
 	d := testDriver(t, 4)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	if _, err := d.DiscardLazy(a, 0, uint64(units.BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestFreeManagedClearsDeferredUnmap(t *testing.T) {
 func TestPartialDiscardSplitChargedOnce(t *testing.T) {
 	d := driverWithParams(t, 4, func(p *Params) { p.AllowPartialDiscard = true })
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	quarter := uint64(units.BlockSize) / 4
 
 	// First partial discard splits the mapping: one unmap + one remap.

@@ -95,6 +95,7 @@ func (d *Driver) assign(c *gpudev.Chunk, b *vaspace.Block) *gpudev.Chunk {
 // D2H.
 func (d *Driver) reclaimDiscarded(c *gpudev.Chunk, now sim.Time) sim.Time {
 	vb := c.Owner.(*vaspace.Block)
+	d.clearRun(vb.Alloc)
 	cur := now
 	if c.NeedsUnmapOnReclaim {
 		cur = d.unmapBlock(d.devs[vb.GPUIndex], cur)
@@ -122,6 +123,7 @@ func (d *Driver) reclaimDiscarded(c *gpudev.Chunk, now sim.Time) sim.Time {
 // operation.
 func (d *Driver) evictUsed(c *gpudev.Chunk, now sim.Time) sim.Time {
 	vb := c.Owner.(*vaspace.Block)
+	d.clearRun(vb.Alloc)
 	dev := d.devs[vb.GPUIndex]
 	dev.Detach(c)
 
@@ -260,23 +262,36 @@ func (d *Driver) remoteAccessEnabled() bool {
 	return d.link.Coherent() && d.p.RemoteAccessMigrateThreshold > 0
 }
 
-// ensureGPUBlocks makes every block GPU-resident (or leaves it silently
-// discarded in the lazy-hazard case), in slice order, coalescing contiguous
-// host-to-device migrations into single DMA operations. When viaFault is
-// true the blocks arrive via GPU page faults and fault-servicing costs are
-// charged in batches of Params.FaultBatchBlocks.
+// ensureGPUBlocks makes every block of seq GPU-resident (or leaves it
+// silently discarded in the lazy-hazard case), in visit order, coalescing
+// contiguous host-to-device migrations into single DMA operations. When
+// viaFault is true the blocks arrive via GPU page faults and fault-servicing
+// costs are charged in batches of Params.FaultBatchBlocks.
+//
+// The pass clears the allocation's resident run, and forms it again when it
+// visits every block in address order, every block ends a clean hit, and
+// none of the allocation's chunks was evicted on the way (run.go). The
+// stretch is then contiguous by construction: each block's chunk was
+// touched or pushed to the MRU end in block order, and nothing else was
+// pushed in between.
 //
 // It returns the completion time of the last operation.
-func (d *Driver) ensureGPUBlocks(blocks []*vaspace.Block, now sim.Time, cause metrics.Cause, viaFault bool, gpu int) (sim.Time, error) {
+func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause, viaFault bool, gpu int) (sim.Time, error) {
 	cur := now
 	dev := d.devs[gpu]
+	d.clearRun(seq.a)
+	d.forming = nil
+	clean, stale := seq.whole(), true
+	if clean {
+		d.forming = seq.a
+	}
 
 	// Fault service cost: replayable faults are reported in batches; the
 	// driver pays a batch latency plus per-block work (§2.2).
 	if viaFault {
 		misses := 0
-		for _, b := range blocks {
-			if d.classifyForGPU(b, gpu, viaFault).faults() {
+		for k := 0; k < seq.n; k++ {
+			if d.classifyForGPU(seq.at(k), gpu, viaFault).faults() {
 				misses++
 			}
 		}
@@ -304,11 +319,11 @@ func (d *Driver) ensureGPUBlocks(blocks []*vaspace.Block, now sim.Time, cause me
 	// State transitions + data movement, with H2D coalescing across
 	// consecutive full-block transfers. Per-block bookkeeping (map counts,
 	// trace records) amortizes into the same per-run flush the DMA
-	// reservation already uses; the run's block list is only materialized
-	// when a trace recorder needs it, via the driver's run scratch.
+	// reservation already uses. A coalesced run is the runCount blocks
+	// visited from position runStart on: a block that joins no run flushes
+	// the pending one first.
 	var runBytes units.Size
-	var runCount int
-	d.runScratch = d.runScratch[:0] // may hold stale blocks after an aborted run
+	var runCount, runStart int
 	flush := func() {
 		if runBytes == 0 {
 			return
@@ -317,14 +332,17 @@ func (d *Driver) ensureGPUBlocks(blocks []*vaspace.Block, now sim.Time, cause me
 		cur = end
 		d.m.AddTransfer(metrics.H2D, cause, uint64(runBytes))
 		d.m.AddMap(runCount)
-		for _, rb := range d.runScratch {
-			d.record(cur, trace.TransferH2D, rb, rb.Bytes())
+		if d.tr != nil {
+			for k := runStart; k < runStart+runCount; k++ {
+				rb := seq.at(k)
+				d.record(cur, trace.TransferH2D, rb, rb.Bytes())
+			}
 		}
 		runBytes, runCount = 0, 0
-		d.runScratch = d.runScratch[:0]
 	}
 
-	for _, b := range blocks {
+	for k := 0; k < seq.n; k++ {
+		b := seq.at(k)
 		d.blockCheckpoint("ensure-gpu", cur)
 		act := d.classifyForGPU(b, gpu, viaFault)
 		if act != actTransfer || b.LivePages > 0 {
@@ -401,6 +419,7 @@ func (d *Driver) ensureGPUBlocks(blocks []*vaspace.Block, now sim.Time, cause me
 				cur = ready
 				if !ok {
 					cur = d.degradeToHost(b, cur)
+					clean = false
 					continue
 				}
 			}
@@ -423,11 +442,11 @@ func (d *Driver) ensureGPUBlocks(blocks []*vaspace.Block, now sim.Time, cause me
 				// the copy engine (unlike recovery remaps, which sit on the
 				// critical path), so only the bookkeeping is counted — and
 				// that bookkeeping amortizes into the run's flush.
+				if runCount == 0 {
+					runStart = k
+				}
 				runBytes += b.Bytes()
 				runCount++
-				if d.tr != nil {
-					d.runScratch = append(d.runScratch, b)
-				}
 				chunk.PreparedPages = units.PagesPerBlock
 			}
 			b.GPUIndex = gpu
@@ -450,8 +469,15 @@ func (d *Driver) ensureGPUBlocks(blocks []*vaspace.Block, now sim.Time, cause me
 			b.RemoteAccesses = 0
 			dev.PushUsed(b.Chunk)
 		}
+		if clean {
+			clean, stale = cleanHit(b, gpu), stale && b.CPUStale
+		}
 	}
 	flush()
+	if clean && d.forming == seq.a {
+		seq.a.Resident = vaspace.ResidentRun{On: true, GPU: gpu, Stale: stale}
+	}
+	d.forming = nil
 	return cur, nil
 }
 
@@ -566,6 +592,7 @@ func (d *Driver) populateZeroed(b *vaspace.Block, gpu int, now sim.Time) (sim.Ti
 // GPU-resident blocks are *duplicated* to the host on reads rather than
 // migrated (the write-intent collapse happens in CPUAccess).
 func (d *Driver) ensureCPUBlock(b *vaspace.Block, now sim.Time, cause metrics.Cause, forWrite bool) sim.Time {
+	d.clearRun(b.Alloc)
 	cur := now
 	switch b.Residency {
 	case vaspace.CPUResident:

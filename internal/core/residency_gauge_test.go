@@ -12,7 +12,7 @@ import (
 func TestPublishResidencyMirrorsQueues(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "buf", 3*units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 
 	d.PublishResidency()
 	res := d.Metrics().DeviceResidency()

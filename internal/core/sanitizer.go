@@ -24,7 +24,11 @@ import (
 //     no GPU mappings left (a touch must fault, §5.1), a lazily discarded
 //     resident block keeps its mappings and carries the deferred-unmap
 //     marker (§5.2/§5.6), and NeedsUnmapOnReclaim never appears on a chunk
-//     that is not lazily discarded.
+//     that is not lazily discarded;
+//   - every standing resident run (run.go) holds: each block of its
+//     allocation is a clean hit on the run's GPU, the blocks' chunks lie
+//     contiguously on that GPU's used queue in block order, and the stale
+//     flag is set only if every block's host copy is stale.
 //
 // Violations panic with a diagnostic naming the offending alloc, block,
 // and chunk — the class of bug PR 1 had to find by hand-written regression
@@ -173,6 +177,9 @@ func (d *Driver) checkBlocks() error {
 				wantPinned += b.Bytes()
 			}
 		}
+		if err := d.checkRun(a); err != nil {
+			return err
+		}
 	}
 	if got := d.host.Resident(); got != wantResident {
 		return fmt.Errorf("sanitizer: host accounting: %s resident but live blocks claim %s",
@@ -264,6 +271,38 @@ func (d *Driver) checkBlock(b *vaspace.Block) error {
 			return fmt.Errorf("sanitizer: untouched %s has physical state (chunk=%v pages=%v pinned=%v gpuMap=%v cpuMap=%v discarded=%v degraded=%v)",
 				blockName(b), chunkID(b.Chunk), b.CPUHasPages, b.CPUPinned, b.GPUMapped, b.CPUMapped, b.Discarded, b.Degraded)
 		}
+	}
+	return nil
+}
+
+// checkRun validates a's resident run, if one stands. The blocks'
+// per-block checks have already passed, so a clean hit's chunk sits on the
+// used queue of its GPU.
+func (d *Driver) checkRun(a *vaspace.Alloc) error {
+	r := a.Resident
+	if !r.On {
+		return nil
+	}
+	if r.GPU < 0 || r.GPU >= len(d.devs) {
+		return fmt.Errorf("sanitizer: resident run of alloc %q claims GPU %d of %d", a.Name(), r.GPU, len(d.devs))
+	}
+	dev := d.devs[r.GPU]
+	var prev *gpudev.Chunk
+	for i := 0; i < a.NumBlocks(); i++ {
+		b := a.Block(i)
+		if !cleanHit(b, r.GPU) {
+			return fmt.Errorf("sanitizer: resident run on GPU %d covers %s, which is not a clean hit there (%v on GPU %d, discarded=%v livePages=%d readMostly=%v)",
+				r.GPU, blockName(b), b.Residency, b.GPUIndex, b.Discarded, b.LivePages, b.ReadMostly)
+		}
+		if prev != nil && dev.Next(prev) != b.Chunk {
+			return fmt.Errorf("sanitizer: resident run on GPU %d is not contiguous: %s does not follow block %d on the used queue",
+				r.GPU, blockName(b), i-1)
+		}
+		if r.Stale && !b.CPUStale {
+			return fmt.Errorf("sanitizer: resident run on GPU %d claims every host copy stale, but %s's is not",
+				r.GPU, blockName(b))
+		}
+		prev = b.Chunk
 	}
 	return nil
 }

@@ -31,7 +31,7 @@ func mustViolate(t *testing.T, d *Driver, wants ...string) {
 func TestSanitizerCleanState(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "a", 2*units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	if _, err := d.Discard(a, 0, uint64(units.BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +47,8 @@ func TestSanitizerDetectsOwnerMismatch(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
 	b := mustAlloc(t, d, "b", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
-	gpuAccess(t, d, b.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
+	gpuAccess(t, d, b, Write)
 
 	// Point a's chunk at b's block: the back-pointer no longer matches.
 	a.Block(0).Chunk.Owner = b.Block(0)
@@ -58,7 +58,7 @@ func TestSanitizerDetectsOwnerMismatch(t *testing.T) {
 func TestSanitizerDetectsStrayDeferredUnmap(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 
 	// A live used chunk must never carry the lazy-discard marker: at
 	// reclaim it would charge an unmap that was never deferred.
@@ -69,7 +69,7 @@ func TestSanitizerDetectsStrayDeferredUnmap(t *testing.T) {
 func TestSanitizerDetectsLeakedChunk(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 
 	// Pull the chunk off every queue without tracking it as a device
 	// buffer: it has escaped the allocator.
@@ -91,7 +91,7 @@ func TestSanitizerDetectsHostAccountingDrift(t *testing.T) {
 func TestSanitizerDetectsEagerDiscardStillMapped(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	if _, err := d.Discard(a, 0, uint64(units.BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSanitizerDetectsEagerDiscardStillMapped(t *testing.T) {
 func TestSanitizerDetectsLostLazyMarker(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	if _, err := d.DiscardLazy(a, 0, uint64(units.BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSanitizerDetectsLostLazyMarker(t *testing.T) {
 func TestSanitizerDetectsQueueMismatch(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	if _, err := d.Discard(a, 0, uint64(units.BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestVerifyPanicsWithOperationName(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
 	b := mustAlloc(t, d, "b", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 
 	a.Block(0).Chunk.NeedsUnmapOnReclaim = true
 
@@ -160,7 +160,7 @@ func TestVerifyPanicsWithOperationName(t *testing.T) {
 func TestPanicOnSilentReuse(t *testing.T) {
 	d := driverWithParams(t, 8, func(p *Params) { p.PanicOnSilentReuse = true })
 	a := mustAlloc(t, d, "hazard", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	if _, err := d.DiscardLazy(a, 0, uint64(units.BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestPanicOnSilentReuse(t *testing.T) {
 			t.Fatalf("panic %v does not describe the protocol violation", r)
 		}
 	}()
-	if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
+	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -185,14 +185,14 @@ func TestPanicOnSilentReuse(t *testing.T) {
 func TestPanicOnSilentReuseAllowsPrefetchProtocol(t *testing.T) {
 	d := driverWithParams(t, 8, func(p *Params) { p.PanicOnSilentReuse = true })
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	if _, err := d.DiscardLazy(a, 0, uint64(units.BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.PrefetchToGPU(a, 0, uint64(units.BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
-	gpuAccess(t, d, a.Blocks(), Write)
+	gpuAccess(t, d, a, Write)
 	if err := d.CheckNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestSanitizerSamplingStride(t *testing.T) {
 	}
 	a := mustAlloc(t, d, "a", units.BlockSize)
 	b := mustAlloc(t, d, "b", units.BlockSize)
-	gpuAccess(t, d, a.Blocks(), Write) // op 1
+	gpuAccess(t, d, a, Write) // op 1
 	a.Block(0).Chunk.NeedsUnmapOnReclaim = true
 
 	panicked := make(chan bool, 1)

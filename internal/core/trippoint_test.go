@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"uvmdiscard/internal/faultinject"
+	"uvmdiscard/internal/gpudev"
+	"uvmdiscard/internal/pcie"
 	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
@@ -15,13 +19,14 @@ import (
 // ladder cuts through.
 type tripScenario struct {
 	gpuBlocks, allocBlocks int
+	faults                 *faultinject.Config
 	setup                  func(d *Driver, a *vaspace.Alloc) (sim.Time, error)
 	run                    func(d *Driver, a *vaspace.Alloc, now sim.Time) (sim.Time, error)
 }
 
 // writeAllOnGPU makes every block of a GPU-resident and dirty.
 func writeAllOnGPU(d *Driver, a *vaspace.Alloc) (sim.Time, error) {
-	return d.GPUAccess(a.Blocks(), Write, 0)
+	return d.GPUAccess(a, 0, uint64(a.Size()), Write, 0)
 }
 
 var tripScenarios = map[string]tripScenario{
@@ -31,10 +36,10 @@ var tripScenarios = map[string]tripScenario{
 	"ensure-gpu": {
 		gpuBlocks: 32, allocBlocks: 96,
 		setup: func(d *Driver, a *vaspace.Alloc) (sim.Time, error) {
-			return d.GPUAccess(a.Blocks()[:32], Write, 0)
+			return d.GPUAccess(a, 0, 32*uint64(units.BlockSize), Write, 0)
 		},
 		run: func(d *Driver, a *vaspace.Alloc, now sim.Time) (sim.Time, error) {
-			return d.GPUAccess(a.Blocks()[32:], Write, now)
+			return d.GPUAccess(a, 32*uint64(units.BlockSize), 64*uint64(units.BlockSize), Write, now)
 		},
 	},
 	// Host-resident runs separated by untouched blocks: each untouched
@@ -51,7 +56,7 @@ var tripScenarios = map[string]tripScenario{
 			return d.CPUAccessRange(a, 41*uint64(units.BlockSize), 40*uint64(units.BlockSize), Write, now)
 		},
 		run: func(d *Driver, a *vaspace.Alloc, now sim.Time) (sim.Time, error) {
-			return d.GPUAccess(a.Blocks()[:82], Read, now)
+			return d.GPUAccess(a, 0, 82*uint64(units.BlockSize), Read, now)
 		},
 	},
 	// Every block is GPU-resident and dirty, so host access and prefetch to
@@ -70,15 +75,62 @@ var tripScenarios = map[string]tripScenario{
 			return d.PrefetchToCPU(a, 0, uint64(a.Size()), now)
 		},
 	},
+	// The write pass forms a resident run, so the prefetch goes through
+	// it: its block checkpoints are crossed arithmetically, at a time that
+	// grows by the recency cost per block.
+	"run-prefetch": {
+		gpuBlocks: 96, allocBlocks: 96,
+		setup: writeAllOnGPU,
+		run: func(d *Driver, a *vaspace.Alloc, now sim.Time) (sim.Time, error) {
+			return d.PrefetchToGPU(a, 0, uint64(a.Size()), now)
+		},
+	},
+	// A kernel access through a resident run sees one sim time at every
+	// block checkpoint. An ECC poison of another buffer's chunk, drawn
+	// after the entry checkpoint, moves that time past the budget while
+	// the run stands, so the trip lands on the run's first checkpoint.
+	"run-kernel": {
+		gpuBlocks: 96, allocBlocks: 8,
+		faults: &faultinject.Config{Seed: 7, PoisonProb: 1},
+		setup: func(d *Driver, a *vaspace.Alloc) (sim.Time, error) {
+			o, err := d.AllocManaged("other", 80*units.BlockSize)
+			if err != nil {
+				return 0, err
+			}
+			now, err := d.GPUAccess(o, 0, uint64(o.Size()), Write, 0)
+			if err != nil {
+				return now, err
+			}
+			return d.GPUAccess(a, 0, uint64(a.Size()), Write, now)
+		},
+		run: func(d *Driver, a *vaspace.Alloc, now sim.Time) (sim.Time, error) {
+			if !a.Resident.On {
+				return now, fmt.Errorf("setup left no resident run")
+			}
+			done, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, now)
+			if err == nil && !a.Resident.On {
+				err = fmt.Errorf("the poison hit the run's own buffer: pick another seed")
+			}
+			return done, err
+		},
+	},
 }
 
 // runTripScenario runs a scenario under ctl and returns the setup and run
 // completion times and the interrupt that stopped it, if any.
 func runTripScenario(t *testing.T, sc tripScenario, ctl *runctl.Control) (setupDone, runDone sim.Time, trip *runctl.Interrupt) {
 	t.Helper()
-	d := controlDriver(t, sc.gpuBlocks, ctl)
+	d, err := New(Config{
+		GPU:     gpudev.Generic(units.Size(sc.gpuBlocks) * units.BlockSize),
+		Link:    pcie.Preset(pcie.Gen4),
+		Control: ctl,
+		Faults:  sc.faults,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := mustAlloc(t, d, "buf", units.Size(sc.allocBlocks)*units.BlockSize)
-	err := func() (err error) {
+	err = func() (err error) {
 		defer runctl.Recover(&err)
 		if setupDone, err = sc.setup(d, a); err != nil {
 			return err
@@ -141,6 +193,23 @@ func TestSimBudgetTripPoints(t *testing.T) {
 		{"PrefetchToCPU", 5, "PrefetchToCPU", 7913384},
 		{"PrefetchToCPU", 6, "PrefetchToCPU", 9138632},
 		{"PrefetchToCPU", 7, "PrefetchToCPU", 10363880},
+		// Recorded with the per-block loop, before resident runs existed.
+		{"run-prefetch", 0, "ensure-gpu", 1685440},
+		{"run-prefetch", 1, "ensure-gpu", 1690240},
+		{"run-prefetch", 2, "ensure-gpu", 1695040},
+		{"run-prefetch", 3, "ensure-gpu", 1699840},
+		{"run-prefetch", 4, "ensure-gpu", 1704640},
+		{"run-prefetch", 5, "ensure-gpu", 1709440},
+		{"run-prefetch", 6, "ensure-gpu", 1714240},
+		{"run-prefetch", 7, "ensure-gpu", 1719040},
+		{"run-kernel", 0, "ensure-gpu", 1561520},
+		{"run-kernel", 1, "ensure-gpu", 1561520},
+		{"run-kernel", 2, "ensure-gpu", 1561520},
+		{"run-kernel", 3, "ensure-gpu", 1561520},
+		{"run-kernel", 4, "ensure-gpu", 1561520},
+		{"run-kernel", 5, "ensure-gpu", 1561520},
+		{"run-kernel", 6, "ensure-gpu", 1561520},
+		{"run-kernel", 7, "ensure-gpu", 1561520},
 	}
 	// A live context keeps the cancel poll on the path without tripping it.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -170,7 +239,7 @@ func TestCancelSeenWithinBlockStride(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	d := controlDriver(t, blocks, runctl.New(ctx, 0, 0))
 	a := mustAlloc(t, d, "buf", blocks*units.BlockSize)
-	done, err := d.GPUAccess(a.Blocks(), Write, 0)
+	done, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,15 +40,11 @@ type Context struct {
 	streams  []*Stream
 	rng      *sim.RNG
 
-	// Scratch block slices reused across kernel launches and host
-	// accesses, so translating an access range to its block list does not
-	// allocate per call (the context, like the driver, is single-threaded
-	// per run). blockScratch holds the current access's in-order blocks;
-	// orderScratch holds the shuffled visit order of a Scatter access and
-	// is re-copied from blockScratch each pass. Neither survives past the
-	// driver call that consumes it.
-	blockScratch []*vaspace.Block
-	orderScratch []*vaspace.Block
+	// orderScratch holds the shuffled block indexes of a Scatter access's
+	// current pass, reused across launches so a pass does not allocate
+	// (the context, like the driver, is single-threaded per run). It does
+	// not survive past the driver call that consumes it.
+	orderScratch []int
 }
 
 // NewContext builds a runtime context from a driver configuration.
@@ -65,18 +61,12 @@ func NewContext(cfg core.Config) (*Context, error) {
 		}
 		computes[i] = sim.NewEngine(name)
 	}
-	// Pre-size the block scratch for a typical kernel-access window so a
-	// fresh context's first launches do not replay the append growth chain
-	// (experiment sweeps build one context per table cell). orderScratch
-	// stays nil: only Scatter kernels fill it.
-	const scratchCap = 256
 	return &Context{
-		drv:          drv,
-		clock:        sim.NewClock(),
-		computes:     computes,
-		streams:      make([]*Stream, 0, 4),
-		rng:          sim.NewRNG(1),
-		blockScratch: make([]*vaspace.Block, 0, scratchCap),
+		drv:      drv,
+		clock:    sim.NewClock(),
+		computes: computes,
+		streams:  make([]*Stream, 0, 4),
+		rng:      sim.NewRNG(1),
 	}, nil
 }
 

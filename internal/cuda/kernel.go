@@ -2,11 +2,11 @@ package cuda
 
 import (
 	"fmt"
+	"slices"
 
 	"uvmdiscard/internal/core"
 	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
-	"uvmdiscard/internal/vaspace"
 )
 
 // Access declares one memory range a kernel touches and how — the
@@ -67,8 +67,7 @@ func (s *Stream) Launch(k Kernel) error {
 		if length == 0 {
 			length = acc.Buf.Size() - acc.Offset
 		}
-		blocks, err := acc.Buf.alloc.AppendBlockRange(s.ctx.blockScratch[:0], acc.Offset, length, false)
-		s.ctx.blockScratch = blocks[:0]
+		first, last, err := acc.Buf.alloc.BlockSpan(acc.Offset, length, false)
 		if err != nil {
 			return fmt.Errorf("cuda: kernel %s: %w", k.Name, err)
 		}
@@ -77,12 +76,12 @@ func (s *Stream) Launch(k Kernel) error {
 			passes = 1
 		}
 		for p := 0; p < passes; p++ {
-			order := blocks
+			var order []int
 			if acc.Scatter {
-				s.ctx.orderScratch = shuffleBlocksInto(s.ctx.rng, s.ctx.orderScratch[:0], blocks)
+				s.ctx.orderScratch = shuffleSpanInto(s.ctx.rng, s.ctx.orderScratch[:0], first, last)
 				order = s.ctx.orderScratch
 			}
-			done, err := s.ctx.drv.GPUAccessOn(k.GPU, order, acc.Mode, cur)
+			done, err := s.ctx.drv.GPUAccessOn(k.GPU, acc.Buf.alloc, acc.Offset, length, order, acc.Mode, cur)
 			if err != nil {
 				return fmt.Errorf("cuda: kernel %s: %w", k.Name, err)
 			}
@@ -100,13 +99,15 @@ func (s *Stream) Launch(k Kernel) error {
 	return nil
 }
 
-// shuffleBlocksInto appends src to dst and Fisher-Yates-shuffles it in
-// place, drawing the exact Intn sequence RNG.Perm draws — applying the same
-// swaps to a copy of src yields element-for-element the order the old
-// Perm-indexed shuffle produced, without allocating the index array or a
-// fresh output slice per pass.
-func shuffleBlocksInto(rng *sim.RNG, dst, src []*vaspace.Block) []*vaspace.Block {
-	dst = append(dst, src...)
+// shuffleSpanInto appends the block indexes first..last to dst and
+// Fisher-Yates-shuffles them in place, drawing the exact Intn sequence
+// RNG.Perm draws, so a pass visits the span in the order a Perm of it
+// gives, without allocating a permutation per pass.
+func shuffleSpanInto(rng *sim.RNG, dst []int, first, last int) []int {
+	dst = slices.Grow(dst, last-first+1) // one allocation at most, not a growth chain
+	for i := first; i <= last; i++ {
+		dst = append(dst, i)
+	}
 	for i := len(dst) - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
 		dst[i], dst[j] = dst[j], dst[i]

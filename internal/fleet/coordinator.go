@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -90,9 +91,12 @@ func New(cfg Config) (*Coordinator, error) {
 		if j.State != JobLeased {
 			continue
 		}
-		c.ctr.OrphanedLeases++
 		c.logf("fleet: job %s attempt %d orphaned by restart (was on %s); requeueing", j.ID, j.Attempt, j.Worker)
-		c.requeueLocked(j, fmt.Sprintf("lease lost: coordinator restarted during attempt %d on worker %s", j.Attempt, j.Worker), now)
+		if err := c.requeueLocked(j, fmt.Sprintf("lease lost: coordinator restarted during attempt %d on worker %s", j.Attempt, j.Worker), now); err != nil {
+			// Only a journaled coordinator can fail an append.
+			return nil, errors.Join(fmt.Errorf("fleet: requeue orphaned job %s: %w", j.ID, err), c.ap.Close())
+		}
+		c.ctr.OrphanedLeases++
 	}
 	return c, nil
 }
@@ -378,7 +382,9 @@ func (c *Coordinator) Complete(workerName, jobID string, attempt int, output, er
 	}
 	if errMsg != "" {
 		c.logf("fleet: job %s attempt %d failed on %s: %s", jobID, attempt, workerName, errMsg)
-		c.requeueLocked(j, errMsg, now)
+		if err := c.requeueLocked(j, errMsg, now); err != nil {
+			return "", err
+		}
 		if j.State == JobFailed {
 			return CompleteFailedPermanent, nil
 		}
@@ -460,13 +466,16 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 			if w.Live && now.Before(j.Expiry) {
 				continue
 			}
-			c.ctr.LeasesExpired++
 			reason := fmt.Sprintf("lease expired during attempt %d on worker %s", j.Attempt, j.Worker)
 			if !w.Live {
 				reason = fmt.Sprintf("worker %s died during attempt %d", j.Worker, j.Attempt)
 			}
 			c.logf("fleet: job %s: %s", j.ID, reason)
-			c.requeueLocked(j, reason, now)
+			if err := c.requeueLocked(j, reason, now); err != nil {
+				c.logf("fleet: job %s stays leased: journaling its requeue failed: %v", j.ID, err)
+				continue
+			}
+			c.ctr.LeasesExpired++
 		}
 	}
 }
@@ -474,29 +483,36 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 // requeueLocked ends the current attempt with errMsg and either requeues
 // the job behind an exponential-backoff gate or, with the retry budget
 // spent, fails it permanently. The last error is preserved either way.
-func (c *Coordinator) requeueLocked(j *jobRec, errMsg string, now time.Time) {
+// Like Submit, Lease and Complete, it journals first: when the append
+// fails it changes nothing and returns the error, so the job stays leased
+// in memory as the journal says it is. The appender then refuses every
+// later append, so the coordinator makes no progress until it is
+// restarted, and replay recovers the lease as an orphan.
+func (c *Coordinator) requeueLocked(j *jobRec, errMsg string, now time.Time) error {
+	fail := j.Attempt >= c.cfg.MaxAttempts
+	op := "retry"
+	if fail {
+		op = "fail"
+	}
+	if err := c.appendRecLocked(journalRec{Op: op, ID: j.ID, Attempt: j.Attempt, Err: errMsg}); err != nil {
+		return err
+	}
 	if w := c.workers[j.Worker]; w != nil {
 		delete(w.Active, j.ID)
 	}
 	j.LastErr = errMsg
 	j.Expiry = time.Time{}
-	if j.Attempt >= c.cfg.MaxAttempts {
-		if err := c.appendRecLocked(journalRec{Op: "fail", ID: j.ID, Attempt: j.Attempt, Err: errMsg}); err != nil {
-			c.logf("fleet: job %s: journaling permanent failure: %v", j.ID, err)
-		}
+	j.Worker = ""
+	if fail {
 		j.State = JobFailed
-		j.Worker = ""
 		c.ctr.RetriesExhausted++
 		c.logf("fleet: job %s failed permanently after %d attempts: %s", j.ID, j.Attempt, errMsg)
-		return
-	}
-	if err := c.appendRecLocked(journalRec{Op: "retry", ID: j.ID, Attempt: j.Attempt, Err: errMsg}); err != nil {
-		c.logf("fleet: job %s: journaling retry: %v", j.ID, err)
+		return nil
 	}
 	j.State = JobQueued
-	j.Worker = ""
 	c.ctr.Requeues++
 	c.enqueueLocked(j, now.Add(c.backoff(j.Attempt)))
+	return nil
 }
 
 // backoff is the requeue delay after `attempts` consumed attempts:

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -454,6 +455,64 @@ func TestWorkerDeathExpiresLeasesImmediately(t *testing.T) {
 	}
 }
 
+// A requeue whose journal append fails changes nothing in memory, as a
+// failed Submit, Lease or Complete does: the expired job stays leased to its
+// worker, uncounted, and the appender refuses every later append. After a
+// restart, replay recovers the lease as an orphan. Before, the failed retry
+// append still requeued the job, so the next Lease could journal attempt 2
+// right after lease 1 — a journal that replay must refuse.
+func TestRequeueAppendFailureChangesNothing(t *testing.T) {
+	clk := newFakeClock()
+	path := filepath.Join(t.TempDir(), "fleet.journal")
+	cfg := testConfig(clk)
+	cfg.JournalPath = path
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegister(t, c, "w1", 1)
+	st := mustSubmit(t, c, "acme", "T3")
+	g := mustLease(t, c, "w1")
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Break the journal: every append from here on fails.
+	c.ap.Close()
+	clk.Advance(cfg.LeaseTTL + time.Second)
+	fs := c.State()
+	if fs.Counters.LeasesExpired != 0 || fs.Counters.Requeues != 0 {
+		t.Fatalf("counters after a failed requeue = %+v, want no expiry or requeue counted", fs.Counters)
+	}
+	job, err := c.Job(st.ID)
+	if err != nil || job.State != JobLeased || job.Attempt != g.Attempt || job.Worker != "w1" {
+		t.Fatalf("job after a failed requeue = %+v, %v; want still leased to w1 at attempt %d", job, err, g.Attempt)
+	}
+	if _, err := c.Complete("w1", g.JobID, g.Attempt, "", "boom"); err == nil {
+		t.Fatal("a failed attempt was recorded without a journal")
+	}
+	if job, _ := c.Job(st.ID); job.State != JobLeased {
+		t.Fatalf("job after an unjournaled failure report is %s, want leased", job.State)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("journal changed after the failure: %q, %v; want %q", after, err, before)
+	}
+
+	// Restart: replay finds the lease and requeues it as an orphan.
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	job, err = c2.Job(st.ID)
+	if err != nil || job.State != JobQueued || job.Attempt != g.Attempt {
+		t.Fatalf("job after restart = %+v, %v; want queued after attempt %d", job, err, g.Attempt)
+	}
+	if n := c2.State().Counters.OrphanedLeases; n != 1 {
+		t.Fatalf("restart recovered %d orphaned leases, want 1", n)
+	}
+}
+
 func TestJournalReplayAcrossRestart(t *testing.T) {
 	clk := newFakeClock()
 	dir := t.TempDir()
@@ -631,6 +690,9 @@ func TestJournalRefusesTransitionsWithoutLease(t *testing.T) {
 		"done for a later attempt": lease + `{"op":"done","id":"fj-1","attempt":2,"worker":"w","output":"OUT"}` + "\n",
 		"done from another worker": lease + `{"op":"done","id":"fj-1","attempt":1,"worker":"v","output":"OUT"}` + "\n",
 		"retry twice":              lease + strings.Repeat(`{"op":"retry","id":"fj-1","attempt":1,"err":"x"}`+"\n", 2),
+		// The live Lease grants only queued jobs; a second lease would
+		// silently supersede the first.
+		"lease while leased": lease + `{"op":"lease","id":"fj-1","attempt":2,"worker":"v"}` + "\n",
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "fleet.journal")

@@ -34,8 +34,15 @@ func FuzzCoordinatorJournal(f *testing.F) {
 	// torn write.
 	f.Add([]byte(submit + `{"op":"lease","id":"fj-9","attempt":1,"worker":"w"}` + "\n"))
 	// Orphaned leases, requeued on open, then with the retry budget spent.
+	retry := func(attempt string) string {
+		return `{"op":"retry","id":"fj-1","attempt":` + attempt + `,"err":"x"}` + "\n"
+	}
 	f.Add([]byte(submit + lease("1")))
-	f.Add([]byte(submit + lease("1") + `{"op":"retry","id":"fj-1","attempt":1,"err":"x"}` + "\n" + lease("2") + lease("3")))
+	f.Add([]byte(submit + lease("1") + retry("1") + lease("2") + retry("2") + lease("3")))
+	// A lease of a job that is already leased: corruption, with or without
+	// a retry before it.
+	f.Add([]byte(submit + lease("1") + `{"op":"lease","id":"fj-1","attempt":2,"worker":"v"}` + "\n"))
+	f.Add([]byte(submit + lease("1") + retry("1") + lease("2") + lease("3")))
 	f.Add([]byte(submit + lease("1") + `{"op":"done","id":"fj-1","attempt":1,"worker":"w","output":"OUT"}` + "\n"))
 	// Transitions that end no lease: corruption.
 	f.Add([]byte(submit + `{"op":"retry","id":"fj-1","attempt":0,"err":"x"}` + "\n" +

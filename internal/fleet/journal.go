@@ -58,11 +58,11 @@ func (c *Coordinator) appendRecLocked(rec journalRec) error {
 
 // replayRecLocked applies one journal record to coordinator state during Open.
 // Replay is strict: a record that does not compose with the state built so
-// far (duplicate submit, lease of an unknown job, a retry, done or fail
-// that does not end the current lease at its attempt) is corruption and
-// fails the open, on the final line too. Only a final line that is
-// unterminated or not valid JSON is a torn tail, which jsonl truncates;
-// the transition it held simply re-happens live.
+// far (duplicate submit, lease of an unknown job or of one that is not
+// queued, a retry, done or fail that does not end the current lease at its
+// attempt) is corruption and fails the open, on the final line too. Only a
+// final line that is unterminated or not valid JSON is a torn tail, which
+// jsonl truncates; the transition it held simply re-happens live.
 func (c *Coordinator) replayRecLocked(rec journalRec) error {
 	switch rec.Op {
 	case "submit":
@@ -84,8 +84,10 @@ func (c *Coordinator) replayRecLocked(rec journalRec) error {
 		if !ok {
 			return fmt.Errorf("lease for unknown job %s", rec.ID)
 		}
-		if j.State.Terminal() {
-			return fmt.Errorf("lease for terminal job %s", rec.ID)
+		// The live Lease grants only queued jobs: a lease of a leased job
+		// would silently supersede the current one.
+		if j.State != JobQueued {
+			return fmt.Errorf("lease for job %s, which is %s", rec.ID, j.State)
 		}
 		if rec.Attempt != j.Attempt+1 {
 			return fmt.Errorf("lease for job %s skips attempt (have %d, record %d)", rec.ID, j.Attempt, rec.Attempt)

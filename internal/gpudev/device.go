@@ -209,6 +209,44 @@ func (d *Device) Touch(c *Chunk) {
 	d.PushUsed(c)
 }
 
+// TouchStretch records a use of every chunk of the used-queue stretch that
+// runs from first to last in list order (LRU to MRU), moving the stretch to
+// the MRU end in the same order: the queue Touch on each chunk of it in
+// turn would leave, at O(1) cost. The caller guarantees that first..last is
+// a contiguous stretch of the used queue; the device cannot check that
+// without walking it.
+func (d *Device) TouchStretch(first, last *Chunk) {
+	if first.queue != QueueUsed || last.queue != QueueUsed {
+		panic(fmt.Sprintf("gpudev: touch of stretch %d..%d on queues %v..%v", first.id, last.id, first.queue, last.queue))
+	}
+	l := &d.used
+	if l.tail == last.id {
+		return // already MRU: relinking would be the identity
+	}
+	// last is not the tail, so last.next exists and the tail lies beyond
+	// the stretch: unlink first..last, then hang it after the tail.
+	if first.prev != noChunk {
+		d.chunks[first.prev].next = last.next
+	} else {
+		l.head = last.next
+	}
+	d.chunks[last.next].prev = first.prev
+	first.prev = l.tail
+	d.chunks[l.tail].next = first.id
+	last.next = noChunk
+	l.tail = last.id
+}
+
+// Next returns the chunk after c on c's queue (toward the MRU end of the
+// used queue), or nil when c is the last one. It only reads the links; the
+// core sanitizer uses it to check that a stretch is contiguous.
+func (d *Device) Next(c *Chunk) *Chunk {
+	if c.next == noChunk {
+		return nil
+	}
+	return &d.chunks[c.next]
+}
+
 // EachUsed visits used-queue chunks from LRU to MRU; fn returning false
 // stops the walk.
 func (d *Device) EachUsed(fn func(*Chunk) bool) { d.used.forEach(d.chunks, fn) }

@@ -1,6 +1,7 @@
 package gpudev
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -147,6 +148,58 @@ func TestLRUOrder(t *testing.T) {
 	if d.LRUVictim() != cs[0] {
 		t.Error("after touching all, cs[0] should again be LRU victim")
 	}
+}
+
+// TestTouchStretchEqualsTouchingEachChunk relinks every contiguous stretch
+// of a six-chunk used queue and requires the queue Touch on each of its
+// chunks in turn leaves, with Next agreeing with the walk.
+func TestTouchStretchEqualsTouchingEachChunk(t *testing.T) {
+	const n = 6
+	build := func() (*Device, []*Chunk) {
+		d := newTestDevice(t, n+1, 0)
+		cs := make([]*Chunk, n)
+		for i := range cs {
+			cs[i] = d.PopFree()
+			d.PushUsed(cs[i])
+		}
+		return d, cs
+	}
+	usedIDs := func(d *Device) []int32 { return d.AppendQueueIDs(nil, QueueUsed) }
+	for lo := 0; lo < n; lo++ {
+		for hi := lo; hi < n; hi++ {
+			ref, rcs := build()
+			for i := lo; i <= hi; i++ {
+				ref.Touch(rcs[i])
+			}
+			d, cs := build()
+			d.TouchStretch(cs[lo], cs[hi])
+			want, got := usedIDs(ref), usedIDs(d)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("stretch %d..%d: used queue %v, want %v", lo, hi, got, want)
+			}
+			if err := d.CheckInvariants(); err != nil {
+				t.Fatalf("stretch %d..%d: %v", lo, hi, err)
+			}
+			for i, id := range got {
+				next := d.Next(&d.chunks[id])
+				if i == len(got)-1 {
+					if next != nil {
+						t.Fatalf("stretch %d..%d: Next of the MRU chunk is %d, want nil", lo, hi, next.ID())
+					}
+				} else if next == nil || int32(next.ID()) != got[i+1] {
+					t.Fatalf("stretch %d..%d: Next of chunk %d disagrees with the queue %v", lo, hi, id, got)
+				}
+			}
+		}
+	}
+	d, cs := build()
+	c := d.PopFree()
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic touching a stretch that ends off the used queue")
+		}
+	}()
+	d.TouchStretch(cs[0], c)
 }
 
 func TestTouchPanicsOffUsedQueue(t *testing.T) {

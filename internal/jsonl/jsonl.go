@@ -33,6 +33,11 @@ import (
 type Appender struct {
 	mu sync.Mutex
 	f  *os.File
+	// err is the first failed write or sync. After it, the file may end in
+	// a torn or unsynced record, so every later Append is refused with it:
+	// a record appended after one that may be lost could replay without
+	// its predecessor.
+	err error
 }
 
 // Open opens (creating if needed) the JSON-lines file at path, replays
@@ -84,7 +89,10 @@ func Open(path string, decode func(line []byte) error) (*Appender, error) {
 // it to stable storage before returning: after Append returns nil, kill -9
 // cannot lose the record. The line must not itself contain a newline —
 // records are the unit of repair, and an embedded newline would split one
-// record into a valid-looking prefix and a corrupt remainder.
+// record into a valid-looking prefix and a corrupt remainder. After a
+// failed write or sync, Append writes nothing more and returns that first
+// error: the caller must not act on a transition it could not journal, and
+// only reopening the file (which repairs a torn tail) resumes appending.
 func (a *Appender) Append(line []byte) error {
 	if bytes.IndexByte(line, '\n') >= 0 {
 		return fmt.Errorf("jsonl: record contains a newline")
@@ -94,10 +102,18 @@ func (a *Appender) Append(line []byte) error {
 	buf = append(buf, '\n')
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.err != nil {
+		return a.err
+	}
 	if _, err := a.f.Write(buf); err != nil {
+		a.err = err
 		return err
 	}
-	return a.f.Sync()
+	if err := a.f.Sync(); err != nil {
+		a.err = err
+		return err
+	}
+	return nil
 }
 
 // Close releases the file. Records already appended remain durable.

@@ -50,6 +50,38 @@ func readFile(t *testing.T, path string) string {
 	return string(data)
 }
 
+// After a failed write the appender refuses every later append with that
+// first error and writes nothing more, even once the file would take
+// writes again: the failed record may be torn or missing on disk, and a
+// record appended after it could replay without its predecessor.
+func TestAppendRefusedAfterWriteFailure(t *testing.T) {
+	path := writeFile(t, `{"n":1}`+"\n")
+	ap, _, err := replay(t, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ap.Close()
+	// Inject the failure: a read-only handle refuses the write.
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := ap.f
+	ap.f = ro
+	first := ap.Append([]byte(`{"n":2}`))
+	if first == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	ap.f = good
+	ro.Close()
+	if err := ap.Append([]byte(`{"n":3}`)); err != first {
+		t.Fatalf("append after the failure returned %v, want the first error %v", err, first)
+	}
+	if got := readFile(t, path); got != `{"n":1}`+"\n" {
+		t.Fatalf("file after the refused append = %q, want only the first record", got)
+	}
+}
+
 // A torn tail in either shape is truncated, the records before it replay,
 // and the next append lands right after them.
 func TestOpenTruncatesTornTail(t *testing.T) {

@@ -173,6 +173,24 @@ type Alloc struct {
 	freed  bool
 
 	backing []byte // lazily allocated functional payload
+
+	// Resident is the allocation's resident run: driver state that
+	// internal/core keeps here, as it keeps Block's fields. vaspace never
+	// reads it.
+	Resident ResidentRun
+}
+
+// ResidentRun says that an allocation is wholly resident on one GPU in a
+// shape the driver can serve without visiting its blocks. While On, every
+// block is a clean hit on GPU (GPU-resident there, not discarded, no live
+// page split, not read-mostly, its chunk on the used queue), and the blocks'
+// chunks lie contiguously on that GPU's used queue in block order. Stale
+// says that every block's host copy is already stale (Block.CPUStale), so a
+// GPU write through the run changes no block. The zero value is no run.
+type ResidentRun struct {
+	On    bool
+	GPU   int
+	Stale bool
 }
 
 // ID returns the allocation's id within its space.
@@ -205,48 +223,19 @@ func (a *Alloc) Blocks() []*Block {
 	return out
 }
 
-// BlockRange returns the blocks covering [off, off+length). When whole is
-// true only blocks *fully* contained in the range are returned — the §5.4
-// rule that discard prefers full 2 MiB regions and ignores partial ones.
-func (a *Alloc) BlockRange(off, length units.Size, whole bool) ([]*Block, error) {
-	first, last, err := a.blockSpan(off, length, whole)
-	if err != nil || last < first {
-		return nil, err
-	}
-	out := make([]*Block, 0, last-first+1)
-	for i := first; i <= last; i++ {
-		out = append(out, &a.blocks[i])
-	}
-	return out, nil
-}
-
-// AppendBlockRange is BlockRange appending into a caller-provided slice,
-// for hot paths that reuse a scratch buffer across calls instead of
-// allocating a fresh slice per access (BlockRange was 40% of all driver
-// allocations). The appended-to slice is returned; on error or an empty
-// span dst is returned unchanged.
-func (a *Alloc) AppendBlockRange(dst []*Block, off, length units.Size, whole bool) ([]*Block, error) {
-	first, last, err := a.blockSpan(off, length, whole)
-	if err != nil {
-		return dst, err
-	}
-	for i := first; i <= last; i++ {
-		dst = append(dst, &a.blocks[i])
-	}
-	return dst, nil
-}
+// Span returns blocks first..last (inclusive) as a slice of the
+// allocation's own block array: a driver loop then visits a span without a
+// pointer table or a per-block lookup. It aliases the allocation's blocks,
+// so callers change them through it and must not keep it past the
+// operation.
+func (a *Alloc) Span(first, last int) []Block { return a.blocks[first : last+1] }
 
 // BlockSpan resolves [off, off+length) to inclusive block indices; an
-// empty span is reported as last < first. Hot paths that only need to
-// *visit* the covered blocks iterate the span with Block(i) instead of
-// materializing a []*Block.
+// empty span is reported as last < first. When whole is true only blocks
+// *fully* contained in the range count — the §5.4 rule that discard prefers
+// full 2 MiB regions and ignores partial ones. Callers visit the span with
+// Block(i) instead of materializing a []*Block.
 func (a *Alloc) BlockSpan(off, length units.Size, whole bool) (first, last int, err error) {
-	return a.blockSpan(off, length, whole)
-}
-
-// blockSpan resolves [off, off+length) to inclusive block indices; an
-// empty span is reported as last < first.
-func (a *Alloc) blockSpan(off, length units.Size, whole bool) (first, last int, err error) {
 	if off+length > a.size {
 		return 0, -1, fmt.Errorf("vaspace: range [%d,+%d) outside %s (size %d)",
 			off, length, a.name, a.size)

@@ -116,25 +116,38 @@ func TestFree(t *testing.T) {
 	}
 }
 
+// spanBlocks lists the blocks of BlockSpan(off, length, whole) in order.
+func spanBlocks(a *Alloc, off, length units.Size, whole bool) ([]*Block, error) {
+	first, last, err := a.BlockSpan(off, length, whole)
+	if err != nil || last < first {
+		return nil, err
+	}
+	var out []*Block
+	for i := first; i <= last; i++ {
+		out = append(out, a.Block(i))
+	}
+	return out, nil
+}
+
 func TestBlockRangeWhole(t *testing.T) {
 	s := NewSpace()
 	a, _ := s.Alloc("A", 8*units.MiB) // 4 blocks
 
 	// Exact full range covers all blocks.
-	bs, err := a.BlockRange(0, 8*units.MiB, true)
+	bs, err := spanBlocks(a, 0, 8*units.MiB, true)
 	if err != nil || len(bs) != 4 {
 		t.Fatalf("full range: %d blocks, err %v", len(bs), err)
 	}
 
 	// A partial range only yields fully covered blocks (§5.4: discard
 	// ignores partial 2 MiB regions).
-	bs, _ = a.BlockRange(units.MiB, 4*units.MiB, true) // covers [1MiB,5MiB)
+	bs, _ = spanBlocks(a, units.MiB, 4*units.MiB, true) // covers [1MiB,5MiB)
 	if len(bs) != 1 || bs[0].Index != 1 {
 		t.Errorf("partial range: got %d blocks (first %v)", len(bs), idxOf(bs))
 	}
 
 	// A sub-block range yields nothing.
-	bs, _ = a.BlockRange(units.MiB, units.MiB, true)
+	bs, _ = spanBlocks(a, units.MiB, units.MiB, true)
 	if len(bs) != 0 {
 		t.Errorf("sub-block range yielded %d blocks", len(bs))
 	}
@@ -144,7 +157,7 @@ func TestBlockRangeWholeTail(t *testing.T) {
 	s := NewSpace()
 	a, _ := s.Alloc("A", 5*units.MiB) // 3 blocks, tail is 1 MiB
 	// Range to the end of the allocation includes the partial tail block.
-	bs, err := a.BlockRange(2*units.MiB, 3*units.MiB, true)
+	bs, err := spanBlocks(a, 2*units.MiB, 3*units.MiB, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +169,7 @@ func TestBlockRangeWholeTail(t *testing.T) {
 func TestBlockRangePartialMode(t *testing.T) {
 	s := NewSpace()
 	a, _ := s.Alloc("A", 8*units.MiB)
-	bs, err := a.BlockRange(units.MiB, 4*units.MiB, false)
+	bs, err := spanBlocks(a, units.MiB, 4*units.MiB, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +182,12 @@ func TestBlockRangePartialMode(t *testing.T) {
 func TestBlockRangeErrors(t *testing.T) {
 	s := NewSpace()
 	a, _ := s.Alloc("A", 2*units.MiB)
-	if _, err := a.BlockRange(0, 3*units.MiB, false); err == nil {
+	if _, _, err := a.BlockSpan(0, 3*units.MiB, false); err == nil {
 		t.Error("out-of-bounds range accepted")
 	}
-	bs, err := a.BlockRange(0, 0, false)
-	if err != nil || bs != nil {
-		t.Error("empty range should return nil, nil")
+	first, last, err := a.BlockSpan(0, 0, false)
+	if err != nil || last >= first {
+		t.Errorf("empty range should be an empty span without error, got [%d,%d], %v", first, last, err)
 	}
 }
 
@@ -187,11 +200,11 @@ func TestBlockRangePropertyCoverage(t *testing.T) {
 		if length == 0 {
 			return true
 		}
-		partial, err := a.BlockRange(off, length, false)
+		partial, err := spanBlocks(a, off, length, false)
 		if err != nil {
 			return false
 		}
-		whole, err := a.BlockRange(off, length, true)
+		whole, err := spanBlocks(a, off, length, true)
 		if err != nil {
 			return false
 		}
