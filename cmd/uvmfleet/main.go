@@ -10,7 +10,7 @@
 //	GET  /v1/jobs/{id}         job status, output when finished
 //	GET  /v1/fleet             workers, tenants, job counts, protocol counters
 //	GET  /metrics              Prometheus text exposition (uvmfleet_* families)
-//	GET  /healthz              ok
+//	GET  /healthz              ok, or 503 once a journal append has failed
 //	POST /v1/workers/register, /v1/workers/heartbeat,
 //	     /v1/lease, /v1/lease/renew, /v1/complete   (worker protocol)
 //

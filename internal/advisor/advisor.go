@@ -87,30 +87,47 @@ type NameResolver func(allocID int) string
 // Analyze scans a profiling trace and produces discard recommendations.
 // resolve may be nil.
 func Analyze(rec *trace.Recorder, resolve NameResolver) *Report {
-	rep := &Report{}
-	// ForEachBlock visits allocations in ascending order, one block at a
-	// time, so the allocation being summed is always the last one.
-	var aggs []allocAgg
-	rec.ForEachBlock(func(alloc, _ int, evs []trace.Event) {
-		if len(aggs) == 0 || aggs[len(aggs)-1].id != alloc {
-			aggs = append(aggs, allocAgg{id: alloc})
-		}
-		a := &aggs[len(aggs)-1]
-		wasted, intervals, sawDiscard := deadIntervalWaste(evs)
-		for _, ev := range evs {
-			if ev.Kind == trace.TransferH2D || ev.Kind == trace.TransferD2H {
-				rep.TotalTraffic += ev.Bytes
-			}
-		}
-		a.discarded = a.discarded || sawDiscard
-		if wasted > 0 {
-			a.blocks++
-			a.intervals += intervals
-			a.wasted += wasted
-		}
-	})
+	var s Scan
+	rec.ForEachBlock(func(alloc, _ int, evs []trace.Event) { s.Block(alloc, evs) })
+	return s.Report(resolve)
+}
 
-	for _, a := range aggs {
+// Scan accumulates the advisor's analysis one block at a time: Analyze is
+// a Scan over every block of a trace. Grouping the events by block is most
+// of the cost, so a caller with its own per-block analysis (the RMT
+// classifier, trace.Analysis.AddBlock) feeds both from one
+// Recorder.ForEachBlock walk. The zero value is an empty scan.
+type Scan struct {
+	traffic uint64
+	aggs    []allocAgg
+}
+
+// Block adds one block's time-ordered events, as ForEachBlock hands them
+// over: in ascending (alloc, block) order, so the allocation being summed
+// is always the last one.
+func (s *Scan) Block(alloc int, evs []trace.Event) {
+	if len(s.aggs) == 0 || s.aggs[len(s.aggs)-1].id != alloc {
+		s.aggs = append(s.aggs, allocAgg{id: alloc})
+	}
+	a := &s.aggs[len(s.aggs)-1]
+	wasted, intervals, sawDiscard := deadIntervalWaste(evs)
+	for _, ev := range evs {
+		if ev.Kind == trace.TransferH2D || ev.Kind == trace.TransferD2H {
+			s.traffic += ev.Bytes
+		}
+	}
+	a.discarded = a.discarded || sawDiscard
+	if wasted > 0 {
+		a.blocks++
+		a.intervals += intervals
+		a.wasted += wasted
+	}
+}
+
+// Report ranks the scanned blocks' recommendations. resolve may be nil.
+func (s *Scan) Report(resolve NameResolver) *Report {
+	rep := &Report{TotalTraffic: s.traffic}
+	for _, a := range s.aggs {
 		if a.wasted == 0 {
 			continue
 		}

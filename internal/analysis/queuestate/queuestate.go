@@ -1,7 +1,7 @@
 // Package queuestate defines an analyzer that keeps the gpudev physical
 // page-queue discipline single-owned: the queue mutators on gpudev.Device
 // (PushFree, PushUnused, PushUsed, PushDiscarded, PushPoisoned, Detach,
-// Touch, TouchStretch, PopFree, PopUnused, PopDiscarded) may only be called from
+// Touch, MoveStretch, PopFree, PopUnused, PopDiscarded) may only be called from
 // internal/core (the UVM driver, which owns the §5.5 eviction/discard
 // protocol and the poison-quarantine policy) and internal/gpudev itself
 // (the implementation and its tests).
@@ -43,7 +43,7 @@ var mutators = map[string]bool{
 	"PushPoisoned":  true,
 	"Detach":        true,
 	"Touch":         true,
-	"TouchStretch":  true,
+	"MoveStretch":   true,
 	"PopFree":       true,
 	"PopUnused":     true,
 	"PopDiscarded":  true,

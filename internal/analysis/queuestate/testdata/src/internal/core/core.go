@@ -13,6 +13,6 @@ func Reclaim(d *gpudev.Device) {
 		d.PushFree(c)
 	}
 	if c := d.LRUVictim(); c != nil {
-		d.TouchStretch(c, c)
+		d.MoveStretch(c, c, 1, gpudev.QueueDiscarded, func(int) *gpudev.Chunk { return c })
 	}
 }

@@ -32,7 +32,14 @@ func Quarantine(d *gpudev.Device, c *gpudev.Chunk) {
 // Promote relinks a stretch of the used queue behind the driver's back:
 // only the driver knows the stretch is contiguous (a resident run).
 func Promote(d *gpudev.Device, first, last *gpudev.Chunk) {
-	d.TouchStretch(first, last) // want "queue mutator TouchStretch outside"
+	d.MoveStretch(first, last, 2, gpudev.QueueUsed, nil) // want "queue mutator MoveStretch outside"
+}
+
+// Bury moves a stretch to the discarded queue behind the driver's back:
+// only the driver knows the stretch is a resident run it may discard.
+func Bury(d *gpudev.Device, cs []*gpudev.Chunk) {
+	d.MoveStretch(cs[0], cs[len(cs)-1], len(cs), gpudev.QueueDiscarded, // want "queue mutator MoveStretch outside"
+		func(i int) *gpudev.Chunk { return cs[i] })
 }
 
 // Peek only reads; QueueLen, LRUVictim and Next are not mutators.

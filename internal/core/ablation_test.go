@@ -251,7 +251,7 @@ func TestDiscardSemanticsProperty(t *testing.T) {
 		for _, op := range ops {
 			switch op % 6 {
 			case 0: // CPU write
-				d.CPUAccess(a.Blocks(), Write, 0)
+				cpuAccess(t, d, a, Write, 0)
 				lastWrite = op | 1 // non-zero
 				a.Data()[0] = lastWrite
 				wrote = append(wrote, lastWrite)
@@ -339,7 +339,7 @@ func TestCoherentRemoteAccessMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ := d.AllocManaged("a", units.BlockSize)
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 
 	// First two accesses: remote, no migration, no faults.
 	for i := 0; i < 2; i++ {
@@ -385,7 +385,7 @@ func TestRemoteModeRequiresCoherentLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ := d.AllocManaged("a", units.BlockSize)
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestPrefetchMigratesInRemoteMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ := d.AllocManaged("a", units.BlockSize)
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 	if _, err := d.PrefetchToGPU(a, 0, uint64(a.Size()), 0); err != nil {
 		t.Fatal(err)
 	}

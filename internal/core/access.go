@@ -69,7 +69,7 @@ func (d *Driver) GPUAccessOn(gpu int, a *vaspace.Alloc, off, length uint64, orde
 		return now, err
 	}
 	now = d.maybePoison(now)
-	if d.onRun(seq, gpu) && (a.Resident.Stale || !mode.writes()) {
+	if d.onRun(seq, gpu, false) && (a.Resident.Stale || !mode.writes()) {
 		// Every block is a clean hit: no fault, no transfer, and a write
 		// leaves every block's (already stale) host copy as it is.
 		d.touchRun(a, now, 0)
@@ -106,23 +106,12 @@ func (d *Driver) GPUAccessOn(gpu int, a *vaspace.Alloc, off, length uint64, orde
 	return done, nil
 }
 
-// CPUAccess services host-side accesses: GPU-resident data migrates back
-// (or is reclaimed without a transfer if discarded), untouched blocks
-// populate zero-filled host pages. A write revives a discarded block — a
-// value written after the discard is guaranteed to be seen (§4.1).
-func (d *Driver) CPUAccess(blocks []*vaspace.Block, mode AccessMode, now sim.Time) sim.Time {
-	cur := d.maybePoison(now)
-	for _, b := range blocks {
-		cur = d.cpuAccessBlock(b, mode, cur)
-	}
-	d.verify("CPUAccess")
-	return cur
-}
-
-// CPUAccessRange is CPUAccess over [off, off+length) of one allocation,
-// visiting the covered blocks by index instead of requiring the caller to
-// materialize a block list — the host-access path for large buffers, where
-// building a multi-thousand-entry []*Block per call dominated allocations.
+// CPUAccessRange services host-side accesses to [off, off+length) of
+// allocation a: GPU-resident data migrates back (or is reclaimed without a
+// transfer if discarded), untouched blocks populate zero-filled host pages.
+// A write revives a discarded block — a value written after the discard is
+// guaranteed to be seen (§4.1). It visits the covered blocks by index, so a
+// large buffer's access builds no block list.
 func (d *Driver) CPUAccessRange(a *vaspace.Alloc, off, length uint64, mode AccessMode, now sim.Time) (sim.Time, error) {
 	first, last, err := a.BlockSpan(off, length, false)
 	if err != nil {
@@ -136,8 +125,7 @@ func (d *Driver) CPUAccessRange(a *vaspace.Alloc, off, length uint64, mode Acces
 	return cur, nil
 }
 
-// cpuAccessBlock services one block of a host-side access: the shared body
-// of CPUAccess and CPUAccessRange.
+// cpuAccessBlock services one block of a host-side access.
 func (d *Driver) cpuAccessBlock(b *vaspace.Block, mode AccessMode, cur sim.Time) sim.Time {
 	d.blockCheckpoint("CPUAccess", cur)
 	cur = d.ensureCPUBlock(b, cur, metrics.CauseFault, mode.writes())
@@ -166,17 +154,26 @@ func (d *Driver) PrefetchToGPU(a *vaspace.Alloc, off, length uint64, now sim.Tim
 	return d.PrefetchToGPUOn(0, a, off, length, now)
 }
 
-// PrefetchToGPUOn prefetches toward a specific GPU.
+// PrefetchToGPUOn prefetches toward a specific GPU. A prefetch of the
+// whole allocation that finds its run standing on gpu (run.go) is served
+// without visiting the blocks: by a recency touch when they are resident,
+// or by recovering them when they are discarded.
 func (d *Driver) PrefetchToGPUOn(gpu int, a *vaspace.Alloc, off, length uint64, now sim.Time) (sim.Time, error) {
 	d.checkpoint("PrefetchToGPU", now)
 	seq, err := accessSeq(a, off, length, nil)
 	if err != nil {
 		return now, err
 	}
-	if d.onRun(seq, gpu) {
+	switch {
+	case d.onRun(seq, gpu, false):
 		// Every block is a clean hit: the prefetch only updates recency,
 		// at prefetchRecencyPerBlock of driver time per block.
 		done := d.touchRun(a, now, prefetchRecencyPerBlock)
+		d.verify("PrefetchToGPU")
+		return done, nil
+	case d.onRun(seq, gpu, true):
+		// Every block is discarded with its chunk still here: recover them.
+		done := d.recoverRun(a, now)
 		d.verify("PrefetchToGPU")
 		return done, nil
 	}

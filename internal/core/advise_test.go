@@ -37,7 +37,7 @@ func TestMemAdviseBadRange(t *testing.T) {
 func TestPreferredCPUServesRemotely(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 	if _, err := d.MemAdvise(a, 0, uint64(a.Size()), AdviseSetPreferredCPU, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestPreferredCPUServesRemotely(t *testing.T) {
 func TestPrefetchOverridesPreferredCPU(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 	if _, err := d.MemAdvise(a, 0, uint64(a.Size()), AdviseSetPreferredCPU, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestPreferredGPUFallback(t *testing.T) {
 func TestReadMostlyDuplication(t *testing.T) {
 	d := testDriver(t, 4)
 	a := mustAlloc(t, d, "weights", units.BlockSize)
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 	if _, err := d.MemAdvise(a, 0, uint64(a.Size()), AdviseSetReadMostly, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestReadMostlyDuplication(t *testing.T) {
 	h2dAfterDup := d.Metrics().TotalBytes(metrics.H2D)
 
 	// Host read: local, no new traffic.
-	d.CPUAccess(a.Blocks(), Read, 0)
+	cpuAccess(t, d, a, Read, 0)
 	if d.Metrics().TotalBytes(metrics.D2H) != 0 {
 		t.Error("host read of a duplicate transferred D2H")
 	}
@@ -162,7 +162,7 @@ func TestReadMostlyDuplicatesTowardHost(t *testing.T) {
 	if _, err := d.MemAdvise(a, 0, uint64(a.Size()), AdviseSetReadMostly, 0); err != nil {
 		t.Fatal(err)
 	}
-	d.CPUAccess(a.Blocks(), Read, 0)
+	cpuAccess(t, d, a, Read, 0)
 	b := a.Block(0)
 	if b.Residency != vaspace.GPUResident || !b.CPUHasPages || b.CPUStale {
 		t.Fatalf("not duplicated toward host: %+v", b)
@@ -185,7 +185,7 @@ func TestWritesCollapseDuplicate(t *testing.T) {
 	// GPU write collapses host side.
 	d := testDriver(t, 4)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 	if _, err := d.MemAdvise(a, 0, uint64(a.Size()), AdviseSetReadMostly, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +202,12 @@ func TestWritesCollapseDuplicate(t *testing.T) {
 	// Host write collapses GPU side.
 	d2 := testDriver(t, 4)
 	a2 := mustAlloc(t, d2, "a", units.BlockSize)
-	d2.CPUAccess(a2.Blocks(), Write, 0)
+	cpuAccess(t, d2, a2, Write, 0)
 	if _, err := d2.MemAdvise(a2, 0, uint64(a2.Size()), AdviseSetReadMostly, 0); err != nil {
 		t.Fatal(err)
 	}
-	gpuAccess(t, d2, a2, Read)          // duplicate
-	d2.CPUAccess(a2.Blocks(), Write, 0) // collapse
+	gpuAccess(t, d2, a2, Read)     // duplicate
+	cpuAccess(t, d2, a2, Write, 0) // collapse
 	b2 := a2.Block(0)
 	if b2.Residency != vaspace.CPUResident || b2.Chunk != nil {
 		t.Errorf("host write did not collapse GPU copy: %+v", b2)
@@ -221,7 +221,7 @@ func TestWritesCollapseDuplicate(t *testing.T) {
 func TestUnsetReadMostlyCollapses(t *testing.T) {
 	d := testDriver(t, 4)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 	if _, err := d.MemAdvise(a, 0, uint64(a.Size()), AdviseSetReadMostly, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestUnsetReadMostlyCollapses(t *testing.T) {
 func TestDiscardOnDuplicatedBlock(t *testing.T) {
 	d := testDriver(t, 4)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 	if _, err := d.MemAdvise(a, 0, uint64(a.Size()), AdviseSetReadMostly, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -40,18 +40,18 @@ func TestChaosRandomFaults(t *testing.T) {
 	if *chaosSeed != 0 {
 		seeds = []uint64{*chaosSeed}
 	}
-	var runs uint64
+	var runs runUse
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runs += runChaosProgram(t, seed)
+			runs.add(runChaosProgram(t, seed))
 		})
 	}
 	// Runs stay on under fault injection, and the sanitizer's run check
-	// must see them: the full seed set has to take the run path.
-	t.Logf("%d accesses served through resident runs", runs)
-	if runs == 0 && len(seeds) > 1 {
-		t.Error("no access took the resident-run path")
+	// must see them: the full seed set has to take every run path.
+	t.Logf("%v", runs)
+	if m := runs.missing(); m != "" && len(seeds) > 1 {
+		t.Errorf("no %s took the run path", m)
 	}
 }
 
@@ -83,8 +83,8 @@ func chaosSchedule(rng *sim.RNG, seed uint64) *faultinject.Config {
 }
 
 // runChaosProgram runs one seeded program under its fault schedule and
-// returns how many of its accesses went through a resident run.
-func runChaosProgram(t *testing.T, seed uint64) uint64 {
+// returns what it served through runs.
+func runChaosProgram(t *testing.T, seed uint64) runUse {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	fcfg := chaosSchedule(rng, seed)
@@ -205,7 +205,7 @@ func runChaosProgram(t *testing.T, seed uint64) uint64 {
 		case 4, 5: // CPU access
 			if a := randAlloc(); a != nil {
 				mode := AccessMode(rng.Intn(3))
-				advance(d.CPUAccess(a.Blocks(), mode, now))
+				advance(cpuAccess(t, d, a, mode, now))
 				if mode.writes() {
 					// A host write revives every discarded block (§4.1).
 					delete(lazyDirty, a)
@@ -293,7 +293,7 @@ func runChaosProgram(t *testing.T, seed uint64) uint64 {
 	t.Logf("seed %d: %d migrate retries, %d unmap reissues, %d replays, %d degraded, %d poisoned",
 		seed, m.MigrateRetries(), m.UnmapRetries(), m.FaultReplays(),
 		func() int64 { n, _ := m.Degraded(); return n }(), poisonedChunks())
-	return d.runAccesses
+	return runUseOf(d)
 }
 
 func metricsDir(rng *sim.RNG) metrics.Direction {

@@ -34,14 +34,21 @@ func (d *Driver) discard(a *vaspace.Alloc, off, length uint64, now sim.Time, laz
 	if err != nil {
 		return now, err
 	}
-	d.clearRun(a)
 	cur := now
 	covered := 0
-	for i := first; i <= last; i++ {
-		var ok bool
-		cur, ok = d.discardBlock(a.Block(i), cur, lazy)
-		if ok {
-			covered++
+	// A discard of the whole allocation over its resident run moves the
+	// run to the discarded queue at once (run.go).
+	if r := a.Resident; r.On && !r.Discarded && first == 0 && last == a.NumBlocks()-1 && d.discardsRuns() {
+		cur = d.discardRun(a, cur, lazy)
+		covered = a.NumBlocks()
+	} else {
+		d.clearRun(a)
+		for i := first; i <= last; i++ {
+			var ok bool
+			cur, ok = d.discardBlock(a.Block(i), cur, lazy)
+			if ok {
+				covered++
+			}
 		}
 	}
 	if d.p.AllowPartialDiscard {

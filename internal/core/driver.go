@@ -104,9 +104,10 @@ type Driver struct {
 	// pass evicts one of that allocation's chunks (run.go). Same
 	// single-threaded rule.
 	forming *vaspace.Alloc
-	// runAccesses counts the accesses served through a resident run, so
-	// the randomized tests can show they take that path. Same rule.
-	runAccesses uint64
+	// runAccesses, runDiscards and runRecoveries count the accesses,
+	// discards and prefetch recoveries served through runs, so the
+	// randomized tests can show they take those paths. Same rule.
+	runAccesses, runDiscards, runRecoveries uint64
 }
 
 // Interconnects are immutable after construction (pcie.Link has no

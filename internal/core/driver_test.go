@@ -6,6 +6,7 @@ import (
 	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/metrics"
 	"uvmdiscard/internal/pcie"
+	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/trace"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/vaspace"
@@ -43,6 +44,26 @@ func gpuAccess(t *testing.T, d *Driver, a *vaspace.Alloc, mode AccessMode) {
 	}
 }
 
+// cpuAccess runs one host access over the whole of a at now and returns
+// its completion time.
+func cpuAccess(t testing.TB, d *Driver, a *vaspace.Alloc, mode AccessMode, now sim.Time) sim.Time {
+	t.Helper()
+	done, err := d.CPUAccessRange(a, 0, uint64(a.Size()), mode, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return done
+}
+
+// allBlocks returns pointers to every block of a, in index order.
+func allBlocks(a *vaspace.Alloc) []*vaspace.Block {
+	bs := make([]*vaspace.Block, a.NumBlocks())
+	for i := range bs {
+		bs[i] = a.Block(i)
+	}
+	return bs
+}
+
 // --- Figure 1: typical UVM buffer lifetime ---
 
 func TestFigure1Lifecycle(t *testing.T) {
@@ -50,8 +71,8 @@ func TestFigure1Lifecycle(t *testing.T) {
 	a := mustAlloc(t, d, "buf", 2*units.BlockSize)
 
 	// Step 1: host writes initial data — zero-filled CPU pages.
-	d.CPUAccess(a.Blocks(), Write, 0)
-	for _, b := range a.Blocks() {
+	cpuAccess(t, d, a, Write, 0)
+	for _, b := range allBlocks(a) {
 		if b.Residency != vaspace.CPUResident || !b.CPUHasPages || b.CPUPinned {
 			t.Fatalf("after host write: %+v", b)
 		}
@@ -64,7 +85,7 @@ func TestFigure1Lifecycle(t *testing.T) {
 	if _, err := d.PrefetchToGPU(a, 0, uint64(a.Size()), 0); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range a.Blocks() {
+	for _, b := range allBlocks(a) {
 		if b.Residency != vaspace.GPUResident || !b.GPUMapped {
 			t.Fatalf("after prefetch: %+v", b)
 		}
@@ -83,8 +104,8 @@ func TestFigure1Lifecycle(t *testing.T) {
 	}
 
 	// Step 3: host touches the buffer — migrate back, GPU chunks freed.
-	d.CPUAccess(a.Blocks(), Read, 0)
-	for _, b := range a.Blocks() {
+	cpuAccess(t, d, a, Read, 0)
+	for _, b := range allBlocks(a) {
 		if b.Residency != vaspace.CPUResident || b.Chunk != nil || b.CPUPinned {
 			t.Fatalf("after host read-back: %+v", b)
 		}
@@ -113,7 +134,7 @@ func TestFirstTouchOnGPUZeroFills(t *testing.T) {
 	if zb != 3 {
 		t.Errorf("zero-filled %d blocks, want 3", zb)
 	}
-	for _, b := range a.Blocks() {
+	for _, b := range allBlocks(a) {
 		if b.Residency != vaspace.GPUResident || b.Chunk.PreparedPages != units.PagesPerBlock {
 			t.Fatalf("block not prepared: %+v", b)
 		}
@@ -373,13 +394,13 @@ func TestLazyDiscardWithPrefetchKeepsData(t *testing.T) {
 func TestWriteAfterDiscardVisibleOnCPU(t *testing.T) {
 	d := testDriver(t, 4)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 	a.Data()[7] = 0x11
 	if _, err := d.Discard(a, 0, uint8Len(a), 0); err != nil {
 		t.Fatal(err)
 	}
 	// CPU write revives the block.
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 	a.Data()[7] = 0x22
 	if a.Block(0).Discarded {
 		t.Fatal("write did not clear discard")
@@ -387,7 +408,7 @@ func TestWriteAfterDiscardVisibleOnCPU(t *testing.T) {
 	// Migrate to GPU and back: the value must survive (a real transfer
 	// must happen).
 	gpuAccess(t, d, a, Read)
-	d.CPUAccess(a.Blocks(), Read, 0)
+	cpuAccess(t, d, a, Read, 0)
 	if a.Data()[7] != 0x22 {
 		t.Errorf("value = %#x, want 0x22", a.Data()[7])
 	}
@@ -399,7 +420,7 @@ func TestWriteAfterDiscardVisibleOnCPU(t *testing.T) {
 func TestDiscardedCPUBlockSkipsH2D(t *testing.T) {
 	d := testDriver(t, 4)
 	a := mustAlloc(t, d, "a", 2*units.BlockSize)
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 	if _, err := d.Discard(a, 0, uint64(a.Size()), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +496,7 @@ func TestDiscardUntouchedIsNoOp(t *testing.T) {
 func TestFreeManagedReleasesResources(t *testing.T) {
 	d := testDriver(t, 4)
 	a := mustAlloc(t, d, "a", 2*units.BlockSize)
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 	gpuAccess(t, d, a, Read)
 	if err := d.FreeManaged(a); err != nil {
 		t.Fatal(err)
@@ -545,7 +566,7 @@ func TestExplicitCopy(t *testing.T) {
 func TestPrefetchCoalescesTransfers(t *testing.T) {
 	d := testDriver(t, 40)
 	a := mustAlloc(t, d, "a", 32*units.BlockSize)
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 	if _, err := d.PrefetchToGPU(a, 0, uint64(a.Size()), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -578,12 +599,12 @@ type sim32 = int64
 func TestLRUThrashing(t *testing.T) {
 	d := testDriver(t, 4)
 	a := mustAlloc(t, d, "a", 8*units.BlockSize) // 2x capacity
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 
 	// Two sequential passes over the whole buffer: with LRU and footprint
 	// 2x capacity, every access in every pass misses.
 	for pass := 0; pass < 2; pass++ {
-		for _, b := range a.Blocks() {
+		for _, b := range allBlocks(a) {
 			if _, err := d.GPUAccess(a, uint64(b.Index)*uint64(units.BlockSize), uint64(units.BlockSize), Read, 0); err != nil {
 				t.Fatal(err)
 			}
@@ -601,14 +622,14 @@ func TestLRUThrashing(t *testing.T) {
 func TestEagerDiscardDestroysCPUMapping(t *testing.T) {
 	d := testDriver(t, 4)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 	if _, err := d.Discard(a, 0, uint64(a.Size()), 0); err != nil {
 		t.Fatal(err)
 	}
 	if a.Block(0).CPUMapped {
 		t.Fatal("eager discard left CPU mapping")
 	}
-	d.CPUAccess(a.Blocks(), Read, 0)
+	cpuAccess(t, d, a, Read, 0)
 	if !a.Block(0).CPUMapped {
 		t.Error("CPU access did not re-establish mapping")
 	}

@@ -141,6 +141,20 @@ func (d *Driver) unmapBlock(dev *gpudev.Device, now sim.Time) sim.Time {
 	return cur
 }
 
+// unmapBlocks charges n unmapBlock calls in turn: under fault injection it
+// makes them, so the injector sees the same draws, and otherwise it adds
+// them up.
+func (d *Driver) unmapBlocks(dev *gpudev.Device, n int, now sim.Time) sim.Time {
+	if d.fi != nil {
+		for i := 0; i < n; i++ {
+			now = d.unmapBlock(dev, now)
+		}
+		return now
+	}
+	d.m.AddUnmap(n)
+	return now + sim.Time(n)*dev.Profile().UnmapPerBlock
+}
+
 // maybePoison draws one ECC-poison event for this driver operation; when it
 // hits, one used-queue chunk (chosen by the injector across all devices) is
 // quarantined.

@@ -45,7 +45,7 @@ func TestMigrateRetryDegradesAfterBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := d.CPUAccess(a.Blocks(), Write, 0)
+	now := cpuAccess(t, d, a, Write, 0)
 	done, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, now)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestPrefetchClearsDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := d.CPUAccess(a.Blocks(), Write, 0)
+	now := cpuAccess(t, d, a, Write, 0)
 	now, err = d.GPUAccess(a, 0, uint64(a.Size()), Read, now)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestPoisonQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := d.CPUAccess(a.Blocks(), Write, 0)
+	now := cpuAccess(t, d, a, Write, 0)
 	now, err = d.GPUAccess(a, 0, uint64(a.Size()), Read, now)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestPoisonQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.fi = fi
-	d.CPUAccess(a.Blocks(), Read, now)
+	cpuAccess(t, d, a, Read, now)
 	b := a.Block(0)
 	// The block was GPU-resident with a clean pinned host copy (read-only
 	// access after migration), so the data survives on the host... unless
@@ -231,7 +231,7 @@ func TestPoisonDataLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.fi = fi
-	d.CPUAccess(a.Blocks(), Read, now)
+	cpuAccess(t, d, a, Read, now)
 	b := a.Block(0)
 	// First touch on the GPU: no host copy ever existed, so the poison
 	// loses the data. maybePoison runs before the CPU access services the
@@ -341,7 +341,7 @@ func TestRetryDeterminism(t *testing.T) {
 		}
 		var now sim.Time
 		for i := 0; i < 30; i++ {
-			now = d.CPUAccess(a.Blocks(), Write, now)
+			now = cpuAccess(t, d, a, Write, now)
 			if now, err = d.GPUAccess(a, 0, uint64(a.Size()), ReadWrite, now); err != nil {
 				t.Fatal(err)
 			}
@@ -371,7 +371,7 @@ func TestDegradationWindowSlowsTransfers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		start := d.CPUAccess(a.Blocks(), Write, 0)
+		start := cpuAccess(t, d, a, Write, 0)
 		done, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, start)
 		if err != nil {
 			t.Fatal(err)

@@ -31,28 +31,26 @@ func BenchmarkDriverResidentHit(b *testing.B) {
 	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err != nil {
 		b.Fatal(err)
 	}
-	blocks := a.Blocks()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(blocks)*b.N)/b.Elapsed().Seconds(), "blockops/s")
+	b.ReportMetric(float64(a.NumBlocks()*b.N)/b.Elapsed().Seconds(), "blockops/s")
 }
 
 func BenchmarkDriverMigrationPingPong(b *testing.B) {
 	d, a := benchDriver(b, 256)
-	blocks := a.Blocks()
-	d.CPUAccess(blocks, Write, 0)
+	cpuAccess(b, d, a, Write, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, 0); err != nil {
 			b.Fatal(err)
 		}
-		d.CPUAccess(blocks, Read, 0)
+		cpuAccess(b, d, a, Read, 0)
 	}
-	b.ReportMetric(float64(2*len(blocks)*b.N)/b.Elapsed().Seconds(), "blockops/s")
+	b.ReportMetric(float64(2*a.NumBlocks()*b.N)/b.Elapsed().Seconds(), "blockops/s")
 }
 
 func BenchmarkDriverDiscardRecover(b *testing.B) {
@@ -83,13 +81,12 @@ func BenchmarkDriverEvictionChurn(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	blocks := a.Blocks()
-	d.CPUAccess(blocks, Write, 0)
+	cpuAccess(b, d, a, Write, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(blocks)*b.N)/b.Elapsed().Seconds(), "blockops/s")
+	b.ReportMetric(float64(a.NumBlocks()*b.N)/b.Elapsed().Seconds(), "blockops/s")
 }

@@ -23,25 +23,26 @@ import (
 //     pinned never exceeds resident.
 //  4. Virtual time never goes backwards.
 //  5. No operation fails (the GPUs always have evictable capacity).
-//  6. The programs take the resident-run path (run.go), so the sanitizer's
-//     run check sees standing runs after every operation.
+//  6. The programs take every run path (run.go): accesses, discards and
+//     recoveries, so the sanitizer's run check sees standing runs of both
+//     shapes after every operation.
 func TestRandomProgramInvariants(t *testing.T) {
-	var runs uint64
+	var runs runUse
 	for seed := uint64(1); seed <= 12; seed++ {
 		seed := seed
 		t.Run("", func(t *testing.T) {
-			runs += runRandomProgram(t, seed)
+			runs.add(runRandomProgram(t, seed))
 		})
 	}
-	t.Logf("%d accesses served through resident runs", runs)
-	if runs == 0 {
-		t.Error("no access took the resident-run path")
+	t.Logf("%v", runs)
+	if m := runs.missing(); m != "" {
+		t.Errorf("no %s took the run path", m)
 	}
 }
 
-// runRandomProgram runs one seeded program and returns how many of its
-// accesses went through a resident run.
-func runRandomProgram(t *testing.T, seed uint64) uint64 {
+// runRandomProgram runs one seeded program and returns what it served
+// through runs.
+func runRandomProgram(t *testing.T, seed uint64) runUse {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	host := hostmem.New(2 * units.GiB)
@@ -116,7 +117,7 @@ func runRandomProgram(t *testing.T, seed uint64) uint64 {
 			}
 		case 4, 5: // CPU access
 			if a := randAlloc(); a != nil {
-				advance(d.CPUAccess(a.Blocks(), AccessMode(rng.Intn(3)), now))
+				advance(cpuAccess(t, d, a, AccessMode(rng.Intn(3)), now))
 			}
 		case 6: // prefetch to a random GPU
 			if a := randAlloc(); a != nil {
@@ -171,7 +172,7 @@ func runRandomProgram(t *testing.T, seed uint64) uint64 {
 		}
 		checkGlobalInvariants(t, d, allocs, seed, op)
 	}
-	return d.runAccesses
+	return runUseOf(d)
 }
 
 func checkGlobalInvariants(t *testing.T, d *Driver, allocs []*vaspace.Alloc, seed uint64, op int) {
@@ -183,7 +184,7 @@ func checkGlobalInvariants(t *testing.T, d *Driver, allocs []*vaspace.Alloc, see
 	}
 	var wantResident, wantPinned units.Size
 	for _, a := range allocs {
-		for _, b := range a.Blocks() {
+		for _, b := range allBlocks(a) {
 			if b.CPUHasPages {
 				wantResident += b.Bytes()
 			}

@@ -590,7 +590,7 @@ func (d *Driver) populateZeroed(b *vaspace.Block, gpu int, now sim.Time) (sim.Ti
 // migrates D2H; discarded GPU data is reclaimed without a transfer and the
 // host observes zeros (§5.3 scenario one from the CPU side). Read-mostly
 // GPU-resident blocks are *duplicated* to the host on reads rather than
-// migrated (the write-intent collapse happens in CPUAccess).
+// migrated (the write-intent collapse happens in cpuAccessBlock).
 func (d *Driver) ensureCPUBlock(b *vaspace.Block, now sim.Time, cause metrics.Cause, forWrite bool) sim.Time {
 	d.clearRun(b.Alloc)
 	cur := now

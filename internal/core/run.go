@@ -1,6 +1,7 @@
 package core
 
 import (
+	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/vaspace"
 )
@@ -9,10 +10,14 @@ import (
 // block is a clean GPU hit, with its chunks lying contiguously on the used
 // queue in block order, is served by a whole-buffer access in O(1). Such an
 // access faults nothing, moves no data, and only moves the chunks to the MRU
-// end in block order — which relinking the stretch does at once. The run
-// state lives on vaspace.Alloc (Alloc.Resident); ensureGPUBlocks forms it,
-// and every path that changes the allocation's blocks or their chunks'
-// queue positions clears it (clearRun).
+// end in block order — which moving the stretch does at once. A
+// whole-buffer discard turns the run into its discarded shape, every block
+// discarded and its chunk on the discarded queue in the same order, and a
+// whole-buffer prefetch recovers it (§5.7), each with one move of the
+// stretch between the two queues. The run state lives on vaspace.Alloc
+// (Alloc.Resident); ensureGPUBlocks forms it, and every path that changes
+// the allocation's blocks or their chunks' queue positions clears it
+// (clearRun).
 
 // blockSeq is the sequence of one allocation's blocks a GPU access visits:
 // the span of blocks from index first on in address order, or, when order
@@ -68,11 +73,21 @@ func cleanHit(b *vaspace.Block, gpu int) bool {
 }
 
 // onRun reports whether an access visiting seq on gpu can be served through
-// its allocation's standing resident run. A trace recorder keeps the
-// per-block path: it records every block's access.
-func (d *Driver) onRun(seq blockSeq, gpu int) bool {
+// its allocation's standing run in the given shape: the resident one
+// (discarded false), whose blocks are clean hits, or the discarded one. A
+// trace recorder keeps the per-block path: it records every block's access.
+func (d *Driver) onRun(seq blockSeq, gpu int, discarded bool) bool {
 	r := seq.a.Resident
-	return r.On && r.GPU == gpu && d.tr == nil && seq.whole()
+	return r.On && r.GPU == gpu && r.Discarded == discarded && d.tr == nil && seq.whole()
+}
+
+// discardsRuns reports whether a whole-buffer discard over a resident run
+// goes through the run (discardRun). A trace recorder keeps the per-block
+// path, as it does for accesses; so do the ImmediateReclaim ablation, whose
+// chunks never stay on the discarded queue, and PreparedTracking=false,
+// whose recovery zero-fills every block.
+func (d *Driver) discardsRuns() bool {
+	return d.tr == nil && !d.p.ImmediateReclaim && d.p.PreparedTracking
 }
 
 // clearRun ends a's resident run, and stops one from forming if the current
@@ -87,18 +102,87 @@ func (d *Driver) clearRun(a *vaspace.Alloc) {
 
 // touchRun serves an access to every block of a through its standing run:
 // the per-block loop's block checkpoints, at the times that loop would have
-// reached them (step of driver time per block), then one relink of the
-// chunks to the MRU end, which leaves the used queue exactly as touching
+// reached them (step of driver time per block), then one move of the
+// stretch to the MRU end, which leaves the used queue exactly as touching
 // each chunk in block order would. It returns now plus n steps.
 //
-// The relink comes after the checkpoints: an abort between them leaves the
+// The move comes after the checkpoints: an abort between them leaves the
 // queues as they were before the access, which is consistent, and an
 // interrupted run's queues are thrown away.
 func (d *Driver) touchRun(a *vaspace.Alloc, now, step sim.Time) sim.Time {
 	d.runAccesses++
 	n := a.NumBlocks()
 	d.runCheckpoints(n, now, step)
-	d.devs[a.Resident.GPU].TouchStretch(a.Block(0).Chunk, a.Block(n-1).Chunk)
+	d.devs[a.Resident.GPU].MoveStretch(a.Block(0).Chunk, a.Block(n-1).Chunk, n, gpudev.QueueUsed, nil)
+	return now + sim.Time(n)*step
+}
+
+// discardRun discards every block of a through its standing resident run
+// and leaves the run in its discarded shape. An eager discard charges the n
+// unmaps the per-block loop would, drawing each from the fault injector in
+// the same order; a lazy one defers them to reclamation. Then one move
+// takes the stretch from the used queue to the discarded tail, which
+// leaves both queues as detaching each chunk and pushing it there in block
+// order would, and its relabelling pass makes the loop's changes to each
+// block (discardBlock). A discard polls only at its entry, so the run path
+// has no checkpoint to cross.
+func (d *Driver) discardRun(a *vaspace.Alloc, now sim.Time, lazy bool) sim.Time {
+	d.runDiscards++
+	r := &a.Resident
+	dev := d.devs[r.GPU]
+	span := a.Span(0, a.NumBlocks()-1)
+	if !lazy {
+		now = d.unmapBlocks(dev, len(span), now)
+	}
+	dev.MoveStretch(span[0].Chunk, span[len(span)-1].Chunk, len(span), gpudev.QueueDiscarded,
+		func(i int) *gpudev.Chunk {
+			b := &span[i]
+			b.Discarded, b.LazyDiscard = true, lazy
+			b.Chunk.NeedsUnmapOnReclaim = lazy
+			if !lazy {
+				b.GPUMapped = false
+			}
+			return b.Chunk
+		})
+	r.Discarded, r.Lazy = true, lazy
+	return now
+}
+
+// recoverRun serves a prefetch of every block of a on its run's GPU
+// through its standing discarded run, recovering each chunk as
+// recoverDiscarded would (§5.7). It crosses the per-block loop's ensure-gpu
+// checkpoints first, at the times that loop would reach them: an eagerly
+// discarded block is remapped at MapPerBlock, a lazily discarded one kept
+// its mappings and costs nothing, and every chunk is fully prepared, so
+// none is zeroed again. Then it moves the stretch back to the MRU end of
+// the used queue, clearing each block's discard state in the move's
+// relabelling pass, and the run stands in its resident shape. It returns
+// now plus n steps.
+func (d *Driver) recoverRun(a *vaspace.Alloc, now sim.Time) sim.Time {
+	d.runRecoveries++
+	r := &a.Resident
+	dev := d.devs[r.GPU]
+	n := a.NumBlocks()
+	var step sim.Time
+	if !r.Lazy {
+		step = dev.Profile().MapPerBlock
+	}
+	d.runCheckpoints(n, now, step)
+	span := a.Span(0, n-1)
+	stale := true
+	if !r.Lazy {
+		d.m.AddMap(n)
+	}
+	dev.MoveStretch(span[0].Chunk, span[n-1].Chunk, n, gpudev.QueueUsed,
+		func(i int) *gpudev.Chunk {
+			b := &span[i]
+			b.Discarded, b.LazyDiscard = false, false
+			b.GPUMapped = true
+			b.Chunk.NeedsUnmapOnReclaim = false
+			stale = stale && b.CPUStale
+			return b.Chunk
+		})
+	*r = vaspace.ResidentRun{On: true, GPU: r.GPU, Stale: stale}
 	return now + sim.Time(n)*step
 }
 

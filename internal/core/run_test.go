@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"uvmdiscard/internal/gpudev"
+	"uvmdiscard/internal/metrics"
 	"uvmdiscard/internal/pcie"
 	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/sim"
@@ -201,5 +203,277 @@ func TestVisitOrderMustStayInSpan(t *testing.T) {
 	}
 	if *a.Block(3) != b3 {
 		t.Errorf("block 3 outside the accessed span changed: %+v", *a.Block(3))
+	}
+}
+
+// runUse counts what a driver served through runs: whole-buffer accesses,
+// discards and prefetch recoveries.
+type runUse struct{ accesses, discards, recoveries uint64 }
+
+func runUseOf(d *Driver) runUse { return runUse{d.runAccesses, d.runDiscards, d.runRecoveries} }
+
+func (u *runUse) add(v runUse) {
+	u.accesses += v.accesses
+	u.discards += v.discards
+	u.recoveries += v.recoveries
+}
+
+func (u runUse) String() string {
+	return fmt.Sprintf("%d accesses, %d discards and %d recoveries served through runs", u.accesses, u.discards, u.recoveries)
+}
+
+// missing names the run paths u never took, or returns "" if it took all.
+func (u runUse) missing() string {
+	var m []string
+	for _, p := range []struct {
+		n    uint64
+		name string
+	}{{u.accesses, "access"}, {u.discards, "discard"}, {u.recoveries, "recovery"}} {
+		if p.n == 0 {
+			m = append(m, p.name)
+		}
+	}
+	return strings.Join(m, ", ")
+}
+
+// driverState renders everything a run path could change: every device's
+// queues in order, every chunk's per-use fields, every block of bufs, and
+// the collector's exact counts.
+func driverState(d *Driver, bufs []*vaspace.Alloc) string {
+	var s strings.Builder
+	for g := 0; g < d.NumGPUs(); g++ {
+		dev := d.DeviceAt(g)
+		for k := gpudev.QueueFree; k <= gpudev.QueuePoisoned; k++ {
+			fmt.Fprintf(&s, "GPU %d %v: %v\n", g, k, dev.AppendQueueIDs(nil, k))
+		}
+		dev.EachChunk(func(c *gpudev.Chunk) bool {
+			fmt.Fprintf(&s, "GPU %d chunk %d: %v, owner %s, prepared %d, unmap on reclaim %v, device buffer %v\n",
+				g, c.ID(), c.Queue(), ownerName(c.Owner), c.PreparedPages, c.NeedsUnmapOnReclaim, c.DeviceBuffer)
+			return true
+		})
+	}
+	for _, a := range bufs {
+		for i := 0; i < a.NumBlocks(); i++ {
+			b := *a.Block(i)
+			c := chunkID(b.Chunk)
+			b.Alloc, b.Chunk = nil, nil
+			fmt.Fprintf(&s, "%s block %d: %+v on %s\n", a.Name(), i, b, c)
+		}
+	}
+	m := d.Metrics()
+	for _, dir := range []metrics.Direction{metrics.H2D, metrics.D2H} {
+		for _, cause := range []metrics.Cause{metrics.CauseFault, metrics.CausePrefetch, metrics.CauseEviction, metrics.CauseMemcpy, metrics.CauseRemote} {
+			fmt.Fprintf(&s, "%v/%v: %d bytes in %d ops\n", dir, cause, m.Bytes(dir, cause), m.Ops(dir, cause))
+		}
+	}
+	for _, src := range []metrics.EvictSource{metrics.EvictFree, metrics.EvictUnused, metrics.EvictDiscarded, metrics.EvictLRU} {
+		fmt.Fprintf(&s, "evictions %v: %d\n", src, m.Evictions(src))
+	}
+	h2d, d2h := m.Saved()
+	fb, fblocks := m.FaultBatches()
+	zb, zp := m.ZeroFills()
+	dc, dblocks := m.Discards()
+	fmt.Fprintf(&s, "saved %d/%d, faults %d/%d, zero-fills %d/%d, unmaps %d, maps %d, discards %d/%d, unmap retries %d\n",
+		h2d, d2h, fb, fblocks, zb, zp, m.Unmaps(), m.Maps(), dc, dblocks, m.UnmapRetries())
+	return s.String()
+}
+
+// TestDiscardedRunsMatchPerBlockLoop drives the same whole-buffer discard →
+// prefetch → kernel program, eager and lazy, on a GPU that fits its three
+// buffers, on one they oversubscribe, and on a peer GPU whose buffers a
+// prefetch to the primary sometimes moves away, under a live run control,
+// twice: through runs, and with a trace recorder attached, which keeps the
+// per-block loops. After every operation both drivers must hold the same
+// queues, chunks, blocks and collector counts and have returned the same
+// time; at the end they must have polled equally often, published the same
+// progress and kept the same countdown; and a sim budget anywhere in the
+// program must trip both at the same checkpoint and sim time. The program
+// also discards a discarded buffer again, whole and in part, and touches
+// buffers from the host, which clears their runs.
+func TestDiscardedRunsMatchPerBlockLoop(t *testing.T) {
+	type outcome struct {
+		states    []string
+		times     []sim.Time
+		polls     uint64
+		countdown int
+		discards  uint64
+		recovers  uint64
+		trip      *runctl.Interrupt
+		progress  []runctl.Progress
+	}
+	type scenario struct {
+		name      string
+		gpuBlocks int
+		lazy      bool
+		gpu       int // the GPU the program runs on; 1 is a peer
+	}
+	drive := func(sc scenario, traced bool, budget sim.Time) outcome {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var tr *trace.Recorder
+		if traced {
+			tr = trace.NewRecorder()
+		}
+		var o outcome
+		ctl := runctl.New(ctx, 0, budget)
+		ctl.SetObserver(func(p runctl.Progress) { o.progress = append(o.progress, p) })
+		gpu := gpudev.Generic(units.Size(sc.gpuBlocks) * units.BlockSize)
+		cfg := Config{GPU: gpu, Link: pcie.Preset(pcie.Gen4), Control: ctl, Trace: tr}
+		if sc.gpu == 1 {
+			cfg.PeerGPUs = []gpudev.Profile{gpu}
+		}
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs := []*vaspace.Alloc{
+			mustAlloc(t, d, "a", 23*units.BlockSize),
+			mustAlloc(t, d, "b", 13*units.BlockSize),
+			mustAlloc(t, d, "c", 9*units.BlockSize-units.PageSize),
+		}
+		discard := d.Discard
+		if sc.lazy {
+			discard = d.DiscardLazy
+		}
+		var now sim.Time
+		step := func(done sim.Time, err error) error {
+			now = done
+			if budget == 0 {
+				o.states = append(o.states, driverState(d, bufs))
+				o.times = append(o.times, now)
+			}
+			return err
+		}
+		err = func() (err error) {
+			defer runctl.Recover(&err)
+			for i := 0; i < 40; i++ {
+				for j, x := range bufs {
+					size := uint64(x.Size())
+					to := sc.gpu
+					if (i+j)%6 == 5 {
+						to = 0 // away from the peer, and back on the access
+					}
+					if err := step(d.PrefetchToGPUOn(to, x, 0, size, now)); err != nil {
+						return err
+					}
+					mode := [...]AccessMode{Write, Read, ReadWrite}[(i+j)%3]
+					if err := step(d.GPUAccessOn(sc.gpu, x, 0, size, nil, mode, now)); err != nil {
+						return err
+					}
+					switch (i + j) % 7 {
+					case 2: // the buffer stays live until its next use
+						continue
+					case 4: // a host access clears the run
+						if err := step(d.CPUAccessRange(x, 0, size, Read, now)); err != nil {
+							return err
+						}
+					}
+					if err := step(discard(x, 0, size, now)); err != nil {
+						return err
+					}
+					if (i+j)%5 == 1 { // again, whole and in part
+						if err := step(discard(x, 0, size, now)); err != nil {
+							return err
+						}
+						if err := step(discard(x, uint64(units.BlockSize), size-uint64(units.BlockSize), now)); err != nil {
+							return err
+						}
+					}
+				}
+			}
+			return nil
+		}()
+		o.trip = runctl.AsInterrupt(err)
+		if err != nil && o.trip == nil {
+			t.Fatal(err)
+		}
+		if err := d.CheckNow(); err != nil {
+			t.Fatal(err)
+		}
+		o.polls, o.countdown = d.pubTick, d.blockPolls
+		o.discards, o.recovers = d.runDiscards, d.runRecoveries
+		return o
+	}
+	for _, sc := range []scenario{
+		{"eager fitting", 64, false, 0},
+		{"lazy fitting", 64, true, 0},
+		{"eager oversubscribed", 38, false, 0},
+		{"lazy oversubscribed", 38, true, 0},
+		{"eager on a peer", 64, false, 1},
+		{"lazy on a peer", 64, true, 1},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			perBlock, runs := drive(sc, true, 0), drive(sc, false, 0)
+			t.Logf("%d run discards, %d run recoveries", runs.discards, runs.recovers)
+			if perBlock.discards+perBlock.recovers != 0 || runs.discards == 0 || runs.recovers == 0 {
+				t.Fatalf("traced driver took %d run discards and %d recoveries, untraced %d and %d: want none, then some of each",
+					perBlock.discards, perBlock.recovers, runs.discards, runs.recovers)
+			}
+			for k := range perBlock.states {
+				if runs.times[k] != perBlock.times[k] {
+					t.Fatalf("operation %d returned %v through runs, %v through the per-block loop", k, runs.times[k], perBlock.times[k])
+				}
+				if runs.states[k] != perBlock.states[k] {
+					t.Fatalf("operation %d left different state through runs:\n%s\nthrough the per-block loop:\n%s",
+						k, runs.states[k], perBlock.states[k])
+				}
+			}
+			if runs.polls != perBlock.polls || runs.countdown != perBlock.countdown {
+				t.Fatalf("runs polled %d times with countdown %d, the per-block loop %d times with countdown %d",
+					runs.polls, runs.countdown, perBlock.polls, perBlock.countdown)
+			}
+			if fmt.Sprint(runs.progress) != fmt.Sprint(perBlock.progress) {
+				t.Fatalf("runs published progress %v; the per-block loop %v", runs.progress, perBlock.progress)
+			}
+			end := perBlock.times[len(perBlock.times)-1]
+			for k := sim.Time(1); k < 16; k++ {
+				budget := end * k / 16
+				want, got := drive(sc, true, budget), drive(sc, false, budget)
+				if want.trip == nil || got.trip == nil || got.trip.Reason != want.trip.Reason ||
+					got.trip.Op != want.trip.Op || got.trip.SimTime != want.trip.SimTime || got.polls != want.polls {
+					t.Errorf("budget %v: run path tripped %+v after %d polls, per-block loop %+v after %d polls",
+						budget, got.trip, got.polls, want.trip, want.polls)
+				}
+			}
+		})
+	}
+}
+
+// TestDiscardedRunAllocatesNothing: discarding a resident buffer through
+// its run and recovering it with a prefetch, eager or lazy, allocates
+// nothing.
+func TestDiscardedRunAllocatesNothing(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		params := DefaultParams()
+		params.CheckInvariantsEvery = 1 << 30
+		d, err := New(Config{GPU: gpudev.Generic(64 * units.BlockSize), Params: &params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := mustAlloc(t, d, "a", 48*units.BlockSize)
+		size := uint64(a.Size())
+		gpuAccess(t, d, a, Write)
+		discard := d.Discard
+		if lazy {
+			discard = d.DiscardLazy
+		}
+		pair := func() {
+			if _, err := discard(a, 0, size, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.PrefetchToGPU(a, 0, size, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, pair); n != 0 {
+			t.Errorf("lazy=%v: %v allocations per discard and recovery, want 0", lazy, n)
+		}
+		// AllocsPerRun makes one warm-up call besides its 100 runs.
+		if d.runDiscards != 101 || d.runRecoveries != 101 {
+			t.Errorf("lazy=%v: %d run discards and %d run recoveries, want 101 of each", lazy, d.runDiscards, d.runRecoveries)
+		}
+		if err := d.CheckNow(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -25,10 +25,12 @@ import (
 //     resident block keeps its mappings and carries the deferred-unmap
 //     marker (§5.2/§5.6), and NeedsUnmapOnReclaim never appears on a chunk
 //     that is not lazily discarded;
-//   - every standing resident run (run.go) holds: each block of its
-//     allocation is a clean hit on the run's GPU, the blocks' chunks lie
-//     contiguously on that GPU's used queue in block order, and the stale
-//     flag is set only if every block's host copy is stale.
+//   - every standing run (run.go) holds: each block of its allocation is a
+//     clean hit on the run's GPU (resident shape) or a fully prepared block
+//     discarded there with the run's flavour (discarded shape), the blocks'
+//     chunks lie contiguously in block order on that GPU's used or
+//     discarded queue, and the stale flag is set only if every block's host
+//     copy is stale.
 //
 // Violations panic with a diagnostic naming the offending alloc, block,
 // and chunk — the class of bug PR 1 had to find by hand-written regression
@@ -275,9 +277,9 @@ func (d *Driver) checkBlock(b *vaspace.Block) error {
 	return nil
 }
 
-// checkRun validates a's resident run, if one stands. The blocks'
+// checkRun validates a's run, if one stands, in either shape. The blocks'
 // per-block checks have already passed, so a clean hit's chunk sits on the
-// used queue of its GPU.
+// used queue of its GPU and a discarded block's on the discarded queue.
 func (d *Driver) checkRun(a *vaspace.Alloc) error {
 	r := a.Resident
 	if !r.On {
@@ -286,25 +288,47 @@ func (d *Driver) checkRun(a *vaspace.Alloc) error {
 	if r.GPU < 0 || r.GPU >= len(d.devs) {
 		return fmt.Errorf("sanitizer: resident run of alloc %q claims GPU %d of %d", a.Name(), r.GPU, len(d.devs))
 	}
+	if r.Lazy && !r.Discarded {
+		return fmt.Errorf("sanitizer: resident run of alloc %q is lazy but not discarded", a.Name())
+	}
 	dev := d.devs[r.GPU]
+	shape := "resident"
+	if r.Discarded {
+		shape = "discarded"
+	}
 	var prev *gpudev.Chunk
 	for i := 0; i < a.NumBlocks(); i++ {
 		b := a.Block(i)
-		if !cleanHit(b, r.GPU) {
+		switch {
+		case !r.Discarded && !cleanHit(b, r.GPU):
 			return fmt.Errorf("sanitizer: resident run on GPU %d covers %s, which is not a clean hit there (%v on GPU %d, discarded=%v livePages=%d readMostly=%v)",
 				r.GPU, blockName(b), b.Residency, b.GPUIndex, b.Discarded, b.LivePages, b.ReadMostly)
+		case r.Discarded && !discardedInRun(b, r):
+			return fmt.Errorf("sanitizer: discarded run (lazy=%v) on GPU %d covers %s, which is not a fully prepared block discarded there with that flavour (%v on GPU %d, discarded=%v lazy=%v livePages=%d readMostly=%v prepared=%v)",
+				r.Lazy, r.GPU, blockName(b), b.Residency, b.GPUIndex, b.Discarded, b.LazyDiscard, b.LivePages, b.ReadMostly,
+				b.Chunk != nil && b.Chunk.PreparedPages == units.PagesPerBlock)
 		}
 		if prev != nil && dev.Next(prev) != b.Chunk {
-			return fmt.Errorf("sanitizer: resident run on GPU %d is not contiguous: %s does not follow block %d on the used queue",
-				r.GPU, blockName(b), i-1)
+			return fmt.Errorf("sanitizer: %s run on GPU %d is not contiguous: %s does not follow block %d on the %v queue",
+				shape, r.GPU, blockName(b), i-1, prev.Queue())
 		}
 		if r.Stale && !b.CPUStale {
-			return fmt.Errorf("sanitizer: resident run on GPU %d claims every host copy stale, but %s's is not",
-				r.GPU, blockName(b))
+			return fmt.Errorf("sanitizer: %s run on GPU %d claims every host copy stale, but %s's is not",
+				shape, r.GPU, blockName(b))
 		}
 		prev = b.Chunk
 	}
 	return nil
+}
+
+// discardedInRun reports whether b fits the discarded run r: discarded on
+// r's GPU with r's flavour while still resident there, with no live-page
+// split, not read-mostly, and its chunk fully prepared, so recovering it
+// zeroes nothing.
+func discardedInRun(b *vaspace.Block, r vaspace.ResidentRun) bool {
+	return b.Residency == vaspace.GPUResident && b.GPUIndex == r.GPU &&
+		b.Discarded && b.LazyDiscard == r.Lazy && b.LivePages == 0 && !b.ReadMostly &&
+		b.Chunk.PreparedPages == units.PagesPerBlock
 }
 
 // silentReuseDiag names the block involved in a §5.2 protocol violation:

@@ -80,7 +80,7 @@ func TestSanitizerDetectsLeakedChunk(t *testing.T) {
 func TestSanitizerDetectsHostAccountingDrift(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
-	d.CPUAccess(a.Blocks(), Write, 0)
+	cpuAccess(t, d, a, Write, 0)
 
 	if err := d.Host().Reserve(units.BlockSize); err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestVerifyPanicsWithOperationName(t *testing.T) {
 			t.Fatalf("panic %v does not name the operation", r)
 		}
 	}()
-	d.CPUAccess(b.Blocks(), Write, 0)
+	cpuAccess(t, d, b, Write, 0)
 }
 
 // PanicOnSilentReuse turns the §5.2 protocol hazard — touching a lazily
@@ -215,15 +215,15 @@ func TestSanitizerSamplingStride(t *testing.T) {
 	panicked := make(chan bool, 1)
 	func() {
 		defer func() { panicked <- recover() != nil }()
-		d.CPUAccess(b.Blocks(), Write, 0) // op 2: off-stride, skipped
+		cpuAccess(t, d, b, Write, 0) // op 2: off-stride, skipped
 	}()
 	if <-panicked {
 		t.Fatal("off-stride operation ran the sweep")
 	}
 	func() {
 		defer func() { panicked <- recover() != nil }()
-		d.CPUAccess(b.Blocks(), Read, 0) // op 3
-		d.CPUAccess(b.Blocks(), Read, 0) // op 4: sample point
+		cpuAccess(t, d, b, Read, 0) // op 3
+		cpuAccess(t, d, b, Read, 0) // op 4: sample point
 	}()
 	if !<-panicked {
 		t.Fatal("sample-point operation missed the corruption")

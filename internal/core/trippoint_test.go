@@ -114,6 +114,76 @@ var tripScenarios = map[string]tripScenario{
 			return done, err
 		},
 	},
+	// The setup's whole-buffer discard leaves a discarded run, so the
+	// prefetch recovers it through the run: its block checkpoints are
+	// crossed arithmetically, at a time that grows by MapPerBlock per
+	// eagerly discarded block.
+	"run-recover": {
+		gpuBlocks: 96, allocBlocks: 96,
+		setup: func(d *Driver, a *vaspace.Alloc) (sim.Time, error) {
+			return discardedRun(d, a, d.Discard)
+		},
+		run: func(d *Driver, a *vaspace.Alloc, now sim.Time) (sim.Time, error) {
+			return d.PrefetchToGPU(a, 0, uint64(a.Size()), now)
+		},
+	},
+	// A lazily discarded run recovers with no remap, so every checkpoint of
+	// the recovery sees its entry time and no budget trips inside it: the
+	// trips land in the second prefetch, which touches the recovered run.
+	"run-recover-lazy": {
+		gpuBlocks: 96, allocBlocks: 96,
+		setup: func(d *Driver, a *vaspace.Alloc) (sim.Time, error) {
+			return discardedRun(d, a, d.DiscardLazy)
+		},
+		run: func(d *Driver, a *vaspace.Alloc, now sim.Time) (sim.Time, error) {
+			now, err := d.PrefetchToGPU(a, 0, uint64(a.Size()), now)
+			if err != nil {
+				return now, err
+			}
+			return d.PrefetchToGPU(a, 0, uint64(a.Size()), now)
+		},
+	},
+	// Two resident buffers are discarded whole in turn. A discard polls
+	// only at its entry, so the first one's unmaps move the clock past the
+	// budget and the trip lands at the entry of the second, over a run.
+	"run-discard": {
+		gpuBlocks: 96, allocBlocks: 8,
+		setup: func(d *Driver, a *vaspace.Alloc) (sim.Time, error) {
+			o, err := d.AllocManaged("other", 88*units.BlockSize)
+			if err != nil {
+				return 0, err
+			}
+			now, err := d.GPUAccess(o, 0, uint64(o.Size()), Write, 0)
+			if err != nil {
+				return now, err
+			}
+			return d.GPUAccess(a, 0, uint64(a.Size()), Write, now)
+		},
+		run: func(d *Driver, a *vaspace.Alloc, now sim.Time) (sim.Time, error) {
+			o := d.Space().ByID(1) // a, the scenario's buffer, is 0
+			if !o.Resident.On || !a.Resident.On {
+				return now, fmt.Errorf("setup left no resident runs")
+			}
+			now, err := d.Discard(o, 0, uint64(o.Size()), now)
+			if err != nil {
+				return now, err
+			}
+			return d.Discard(a, 0, uint64(a.Size()), now)
+		},
+	},
+}
+
+// discardedRun makes every block of a GPU-resident and dirty, then
+// discards a whole, which leaves a discarded run.
+func discardedRun(d *Driver, a *vaspace.Alloc, discard func(*vaspace.Alloc, uint64, uint64, sim.Time) (sim.Time, error)) (sim.Time, error) {
+	now, err := writeAllOnGPU(d, a)
+	if err != nil {
+		return now, err
+	}
+	if now, err = discard(a, 0, uint64(a.Size()), now); err == nil && !a.Resident.Discarded {
+		err = fmt.Errorf("setup left no discarded run")
+	}
+	return now, err
 }
 
 // runTripScenario runs a scenario under ctl and returns the setup and run
@@ -210,6 +280,31 @@ func TestSimBudgetTripPoints(t *testing.T) {
 		{"run-kernel", 5, "ensure-gpu", 1561520},
 		{"run-kernel", 6, "ensure-gpu", 1561520},
 		{"run-kernel", 7, "ensure-gpu", 1561520},
+		// Recorded with the per-block loops, before discarded runs existed.
+		{"run-recover", 0, "ensure-gpu", 1899240},
+		{"run-recover", 1, "ensure-gpu", 1935240},
+		{"run-recover", 2, "ensure-gpu", 1971240},
+		{"run-recover", 3, "ensure-gpu", 2007240},
+		{"run-recover", 4, "ensure-gpu", 2043240},
+		{"run-recover", 5, "ensure-gpu", 2079240},
+		{"run-recover", 6, "ensure-gpu", 2115240},
+		{"run-recover", 7, "ensure-gpu", 2151240},
+		{"run-recover-lazy", 0, "ensure-gpu", 1685440},
+		{"run-recover-lazy", 1, "ensure-gpu", 1690240},
+		{"run-recover-lazy", 2, "ensure-gpu", 1695040},
+		{"run-recover-lazy", 3, "ensure-gpu", 1699840},
+		{"run-recover-lazy", 4, "ensure-gpu", 1704640},
+		{"run-recover-lazy", 5, "ensure-gpu", 1709440},
+		{"run-recover-lazy", 6, "ensure-gpu", 1714240},
+		{"run-recover-lazy", 7, "ensure-gpu", 1719040},
+		{"run-discard", 0, "Discard", 1903640},
+		{"run-discard", 1, "Discard", 1903640},
+		{"run-discard", 2, "Discard", 1903640},
+		{"run-discard", 3, "Discard", 1903640},
+		{"run-discard", 4, "Discard", 1903640},
+		{"run-discard", 5, "Discard", 1903640},
+		{"run-discard", 6, "Discard", 1903640},
+		{"run-discard", 7, "Discard", 1903640},
 	}
 	// A live context keeps the cancel poll on the path without tripping it.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -253,7 +348,7 @@ func TestCancelSeenWithinBlockStride(t *testing.T) {
 		t.Fatalf("canceled host access did not trip inside the call: %v", err)
 	}
 	migrated := 0
-	for _, b := range a.Blocks() {
+	for _, b := range allBlocks(a) {
 		if b.Residency == vaspace.CPUResident {
 			migrated++
 		}

@@ -250,9 +250,9 @@ func TestScatterAccessCoversAllBlocks(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range buf.Alloc().Blocks() {
-		if b.Residency.String() != "gpu" {
-			t.Fatalf("block %d not resident after scatter access", b.Index)
+	for i := 0; i < buf.Alloc().NumBlocks(); i++ {
+		if buf.Alloc().Block(i).Residency.String() != "gpu" {
+			t.Fatalf("block %d not resident after scatter access", i)
 		}
 	}
 }

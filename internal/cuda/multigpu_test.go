@@ -188,8 +188,8 @@ func TestPerGPUEviction(t *testing.T) {
 	}
 	// GPU 1 (2 chunks) had to evict for big's 3 blocks; GPU 0's data is
 	// untouched.
-	for _, b := range a.Alloc().Blocks() {
-		if b.Residency != vaspace.GPUResident || b.GPUIndex != 0 {
+	for i := 0; i < a.Alloc().NumBlocks(); i++ {
+		if b := a.Alloc().Block(i); b.Residency != vaspace.GPUResident || b.GPUIndex != 0 {
 			t.Errorf("GPU 0 block disturbed: %+v", b)
 		}
 	}

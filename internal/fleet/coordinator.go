@@ -101,6 +101,22 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
+// JournalErr returns the journal append failure after which the
+// coordinator refuses every change it would have to journal, or nil while
+// its journal works or when it runs in memory.
+func (c *Coordinator) JournalErr() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.journalErrLocked()
+}
+
+func (c *Coordinator) journalErrLocked() error {
+	if c.ap == nil {
+		return nil
+	}
+	return c.ap.Err()
+}
+
 // Close releases the journal. In-flight protocol state stays readable.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
@@ -409,7 +425,7 @@ func (c *Coordinator) State() FleetState {
 	defer c.mu.Unlock()
 	now := c.cfg.now()
 	c.sweepLocked(now)
-	st := FleetState{Counters: c.ctr}
+	st := FleetState{Counters: c.ctr, JournalFailed: c.journalErrLocked() != nil}
 	for _, w := range c.workers {
 		st.Workers = append(st.Workers, WorkerStatus{
 			Name:               w.Name,

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -510,6 +511,59 @@ func TestRequeueAppendFailureChangesNothing(t *testing.T) {
 	}
 	if n := c2.State().Counters.OrphanedLeases; n != 1 {
 		t.Fatalf("restart recovered %d orphaned leases, want 1", n)
+	}
+}
+
+// TestJournalFailureSurfaces breaks the journal as
+// TestRequeueAppendFailureChangesNothing does and requires the coordinator
+// to say so once an append has failed: /healthz answers 503, and /v1/fleet
+// and /metrics carry the journal-failed gauge. Closing the file alone
+// fails nothing; the failure is the first append after it.
+func TestJournalFailureSurfaces(t *testing.T) {
+	clk := newFakeClock()
+	cfg := testConfig(clk)
+	cfg.JournalPath = filepath.Join(t.TempDir(), "fleet.journal")
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+	check := func(when string, failed bool) {
+		t.Helper()
+		// /v1/fleet first: its sweep is what requeues an expired lease.
+		var st FleetState
+		if rec := get("/v1/fleet"); rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &st) != nil || st.JournalFailed != failed {
+			t.Fatalf("%s: /v1/fleet answered %d %s, want journal_failed %v", when, rec.Code, rec.Body, failed)
+		}
+		want := "uvmfleet_journal_failed 0\n"
+		if failed {
+			want = "uvmfleet_journal_failed 1\n"
+		}
+		if rec := get("/metrics"); !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("%s: /metrics has no %q:\n%s", when, want, rec.Body)
+		}
+		code := http.StatusOK
+		if failed {
+			code = http.StatusServiceUnavailable
+		}
+		if rec := get("/healthz"); rec.Code != code {
+			t.Fatalf("%s: /healthz answered %d %s, want %d", when, rec.Code, rec.Body, code)
+		}
+	}
+	check("at open", false)
+	mustRegister(t, c, "w1", 1)
+	mustSubmit(t, c, "acme", "T3")
+	mustLease(t, c, "w1")
+	c.ap.Close()
+	check("with the journal closed", false)
+	clk.Advance(cfg.LeaseTTL + time.Second)
+	check("after the requeue failed to append", true)
+	if c.JournalErr() == nil {
+		t.Fatal("JournalErr is nil after a failed append")
 	}
 }
 

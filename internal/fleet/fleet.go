@@ -275,4 +275,8 @@ type FleetState struct {
 	Tenants  []TenantStatus `json:"tenants"`
 	Jobs     JobCounts      `json:"jobs"`
 	Counters Counters       `json:"counters"`
+	// JournalFailed says a journal append has failed: the coordinator
+	// then refuses every submit, lease, completion and requeue, and
+	// /healthz answers 503, until it is restarted on a working journal.
+	JournalFailed bool `json:"journal_failed"`
 }

@@ -17,7 +17,7 @@ import (
 //	GET  /v1/jobs/{id}         job status              → 200 JobStatus
 //	GET  /v1/fleet             whole-fleet snapshot    → 200 FleetState
 //	GET  /metrics              Prometheus exposition
-//	GET  /healthz              liveness
+//	GET  /healthz              200, or 503 once a journal append has failed
 //	POST /v1/workers/register  {name, capacity, mem_bytes} → 204
 //	POST /v1/workers/heartbeat {worker}                → 204
 //	POST /v1/lease             {worker}                → 200 LeaseGrant | 204 nothing
@@ -34,15 +34,24 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
 	mux.HandleFunc("GET /v1/fleet", c.handleFleet)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
+	mux.HandleFunc("GET /healthz", c.handleHealth)
 	mux.HandleFunc("POST /v1/workers/register", c.handleRegister)
 	mux.HandleFunc("POST /v1/workers/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /v1/lease", c.handleLease)
 	mux.HandleFunc("POST /v1/lease/renew", c.handleRenew)
 	mux.HandleFunc("POST /v1/complete", c.handleComplete)
 	return mux
+}
+
+// handleHealth answers 200 while the coordinator can journal, and 503 once
+// an append has failed, as uvmsimd does while draining: the coordinator
+// still answers reads then, but refuses every change it would journal.
+func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
+	if err := c.JournalErr(); err != nil {
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "journal failed", "error": err.Error()})
+		return
+	}
+	w.WriteHeader(http.StatusOK)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

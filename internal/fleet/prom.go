@@ -83,6 +83,10 @@ func (c *Coordinator) PromFamilies() []promexp.Family {
 		},
 	}
 
+	journalFailed := 0.0
+	if st.JournalFailed {
+		journalFailed = 1
+	}
 	fams := []promexp.Family{
 		workersByState,
 		ratio,
@@ -113,6 +117,8 @@ func (c *Coordinator) PromFamilies() []promexp.Family {
 			"Workers that came back after being declared dead.", float64(st.Counters.WorkersRevived)),
 		promexp.Counter("uvmfleet_orphaned_leases_total",
 			"Leases found dangling in the journal at coordinator restart.", float64(st.Counters.OrphanedLeases)),
+		promexp.Gauge("uvmfleet_journal_failed",
+			"1 once a journal append has failed: every submit, lease, completion and requeue is refused until restart.", journalFailed),
 	}
 	return fams
 }

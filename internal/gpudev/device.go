@@ -87,21 +87,29 @@ func (d *Device) UsableBytes() units.Size {
 
 // QueueLen returns the current length of a queue.
 func (d *Device) QueueLen(k QueueKind) int {
+	if l := d.list(k); l != nil {
+		return l.size
+	}
+	return 0
+}
+
+// list returns the list that holds queue k, or nil for QueueNone.
+func (d *Device) list(k QueueKind) *chunkList {
 	switch k {
 	case QueueFree:
-		return d.free.size
+		return &d.free
 	case QueueUnused:
-		return d.unused.size
+		return &d.unused
 	case QueueUsed:
-		return d.used.size
+		return &d.used
 	case QueueDiscarded:
-		return d.discarded.size
+		return &d.discarded
 	case QueueReserved:
-		return d.reserved.size
+		return &d.reserved
 	case QueuePoisoned:
-		return d.poisoned.size
+		return &d.poisoned
 	default:
-		return 0
+		return nil
 	}
 }
 
@@ -209,33 +217,67 @@ func (d *Device) Touch(c *Chunk) {
 	d.PushUsed(c)
 }
 
-// TouchStretch records a use of every chunk of the used-queue stretch that
-// runs from first to last in list order (LRU to MRU), moving the stretch to
-// the MRU end in the same order: the queue Touch on each chunk of it in
-// turn would leave, at O(1) cost. The caller guarantees that first..last is
-// a contiguous stretch of the used queue; the device cannot check that
-// without walking it.
-func (d *Device) TouchStretch(first, last *Chunk) {
-	if first.queue != QueueUsed || last.queue != QueueUsed {
-		panic(fmt.Sprintf("gpudev: touch of stretch %d..%d on queues %v..%v", first.id, last.id, first.queue, last.queue))
+// MoveStretch moves the stretch of n chunks that runs from first to last in
+// list order (LRU to MRU on the used queue) to the tail of queue to, in the
+// same order: the queues a Detach and a push to queue to of each chunk of
+// the stretch in turn would leave, at O(1) link cost. Within the used queue
+// that is a Touch of each chunk. Both queues must be the used or the
+// discarded queue, whose pushes keep a chunk's per-use fields.
+//
+// Moving to the other queue also relabels the n chunks. MoveStretch calls
+// chunk(i) once for each i from 0 to n-1, in order, for the stretch's i'th
+// chunk: the caller reads the chunks from its own index of the stretch,
+// such as an allocation's blocks, and may make its own change to each in
+// the same call, so one pass in stretch order does both. Walking the queue
+// links from first instead would be a chain of dependent loads. chunk is
+// not called within one queue and may then be nil. The caller guarantees
+// that first..last is a contiguous stretch of n chunks; the device cannot
+// check that without walking it.
+func (d *Device) MoveStretch(first, last *Chunk, n int, to QueueKind, chunk func(i int) *Chunk) {
+	from := first.queue
+	if last.queue != from || !stretchQueue(from) || !stretchQueue(to) {
+		panic(fmt.Sprintf("gpudev: moving stretch %d..%d on queues %v..%v to %v", first.id, last.id, from, last.queue, to))
 	}
-	l := &d.used
-	if l.tail == last.id {
-		return // already MRU: relinking would be the identity
+	src, dst := d.list(from), d.list(to)
+	if src == dst && src.tail == last.id {
+		return // already at the tail: relinking would be the identity
 	}
-	// last is not the tail, so last.next exists and the tail lies beyond
-	// the stretch: unlink first..last, then hang it after the tail.
 	if first.prev != noChunk {
 		d.chunks[first.prev].next = last.next
 	} else {
-		l.head = last.next
+		src.head = last.next
 	}
-	d.chunks[last.next].prev = first.prev
-	first.prev = l.tail
-	d.chunks[l.tail].next = first.id
-	last.next = noChunk
-	l.tail = last.id
+	if last.next != noChunk {
+		d.chunks[last.next].prev = first.prev
+	} else {
+		src.tail = first.prev
+	}
+	// Unlinking never empties dst when it is src: last is not its tail, so
+	// the tail lies beyond the stretch.
+	first.prev, last.next = dst.tail, noChunk
+	if dst.tail != noChunk {
+		d.chunks[dst.tail].next = first.id
+	} else {
+		dst.head = first.id
+	}
+	dst.tail = last.id
+	if src == dst {
+		return
+	}
+	for i := 0; i < n; i++ {
+		c := chunk(i)
+		if c.queue != from {
+			panic(fmt.Sprintf("gpudev: stretch chunk %d of %d (chunk %d) is on %v, not %v", i, n, c.id, c.queue, from))
+		}
+		c.queue = to
+	}
+	src.size -= n
+	dst.size += n
 }
+
+// stretchQueue reports whether MoveStretch may move a stretch from or to
+// queue k.
+func stretchQueue(k QueueKind) bool { return k == QueueUsed || k == QueueDiscarded }
 
 // Next returns the chunk after c on c's queue (toward the MRU end of the
 // used queue), or nil when c is the last one. It only reads the links; the
@@ -280,21 +322,8 @@ func (d *Device) ChunkByID(id int32) (*Chunk, error) {
 // the simulation state, and a resumed run must replay evictions in the same
 // order an uninterrupted one would.
 func (d *Device) AppendQueueIDs(dst []int32, k QueueKind) []int32 {
-	var l *chunkList
-	switch k {
-	case QueueFree:
-		l = &d.free
-	case QueueUnused:
-		l = &d.unused
-	case QueueUsed:
-		l = &d.used
-	case QueueDiscarded:
-		l = &d.discarded
-	case QueueReserved:
-		l = &d.reserved
-	case QueuePoisoned:
-		l = &d.poisoned
-	default:
+	l := d.list(k)
+	if l == nil {
 		return dst
 	}
 	for i := l.head; i != noChunk; i = d.chunks[i].next {

@@ -150,56 +150,99 @@ func TestLRUOrder(t *testing.T) {
 	}
 }
 
-// TestTouchStretchEqualsTouchingEachChunk relinks every contiguous stretch
-// of a six-chunk used queue and requires the queue Touch on each of its
-// chunks in turn leaves, with Next agreeing with the walk.
-func TestTouchStretchEqualsTouchingEachChunk(t *testing.T) {
+// TestMoveStretchEqualsDetachAndPush moves every contiguous stretch of a
+// six-chunk queue to the tail of the used and of the discarded queue, with
+// the other queue empty or not, and requires the queues a Detach and push
+// of each of its chunks in turn leaves, with Next agreeing with the walk.
+func TestMoveStretchEqualsDetachAndPush(t *testing.T) {
 	const n = 6
-	build := func() (*Device, []*Chunk) {
-		d := newTestDevice(t, n+1, 0)
+	queues := []QueueKind{QueueUsed, QueueDiscarded}
+	push := func(d *Device, k QueueKind, c *Chunk) {
+		if k == QueueUsed {
+			d.PushUsed(c)
+		} else {
+			d.PushDiscarded(c)
+		}
+	}
+	// build puts n chunks on queue from, and others on the other queue.
+	build := func(from QueueKind, others int) (*Device, []*Chunk) {
+		other := QueueDiscarded
+		if from == QueueDiscarded {
+			other = QueueUsed
+		}
+		d := newTestDevice(t, n+others+1, 0)
 		cs := make([]*Chunk, n)
 		for i := range cs {
 			cs[i] = d.PopFree()
-			d.PushUsed(cs[i])
+			push(d, from, cs[i])
+		}
+		for i := 0; i < others; i++ {
+			push(d, other, d.PopFree())
 		}
 		return d, cs
 	}
-	usedIDs := func(d *Device) []int32 { return d.AppendQueueIDs(nil, QueueUsed) }
-	for lo := 0; lo < n; lo++ {
-		for hi := lo; hi < n; hi++ {
-			ref, rcs := build()
-			for i := lo; i <= hi; i++ {
-				ref.Touch(rcs[i])
-			}
-			d, cs := build()
-			d.TouchStretch(cs[lo], cs[hi])
-			want, got := usedIDs(ref), usedIDs(d)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("stretch %d..%d: used queue %v, want %v", lo, hi, got, want)
-			}
-			if err := d.CheckInvariants(); err != nil {
-				t.Fatalf("stretch %d..%d: %v", lo, hi, err)
-			}
-			for i, id := range got {
-				next := d.Next(&d.chunks[id])
-				if i == len(got)-1 {
-					if next != nil {
-						t.Fatalf("stretch %d..%d: Next of the MRU chunk is %d, want nil", lo, hi, next.ID())
+	ids := func(d *Device) string {
+		return fmt.Sprint(d.AppendQueueIDs(nil, QueueUsed), d.AppendQueueIDs(nil, QueueDiscarded))
+	}
+	for _, from := range queues {
+		for _, to := range queues {
+			for _, others := range []int{0, 3} {
+				for lo := 0; lo < n; lo++ {
+					for hi := lo; hi < n; hi++ {
+						name := fmt.Sprintf("%v→%v with %d others, stretch %d..%d", from, to, others, lo, hi)
+						ref, rcs := build(from, others)
+						for i := lo; i <= hi; i++ {
+							ref.Detach(rcs[i])
+							push(ref, to, rcs[i])
+						}
+						d, cs := build(from, others)
+						d.MoveStretch(cs[lo], cs[hi], hi-lo+1, to, func(i int) *Chunk { return cs[lo+i] })
+						if got, want := ids(d), ids(ref); got != want {
+							t.Fatalf("%s: queues %v, want %v", name, got, want)
+						}
+						if err := d.CheckInvariants(); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						for _, k := range queues {
+							q := d.AppendQueueIDs(nil, k)
+							for i, id := range q {
+								next := d.Next(&d.chunks[id])
+								if i == len(q)-1 {
+									if next != nil {
+										t.Fatalf("%s: Next of the %v tail is %d, want nil", name, k, next.ID())
+									}
+								} else if next == nil || int32(next.ID()) != q[i+1] {
+									t.Fatalf("%s: Next of chunk %d disagrees with the %v queue %v", name, id, k, q)
+								}
+							}
+						}
 					}
-				} else if next == nil || int32(next.ID()) != got[i+1] {
-					t.Fatalf("stretch %d..%d: Next of chunk %d disagrees with the queue %v", lo, hi, id, got)
 				}
 			}
 		}
 	}
-	d, cs := build()
-	c := d.PopFree()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic touching a stretch that ends off the used queue")
-		}
-	}()
-	d.TouchStretch(cs[0], c)
+	for name, move := range map[string]func(d *Device, cs []*Chunk){
+		"a stretch that ends off its queue": func(d *Device, cs []*Chunk) {
+			d.MoveStretch(cs[0], d.PopFree(), 2, QueueUsed, nil)
+		},
+		"a stretch to the free queue": func(d *Device, cs []*Chunk) {
+			d.MoveStretch(cs[0], cs[1], 2, QueueFree, nil)
+		},
+		"a chunk off the stretch's queue": func(d *Device, cs []*Chunk) {
+			c := d.PopFree()
+			d.MoveStretch(cs[0], cs[1], 2, QueueDiscarded, func(i int) *Chunk { return c })
+		},
+	} {
+		func() {
+			d, cs := build(QueueUsed, 0)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("moving %s did not panic", name)
+				}
+			}()
+			move(d, cs)
+		}()
+	}
 }
 
 func TestTouchPanicsOffUsedQueue(t *testing.T) {

@@ -116,6 +116,14 @@ func (a *Appender) Append(line []byte) error {
 	return nil
 }
 
+// Err returns the failed write or sync after which the appender refuses
+// every Append, or nil while it still accepts them.
+func (a *Appender) Err() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.err
+}
+
 // Close releases the file. Records already appended remain durable.
 func (a *Appender) Close() error {
 	a.mu.Lock()

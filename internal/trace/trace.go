@@ -344,14 +344,18 @@ func (a Analysis) String() string {
 // times keep their record order (the driver records in issue order).
 func Analyze(r *Recorder) Analysis {
 	var a Analysis
-	r.ForEachBlock(func(_, _ int, evs []Event) { a.classify(evs) })
-	a.RequiredBytes = a.Total() - a.Redundant()
+	r.ForEachBlock(func(_, _ int, evs []Event) { a.AddBlock(evs) })
 	return a
 }
 
-// classify adds one block's time-ordered events to a in a single reverse
-// pass. Walking backwards, it carries the verdict a transfer at the current
-// position would get from the events after it:
+// AddBlock classifies the transfers of one block's time-ordered events, as
+// ForEachBlock hands them over, into a: Analyze is AddBlock over every
+// block of a trace. Grouping the events by block is most of the cost, so a
+// caller with its own per-block analysis (the discard advisor) feeds both
+// from one ForEachBlock walk.
+//
+// It walks the events backwards in a single pass, carrying the verdict a
+// transfer at the current position would get from the events after it:
 //
 //   - gpu: an H2D or peer transfer is required iff, of the next GPURead,
 //     GPUWrite, Discard, ZeroFill or D2H, the first is a GPURead;
@@ -363,7 +367,7 @@ func Analyze(r *Recorder) Analysis {
 //     ZeroFill kill it either way.
 //
 // Every verdict starts false: data never touched again was not required.
-func (a *Analysis) classify(evs []Event) {
+func (a *Analysis) AddBlock(evs []Event) {
 	var gpu, onHost, onGPU bool
 	for i := len(evs) - 1; i >= 0; i-- {
 		ev := &evs[i]
@@ -374,6 +378,8 @@ func (a *Analysis) classify(evs []Event) {
 			if !gpu {
 				a.RedundantH2D += ev.Bytes
 				a.RedundantCount++
+			} else {
+				a.RequiredBytes += ev.Bytes
 			}
 			onHost = onGPU
 		case TransferPeer:
@@ -382,6 +388,8 @@ func (a *Analysis) classify(evs []Event) {
 			if !gpu {
 				a.RedundantPeer += ev.Bytes
 				a.RedundantCount++
+			} else {
+				a.RequiredBytes += ev.Bytes
 			}
 		case TransferD2H:
 			a.TotalD2H += ev.Bytes
@@ -389,6 +397,8 @@ func (a *Analysis) classify(evs []Event) {
 			if !onHost {
 				a.RedundantD2H += ev.Bytes
 				a.RedundantCount++
+			} else {
+				a.RequiredBytes += ev.Bytes
 			}
 			gpu, onGPU = false, onHost
 		case GPURead:

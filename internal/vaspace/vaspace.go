@@ -182,15 +182,24 @@ type Alloc struct {
 
 // ResidentRun says that an allocation is wholly resident on one GPU in a
 // shape the driver can serve without visiting its blocks. While On, every
-// block is a clean hit on GPU (GPU-resident there, not discarded, no live
-// page split, not read-mostly, its chunk on the used queue), and the blocks'
-// chunks lie contiguously on that GPU's used queue in block order. Stale
-// says that every block's host copy is already stale (Block.CPUStale), so a
-// GPU write through the run changes no block. The zero value is no run.
+// block is GPU-resident on GPU with no live-page split and not read-mostly,
+// and the blocks' chunks lie contiguously in block order on one of that
+// GPU's queues:
+//
+//   - resident (Discarded false): every block is a clean hit (not discarded,
+//     its chunk on the used queue);
+//   - discarded: every block is discarded, lazily iff Lazy, and its chunk is
+//     fully prepared and on the discarded queue.
+//
+// Stale says that every block's host copy is already stale
+// (Block.CPUStale), so a GPU write through the run changes no block. The
+// zero value is no run.
 type ResidentRun struct {
-	On    bool
-	GPU   int
-	Stale bool
+	On        bool
+	GPU       int
+	Stale     bool
+	Discarded bool
+	Lazy      bool
 }
 
 // ID returns the allocation's id within its space.
@@ -213,15 +222,6 @@ func (a *Alloc) Freed() bool { return a.freed }
 
 // Block returns the i'th block.
 func (a *Alloc) Block(i int) *Block { return &a.blocks[i] }
-
-// Blocks returns all blocks of the allocation.
-func (a *Alloc) Blocks() []*Block {
-	out := make([]*Block, len(a.blocks))
-	for i := range a.blocks {
-		out[i] = &a.blocks[i]
-	}
-	return out
-}
 
 // Span returns blocks first..last (inclusive) as a slice of the
 // allocation's own block array: a driver loop then visits a span without a

@@ -313,11 +313,18 @@ func Collect(sys System, ctx *cuda.Context) Result {
 	poisoned, _, lost := m.Poisoned()
 	r.PoisonedChunks, r.PoisonLostB = poisoned, lost
 	if tr := ctx.Driver().Trace(); tr != nil {
-		a := trace.Analyze(tr)
+		// One walk of the trace feeds both analyses: grouping its events
+		// by block is most of either one's cost.
+		var a trace.Analysis
+		var adv advisor.Scan
+		tr.ForEachBlock(func(alloc, _ int, evs []trace.Event) {
+			a.AddBlock(evs)
+			adv.Block(alloc, evs)
+		})
 		r.Analysis = &a
 		r.Trace = tr
 		space := ctx.Driver().Space()
-		r.Advice = advisor.Analyze(tr, func(id int) string {
+		r.Advice = adv.Report(func(id int) string {
 			if al := space.ByID(id); al != nil {
 				return al.Name()
 			}
