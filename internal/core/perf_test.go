@@ -13,12 +13,27 @@ import (
 // matters because the DL sweeps push hundreds of thousands of block ops per
 // experiment.
 
-func benchDriver(b *testing.B, blocks int) (*Driver, *vaspace.Alloc) {
+// newBenchDriver builds a driver on a GPU of gpuBlocks blocks. Its
+// sanitizer stride is set past any benchmark's operation count, so the
+// full sweep TestMain would otherwise force after every operation stays out
+// of the timing, as in TestRunAccessIsConstantTime.
+func newBenchDriver(b *testing.B, gpuBlocks int) *Driver {
 	b.Helper()
-	d, err := New(Config{GPU: gpudev.Generic(units.Size(blocks) * units.BlockSize)})
+	params := DefaultParams()
+	params.CheckInvariantsEvery = 1 << 30
+	d, err := New(Config{GPU: gpudev.Generic(units.Size(gpuBlocks) * units.BlockSize), Params: &params})
 	if err != nil {
 		b.Fatal(err)
 	}
+	if d.p.CheckInvariantsEvery == 1 {
+		b.Fatal("benchmark driver runs the sanitizer after every operation")
+	}
+	return d
+}
+
+func benchDriver(b *testing.B, blocks int) (*Driver, *vaspace.Alloc) {
+	b.Helper()
+	d := newBenchDriver(b, blocks)
 	a, err := d.AllocManaged("bench", units.Size(blocks/2)*units.BlockSize)
 	if err != nil {
 		b.Fatal(err)
@@ -73,10 +88,7 @@ func BenchmarkDriverDiscardRecover(b *testing.B) {
 func BenchmarkDriverEvictionChurn(b *testing.B) {
 	// Footprint 2x capacity: every access round is all-miss with LRU
 	// evictions — the simulator's worst case.
-	d, err := New(Config{GPU: gpudev.Generic(64 * units.BlockSize)})
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := newBenchDriver(b, 64)
 	a, err := d.AllocManaged("churn", 128*units.BlockSize)
 	if err != nil {
 		b.Fatal(err)

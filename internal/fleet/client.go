@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 )
@@ -30,33 +31,51 @@ func NewClient(baseURL string) *Client {
 	}
 }
 
-// do sends one JSON exchange and returns the response status and body.
-func (c *Client) do(ctx context.Context, method, path string, in any) (int, []byte, error) {
+// call sends one exchange of the named verb and returns the status it was
+// answered with, which is one of ok. The body of any success but 204 No
+// Content decodes into out, when out is not nil. Any other status is an
+// error: the one of errs, the protocol errors the verb can fail with, to
+// which errStatus gives that status, or else a plain HTTP error.
+func (c *Client) call(ctx context.Context, verb, method, path string, in, out any, ok []int, errs ...error) (int, error) {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	return resp.StatusCode, b, nil
+	code := resp.StatusCode
+	if !slices.Contains(ok, code) {
+		for _, e := range errs {
+			if statusOf(e, 0) == code {
+				return code, fmt.Errorf("%w: %s", e, serverMsg(b))
+			}
+		}
+		return code, fmt.Errorf("fleet: %s: HTTP %d: %s", verb, code, serverMsg(b))
+	}
+	if out != nil && code != http.StatusNoContent {
+		if err := json.Unmarshal(b, out); err != nil {
+			return code, fmt.Errorf("fleet: %s: %w", verb, err)
+		}
+	}
+	return code, nil
 }
 
 // serverMsg digs the error string out of an {"error": ...} body.
@@ -72,153 +91,76 @@ func serverMsg(body []byte) string {
 
 // Register announces the worker and its declared capacity.
 func (c *Client) Register(ctx context.Context, name string, capacity int, memBytes uint64) error {
-	code, body, err := c.do(ctx, http.MethodPost, "/v1/workers/register",
-		registerReq{Name: name, Capacity: capacity, MemBytes: memBytes})
-	if err != nil {
-		return err
-	}
-	if code != http.StatusNoContent {
-		return fmt.Errorf("fleet: register: HTTP %d: %s", code, serverMsg(body))
-	}
-	return nil
+	_, err := c.call(ctx, "register", http.MethodPost, "/v1/workers/register",
+		registerReq{Name: name, Capacity: capacity, MemBytes: memBytes}, nil, []int{http.StatusNoContent})
+	return err
 }
 
 // Heartbeat tells the coordinator the worker is alive.
 func (c *Client) Heartbeat(ctx context.Context, name string) error {
-	code, body, err := c.do(ctx, http.MethodPost, "/v1/workers/heartbeat", workerReq{Worker: name})
-	if err != nil {
-		return err
-	}
-	switch code {
-	case http.StatusNoContent:
-		return nil
-	case http.StatusNotFound:
-		return fmt.Errorf("%w: %s", ErrUnknownWorker, serverMsg(body))
-	default:
-		return fmt.Errorf("fleet: heartbeat: HTTP %d: %s", code, serverMsg(body))
-	}
+	_, err := c.call(ctx, "heartbeat", http.MethodPost, "/v1/workers/heartbeat",
+		workerReq{Worker: name}, nil, []int{http.StatusNoContent}, ErrUnknownWorker)
+	return err
 }
 
 // Lease polls for a job. A nil grant with a nil error means nothing to do
 // right now (queue empty, at capacity, or placement deferred the poll).
 func (c *Client) Lease(ctx context.Context, name string) (*LeaseGrant, error) {
-	code, body, err := c.do(ctx, http.MethodPost, "/v1/lease", workerReq{Worker: name})
-	if err != nil {
+	var g LeaseGrant
+	code, err := c.call(ctx, "lease", http.MethodPost, "/v1/lease", workerReq{Worker: name}, &g,
+		[]int{http.StatusOK, http.StatusNoContent}, ErrUnknownWorker)
+	if err != nil || code == http.StatusNoContent {
 		return nil, err
 	}
-	switch code {
-	case http.StatusOK:
-		var g LeaseGrant
-		if err := json.Unmarshal(body, &g); err != nil {
-			return nil, fmt.Errorf("fleet: lease: %w", err)
-		}
-		return &g, nil
-	case http.StatusNoContent:
-		return nil, nil
-	case http.StatusNotFound:
-		return nil, fmt.Errorf("%w: %s", ErrUnknownWorker, serverMsg(body))
-	default:
-		return nil, fmt.Errorf("fleet: lease: HTTP %d: %s", code, serverMsg(body))
-	}
+	return &g, nil
 }
 
 // Renew extends the lease on (jobID, attempt). ErrStale means the lease is
 // gone and the worker must abandon the run.
 func (c *Client) Renew(ctx context.Context, name, jobID string, attempt int) error {
-	code, body, err := c.do(ctx, http.MethodPost, "/v1/lease/renew",
-		renewReq{Worker: name, JobID: jobID, Attempt: attempt})
-	if err != nil {
-		return err
-	}
-	switch code {
-	case http.StatusOK:
-		return nil
-	case http.StatusConflict:
-		return fmt.Errorf("%w: %s", ErrStale, serverMsg(body))
-	default:
-		return fmt.Errorf("fleet: renew: HTTP %d: %s", code, serverMsg(body))
-	}
+	_, err := c.call(ctx, "renew", http.MethodPost, "/v1/lease/renew",
+		renewReq{Worker: name, JobID: jobID, Attempt: attempt}, nil, []int{http.StatusOK}, ErrStale)
+	return err
 }
 
 // Complete reports the outcome of an attempt; errMsg empty means success
 // with output holding the rendered result. The returned status is the
 // coordinator's idempotency verdict.
 func (c *Client) Complete(ctx context.Context, name, jobID string, attempt int, output, errMsg string) (CompleteStatus, error) {
-	code, body, err := c.do(ctx, http.MethodPost, "/v1/complete",
-		completeReq{Worker: name, JobID: jobID, Attempt: attempt, Output: output, Error: errMsg})
-	if err != nil {
+	var res struct {
+		Status CompleteStatus `json:"status"`
+	}
+	if _, err := c.call(ctx, "complete", http.MethodPost, "/v1/complete",
+		completeReq{Worker: name, JobID: jobID, Attempt: attempt, Output: output, Error: errMsg}, &res,
+		[]int{http.StatusOK}, ErrNoSuchJob, ErrMismatch); err != nil {
 		return "", err
 	}
-	switch code {
-	case http.StatusOK:
-		var res struct {
-			Status CompleteStatus `json:"status"`
-		}
-		if err := json.Unmarshal(body, &res); err != nil {
-			return "", fmt.Errorf("fleet: complete: %w", err)
-		}
-		return res.Status, nil
-	case http.StatusNotFound:
-		return "", fmt.Errorf("%w: %s", ErrNoSuchJob, serverMsg(body))
-	case http.StatusConflict:
-		return "", fmt.Errorf("%w: %s", ErrMismatch, serverMsg(body))
-	default:
-		return "", fmt.Errorf("fleet: complete: HTTP %d: %s", code, serverMsg(body))
-	}
+	return res.Status, nil
 }
 
 // Submit admits a job.
 func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
-	code, body, err := c.do(ctx, http.MethodPost, "/v1/jobs", spec)
-	if err != nil {
+	var st JobStatus
+	if _, err := c.call(ctx, "submit", http.MethodPost, "/v1/jobs", spec, &st, []int{http.StatusCreated}, ErrQuota); err != nil {
 		return JobStatus{}, err
 	}
-	switch code {
-	case http.StatusCreated:
-		var st JobStatus
-		if err := json.Unmarshal(body, &st); err != nil {
-			return JobStatus{}, fmt.Errorf("fleet: submit: %w", err)
-		}
-		return st, nil
-	case http.StatusTooManyRequests:
-		return JobStatus{}, fmt.Errorf("%w: %s", ErrQuota, serverMsg(body))
-	default:
-		return JobStatus{}, fmt.Errorf("fleet: submit: HTTP %d: %s", code, serverMsg(body))
-	}
+	return st, nil
 }
 
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
-	code, body, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
-	if err != nil {
+	var st JobStatus
+	if _, err := c.call(ctx, "job", http.MethodGet, "/v1/jobs/"+id, nil, &st, []int{http.StatusOK}, ErrNoSuchJob); err != nil {
 		return JobStatus{}, err
 	}
-	switch code {
-	case http.StatusOK:
-		var st JobStatus
-		if err := json.Unmarshal(body, &st); err != nil {
-			return JobStatus{}, fmt.Errorf("fleet: job: %w", err)
-		}
-		return st, nil
-	case http.StatusNotFound:
-		return JobStatus{}, fmt.Errorf("%w: %s", ErrNoSuchJob, serverMsg(body))
-	default:
-		return JobStatus{}, fmt.Errorf("fleet: job: HTTP %d: %s", code, serverMsg(body))
-	}
+	return st, nil
 }
 
 // Fleet fetches the whole-fleet snapshot.
 func (c *Client) Fleet(ctx context.Context) (FleetState, error) {
-	code, body, err := c.do(ctx, http.MethodGet, "/v1/fleet", nil)
-	if err != nil {
-		return FleetState{}, err
-	}
-	if code != http.StatusOK {
-		return FleetState{}, fmt.Errorf("fleet: state: HTTP %d: %s", code, serverMsg(body))
-	}
 	var st FleetState
-	if err := json.Unmarshal(body, &st); err != nil {
-		return FleetState{}, fmt.Errorf("fleet: state: %w", err)
+	if _, err := c.call(ctx, "state", http.MethodGet, "/v1/fleet", nil, &st, []int{http.StatusOK}); err != nil {
+		return FleetState{}, err
 	}
 	return st, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -25,6 +26,12 @@ type jobRec struct {
 
 	Expiry    time.Time // lease expiry (leased only)
 	NotBefore time.Time // retry-backoff gate (queued only)
+}
+
+// leasedTo reports whether worker holds j's current lease at attempt. Renew,
+// Complete and the journal check all ask it.
+func (j *jobRec) leasedTo(worker string, attempt int) bool {
+	return j.State == JobLeased && j.Worker == worker && j.Attempt == attempt
 }
 
 // workerRec is the coordinator's soft-state record of one worker. Worker
@@ -62,7 +69,8 @@ type Coordinator struct {
 
 // New builds a coordinator, replaying the journal at cfg.JournalPath if one
 // is configured. Jobs that were leased when the previous coordinator died
-// (orphaned leases) are requeued through the normal retry path.
+// (orphaned leases) are requeued through the normal retry path, in
+// submission order.
 func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
@@ -77,7 +85,8 @@ func New(cfg Config) (*Coordinator, error) {
 			if err := json.Unmarshal(line, &rec); err != nil {
 				return err
 			}
-			return c.replayRecLocked(rec)
+			_, err := c.applyLocked(rec, c.cfg.now(), false)
+			return err
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fleet: open journal: %w", err)
@@ -87,10 +96,14 @@ func New(cfg Config) (*Coordinator, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.now()
+	var orphans []*jobRec
 	for _, j := range c.jobs {
-		if j.State != JobLeased {
-			continue
+		if j.State == JobLeased {
+			orphans = append(orphans, j)
 		}
+	}
+	slices.SortFunc(orphans, bySubmission)
+	for _, j := range orphans {
 		c.logf("fleet: job %s attempt %d orphaned by restart (was on %s); requeueing", j.ID, j.Attempt, j.Worker)
 		if err := c.requeueLocked(j, fmt.Sprintf("lease lost: coordinator restarted during attempt %d on worker %s", j.Attempt, j.Worker), now); err != nil {
 			// Only a journaled coordinator can fail an append.
@@ -220,13 +233,10 @@ func (c *Coordinator) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, fmt.Errorf("%w: tenant %s has %d open jobs (quota %d)", ErrQuota, spec.Tenant, open, c.cfg.TenantQuota)
 	}
 	id := fmt.Sprintf("%s%d", jobIDPrefix, c.lastJobNum+1)
-	if err := c.appendRecLocked(journalRec{Op: "submit", ID: id, Spec: &spec}); err != nil {
+	j, err := c.applyLocked(journalRec{Op: "submit", ID: id, Spec: &spec}, now, true)
+	if err != nil {
 		return JobStatus{}, err
 	}
-	c.lastJobNum++
-	j := &jobRec{ID: id, Spec: spec, State: JobQueued}
-	c.jobs[id] = j
-	c.enqueueLocked(j, now)
 	c.ctr.Submitted++
 	return c.jobStatusLocked(j), nil
 }
@@ -289,21 +299,13 @@ func (c *Coordinator) Lease(workerName string) (*LeaseGrant, error) {
 	if j == nil {
 		return nil, nil
 	}
-	attempt := j.Attempt + 1
-	if err := c.appendRecLocked(journalRec{Op: "lease", ID: j.ID, Attempt: attempt, Worker: w.Name}); err != nil {
+	if _, err := c.applyLocked(journalRec{Op: "lease", ID: j.ID, Attempt: j.Attempt + 1, Worker: w.Name}, now, true); err != nil {
 		return nil, err
 	}
-	c.dequeueLocked(j)
-	j.State = JobLeased
-	j.Attempt = attempt
-	j.Worker = w.Name
-	j.Expiry = now.Add(c.cfg.LeaseTTL)
-	j.NotBefore = time.Time{}
-	w.Active[j.ID] = j
 	c.ctr.LeasesGranted++
 	return &LeaseGrant{
 		JobID:     j.ID,
-		Attempt:   attempt,
+		Attempt:   j.Attempt,
 		Spec:      j.Spec,
 		TTLMillis: c.cfg.LeaseTTL.Milliseconds(),
 	}, nil
@@ -347,7 +349,7 @@ func (c *Coordinator) Renew(workerName, jobID string, attempt int) (time.Time, e
 	if j == nil {
 		return time.Time{}, fmt.Errorf("%w: job %s is unknown", ErrStale, jobID)
 	}
-	if j.State != JobLeased || j.Worker != workerName || j.Attempt != attempt {
+	if !j.leasedTo(workerName, attempt) {
 		return time.Time{}, fmt.Errorf("%w: job %s attempt %d (current: %s attempt %d on %q)",
 			ErrStale, jobID, attempt, j.State, j.Attempt, j.Worker)
 	}
@@ -392,7 +394,7 @@ func (c *Coordinator) Complete(workerName, jobID string, attempt int, output, er
 		c.ctr.Mismatches++
 		return "", fmt.Errorf("%w: job %s attempt %d from %s", ErrMismatch, jobID, attempt, workerName)
 	}
-	if j.State != JobLeased || j.Worker != workerName || j.Attempt != attempt {
+	if !j.leasedTo(workerName, attempt) {
 		c.ctr.StaleReports++
 		return CompleteStale, nil
 	}
@@ -406,15 +408,9 @@ func (c *Coordinator) Complete(workerName, jobID string, attempt int, output, er
 		}
 		return CompleteRecorded, nil
 	}
-	if err := c.appendRecLocked(journalRec{Op: "done", ID: jobID, Attempt: attempt, Worker: workerName, Output: output}); err != nil {
+	if _, err := c.applyLocked(journalRec{Op: "done", ID: jobID, Attempt: attempt, Worker: workerName, Output: output}, now, true); err != nil {
 		return "", err
 	}
-	if w := c.workers[workerName]; w != nil {
-		delete(w.Active, jobID)
-	}
-	j.State = JobDone
-	j.Output = output
-	j.LastErr = ""
 	c.ctr.Completions++
 	return CompleteRecorded, nil
 }
@@ -470,8 +466,11 @@ func (c *Coordinator) State() FleetState {
 // the TTL — are requeued. Called at every public entry point, so the
 // protocol makes progress without a background ticker. It walks the
 // workers' Active sets, which hold every leased job, so its cost follows the
-// open leases, not every job the coordinator has held.
+// open leases, not every job the coordinator has held. The ended leases are
+// requeued in submission order, not in map order, so the same calls journal
+// the same records and leave the same queues on every run.
 func (c *Coordinator) sweepLocked(now time.Time) {
+	var ended []*jobRec
 	for _, w := range c.workers {
 		if w.Live && now.Sub(w.LastHB) > c.cfg.HeartbeatTimeout {
 			w.Live = false
@@ -479,55 +478,48 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 			c.logf("fleet: worker %s declared dead (silent for %v)", w.Name, now.Sub(w.LastHB))
 		}
 		for _, j := range w.Active {
-			if w.Live && now.Before(j.Expiry) {
-				continue
+			if !w.Live || !now.Before(j.Expiry) {
+				ended = append(ended, j)
 			}
-			reason := fmt.Sprintf("lease expired during attempt %d on worker %s", j.Attempt, j.Worker)
-			if !w.Live {
-				reason = fmt.Sprintf("worker %s died during attempt %d", j.Worker, j.Attempt)
-			}
-			c.logf("fleet: job %s: %s", j.ID, reason)
-			if err := c.requeueLocked(j, reason, now); err != nil {
-				c.logf("fleet: job %s stays leased: journaling its requeue failed: %v", j.ID, err)
-				continue
-			}
-			c.ctr.LeasesExpired++
 		}
+	}
+	slices.SortFunc(ended, bySubmission)
+	for _, j := range ended {
+		reason := fmt.Sprintf("lease expired during attempt %d on worker %s", j.Attempt, j.Worker)
+		if !c.workers[j.Worker].Live {
+			reason = fmt.Sprintf("worker %s died during attempt %d", j.Worker, j.Attempt)
+		}
+		c.logf("fleet: job %s: %s", j.ID, reason)
+		if err := c.requeueLocked(j, reason, now); err != nil {
+			c.logf("fleet: job %s stays leased: journaling its requeue failed: %v", j.ID, err)
+			continue
+		}
+		c.ctr.LeasesExpired++
 	}
 }
 
 // requeueLocked ends the current attempt with errMsg and either requeues
 // the job behind an exponential-backoff gate or, with the retry budget
 // spent, fails it permanently. The last error is preserved either way.
-// Like Submit, Lease and Complete, it journals first: when the append
-// fails it changes nothing and returns the error, so the job stays leased
-// in memory as the journal says it is. The appender then refuses every
-// later append, so the coordinator makes no progress until it is
+// Like Submit, Lease and Complete, it goes through applyLocked: when the
+// append fails it changes nothing and returns the error, so the job stays
+// leased in memory as the journal says it is. The appender then refuses
+// every later append, so the coordinator makes no progress until it is
 // restarted, and replay recovers the lease as an orphan.
 func (c *Coordinator) requeueLocked(j *jobRec, errMsg string, now time.Time) error {
-	fail := j.Attempt >= c.cfg.MaxAttempts
-	op := "retry"
-	if fail {
-		op = "fail"
+	rec := journalRec{Op: "retry", ID: j.ID, Attempt: j.Attempt, Err: errMsg}
+	if j.Attempt >= c.cfg.MaxAttempts {
+		rec.Op = "fail"
 	}
-	if err := c.appendRecLocked(journalRec{Op: op, ID: j.ID, Attempt: j.Attempt, Err: errMsg}); err != nil {
+	if _, err := c.applyLocked(rec, now, true); err != nil {
 		return err
 	}
-	if w := c.workers[j.Worker]; w != nil {
-		delete(w.Active, j.ID)
-	}
-	j.LastErr = errMsg
-	j.Expiry = time.Time{}
-	j.Worker = ""
-	if fail {
-		j.State = JobFailed
+	if rec.Op == "fail" {
 		c.ctr.RetriesExhausted++
 		c.logf("fleet: job %s failed permanently after %d attempts: %s", j.ID, j.Attempt, errMsg)
 		return nil
 	}
-	j.State = JobQueued
 	c.ctr.Requeues++
-	c.enqueueLocked(j, now.Add(c.backoff(j.Attempt)))
 	return nil
 }
 

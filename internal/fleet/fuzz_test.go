@@ -3,8 +3,11 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -164,4 +167,146 @@ func tornTailStripped(data []byte) []byte {
 		return data[:start]
 	}
 	return data
+}
+
+// The replay fuzz's operations, chosen by one input byte each: the low
+// three bits pick the operation, the rest pick its tenant, worker or grant.
+const (
+	opSubmit = iota
+	opLease
+	opSucceed
+	opFail
+	opStale
+	opDuplicate
+	opHeartbeat
+	opAdvance
+)
+
+// FuzzCoordinatorReplay drives a journaled coordinator under the fake clock
+// through the operations the input bytes choose, then opens a second
+// coordinator on the same journal without closing the first, as a crash
+// would, and requires replay to rebuild what the live calls built:
+//
+//   - the same jobs and the same job counter;
+//   - every job that was not leased at the crash with an equal JobStatus;
+//   - every job that was leased at the crash queued at the same attempt
+//     with the restart reason, or failed if its retry budget is spent;
+//   - each tenant's queue as the live one, followed by its requeued
+//     orphans in submission order.
+func FuzzCoordinatorReplay(f *testing.F) {
+	f.Add([]byte{opSubmit, opLease, opSucceed})
+	f.Add([]byte{opSubmit, opSubmit | 8, opLease, opLease | 8, opAdvance, opHeartbeat, opLease, opFail | 8})
+	f.Add([]byte{opSubmit, opSubmit | 8, opSubmit, opLease, opLease, opLease | 8, opAdvance | 8, opLease | 8})
+	f.Add([]byte{opSubmit, opLease, opFail, opAdvance, opAdvance, opLease, opFail, opAdvance, opAdvance, opLease, opDuplicate, opStale})
+	f.Add([]byte{opSubmit, opLease, opSucceed, opDuplicate, opStale, opSubmit | 8, opLease | 8, opAdvance | 8})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		clk := newFakeClock()
+		cfg := testConfig(clk)
+		cfg.JournalPath = filepath.Join(t.TempDir(), "fleet.journal")
+		live, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer live.Close()
+		workers := []string{"w1", "w2"}
+		for _, w := range workers {
+			mustRegister(t, live, w, 2)
+		}
+		type held struct {
+			worker string
+			g      *LeaseGrant
+		}
+		var grants []held
+		for _, b := range ops {
+			op, arg := int(b&7), int(b>>3)
+			w := workers[arg%2]
+			switch op {
+			case opSubmit:
+				if _, err := live.Submit(JobSpec{Tenant: []string{"a", "b"}[arg%2], Experiment: "T3", Quick: true}); err != nil && !errors.Is(err, ErrQuota) {
+					t.Fatalf("Submit: %v", err)
+				}
+			case opLease:
+				g, err := live.Lease(w)
+				if err != nil {
+					t.Fatalf("Lease(%s): %v", w, err)
+				}
+				if g != nil {
+					grants = append(grants, held{w, g})
+				}
+			case opHeartbeat:
+				if err := live.Heartbeat(w); err != nil {
+					t.Fatalf("Heartbeat(%s): %v", w, err)
+				}
+			case opAdvance:
+				clk.Advance([]time.Duration{cfg.LeaseTTL, cfg.HeartbeatTimeout}[arg%2] + time.Second)
+			default: // a report on one of the grants
+				if len(grants) == 0 {
+					continue
+				}
+				h := grants[arg%len(grants)]
+				out, attempt, errMsg, times := "OUT-"+h.g.JobID, h.g.Attempt, "", 1
+				switch op {
+				case opFail:
+					out, errMsg = "", "boom"
+				case opStale:
+					attempt--
+				case opDuplicate:
+					times = 2
+				}
+				for range times {
+					if _, err := live.Complete(h.worker, h.g.JobID, attempt, out, errMsg); err != nil {
+						t.Fatalf("Complete(%s attempt %d): %v", h.g.JobID, attempt, err)
+					}
+				}
+			}
+		}
+
+		// Crash: the first coordinator is never closed.
+		re, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New on the live journal: %v", err)
+		}
+		defer re.Close()
+		if len(re.jobs) != len(live.jobs) || re.lastJobNum != live.lastJobNum {
+			t.Fatalf("replay holds %d jobs up to %d, live %d up to %d", len(re.jobs), re.lastJobNum, len(live.jobs), live.lastJobNum)
+		}
+		var orphans []*jobRec
+		for id, lj := range live.jobs {
+			rj := re.jobs[id]
+			if rj == nil {
+				t.Fatalf("replay lost %s", id)
+			}
+			got := re.jobStatusLocked(rj)
+			want := live.jobStatusLocked(lj)
+			if lj.State == JobLeased {
+				orphans = append(orphans, lj)
+				want.State, want.Worker = JobQueued, ""
+				if lj.Attempt >= cfg.MaxAttempts {
+					want.State = JobFailed
+				}
+				want.LastErr = fmt.Sprintf("lease lost: coordinator restarted during attempt %d on worker %s", lj.Attempt, lj.Worker)
+			}
+			if got != want {
+				t.Fatalf("%s after replay = %+v, want %+v", id, got, want)
+			}
+		}
+		slices.SortFunc(orphans, bySubmission)
+		if !slices.Equal(re.tenantsSeq, live.tenantsSeq) {
+			t.Fatalf("replay's tenants %v, live %v", re.tenantsSeq, live.tenantsSeq)
+		}
+		for _, tenant := range live.tenantsSeq {
+			want := queueIDs(live, tenant)
+			for _, j := range orphans {
+				if j.Spec.Tenant == tenant && j.Attempt < cfg.MaxAttempts {
+					want = append(want, j.ID)
+				}
+			}
+			if got := queueIDs(re, tenant); !slices.Equal(got, want) {
+				t.Fatalf("tenant %s queue after replay = %v, want %v", tenant, got, want)
+			}
+		}
+	})
 }

@@ -24,8 +24,31 @@ import (
 //	POST /v1/lease/renew       {worker, job_id, attempt} → 200 {ttl_ms} | 409 stale
 //	POST /v1/complete          {worker, job_id, attempt, output, error} → 200 {status}
 //
-// Error mapping: quota → 429, unknown worker / unknown job → 404, stale
-// renewal → 409, determinism mismatch → 409 with status "mismatch".
+// A protocol error answers with its status in errStatus, any other error
+// with its route's fallback status; the Client maps the status back.
+
+// errStatus is the HTTP status of each protocol error. No verb can fail with
+// two errors of one status, so the Client maps a status back unambiguously.
+var errStatus = []struct {
+	err    error
+	status int
+}{
+	{ErrQuota, http.StatusTooManyRequests},
+	{ErrUnknownWorker, http.StatusNotFound},
+	{ErrNoSuchJob, http.StatusNotFound},
+	{ErrStale, http.StatusConflict},
+	{ErrMismatch, http.StatusConflict},
+}
+
+// statusOf is err's status in errStatus, or fallback for any other error.
+func statusOf(err error, fallback int) int {
+	for _, e := range errStatus {
+		if errors.Is(err, e.err) {
+			return e.status
+		}
+	}
+	return fallback
+}
 
 // Handler returns the coordinator's HTTP mux.
 func (c *Coordinator) Handler() http.Handler {
@@ -62,8 +85,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// writeErr answers err with its status in errStatus, or with fallback, the
+// route's status for any other error.
+func writeErr(w http.ResponseWriter, fallback int, err error) {
+	writeJSON(w, statusOf(err, fallback), map[string]string{"error": err.Error()})
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -82,14 +107,11 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, err := c.Submit(spec)
-	switch {
-	case errors.Is(err, ErrQuota):
-		writeErr(w, http.StatusTooManyRequests, err)
-	case err != nil:
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
-	default:
-		writeJSON(w, http.StatusCreated, st)
+		return
 	}
+	writeJSON(w, http.StatusCreated, st)
 }
 
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -153,8 +175,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	grant, err := c.Lease(req.Worker)
 	switch {
-	case errors.Is(err, ErrUnknownWorker):
-		writeErr(w, http.StatusNotFound, err)
 	case err != nil:
 		writeErr(w, http.StatusInternalServerError, err)
 	case grant == nil:
@@ -198,14 +218,9 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	status, err := c.Complete(req.Worker, req.JobID, req.Attempt, req.Output, req.Error)
-	switch {
-	case errors.Is(err, ErrNoSuchJob):
-		writeErr(w, http.StatusNotFound, err)
-	case errors.Is(err, ErrMismatch):
-		writeErr(w, http.StatusConflict, err)
-	case err != nil:
+	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
-	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": string(status)})
+		return
 	}
+	writeJSON(w, http.StatusOK, map[string]string{"status": string(status)})
 }

@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // The coordinator journal is an append-only JSON-lines log (internal/jsonl:
@@ -21,6 +24,10 @@ import (
 //	done   — the job's result bytes were recorded. Terminal.
 //	fail   — the retry budget was exhausted; the last error is preserved.
 //	         Terminal.
+//
+// Each record is one transition of applyLocked, which live calls and replay
+// share: replay runs every line through it without the append, so it
+// refuses exactly the records the live coordinator never writes.
 //
 // Renewals are deliberately not journaled: a renewal only moves a lease
 // expiry forward in wall time, and wall time does not survive a restart
@@ -40,6 +47,100 @@ type journalRec struct {
 	Err     string   `json:"err,omitempty"`
 }
 
+// applyLocked is the lease protocol's one transition function. It checks
+// rec against the current state, journals it (fsync'd) when live, and then
+// applies it. A refused record and a failed append change nothing. Replay
+// passes live false, so a record that does not compose with the state
+// built so far is corruption and fails the open, on the final line too.
+// Only a final line that is unterminated or not valid JSON is a torn tail,
+// which jsonl truncates; the transition it held simply re-happens live.
+// It returns the job rec moved.
+func (c *Coordinator) applyLocked(rec journalRec, now time.Time, live bool) (*jobRec, error) {
+	j, err := c.checkLocked(rec)
+	if err != nil {
+		return nil, err
+	}
+	if live {
+		if err := c.appendRecLocked(rec); err != nil {
+			return nil, err
+		}
+	}
+	switch rec.Op {
+	case "submit":
+		j = &jobRec{ID: rec.ID, Spec: *rec.Spec, State: JobQueued}
+		c.jobs[j.ID] = j
+		c.lastJobNum = max(c.lastJobNum, jobNum(j.ID))
+		c.enqueueLocked(j, now)
+	case "lease":
+		c.dequeueLocked(j)
+		j.State, j.Attempt, j.Worker = JobLeased, rec.Attempt, rec.Worker
+		j.Expiry, j.NotBefore = now.Add(c.cfg.LeaseTTL), time.Time{}
+		// Replay knows no workers: the registry is soft state.
+		if w := c.workers[j.Worker]; w != nil {
+			w.Active[j.ID] = j
+		}
+	default: // retry, done and fail end the current lease
+		if w := c.workers[j.Worker]; w != nil {
+			delete(w.Active, j.ID)
+		}
+		j.Expiry = time.Time{}
+		switch rec.Op {
+		case "retry":
+			j.State, j.Worker, j.LastErr = JobQueued, "", rec.Err
+			c.enqueueLocked(j, now.Add(c.backoff(j.Attempt)))
+		case "done":
+			j.State, j.Output, j.LastErr = JobDone, rec.Output, ""
+		case "fail":
+			j.State, j.Worker, j.LastErr = JobFailed, "", rec.Err
+		}
+	}
+	return j, nil
+}
+
+// checkLocked refuses rec unless the live coordinator could have written it
+// in the current state, and returns the job it moves (nil for a submit).
+func (c *Coordinator) checkLocked(rec journalRec) (*jobRec, error) {
+	j := c.jobs[rec.ID]
+	switch rec.Op {
+	case "submit":
+		if rec.ID == "" || rec.Spec == nil {
+			return nil, errors.New("submit record missing id or spec")
+		}
+		if j != nil {
+			return nil, fmt.Errorf("duplicate submit for job %s", rec.ID)
+		}
+		if err := rec.Spec.Validate(); err != nil {
+			return nil, fmt.Errorf("submit %s: %v", rec.ID, err)
+		}
+		return nil, nil
+	case "lease", "retry", "done", "fail":
+		if j == nil {
+			return nil, fmt.Errorf("%s for unknown job %s", rec.Op, rec.ID)
+		}
+	default:
+		return nil, fmt.Errorf("unknown op %q", rec.Op)
+	}
+	if rec.Op == "lease" {
+		// Lease grants only queued jobs, at the next attempt: a lease of a
+		// leased job would silently supersede the current one.
+		if j.State != JobQueued || rec.Attempt != j.Attempt+1 {
+			return nil, fmt.Errorf("lease for job %s attempt %d, which is %s at attempt %d", rec.ID, rec.Attempt, j.State, j.Attempt)
+		}
+		return j, nil
+	}
+	// retry and fail end the current lease at its attempt, whoever holds
+	// it; done also names the holder, from Complete.
+	holder := j.Worker
+	if rec.Op == "done" {
+		holder = rec.Worker
+	}
+	if !j.leasedTo(holder, rec.Attempt) {
+		return nil, fmt.Errorf("%s for job %s attempt %d from %q, which is %s at attempt %d on %q",
+			rec.Op, rec.ID, rec.Attempt, holder, j.State, j.Attempt, j.Worker)
+	}
+	return j, nil
+}
+
 // appendRecLocked journals one transition, fsync'd. A nil appender (in-memory
 // coordinator) accepts everything.
 func (c *Coordinator) appendRecLocked(rec journalRec) error {
@@ -56,91 +157,22 @@ func (c *Coordinator) appendRecLocked(rec journalRec) error {
 	return nil
 }
 
-// replayRecLocked applies one journal record to coordinator state during Open.
-// Replay is strict: a record that does not compose with the state built so
-// far (duplicate submit, lease of an unknown job or of one that is not
-// queued, a retry, done or fail that does not end the current lease at its
-// attempt) is corruption and fails the open, on the final line too. Only a
-// final line that is unterminated or not valid JSON is a torn tail, which
-// jsonl truncates; the transition it held simply re-happens live.
-func (c *Coordinator) replayRecLocked(rec journalRec) error {
-	switch rec.Op {
-	case "submit":
-		if rec.ID == "" || rec.Spec == nil {
-			return fmt.Errorf("submit record missing id or spec")
-		}
-		if _, ok := c.jobs[rec.ID]; ok {
-			return fmt.Errorf("duplicate submit for job %s", rec.ID)
-		}
-		if err := rec.Spec.Validate(); err != nil {
-			return fmt.Errorf("submit %s: %v", rec.ID, err)
-		}
-		j := &jobRec{ID: rec.ID, Spec: *rec.Spec, State: JobQueued}
-		c.jobs[rec.ID] = j
-		c.enqueueLocked(j, c.cfg.now())
-		c.noteJobIDLocked(rec.ID)
-	case "lease":
-		j, ok := c.jobs[rec.ID]
-		if !ok {
-			return fmt.Errorf("lease for unknown job %s", rec.ID)
-		}
-		// The live Lease grants only queued jobs: a lease of a leased job
-		// would silently supersede the current one.
-		if j.State != JobQueued {
-			return fmt.Errorf("lease for job %s, which is %s", rec.ID, j.State)
-		}
-		if rec.Attempt != j.Attempt+1 {
-			return fmt.Errorf("lease for job %s skips attempt (have %d, record %d)", rec.ID, j.Attempt, rec.Attempt)
-		}
-		c.dequeueLocked(j)
-		j.State = JobLeased
-		j.Attempt = rec.Attempt
-		j.Worker = rec.Worker
-		// Expiry is left zero: wall time did not survive the restart, and
-		// recoverOrphans requeues every still-leased job anyway.
-	case "retry", "done", "fail":
-		j, ok := c.jobs[rec.ID]
-		if !ok {
-			return fmt.Errorf("%s for unknown job %s", rec.Op, rec.ID)
-		}
-		// The live coordinator writes these only to end the current
-		// lease: retry and fail from requeueLocked, done from Complete
-		// with the holder's worker and attempt.
-		if j.State != JobLeased || rec.Attempt != j.Attempt {
-			return fmt.Errorf("%s for job %s attempt %d, which is %s at attempt %d", rec.Op, rec.ID, rec.Attempt, j.State, j.Attempt)
-		}
-		switch rec.Op {
-		case "retry":
-			j.State = JobQueued
-			j.Worker = ""
-			j.LastErr = rec.Err
-			c.enqueueLocked(j, c.cfg.now().Add(c.backoff(j.Attempt)))
-		case "done":
-			if rec.Worker != j.Worker {
-				return fmt.Errorf("done for job %s from worker %q, but attempt %d is leased to %q", rec.ID, rec.Worker, j.Attempt, j.Worker)
-			}
-			j.State = JobDone
-			j.Output = rec.Output
-			j.LastErr = ""
-		case "fail":
-			j.State = JobFailed
-			j.Worker = ""
-			j.LastErr = rec.Err
-		}
-	default:
-		return fmt.Errorf("unknown op %q", rec.Op)
-	}
-	return nil
-}
-
 // jobIDPrefix shapes coordinator-assigned job IDs: fj-1, fj-2, ...
 const jobIDPrefix = "fj-"
 
-// noteJobIDLocked keeps the ID counter ahead of every replayed ID so a restarted
-// coordinator never reassigns one.
-func (c *Coordinator) noteJobIDLocked(id string) {
+// jobNum is the number in a job ID, or 0 for an ID of another shape, which
+// only a hand-written journal holds. Replay keeps the ID counter at the
+// largest, so a restarted coordinator never reassigns an ID.
+func jobNum(id string) int64 {
 	n, err := strconv.ParseInt(strings.TrimPrefix(id, jobIDPrefix), 10, 64)
-	if err == nil && n > c.lastJobNum {
-		c.lastJobNum = n
+	if err != nil {
+		return 0
 	}
+	return n
+}
+
+// bySubmission orders jobs as they were submitted: by job number, then by
+// ID among IDs of other shapes.
+func bySubmission(a, b *jobRec) int {
+	return cmp.Or(cmp.Compare(jobNum(a.ID), jobNum(b.ID)), strings.Compare(a.ID, b.ID))
 }
