@@ -3,15 +3,15 @@
 // compiler-assisted approach that detects the buffer reuse distance can be
 // extended to diagnose the insertion of UvmDiscard API calls" (§8).
 //
-// Instead of compiler analysis, the advisor consumes the driver's event
-// trace from a profiling run. For every block it finds *dead intervals*:
-// spans between the last consuming use of the block's contents (a read)
-// and the next event that kills them (an overwrite, a discard that is
-// already present, or the end of the program). A transfer inside a dead
-// interval moved dead bytes; discarding the block at the interval's start
-// would have prevented it. Dead intervals are aggregated per allocation
-// into ranked recommendations with the exact savings the discard would
-// realize.
+// Instead of compiler analysis, the advisor reads the driver's event trace
+// from a profiling run. For every block the trace recorder finds *dead
+// intervals* while it records (trace.AllocWaste): spans between the last
+// consuming use of the block's contents (a read) and the next event that
+// kills them (an overwrite, a discard that is already present, or the end
+// of the program). A transfer inside a dead interval moved dead bytes;
+// discarding the block at the interval's start would have prevented it.
+// The advisor ranks the allocations' dead intervals into recommendations
+// with the exact savings the discard would realize.
 package advisor
 
 import (
@@ -84,68 +84,34 @@ func (r *Report) String() string {
 // NameResolver maps an allocation ID to a human-readable name.
 type NameResolver func(allocID int) string
 
-// Analyze scans a profiling trace and produces discard recommendations.
-// resolve may be nil.
+// Analyze ranks a profiling trace's dead intervals into discard
+// recommendations. resolve may be nil.
 func Analyze(rec *trace.Recorder, resolve NameResolver) *Report {
-	var s Scan
-	rec.ForEachBlock(func(alloc, _ int, evs []trace.Event) { s.Block(alloc, evs) })
-	return s.Report(resolve)
+	a, waste := rec.Classify()
+	return Rank(a, waste, resolve)
 }
 
-// Scan accumulates the advisor's analysis one block at a time: Analyze is
-// a Scan over every block of a trace. Grouping the events by block is most
-// of the cost, so a caller with its own per-block analysis (the RMT
-// classifier, trace.Analysis.AddBlock) feeds both from one
-// Recorder.ForEachBlock walk. The zero value is an empty scan.
-type Scan struct {
-	traffic uint64
-	aggs    []allocAgg
-}
-
-// Block adds one block's time-ordered events, as ForEachBlock hands them
-// over: in ascending (alloc, block) order, so the allocation being summed
-// is always the last one.
-func (s *Scan) Block(alloc int, evs []trace.Event) {
-	if len(s.aggs) == 0 || s.aggs[len(s.aggs)-1].id != alloc {
-		s.aggs = append(s.aggs, allocAgg{id: alloc})
-	}
-	a := &s.aggs[len(s.aggs)-1]
-	wasted, intervals, sawDiscard := deadIntervalWaste(evs)
-	for _, ev := range evs {
-		if ev.Kind == trace.TransferH2D || ev.Kind == trace.TransferD2H {
-			s.traffic += ev.Bytes
-		}
-	}
-	a.discarded = a.discarded || sawDiscard
-	if wasted > 0 {
-		a.blocks++
-		a.intervals += intervals
-		a.wasted += wasted
-	}
-}
-
-// Report ranks the scanned blocks' recommendations. resolve may be nil.
-func (s *Scan) Report(resolve NameResolver) *Report {
-	rep := &Report{TotalTraffic: s.traffic}
-	for _, a := range s.aggs {
-		if a.wasted == 0 {
-			continue
-		}
-		name := fmt.Sprintf("alloc-%d", a.id)
+// Rank turns a recorder's classification (trace.Recorder.Classify) into
+// recommendations ranked by wasted bytes; the analysis supplies the trace's
+// traffic. resolve may be nil.
+func Rank(a trace.Analysis, waste []trace.AllocWaste, resolve NameResolver) *Report {
+	rep := &Report{TotalTraffic: a.TotalH2D + a.TotalD2H}
+	for _, w := range waste {
+		name := fmt.Sprintf("alloc-%d", w.Alloc)
 		if resolve != nil {
-			if n := resolve(a.id); n != "" {
+			if n := resolve(w.Alloc); n != "" {
 				name = n
 			}
 		}
 		rep.Recommendations = append(rep.Recommendations, Recommendation{
-			AllocID:          a.id,
+			AllocID:          w.Alloc,
 			AllocName:        name,
-			Blocks:           a.blocks,
-			DeadIntervals:    a.intervals,
-			WastedBytes:      a.wasted,
-			AlreadyDiscarded: a.discarded,
+			Blocks:           w.Blocks,
+			DeadIntervals:    w.Intervals,
+			WastedBytes:      w.Wasted,
+			AlreadyDiscarded: w.Discarded,
 		})
-		rep.TotalWasted += a.wasted
+		rep.TotalWasted += w.Wasted
 	}
 	sort.Slice(rep.Recommendations, func(i, j int) bool {
 		if rep.Recommendations[i].WastedBytes != rep.Recommendations[j].WastedBytes {
@@ -154,45 +120,4 @@ func (s *Scan) Report(resolve NameResolver) *Report {
 		return rep.Recommendations[i].AllocID < rep.Recommendations[j].AllocID
 	})
 	return rep
-}
-
-type allocAgg struct {
-	id                int
-	blocks, intervals int
-	wasted            uint64
-	discarded         bool
-}
-
-// deadIntervalWaste walks one block's event timeline and accumulates the
-// transfer bytes that happened while the block's contents were dead: after
-// the last read of a generation of data, once the next write/discard
-// proves no further read was coming.
-func deadIntervalWaste(evs []trace.Event) (wasted uint64, intervals int, sawDiscard bool) {
-	var pendingDead uint64 // transfer bytes since the last consuming read
-	closeInterval := func() {
-		if pendingDead > 0 {
-			wasted += pendingDead
-			intervals++
-		}
-		pendingDead = 0
-	}
-	for _, ev := range evs {
-		switch ev.Kind {
-		case trace.GPURead, trace.CPURead:
-			// The data was consumed: transfers so far were useful.
-			pendingDead = 0
-		case trace.GPUWrite, trace.CPUWrite, trace.ZeroFill:
-			// Previous contents died without the pending transfers being
-			// read: they were wasted.
-			closeInterval()
-		case trace.Discard:
-			sawDiscard = true
-			closeInterval()
-		case trace.TransferH2D, trace.TransferD2H:
-			pendingDead += ev.Bytes
-		}
-	}
-	// Data never consumed again before the program ended.
-	closeInterval()
-	return wasted, intervals, sawDiscard
 }

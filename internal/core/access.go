@@ -61,7 +61,7 @@ func (d *Driver) GPUAccess(a *vaspace.Alloc, off, length uint64, mode AccessMode
 // visits them (a Scatter pass's shuffle of the span); nil visits them in
 // address order. An access over the whole allocation in address order that
 // finds its resident run standing (run.go) is served without visiting the
-// blocks.
+// blocks, unless a trace recorder needs their events.
 func (d *Driver) GPUAccessOn(gpu int, a *vaspace.Alloc, off, length uint64, order []int, mode AccessMode, now sim.Time) (sim.Time, error) {
 	d.checkpoint("GPUAccess", now)
 	seq, err := accessSeq(a, off, length, order)
@@ -69,18 +69,17 @@ func (d *Driver) GPUAccessOn(gpu int, a *vaspace.Alloc, off, length uint64, orde
 		return now, err
 	}
 	now = d.maybePoison(now)
-	if d.onRun(seq, gpu, false) && (a.Resident.Stale || !mode.writes()) {
-		// Every block is a clean hit: no fault, no transfer, and a write
-		// leaves every block's (already stale) host copy as it is.
+	done := now
+	// Through the run every block is a clean hit: no fault, no transfer,
+	// and a write leaves every block's (already stale) host copy as it is,
+	// so only a recorder needs the blocks visited below.
+	run := d.onRun(seq, gpu, false) && (a.Resident.Stale || !mode.writes())
+	if run {
 		d.touchRun(a, now, 0)
-		d.verify("GPUAccess")
-		return now, nil
-	}
-	done, err := d.ensureGPUBlocks(seq, now, metrics.CauseFault, true, gpu)
-	if err != nil {
+	} else if done, err = d.ensureGPUBlocks(seq, now, metrics.CauseFault, true, gpu); err != nil {
 		return done, err
 	}
-	if d.tr != nil || mode.writes() { // else a read changes nothing per block
+	if d.tr != nil || (mode.writes() && !run) { // else the access changes nothing per block
 		for k := 0; k < seq.n; k++ {
 			b := seq.at(k)
 			if mode.reads() {

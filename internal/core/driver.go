@@ -108,6 +108,10 @@ type Driver struct {
 	// discards and prefetch recoveries served through runs, so the
 	// randomized tests can show they take those paths. Same rule.
 	runAccesses, runDiscards, runRecoveries uint64
+	// perBlock keeps every access, discard and prefetch on the per-block
+	// loops, so that tests can hold the run paths to them. Only tests set
+	// it.
+	perBlock bool
 }
 
 // Interconnects are immutable after construction (pcie.Link has no

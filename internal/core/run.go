@@ -74,20 +74,26 @@ func cleanHit(b *vaspace.Block, gpu int) bool {
 
 // onRun reports whether an access visiting seq on gpu can be served through
 // its allocation's standing run in the given shape: the resident one
-// (discarded false), whose blocks are clean hits, or the discarded one. A
-// trace recorder keeps the per-block path: it records every block's access.
+// (discarded false), whose blocks are clean hits, or the discarded one
+// (recoverRun). A traced access takes the resident run too: the per-block
+// loop would record every block's access at the access's time, and
+// GPUAccessOn records the same events; a prefetch hit records nothing
+// either way.
 func (d *Driver) onRun(seq blockSeq, gpu int, discarded bool) bool {
 	r := seq.a.Resident
-	return r.On && r.GPU == gpu && r.Discarded == discarded && d.tr == nil && seq.whole()
+	return r.On && r.GPU == gpu && r.Discarded == discarded && !d.perBlock && seq.whole()
 }
 
 // discardsRuns reports whether a whole-buffer discard over a resident run
 // goes through the run (discardRun). A trace recorder keeps the per-block
-// path, as it does for accesses; so do the ImmediateReclaim ablation, whose
-// chunks never stay on the discarded queue, and PreparedTracking=false,
-// whose recovery zero-fills every block.
+// path: the loop records each block's Discard at its own time, after that
+// block's unmap, and Figure 3, the one traced artifact, never discards. So
+// no discarded run forms under a recorder, and recoverRun serves none. The
+// ImmediateReclaim ablation, whose chunks never stay on the discarded queue,
+// and PreparedTracking=false, whose recovery zero-fills every block, keep
+// the per-block path too.
 func (d *Driver) discardsRuns() bool {
-	return d.tr == nil && !d.p.ImmediateReclaim && d.p.PreparedTracking
+	return d.tr == nil && !d.perBlock && !d.p.ImmediateReclaim && d.p.PreparedTracking
 }
 
 // clearRun ends a's resident run, and stops one from forming if the current
@@ -125,7 +131,9 @@ func (d *Driver) touchRun(a *vaspace.Alloc, now, step sim.Time) sim.Time {
 // leaves both queues as detaching each chunk and pushing it there in block
 // order would, and its relabelling pass makes the loop's changes to each
 // block (discardBlock). A discard polls only at its entry, so the run path
-// has no checkpoint to cross.
+// has no checkpoint to cross. A traced driver never comes here
+// (discardsRuns): the per-block loop records each block's Discard at the
+// time that block's unmap ends.
 func (d *Driver) discardRun(a *vaspace.Alloc, now sim.Time, lazy bool) sim.Time {
 	d.runDiscards++
 	r := &a.Resident
@@ -157,7 +165,8 @@ func (d *Driver) discardRun(a *vaspace.Alloc, now sim.Time, lazy bool) sim.Time 
 // none is zeroed again. Then it moves the stretch back to the MRU end of
 // the used queue, clearing each block's discard state in the move's
 // relabelling pass, and the run stands in its resident shape. It returns
-// now plus n steps.
+// now plus n steps. A traced driver never comes here: only discardRun
+// forms a discarded run, and it refuses a recorder.
 func (d *Driver) recoverRun(a *vaspace.Alloc, now sim.Time) sim.Time {
 	d.runRecoveries++
 	r := &a.Resident

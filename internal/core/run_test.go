@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -83,10 +84,74 @@ func TestRunAccessIsConstantTime(t *testing.T) {
 	}
 }
 
+// pollOutcome is what drivePolls observed.
+type pollOutcome struct {
+	polls     uint64
+	countdown int
+	runs      uint64
+	end       sim.Time
+	trip      *runctl.Interrupt
+	progress  []runctl.Progress
+}
+
+// drivePolls runs TestRunPollsLikePerBlockLoop's program: whole-buffer
+// prefetches and kernel accesses over three buffers, on the per-block loop
+// if perBlock, under a sim budget unless it is 0, recording into tr if it
+// is not nil.
+func drivePolls(t *testing.T, perBlock bool, budget sim.Time, tr *trace.Recorder) pollOutcome {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var o pollOutcome
+	ctl := runctl.New(ctx, 0, budget)
+	ctl.SetObserver(func(p runctl.Progress) { o.progress = append(o.progress, p) })
+	d, err := New(Config{
+		GPU:     gpudev.Generic(64 * units.BlockSize),
+		Link:    pcie.Preset(pcie.Gen4),
+		Control: ctl,
+		Trace:   tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.perBlock = perBlock
+	bufs := []*vaspace.Alloc{
+		mustAlloc(t, d, "a", 45*units.BlockSize),
+		mustAlloc(t, d, "b", 13*units.BlockSize),
+		mustAlloc(t, d, "c", 5*units.BlockSize),
+	}
+	err = func() (err error) {
+		defer runctl.Recover(&err)
+		for i := 0; i < 200; i++ {
+			for j, x := range bufs {
+				size := uint64(x.Size())
+				if j < 2 {
+					if o.end, err = d.PrefetchToGPU(x, 0, size, o.end); err != nil {
+						return err
+					}
+				}
+				mode := [...]AccessMode{Write, Read, ReadWrite}[i%3]
+				if o.end, err = d.GPUAccess(x, 0, size, mode, o.end); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}()
+	o.trip = runctl.AsInterrupt(err)
+	if err != nil && o.trip == nil {
+		t.Fatal(err)
+	}
+	if err := d.CheckNow(); err != nil {
+		t.Fatal(err)
+	}
+	o.polls, o.countdown, o.runs = d.pubTick, d.blockPolls, d.runAccesses
+	return o
+}
+
 // TestRunPollsLikePerBlockLoop drives the same whole-buffer prefetches and
 // kernel accesses under a live run control twice: through resident runs,
-// and with a trace recorder attached, which keeps the per-block loop. Both
-// drivers must poll the control equally often, publish the same progress
+// and with the per-block loop forced (Driver.perBlock). Both drivers must
+// poll the control equally often, publish the same progress
 // (op, sim time and check count), and end with the same block countdown,
 // so SSE progress and cancel latency do not depend on the path; and a sim
 // budget anywhere in the sequence must trip both at the same checkpoint and
@@ -94,69 +159,10 @@ func TestRunAccessIsConstantTime(t *testing.T) {
 // iteration polls 7 times, so the progress published every 64th poll lands
 // on every poll of an iteration in turn.
 func TestRunPollsLikePerBlockLoop(t *testing.T) {
-	type outcome struct {
-		polls     uint64
-		countdown int
-		runs      uint64
-		end       sim.Time
-		trip      *runctl.Interrupt
-		progress  []runctl.Progress
-	}
-	drive := func(traced bool, budget sim.Time) outcome {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		var tr *trace.Recorder
-		if traced {
-			tr = trace.NewRecorder()
-		}
-		var o outcome
-		ctl := runctl.New(ctx, 0, budget)
-		ctl.SetObserver(func(p runctl.Progress) { o.progress = append(o.progress, p) })
-		d, err := New(Config{
-			GPU:     gpudev.Generic(64 * units.BlockSize),
-			Link:    pcie.Preset(pcie.Gen4),
-			Control: ctl,
-			Trace:   tr,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bufs := []*vaspace.Alloc{
-			mustAlloc(t, d, "a", 45*units.BlockSize),
-			mustAlloc(t, d, "b", 13*units.BlockSize),
-			mustAlloc(t, d, "c", 5*units.BlockSize),
-		}
-		err = func() (err error) {
-			defer runctl.Recover(&err)
-			for i := 0; i < 200; i++ {
-				for j, x := range bufs {
-					size := uint64(x.Size())
-					if j < 2 {
-						if o.end, err = d.PrefetchToGPU(x, 0, size, o.end); err != nil {
-							return err
-						}
-					}
-					mode := [...]AccessMode{Write, Read, ReadWrite}[i%3]
-					if o.end, err = d.GPUAccess(x, 0, size, mode, o.end); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}()
-		o.trip = runctl.AsInterrupt(err)
-		if err != nil && o.trip == nil {
-			t.Fatal(err)
-		}
-		if err := d.CheckNow(); err != nil {
-			t.Fatal(err)
-		}
-		o.polls, o.countdown, o.runs = d.pubTick, d.blockPolls, d.runAccesses
-		return o
-	}
+	drive := func(perBlock bool, budget sim.Time) pollOutcome { return drivePolls(t, perBlock, budget, nil) }
 	perBlock, runs := drive(true, 0), drive(false, 0)
 	if perBlock.runs != 0 || runs.runs == 0 {
-		t.Fatalf("traced driver took %d run accesses and untraced %d: want 0 and some", perBlock.runs, runs.runs)
+		t.Fatalf("per-block driver took %d run accesses and the other %d: want 0 and some", perBlock.runs, runs.runs)
 	}
 	if runs.end != perBlock.end || runs.polls != perBlock.polls || runs.countdown != perBlock.countdown {
 		t.Fatalf("runs ended at %v after %d polls with countdown %d; the per-block loop at %v after %d polls with countdown %d",
@@ -278,12 +284,131 @@ func driverState(d *Driver, bufs []*vaspace.Alloc) string {
 	return s.String()
 }
 
+// discardOutcome is what driveDiscards observed.
+type discardOutcome struct {
+	states    []string
+	times     []sim.Time
+	polls     uint64
+	countdown int
+	accesses  uint64
+	discards  uint64
+	recovers  uint64
+	trip      *runctl.Interrupt
+	progress  []runctl.Progress
+}
+
+// discardScenario is one platform driveDiscards runs its program on.
+type discardScenario struct {
+	name      string
+	gpuBlocks int
+	lazy      bool
+	gpu       int // the GPU the program runs on; 1 is a peer
+}
+
+// discardScenarios are the platforms of TestDiscardedRunsMatchPerBlockLoop.
+var discardScenarios = []discardScenario{
+	{"eager fitting", 64, false, 0},
+	{"lazy fitting", 64, true, 0},
+	{"eager oversubscribed", 38, false, 0},
+	{"lazy oversubscribed", 38, true, 0},
+	{"eager on a peer", 64, false, 1},
+	{"lazy on a peer", 64, true, 1},
+}
+
+// driveDiscards runs TestDiscardedRunsMatchPerBlockLoop's program on sc: on
+// the per-block loops if perBlock, under a sim budget unless it is 0,
+// recording into tr if it is not nil.
+func driveDiscards(t *testing.T, sc discardScenario, perBlock bool, budget sim.Time, tr *trace.Recorder) discardOutcome {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var o discardOutcome
+	ctl := runctl.New(ctx, 0, budget)
+	ctl.SetObserver(func(p runctl.Progress) { o.progress = append(o.progress, p) })
+	gpu := gpudev.Generic(units.Size(sc.gpuBlocks) * units.BlockSize)
+	cfg := Config{GPU: gpu, Link: pcie.Preset(pcie.Gen4), Control: ctl, Trace: tr}
+	if sc.gpu == 1 {
+		cfg.PeerGPUs = []gpudev.Profile{gpu}
+	}
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.perBlock = perBlock
+	bufs := []*vaspace.Alloc{
+		mustAlloc(t, d, "a", 23*units.BlockSize),
+		mustAlloc(t, d, "b", 13*units.BlockSize),
+		mustAlloc(t, d, "c", 9*units.BlockSize-units.PageSize),
+	}
+	discard := d.Discard
+	if sc.lazy {
+		discard = d.DiscardLazy
+	}
+	var now sim.Time
+	step := func(done sim.Time, err error) error {
+		now = done
+		if budget == 0 {
+			o.states = append(o.states, driverState(d, bufs))
+			o.times = append(o.times, now)
+		}
+		return err
+	}
+	err = func() (err error) {
+		defer runctl.Recover(&err)
+		for i := 0; i < 40; i++ {
+			for j, x := range bufs {
+				size := uint64(x.Size())
+				to := sc.gpu
+				if (i+j)%6 == 5 {
+					to = 0 // away from the peer, and back on the access
+				}
+				if err := step(d.PrefetchToGPUOn(to, x, 0, size, now)); err != nil {
+					return err
+				}
+				mode := [...]AccessMode{Write, Read, ReadWrite}[(i+j)%3]
+				if err := step(d.GPUAccessOn(sc.gpu, x, 0, size, nil, mode, now)); err != nil {
+					return err
+				}
+				switch (i + j) % 7 {
+				case 2: // the buffer stays live until its next use
+					continue
+				case 4: // a host access clears the run
+					if err := step(d.CPUAccessRange(x, 0, size, Read, now)); err != nil {
+						return err
+					}
+				}
+				if err := step(discard(x, 0, size, now)); err != nil {
+					return err
+				}
+				if (i+j)%5 == 1 { // again, whole and in part
+					if err := step(discard(x, 0, size, now)); err != nil {
+						return err
+					}
+					if err := step(discard(x, uint64(units.BlockSize), size-uint64(units.BlockSize), now)); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
+	}()
+	o.trip = runctl.AsInterrupt(err)
+	if err != nil && o.trip == nil {
+		t.Fatal(err)
+	}
+	if err := d.CheckNow(); err != nil {
+		t.Fatal(err)
+	}
+	o.polls, o.countdown = d.pubTick, d.blockPolls
+	o.accesses, o.discards, o.recovers = d.runAccesses, d.runDiscards, d.runRecoveries
+	return o
+}
+
 // TestDiscardedRunsMatchPerBlockLoop drives the same whole-buffer discard →
 // prefetch → kernel program, eager and lazy, on a GPU that fits its three
 // buffers, on one they oversubscribe, and on a peer GPU whose buffers a
 // prefetch to the primary sometimes moves away, under a live run control,
-// twice: through runs, and with a trace recorder attached, which keeps the
-// per-block loops. After every operation both drivers must hold the same
+// twice: through runs, and with the per-block loops forced
+// (Driver.perBlock). After every operation both drivers must hold the same
 // queues, chunks, blocks and collector counts and have returned the same
 // time; at the end they must have polled equally often, published the same
 // progress and kept the same countdown; and a sim budget anywhere in the
@@ -291,122 +416,15 @@ func driverState(d *Driver, bufs []*vaspace.Alloc) string {
 // also discards a discarded buffer again, whole and in part, and touches
 // buffers from the host, which clears their runs.
 func TestDiscardedRunsMatchPerBlockLoop(t *testing.T) {
-	type outcome struct {
-		states    []string
-		times     []sim.Time
-		polls     uint64
-		countdown int
-		discards  uint64
-		recovers  uint64
-		trip      *runctl.Interrupt
-		progress  []runctl.Progress
+	drive := func(sc discardScenario, perBlock bool, budget sim.Time) discardOutcome {
+		return driveDiscards(t, sc, perBlock, budget, nil)
 	}
-	type scenario struct {
-		name      string
-		gpuBlocks int
-		lazy      bool
-		gpu       int // the GPU the program runs on; 1 is a peer
-	}
-	drive := func(sc scenario, traced bool, budget sim.Time) outcome {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		var tr *trace.Recorder
-		if traced {
-			tr = trace.NewRecorder()
-		}
-		var o outcome
-		ctl := runctl.New(ctx, 0, budget)
-		ctl.SetObserver(func(p runctl.Progress) { o.progress = append(o.progress, p) })
-		gpu := gpudev.Generic(units.Size(sc.gpuBlocks) * units.BlockSize)
-		cfg := Config{GPU: gpu, Link: pcie.Preset(pcie.Gen4), Control: ctl, Trace: tr}
-		if sc.gpu == 1 {
-			cfg.PeerGPUs = []gpudev.Profile{gpu}
-		}
-		d, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bufs := []*vaspace.Alloc{
-			mustAlloc(t, d, "a", 23*units.BlockSize),
-			mustAlloc(t, d, "b", 13*units.BlockSize),
-			mustAlloc(t, d, "c", 9*units.BlockSize-units.PageSize),
-		}
-		discard := d.Discard
-		if sc.lazy {
-			discard = d.DiscardLazy
-		}
-		var now sim.Time
-		step := func(done sim.Time, err error) error {
-			now = done
-			if budget == 0 {
-				o.states = append(o.states, driverState(d, bufs))
-				o.times = append(o.times, now)
-			}
-			return err
-		}
-		err = func() (err error) {
-			defer runctl.Recover(&err)
-			for i := 0; i < 40; i++ {
-				for j, x := range bufs {
-					size := uint64(x.Size())
-					to := sc.gpu
-					if (i+j)%6 == 5 {
-						to = 0 // away from the peer, and back on the access
-					}
-					if err := step(d.PrefetchToGPUOn(to, x, 0, size, now)); err != nil {
-						return err
-					}
-					mode := [...]AccessMode{Write, Read, ReadWrite}[(i+j)%3]
-					if err := step(d.GPUAccessOn(sc.gpu, x, 0, size, nil, mode, now)); err != nil {
-						return err
-					}
-					switch (i + j) % 7 {
-					case 2: // the buffer stays live until its next use
-						continue
-					case 4: // a host access clears the run
-						if err := step(d.CPUAccessRange(x, 0, size, Read, now)); err != nil {
-							return err
-						}
-					}
-					if err := step(discard(x, 0, size, now)); err != nil {
-						return err
-					}
-					if (i+j)%5 == 1 { // again, whole and in part
-						if err := step(discard(x, 0, size, now)); err != nil {
-							return err
-						}
-						if err := step(discard(x, uint64(units.BlockSize), size-uint64(units.BlockSize), now)); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			return nil
-		}()
-		o.trip = runctl.AsInterrupt(err)
-		if err != nil && o.trip == nil {
-			t.Fatal(err)
-		}
-		if err := d.CheckNow(); err != nil {
-			t.Fatal(err)
-		}
-		o.polls, o.countdown = d.pubTick, d.blockPolls
-		o.discards, o.recovers = d.runDiscards, d.runRecoveries
-		return o
-	}
-	for _, sc := range []scenario{
-		{"eager fitting", 64, false, 0},
-		{"lazy fitting", 64, true, 0},
-		{"eager oversubscribed", 38, false, 0},
-		{"lazy oversubscribed", 38, true, 0},
-		{"eager on a peer", 64, false, 1},
-		{"lazy on a peer", 64, true, 1},
-	} {
+	for _, sc := range discardScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			perBlock, runs := drive(sc, true, 0), drive(sc, false, 0)
 			t.Logf("%d run discards, %d run recoveries", runs.discards, runs.recovers)
 			if perBlock.discards+perBlock.recovers != 0 || runs.discards == 0 || runs.recovers == 0 {
-				t.Fatalf("traced driver took %d run discards and %d recoveries, untraced %d and %d: want none, then some of each",
+				t.Fatalf("per-block driver took %d run discards and %d recoveries, the other %d and %d: want none, then some of each",
 					perBlock.discards, perBlock.recovers, runs.discards, runs.recovers)
 			}
 			for k := range perBlock.states {
@@ -435,6 +453,41 @@ func TestDiscardedRunsMatchPerBlockLoop(t *testing.T) {
 						budget, got.trip, got.polls, want.trip, want.polls)
 				}
 			}
+		})
+	}
+}
+
+// TestTracedRunsRecordLikePerBlockLoop runs the programs of
+// TestRunPollsLikePerBlockLoop and TestDiscardedRunsMatchPerBlockLoop with a
+// trace recorder attached, through runs and on the per-block loops: the
+// traced driver must take resident runs, and record exactly the events,
+// and so the classification, that the per-block loops record.
+func TestTracedRunsRecordLikePerBlockLoop(t *testing.T) {
+	check := func(name string, drive func(perBlock bool, tr *trace.Recorder) (runs uint64)) {
+		want, got := trace.NewRecorder(), trace.NewRecorder()
+		if n := drive(true, want); n != 0 {
+			t.Fatalf("%s: the per-block driver took %d run accesses", name, n)
+		}
+		if n := drive(false, got); n == 0 {
+			t.Fatalf("%s: the traced driver took no run access", name)
+		}
+		if w, g := want.Events(), got.Events(); !slices.Equal(g, w) {
+			i := 0
+			for i < min(len(w), len(g)) && w[i] == g[i] {
+				i++
+			}
+			t.Fatalf("%s: runs recorded %d events and the per-block loop %d; they differ first at event %d", name, len(g), len(w), i)
+		}
+		if w, g := trace.Analyze(want), trace.Analyze(got); g != w {
+			t.Fatalf("%s: runs classify as %+v, the per-block loop as %+v", name, g, w)
+		}
+	}
+	check("prefetch and kernel", func(perBlock bool, tr *trace.Recorder) uint64 {
+		return drivePolls(t, perBlock, 0, tr).runs
+	})
+	for _, sc := range discardScenarios {
+		check(sc.name, func(perBlock bool, tr *trace.Recorder) uint64 {
+			return driveDiscards(t, sc, perBlock, 0, tr).accesses
 		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"uvmdiscard/internal/lms"
 	"uvmdiscard/internal/pcie"
 	"uvmdiscard/internal/runctl"
+	"uvmdiscard/internal/trace"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
 )
@@ -92,28 +93,41 @@ func runFigure3(o Options) (*Table, error) {
 		batches = []int{8, 24, 48, 72}
 		p = workloads.Platform{GPU: gpudev.Generic(512 * units.MiB), Gen: pcie.Gen4}
 	}
-	p = o.arm(p)
 	p.TraceRMT = true
 	t := &Table{
 		ID:     "F3",
 		Title:  fmt.Sprintf("PCIe traffic of %s under UVM: total vs required (GB)", model.Name),
 		Header: []string{"Batch", "Footprint", "Total", "Required", "Redundant", "Redundant%"},
 	}
-	for _, b := range batches {
-		r, err := dnn.Train(p, workloads.UVMOpt, dnn.TrainConfig{Model: model, Batch: b})
+	// A cell keeps its row's numbers, not its run's trace, so each trace
+	// is garbage once its run returns.
+	type row struct {
+		footprint units.Size
+		traffic   uint64
+		a         trace.Analysis
+	}
+	rows := make([]row, len(batches))
+	err := runCells(o, p, len(batches), func(p workloads.Platform, i int) error {
+		r, err := dnn.Train(p, workloads.UVMOpt, dnn.TrainConfig{Model: model, Batch: batches[i]})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if r.Analysis == nil {
-			return nil, fmt.Errorf("F3: no RMT analysis recorded")
+			return fmt.Errorf("F3: no RMT analysis recorded")
 		}
-		a := r.Analysis
-		t.AddRow(fmt.Sprintf("%d", b),
-			units.Format(r.Footprint),
-			fmtGB(r.TrafficBytes),
-			fmtGB(a.RequiredBytes),
-			fmtGB(a.Redundant()),
-			fmt.Sprintf("%.0f%%", 100*a.RedundantFraction()))
+		rows[i] = row{r.Footprint, r.TrafficBytes, *r.Analysis}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range rows {
+		t.AddRow(fmt.Sprintf("%d", batches[i]),
+			units.Format(r.footprint),
+			fmtGB(r.traffic),
+			fmtGB(r.a.RequiredBytes),
+			fmtGB(r.a.Redundant()),
+			fmt.Sprintf("%.0f%%", 100*r.a.RedundantFraction()))
 	}
 	t.Notes = append(t.Notes,
 		"paper: beyond GPU capacity, the required traffic is less than half of what UVM transfers")

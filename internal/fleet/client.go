@@ -108,7 +108,7 @@ func (c *Client) Heartbeat(ctx context.Context, name string) error {
 func (c *Client) Lease(ctx context.Context, name string) (*LeaseGrant, error) {
 	var g LeaseGrant
 	code, err := c.call(ctx, "lease", http.MethodPost, "/v1/lease", workerReq{Worker: name}, &g,
-		[]int{http.StatusOK, http.StatusNoContent}, ErrUnknownWorker)
+		[]int{http.StatusOK, http.StatusNoContent}, ErrUnknownWorker, ErrJournal)
 	if err != nil || code == http.StatusNoContent {
 		return nil, err
 	}
@@ -132,7 +132,7 @@ func (c *Client) Complete(ctx context.Context, name, jobID string, attempt int, 
 	}
 	if _, err := c.call(ctx, "complete", http.MethodPost, "/v1/complete",
 		completeReq{Worker: name, JobID: jobID, Attempt: attempt, Output: output, Error: errMsg}, &res,
-		[]int{http.StatusOK}, ErrNoSuchJob, ErrMismatch); err != nil {
+		[]int{http.StatusOK}, ErrNoSuchJob, ErrMismatch, ErrJournal); err != nil {
 		return "", err
 	}
 	return res.Status, nil
@@ -141,7 +141,7 @@ func (c *Client) Complete(ctx context.Context, name, jobID string, attempt int, 
 // Submit admits a job.
 func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 	var st JobStatus
-	if _, err := c.call(ctx, "submit", http.MethodPost, "/v1/jobs", spec, &st, []int{http.StatusCreated}, ErrQuota); err != nil {
+	if _, err := c.call(ctx, "submit", http.MethodPost, "/v1/jobs", spec, &st, []int{http.StatusCreated}, ErrQuota, ErrJournal); err != nil {
 		return JobStatus{}, err
 	}
 	return st, nil

@@ -107,6 +107,11 @@ var (
 	// the recorded result — a determinism violation, never silently
 	// absorbed.
 	ErrMismatch = errors.New("fleet: duplicate result differs from recorded result (determinism violation)")
+	// ErrJournal refuses a change the coordinator would have to journal
+	// once a journal append has failed. The coordinator is at fault, not
+	// the request: it refuses every such change until it restarts, and
+	// /healthz answers 503 meanwhile.
+	ErrJournal = errors.New("fleet: coordinator journal failed; changes are refused until it restarts")
 )
 
 // Config tunes the coordinator. The zero value is usable (in-memory

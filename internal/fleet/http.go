@@ -25,7 +25,9 @@ import (
 //	POST /v1/complete          {worker, job_id, attempt, output, error} → 200 {status}
 //
 // A protocol error answers with its status in errStatus, any other error
-// with its route's fallback status; the Client maps the status back.
+// with its route's fallback status; the Client maps the status back. Once a
+// journal append has failed, the verbs that journal (submit, lease,
+// complete) answer 503 (ErrJournal).
 
 // errStatus is the HTTP status of each protocol error. No verb can fail with
 // two errors of one status, so the Client maps a status back unambiguously.
@@ -38,6 +40,7 @@ var errStatus = []struct {
 	{ErrNoSuchJob, http.StatusNotFound},
 	{ErrStale, http.StatusConflict},
 	{ErrMismatch, http.StatusConflict},
+	{ErrJournal, http.StatusServiceUnavailable},
 }
 
 // statusOf is err's status in errStatus, or fallback for any other error.
@@ -86,9 +89,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeErr answers err with its status in errStatus, or with fallback, the
-// route's status for any other error.
+// route's status for any other error. A journal failure answers with
+// ErrJournal's text alone: the appender's error names the journal's file,
+// which /healthz reports to the operator.
 func writeErr(w http.ResponseWriter, fallback int, err error) {
-	writeJSON(w, statusOf(err, fallback), map[string]string{"error": err.Error()})
+	msg := err.Error()
+	if errors.Is(err, ErrJournal) {
+		msg = ErrJournal.Error()
+	}
+	writeJSON(w, statusOf(err, fallback), map[string]string{"error": msg})
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {

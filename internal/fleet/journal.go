@@ -142,7 +142,8 @@ func (c *Coordinator) checkLocked(rec journalRec) (*jobRec, error) {
 }
 
 // appendRecLocked journals one transition, fsync'd. A nil appender (in-memory
-// coordinator) accepts everything.
+// coordinator) accepts everything. A failed append, and every append the
+// appender refuses after it, wraps ErrJournal.
 func (c *Coordinator) appendRecLocked(rec journalRec) error {
 	if c.ap == nil {
 		return nil
@@ -152,7 +153,7 @@ func (c *Coordinator) appendRecLocked(rec journalRec) error {
 		return fmt.Errorf("fleet journal: %w", err)
 	}
 	if err := c.ap.Append(line); err != nil {
-		return fmt.Errorf("fleet journal: %w", err)
+		return fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 	return nil
 }

@@ -120,7 +120,9 @@ func TestSweepRequeuesInSubmissionOrder(t *testing.T) {
 
 // Every protocol error crosses the real Handler and Client as the sentinel
 // the coordinator returned, for every verb that can return it, and as no
-// other sentinel: the handlers and the Client read one status table.
+// other sentinel: the handlers and the Client read one status table. A
+// coordinator whose journal appender is closed refuses each verb that
+// journals with ErrJournal, whose answer does not name the journal's file.
 func TestProtocolErrorsRoundTrip(t *testing.T) {
 	cfg := testConfig(newFakeClock())
 	cfg.TenantQuota = 1
@@ -151,6 +153,31 @@ func TestProtocolErrorsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A journaled coordinator with one job leased and one queued, then its
+	// appender closed: the next append of each verb fails.
+	jcfg := testConfig(newFakeClock())
+	jcfg.JournalPath = filepath.Join(t.TempDir(), "fleet.journal")
+	jc, err := New(jcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsrv := httptest.NewServer(jc.Handler())
+	defer jsrv.Close()
+	jcl := NewClient(jsrv.URL)
+	if err := jcl.Register(ctx, "w", 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := jcl.Submit(ctx, JobSpec{Tenant: "t", Experiment: "T3", Quick: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jg, err := jcl.Lease(ctx, "w")
+	if err != nil || jg == nil {
+		t.Fatalf("Lease = %+v, %v; want a grant", jg, err)
+	}
+	jc.ap.Close()
+
 	for _, tc := range []struct {
 		verb string
 		call func() error
@@ -178,6 +205,18 @@ func TestProtocolErrorsRoundTrip(t *testing.T) {
 			_, err := cl.Job(ctx, "fj-404")
 			return err
 		}, ErrNoSuchJob},
+		{"submit with the journal closed", func() error {
+			_, err := jcl.Submit(ctx, JobSpec{Tenant: "t", Experiment: "T3", Quick: true})
+			return err
+		}, ErrJournal},
+		{"lease with the journal closed", func() error {
+			_, err := jcl.Lease(ctx, "w")
+			return err
+		}, ErrJournal},
+		{"complete with the journal closed", func() error {
+			_, err := jcl.Complete(ctx, "w", jg.JobID, jg.Attempt, "OUT", "")
+			return err
+		}, ErrJournal},
 	} {
 		err := tc.call()
 		for _, e := range errStatus {
@@ -185,6 +224,9 @@ func TestProtocolErrorsRoundTrip(t *testing.T) {
 				t.Errorf("%s: error %v; want only %v", tc.verb, err, tc.want)
 				break
 			}
+		}
+		if err != nil && strings.Contains(err.Error(), filepath.Dir(jcfg.JournalPath)) {
+			t.Errorf("%s: error %q names the journal's directory", tc.verb, err)
 		}
 	}
 }

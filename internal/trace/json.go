@@ -35,8 +35,9 @@ func WriteJSON(w io.Writer, r *Recorder) error {
 	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, c := range r.chunks() {
-		for _, ev := range c {
+	for c, i := r.head, 0; i < r.n; c = c.next {
+		for k := 0; k < chunkLen && i < r.n; k, i = k+1, i+1 {
+			ev := r.event(c, k, i)
 			if !ev.Kind.named() {
 				return fmt.Errorf("trace: unknown kind %d", int(ev.Kind))
 			}

@@ -8,6 +8,9 @@ import (
 	"uvmdiscard/internal/sim"
 )
 
+// syntheticBlocks is the number of blocks syntheticTrace visits.
+const syntheticBlocks = 16 * 64
+
 // syntheticTrace returns n events shaped like a training run's trace: 16
 // allocations of 64 blocks visited round-robin, each visit a few of
 // migrate-in, read, overwrite, evict, zero-fill and host read. Times are
@@ -78,21 +81,30 @@ func TestRecorderCrossesChunks(t *testing.T) {
 	}
 }
 
-// Recording never copies: 100 000 events cost one allocation per chunk and
-// nothing else.
+// Recording never copies and allocates nothing per event: 100 000 events
+// over 1 024 blocks cost one allocation per chunk plus the growth of the
+// per-block state, at most one allocation per block, and recording the
+// same blocks' trace at twice the length adds only the extra chunks.
 func TestRecordAllocsPerChunk(t *testing.T) {
-	evs := syntheticTrace(100_000)
-	chunks := (len(evs) + chunkLen - 1) / chunkLen
-	r := NewRecorder()
-	allocs := testing.AllocsPerRun(3, func() {
-		r.Reset()
-		for _, ev := range evs {
-			r.Record(ev)
-		}
-	})
-	if allocs > float64(chunks) {
-		t.Errorf("recording %d events allocated %.0f times, want at most %d (one per chunk)",
-			len(evs), allocs, chunks)
+	allocs := func(n int) (float64, int) {
+		evs := syntheticTrace(n)
+		r := NewRecorder()
+		return testing.AllocsPerRun(3, func() {
+			r.Reset()
+			for _, ev := range evs {
+				r.Record(ev)
+			}
+		}), (n + chunkLen - 1) / chunkLen
+	}
+	got, chunks := allocs(100_000)
+	if got > float64(chunks+syntheticBlocks) {
+		t.Errorf("recording 100000 events allocated %.0f times, want at most %d for the chunks plus %d for the blocks",
+			got, chunks, syntheticBlocks)
+	}
+	got2, chunks2 := allocs(200_000)
+	if got2-got > float64(chunks2-chunks) {
+		t.Errorf("recording twice the events over the same blocks allocated %.0f times against %.0f, want at most %d more (the chunks)",
+			got2, got, chunks2-chunks)
 	}
 }
 
@@ -100,6 +112,8 @@ func TestRecordAllocsPerChunk(t *testing.T) {
 // (581 137 events).
 const benchEvents = 500_000
 
+// BenchmarkRecord measures recording, which classifies each event as it
+// stores it, per event.
 func BenchmarkRecord(b *testing.B) {
 	evs := syntheticTrace(benchEvents)
 	b.ReportAllocs()
@@ -112,6 +126,10 @@ func BenchmarkRecord(b *testing.B) {
 
 var analysisSink Analysis
 
+// BenchmarkAnalyze measures reading the classification of a recorded trace.
+// Every block of syntheticTrace is in time order, so the read visits the
+// blocks, not the events: ns/block is the figure to watch, and ns/event
+// falls as the trace grows.
 func BenchmarkAnalyze(b *testing.B) {
 	r := record(syntheticTrace(benchEvents))
 	b.ReportAllocs()
@@ -120,4 +138,5 @@ func BenchmarkAnalyze(b *testing.B) {
 		analysisSink = Analyze(r)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchEvents), "ns/event")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*syntheticBlocks), "ns/block")
 }

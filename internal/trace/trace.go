@@ -1,11 +1,11 @@
 // Package trace records driver-level events and classifies transfers as
-// required or redundant after the fact.
+// required or redundant while it records them.
 //
 // The paper defines a redundant memory transfer (RMT) as "an automatic
 // memory transfer orchestrated by the UVM system that is not needed for
 // correctness" — e.g. a buffer migrated and then overwritten before being
 // read (§1, §3). Figure 3 is produced by exactly this classification: total
-// UVM traffic vs the non-redundant portion. The analyzer here implements
+// UVM traffic vs the non-redundant portion. The classifier here implements
 // it at block granularity:
 //
 //   - An H2D transfer is REQUIRED iff the first subsequent data-consuming
@@ -16,6 +16,15 @@
 //     consumed: read by the CPU, or migrated back to the GPU and then read
 //     there. If it is first overwritten, discarded, or never used again,
 //     the swap-out was redundant.
+//
+// A block's events are ordered by time, equal times keeping record order.
+// The recorder keeps O(1) state per block and resolves each transfer when
+// the event that decides it is recorded, so reading the result (Analyze,
+// Recorder.Classify) costs O(blocks) and never regroups the trace. The same
+// per-block state holds the discard advisor's dead intervals
+// (internal/advisor). The driver records almost every block in time order;
+// a block that receives an event older than its previous one is classified
+// again from the log, in time order, when the result is read.
 //
 // Accesses are recorded at the same block granularity the driver manages,
 // with the workload declaring read-before-write vs overwrite semantics per
@@ -90,33 +99,116 @@ type Event struct {
 	Bytes uint64
 }
 
-// chunkLen is the number of events per storage chunk. Chunks are never
-// resized, so recording never copies an event. One event short of 4 096,
-// a chunk and its next pointer fill exactly 20 pages (160 KiB) of heap.
-const chunkLen = 1<<12 - 1
+// wideMark is the logged kind of an event whose kind does not fit the log's
+// 8-bit kind field or whose size does not fit its 32-bit size field; the
+// event's kind and size are kept whole in Recorder.wide.
+const wideMark = math.MaxUint8
 
-// chunk is one fixed-size piece of a recorder's storage. next comes first
-// so the garbage collector scans one pointer word, not the events.
-type chunk struct {
-	next   *chunk
-	events [chunkLen]Event
+// wideEvent is what the log cannot hold of a wide event.
+type wideEvent struct {
+	kind  Kind
+	bytes uint64
 }
 
-// Recorder accumulates events in a chain of fixed-size chunks. A nil
-// *Recorder is valid and records nothing, so the driver can be run without
-// tracing overhead.
+// chunkLen is the number of events per log chunk. Chunks are never resized,
+// so recording never copies an event. A chunk and its next pointer fill all
+// but 20 bytes of 20 heap pages (160 KiB).
+const chunkLen = (20<<13 - 8) / 17
+
+// chunk is one fixed-size piece of a recorder's log. The log keeps an Event
+// in 17 bytes instead of 40: its time, its size narrowed to 32 bits, the
+// slot of its (alloc, block) pair in the recorder's block table, and its
+// kind narrowed to 8 bits. An event that does not fit is logged with
+// wideMark, so nothing is truncated. The fields are stored one array each,
+// so a scan for some blocks' events reads only the slots. next comes first
+// so the garbage collector scans one pointer word, not the events.
+type chunk struct {
+	next  *chunk
+	t     [chunkLen]sim.Time
+	bytes [chunkLen]uint32
+	slot  [chunkLen]uint32
+	kind  [chunkLen]uint8
+}
+
+// block is the recorder's state for one (alloc, block) pair.
+type block struct {
+	alloc, index int
+	// last is the time of the block's latest event while its events
+	// arrive in time order. An event with an earlier time marks the block
+	// late: Classify classifies it again from the log.
+	last sim.Time
+	v    verdicts
+	late bool
+}
+
+// pageLen is the number of blocks per page of the block table. Pages are
+// never resized, so adding a block never copies one.
+const pageLen = 1 << 9
+
+// Recorder accumulates events in a chain of fixed-size chunks and
+// classifies each block's transfers as it goes. A nil *Recorder is valid
+// and records nothing, so the driver can be run without tracing overhead.
 type Recorder struct {
 	head, tail *chunk
 	n          int
+	// wide holds the kind and size of every wide event, by event index.
+	wide map[int]wideEvent
+
+	// pages holds block slot s at pages[s/pageLen][s%pageLen]; nblocks
+	// slots are in use.
+	pages   []*[pageLen]block
+	nblocks int
+	// dense[alloc][index] is the slot of a driver-numbered pair plus one
+	// (0: none); every other pair's slot is in sparse. cells counts the
+	// dense index's entries, which placeDense bounds by the block count.
+	dense  [][]uint32
+	cells  int
+	sparse map[[2]int]uint32
+	late   int // blocks marked late
+
+	// totals holds the order-independent sums: bytes and count by
+	// direction.
+	totals Analysis
 }
 
 // NewRecorder returns an empty enabled recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Record appends an event. No-op on a nil recorder.
+// Record appends an event and classifies it. No-op on a nil recorder.
 func (r *Recorder) Record(ev Event) {
 	if r == nil {
 		return
+	}
+	s := r.slot(ev.Alloc, ev.Block)
+	b := r.block(s)
+	if ev.T < b.last {
+		if !b.late {
+			b.late = true
+			r.late++
+		}
+	} else {
+		b.last = ev.T
+	}
+	switch ev.Kind {
+	case TransferH2D:
+		r.totals.TotalH2D += ev.Bytes
+		r.totals.TransferCount++
+	case TransferD2H:
+		r.totals.TotalD2H += ev.Bytes
+		r.totals.TransferCount++
+	case TransferPeer:
+		r.totals.TotalPeer += ev.Bytes
+		r.totals.TransferCount++
+	}
+	b.v.step(ev.Kind, ev.Bytes)
+
+	kind, size := uint8(ev.Kind), uint32(ev.Bytes)
+	if Kind(kind) != ev.Kind || uint64(size) != ev.Bytes || kind == wideMark {
+		if r.wide == nil {
+			r.wide = make(map[int]wideEvent)
+		}
+		r.wide[r.n] = wideEvent{ev.Kind, ev.Bytes}
+		kind = wideMark
 	}
 	i := r.n % chunkLen
 	if i == 0 {
@@ -128,22 +220,113 @@ func (r *Recorder) Record(ev Event) {
 		}
 		r.tail = c
 	}
-	r.tail.events[i] = ev
+	c := r.tail
+	c.t[i], c.bytes[i], c.slot[i], c.kind[i] = ev.T, size, s, kind
 	r.n++
 }
 
-// Events returns a copy of the recorded events in record order. The copy
-// is as large as the trace; Analyze and WriteJSON read the recorder's own
-// storage instead.
+// slot returns the block-table slot of (alloc, index), adding the block on
+// its first event. The driver numbers allocations from 0 and blocks from 0
+// within each allocation, so its pairs index the dense table directly.
+func (r *Recorder) slot(alloc, index int) uint32 {
+	if uint(alloc) < uint(len(r.dense)) {
+		if row := r.dense[alloc]; uint(index) < uint(len(row)) && row[index] != 0 {
+			return row[index] - 1
+		}
+	}
+	key := [2]int{alloc, index}
+	if s, ok := r.sparse[key]; ok {
+		return s
+	}
+	if uint64(r.nblocks) == math.MaxUint32 {
+		panic("trace: more blocks than a slot can number")
+	}
+	s := uint32(r.nblocks)
+	if r.nblocks%pageLen == 0 {
+		r.pages = append(r.pages, new([pageLen]block))
+	}
+	r.nblocks++
+	*r.block(s) = block{alloc: alloc, index: index, last: math.MinInt64}
+	if !r.placeDense(alloc, index, s+1) {
+		if r.sparse == nil {
+			r.sparse = make(map[[2]int]uint32)
+		}
+		r.sparse[key] = s
+	}
+	return s
+}
+
+// block returns slot s's state.
+func (r *Recorder) block(s uint32) *block { return &r.pages[s/pageLen][s%pageLen] }
+
+// placeDense stores v at dense[alloc][index] and reports true if the dense
+// index holds that pair or can grow to hold it within its budget. The
+// budget bounds the index's cells by the number of blocks, so that no ID,
+// however large, makes it allocate in proportion to its value.
+func (r *Recorder) placeDense(alloc, index int, v uint32) bool {
+	budget := 4*r.nblocks + 1024
+	if alloc < 0 || index < 0 || alloc >= budget || index >= budget {
+		return false
+	}
+	var ok bool
+	if r.dense, ok = grow(r, r.dense, alloc, budget); !ok {
+		return false
+	}
+	row, ok := grow(r, r.dense[alloc], index, budget)
+	if !ok {
+		return false
+	}
+	r.dense[alloc] = row
+	row[index] = v
+	return true
+}
+
+// grow returns s, doubled if need be to hold index i, and reports false if
+// that would take the dense index's cells past budget.
+func grow[T any](r *Recorder, s []T, i, budget int) ([]T, bool) {
+	if i < len(s) {
+		return s, true
+	}
+	n := max(i+1, 2*len(s))
+	if r.cells+n-len(s) > budget {
+		return s, false
+	}
+	r.cells += n - len(s)
+	return append(s, make([]T, n-len(s))...), true
+}
+
+// Events returns a copy of the recorded events in record order, exactly as
+// recorded. The copy is as large as the trace; Classify and WriteJSON read
+// the recorder's own storage instead.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
 	out := make([]Event, 0, r.n)
-	for _, c := range r.chunks() {
-		out = append(out, c...)
+	for c := r.head; len(out) < r.n; c = c.next {
+		for k := 0; k < chunkLen && len(out) < r.n; k++ {
+			out = append(out, r.event(c, k, len(out)))
+		}
 	}
 	return out
+}
+
+// event expands entry k of chunk c, the log's i'th event, back into the
+// Event recorded.
+func (r *Recorder) event(c *chunk, k, i int) Event {
+	b := r.block(c.slot[k])
+	kind, size := r.kindSize(c, k, i)
+	return Event{T: c.t[k], Kind: kind, Alloc: b.alloc, Block: b.index, Bytes: size}
+}
+
+// kindSize returns the kind and size of entry k of chunk c, the log's i'th
+// event.
+func (r *Recorder) kindSize(c *chunk, k, i int) (Kind, uint64) {
+	if c.kind[k] == wideMark {
+		w := r.wide[i]
+		return w.kind, w.bytes
+	}
+	return Kind(c.kind[k]), uint64(c.bytes[k])
 }
 
 // Len returns the number of recorded events.
@@ -161,146 +344,233 @@ func (r *Recorder) Reset() {
 	}
 }
 
-// chunks returns the recorded part of every chunk in record order, so event
-// i is chunks[i/chunkLen][i%chunkLen]. r must not be nil.
-func (r *Recorder) chunks() [][]Event {
-	out := make([][]Event, 0, (r.n+chunkLen-1)/chunkLen)
-	for c, left := r.head, r.n; left > 0; c, left = c.next, left-chunkLen {
-		out = append(out, c.events[:min(left, chunkLen)])
+// verdicts is one block's classification state, advanced one event at a
+// time in the block's time order by step. It holds the transfers that no
+// later event has decided yet, what has been decided redundant, and the
+// discard advisor's dead intervals.
+type verdicts struct {
+	// h2d and peer are the bytes of the H2D and peer transfers whose data
+	// has been neither read nor killed on the GPU, toGPU their count.
+	h2d, peer uint64
+	toGPU     int
+	// d2h is the bytes of the D2H transfers whose data has been neither
+	// consumed nor killed, toHost their count; back says that data has
+	// since moved to the GPU again.
+	d2h    uint64
+	toHost int
+	back   bool
+	// Decided redundant, by direction, and how many transfers.
+	redH2D, redD2H, redPeer uint64
+	redundant               int
+	// The advisor's dead intervals: transfer bytes since the last read,
+	// the bytes and count of closed intervals, and whether a discard was
+	// seen.
+	dead, wasted uint64
+	intervals    int
+	discarded    bool
+}
+
+// step advances v past one event. It is DESIGN.md §15's table read in time
+// order: each pending transfer is decided by the first later event that
+// decides it.
+//
+//   - H2D and peer transfers are required if the block's next GPURead comes
+//     before its next GPUWrite, D2H, Discard or ZeroFill.
+//   - D2H transfers are required if their data is consumed before it dies:
+//     while it is on the host, a CPURead consumes it, a CPUWrite kills it,
+//     and an H2D moves it to the GPU; once it is back on the GPU, a GPURead
+//     consumes it, a GPUWrite kills it, and a D2H moves it to the host
+//     again, where it joins the new D2H's pending data. A Discard or
+//     ZeroFill kills it either way.
+//   - A dead interval runs from the block's last read to the write,
+//     Discard or ZeroFill that proves no further read was coming; the H2D
+//     and D2H bytes inside it were wasted.
+//
+// Whatever is still pending when the trace ends is decided by end.
+// Unknown kinds change nothing.
+func (v *verdicts) step(k Kind, n uint64) {
+	switch k {
+	case TransferH2D:
+		v.back = true
+		v.h2d += n
+		v.toGPU++
+		v.dead += n
+	case TransferPeer:
+		v.peer += n
+		v.toGPU++
+	case TransferD2H:
+		v.killGPU()
+		v.back = false
+		v.d2h += n
+		v.toHost++
+		v.dead += n
+	case GPURead:
+		v.useGPU()
+		if v.back {
+			v.useHost()
+		}
+		v.dead = 0
+	case GPUWrite:
+		v.killGPU()
+		if v.back {
+			v.killHost()
+		}
+		v.closeDead()
+	case CPURead:
+		if !v.back {
+			v.useHost()
+		}
+		v.dead = 0
+	case CPUWrite:
+		if !v.back {
+			v.killHost()
+		}
+		v.closeDead()
+	case Discard, ZeroFill:
+		v.killGPU()
+		v.killHost()
+		v.discarded = v.discarded || k == Discard
+		v.closeDead()
+	}
+}
+
+// end decides what is still pending when the trace ends: data never used
+// again was not required, and its transfers moved dead bytes.
+func (v *verdicts) end() {
+	v.killGPU()
+	v.killHost()
+	v.closeDead()
+}
+
+// useGPU decides the pending H2D and peer transfers required.
+func (v *verdicts) useGPU() { v.h2d, v.peer, v.toGPU = 0, 0, 0 }
+
+// killGPU decides the pending H2D and peer transfers redundant.
+func (v *verdicts) killGPU() {
+	v.redH2D += v.h2d
+	v.redPeer += v.peer
+	v.redundant += v.toGPU
+	v.useGPU()
+}
+
+// useHost decides the pending D2H transfers required.
+func (v *verdicts) useHost() { v.d2h, v.toHost = 0, 0 }
+
+// killHost decides the pending D2H transfers redundant.
+func (v *verdicts) killHost() {
+	v.redD2H += v.d2h
+	v.redundant += v.toHost
+	v.useHost()
+}
+
+// closeDead ends the current dead interval, if it moved any bytes.
+func (v *verdicts) closeDead() {
+	if v.dead > 0 {
+		v.wasted += v.dead
+		v.intervals++
+	}
+	v.dead = 0
+}
+
+// AllocWaste is the discard advisor's summary of one allocation's dead
+// intervals (internal/advisor ranks them).
+type AllocWaste struct {
+	Alloc int
+	// Blocks counts the allocation's blocks with at least one dead
+	// interval, and Intervals the dead intervals across them.
+	Blocks, Intervals int
+	// Wasted is the transfer volume inside the dead intervals.
+	Wasted uint64
+	// Discarded reports whether any block of the allocation was discarded.
+	Discarded bool
+}
+
+// Classify returns the RMT analysis of everything recorded, and the dead
+// intervals of every allocation that has some, in the order the
+// allocations' first events were recorded. It reads the per-block state in
+// O(blocks), plus one scan of the log when some block was recorded out of
+// time order, and changes nothing. A nil recorder yields a zero analysis.
+func (r *Recorder) Classify() (Analysis, []AllocWaste) {
+	if r == nil {
+		return Analysis{}, nil
+	}
+	a := r.totals
+	again := r.reclassify()
+	var allocs []AllocWaste
+	at := make(map[int]int)
+	cur := -1
+	for s := uint32(0); s < uint32(r.nblocks); s++ {
+		b := r.block(s)
+		v := b.v
+		if b.late {
+			v = again[s]
+		}
+		v.end()
+		a.RedundantH2D += v.redH2D
+		a.RedundantD2H += v.redD2H
+		a.RedundantPeer += v.redPeer
+		a.RedundantCount += v.redundant
+
+		if cur < 0 || allocs[cur].Alloc != b.alloc {
+			i, ok := at[b.alloc]
+			if !ok {
+				i = len(allocs)
+				at[b.alloc] = i
+				allocs = append(allocs, AllocWaste{Alloc: b.alloc})
+			}
+			cur = i
+		}
+		w := &allocs[cur]
+		w.Discarded = w.Discarded || v.discarded
+		if v.wasted > 0 {
+			w.Blocks++
+			w.Intervals += v.intervals
+			w.Wasted += v.wasted
+		}
+	}
+	a.RequiredBytes = a.Total() - a.Redundant()
+	return a, slices.DeleteFunc(allocs, func(w AllocWaste) bool { return w.Wasted == 0 })
+}
+
+// reclassify classifies every late block again with step, over its events
+// from the log stably sorted by time, and returns the verdicts by slot
+// (before end).
+func (r *Recorder) reclassify() map[uint32]verdicts {
+	if r.late == 0 {
+		return nil
+	}
+	late := make([]bool, r.nblocks) // small enough to stay in cache
+	for s := range late {
+		late[s] = r.block(uint32(s)).late
+	}
+	type event struct {
+		slot  uint32
+		t     sim.Time
+		kind  Kind
+		bytes uint64
+	}
+	var evs []event
+	for c, i := r.head, 0; i < r.n; c, i = c.next, i+chunkLen {
+		for k, s := range c.slot[:min(r.n-i, chunkLen)] {
+			if late[s] {
+				kind, size := r.kindSize(c, k, i+k)
+				evs = append(evs, event{s, c.t[k], kind, size})
+			}
+		}
+	}
+	slices.SortStableFunc(evs, func(x, y event) int {
+		return cmp.Or(cmp.Compare(x.slot, y.slot), cmp.Compare(x.t, y.t))
+	})
+	out := make(map[uint32]verdicts, r.late)
+	for i := 0; i < len(evs); {
+		s := evs[i].slot
+		var v verdicts
+		for ; i < len(evs) && evs[i].slot == s; i++ {
+			v.step(evs[i].kind, evs[i].bytes)
+		}
+		out[s] = v
 	}
 	return out
-}
-
-// ForEachBlock calls fn once for every (alloc, block) pair in the trace, in
-// ascending (alloc, block) order, with that block's events ordered by time.
-// Events recorded at equal times keep their record order (the driver
-// records in issue order). evs is reused by the next call. No-op on a nil
-// recorder.
-func (r *Recorder) ForEachBlock(fn func(alloc, block int, evs []Event)) {
-	if r.Len() == 0 {
-		return
-	}
-	chunks := r.chunks()
-	var evs []Event
-	flush := func() {
-		// The driver records nearly in time order (ResNet-53 at batch 150
-		// has out-of-order events in 45 of its 13 842 blocks), so almost
-		// every block skips the sort.
-		if !slices.IsSortedFunc(evs, byTime) {
-			slices.SortStableFunc(evs, byTime)
-		}
-		fn(evs[0].Alloc, evs[0].Block, evs)
-		evs = evs[:0]
-	}
-	for _, i := range groupOrder(chunks, r.n) {
-		ev := chunks[i/chunkLen][i%chunkLen]
-		if len(evs) > 0 && (ev.Alloc != evs[0].Alloc || ev.Block != evs[0].Block) {
-			flush()
-		}
-		evs = append(evs, ev)
-	}
-	flush()
-}
-
-func byTime(a, b Event) int { return cmp.Compare(a.T, b.T) }
-
-// groupOrder returns the indexes of the n events in chunks ordered by
-// (alloc, block), in record order within each pair.
-//
-// Driver traces number allocations from 0 and blocks from 0 within each
-// allocation, so a counting sort over a dense block number orders them in
-// O(n) without hashing any key. IDs that do not pack into at most 2n slots,
-// such as sparse or huge ones a caller or a JSON dump may supply, take a
-// comparison sort instead. Either way memory stays O(n).
-func groupOrder(chunks [][]Event, n int) []int {
-	order := make([]int, n)
-	d, ok := packBlocks(chunks, n)
-	if !ok {
-		for i := range order {
-			order[i] = i
-		}
-		slices.SortFunc(order, func(i, j int) int {
-			a, b := &chunks[i/chunkLen][i%chunkLen], &chunks[j/chunkLen][j%chunkLen]
-			return cmp.Or(cmp.Compare(a.Alloc, b.Alloc), cmp.Compare(a.Block, b.Block), cmp.Compare(i, j))
-		})
-		return order
-	}
-	next := make([]int, d.slots+1) // next[s]: where slot s's next index goes
-	for _, c := range chunks {
-		for k := range c {
-			next[d.slot(&c[k])+1]++
-		}
-	}
-	for s := 1; s < len(next); s++ {
-		next[s] += next[s-1]
-	}
-	i := 0
-	for _, c := range chunks {
-		for k := range c {
-			s := d.slot(&c[k])
-			order[next[s]] = i
-			next[s]++
-			i++
-		}
-	}
-	return order
-}
-
-// denseBlocks numbers every (alloc, block) pair of a trace densely: the
-// blocks of allocation minAlloc+a occupy slots base[a] onward, starting
-// with block first[a].
-type denseBlocks struct {
-	minAlloc    int
-	first, base []int
-	slots       int
-}
-
-// slot returns ev's dense block number. packBlocks checked that both
-// differences are below 2n, so neither overflows.
-func (d *denseBlocks) slot(ev *Event) int {
-	a := ev.Alloc - d.minAlloc
-	return d.base[a] + (ev.Block - d.first[a])
-}
-
-// packBlocks builds the dense numbering for the n events in chunks, or
-// reports false when the allocation IDs span n or more values or the
-// blocks need more than 2n slots in total.
-func packBlocks(chunks [][]Event, n int) (denseBlocks, bool) {
-	lo, hi := chunks[0][0].Alloc, chunks[0][0].Alloc
-	for _, c := range chunks {
-		for k := range c {
-			lo, hi = min(lo, c[k].Alloc), max(hi, c[k].Alloc)
-		}
-	}
-	// Differences go through uint64 so that extreme IDs cannot overflow.
-	if uint64(hi)-uint64(lo) >= uint64(n) {
-		return denseBlocks{}, false
-	}
-	na := hi - lo + 1
-	first, last := make([]int, na), make([]int, na)
-	for a := range first {
-		first[a], last[a] = math.MaxInt, math.MinInt // no blocks yet
-	}
-	for _, c := range chunks {
-		for k := range c {
-			a := c[k].Alloc - lo
-			first[a], last[a] = min(first[a], c[k].Block), max(last[a], c[k].Block)
-		}
-	}
-	d := denseBlocks{minAlloc: lo, first: first, base: make([]int, na)}
-	limit := 2 * uint64(n)
-	for a := range first {
-		d.base[a] = d.slots
-		if first[a] > last[a] {
-			continue
-		}
-		span := uint64(last[a]) - uint64(first[a])
-		if span >= limit || uint64(d.slots)+span+1 > limit {
-			return denseBlocks{}, false
-		}
-		d.slots += int(span) + 1
-	}
-	return d, true
 }
 
 // Analysis is the result of RMT classification over a trace.
@@ -340,77 +610,9 @@ func (a Analysis) String() string {
 		a.Total(), a.Redundant(), a.RequiredBytes)
 }
 
-// Analyze classifies every transfer in the trace. Events recorded at equal
-// times keep their record order (the driver records in issue order).
+// Analyze classifies every transfer in the trace: the analysis half of
+// Classify.
 func Analyze(r *Recorder) Analysis {
-	var a Analysis
-	r.ForEachBlock(func(_, _ int, evs []Event) { a.AddBlock(evs) })
+	a, _ := r.Classify()
 	return a
-}
-
-// AddBlock classifies the transfers of one block's time-ordered events, as
-// ForEachBlock hands them over, into a: Analyze is AddBlock over every
-// block of a trace. Grouping the events by block is most of the cost, so a
-// caller with its own per-block analysis (the discard advisor) feeds both
-// from one ForEachBlock walk.
-//
-// It walks the events backwards in a single pass, carrying the verdict a
-// transfer at the current position would get from the events after it:
-//
-//   - gpu: an H2D or peer transfer is required iff, of the next GPURead,
-//     GPUWrite, Discard, ZeroFill or D2H, the first is a GPURead;
-//   - onHost, onGPU: a D2H transfer is required iff the data is consumed
-//     before it dies. onHost is the verdict while the data is still on the
-//     host (a CPURead consumes it, a CPUWrite kills it, an H2D moves it);
-//     onGPU is the verdict once it has moved back (a GPURead consumes it, a
-//     GPUWrite kills it, a D2H returns it to the host). Discard and
-//     ZeroFill kill it either way.
-//
-// Every verdict starts false: data never touched again was not required.
-func (a *Analysis) AddBlock(evs []Event) {
-	var gpu, onHost, onGPU bool
-	for i := len(evs) - 1; i >= 0; i-- {
-		ev := &evs[i]
-		switch ev.Kind {
-		case TransferH2D:
-			a.TotalH2D += ev.Bytes
-			a.TransferCount++
-			if !gpu {
-				a.RedundantH2D += ev.Bytes
-				a.RedundantCount++
-			} else {
-				a.RequiredBytes += ev.Bytes
-			}
-			onHost = onGPU
-		case TransferPeer:
-			a.TotalPeer += ev.Bytes
-			a.TransferCount++
-			if !gpu {
-				a.RedundantPeer += ev.Bytes
-				a.RedundantCount++
-			} else {
-				a.RequiredBytes += ev.Bytes
-			}
-		case TransferD2H:
-			a.TotalD2H += ev.Bytes
-			a.TransferCount++
-			if !onHost {
-				a.RedundantD2H += ev.Bytes
-				a.RedundantCount++
-			} else {
-				a.RequiredBytes += ev.Bytes
-			}
-			gpu, onGPU = false, onHost
-		case GPURead:
-			gpu, onGPU = true, true
-		case GPUWrite:
-			gpu, onGPU = false, false
-		case CPURead:
-			onHost = true
-		case CPUWrite:
-			onHost = false
-		case Discard, ZeroFill:
-			gpu, onHost, onGPU = false, false, false
-		}
-	}
 }

@@ -276,3 +276,18 @@ func TestReadJSONErrors(t *testing.T) {
 		t.Error("empty dump should parse to empty recorder")
 	}
 }
+
+// Data migrated to the GPU and evicted before any read: the eviction
+// decides that H2D redundant, while the data it swapped out is read back
+// on the GPU, so the D2H and the second H2D were required.
+func TestH2DRedundantWhenEvictedUnread(t *testing.T) {
+	r := NewRecorder()
+	r.Record(ev(1, TransferH2D, 0))
+	r.Record(ev(2, TransferD2H, 0))
+	r.Record(ev(3, TransferH2D, 0))
+	r.Record(ev(4, GPURead, 0))
+	a := Analyze(r)
+	if a.RedundantH2D != 100 || a.RedundantD2H != 0 || a.RedundantCount != 1 {
+		t.Errorf("analysis = %+v", a)
+	}
+}

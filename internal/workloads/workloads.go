@@ -282,7 +282,10 @@ func CollectSince(sys System, ctx *cuda.Context, start sim.Time) Result {
 	return r
 }
 
-// Collect populates a Result from a finished context.
+// Collect populates a Result from a finished context. When the context is
+// traced, it reads the RMT split and the discard advice from the recorder,
+// which classified every block as the run recorded it; reading changes
+// nothing, so Collect may be called again on the same context.
 func Collect(sys System, ctx *cuda.Context) Result {
 	// Final residency-gauge publish, so every finished run's collector
 	// carries its end-state per-device occupancy (live runs are refreshed
@@ -313,18 +316,11 @@ func Collect(sys System, ctx *cuda.Context) Result {
 	poisoned, _, lost := m.Poisoned()
 	r.PoisonedChunks, r.PoisonLostB = poisoned, lost
 	if tr := ctx.Driver().Trace(); tr != nil {
-		// One walk of the trace feeds both analyses: grouping its events
-		// by block is most of either one's cost.
-		var a trace.Analysis
-		var adv advisor.Scan
-		tr.ForEachBlock(func(alloc, _ int, evs []trace.Event) {
-			a.AddBlock(evs)
-			adv.Block(alloc, evs)
-		})
+		a, waste := tr.Classify()
 		r.Analysis = &a
 		r.Trace = tr
 		space := ctx.Driver().Space()
-		r.Advice = adv.Report(func(id int) string {
+		r.Advice = advisor.Rank(a, waste, func(id int) string {
 			if al := space.ByID(id); al != nil {
 				return al.Name()
 			}
