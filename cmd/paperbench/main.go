@@ -7,17 +7,15 @@
 //	paperbench -run T3,T4      # only the FIR tables
 //	paperbench -run fir-runtime
 //	paperbench -quick          # scaled-down sizes (seconds instead of minutes)
-//	paperbench -j 8            # up to 8 experiments in flight at once
 //	paperbench -list           # list available experiments
 //	paperbench -o results.txt  # also write the output to a file
 //
-// Up to -j experiments run at once (default: all CPUs), and each one runs
-// the independent simulations of its table concurrently; all of those
-// share one process-wide limit of GOMAXPROCS simulations in flight, so
-// even -j 1 keeps every core busy. Tables are always emitted on stdout in
-// deterministic artifact order, so the output bytes are identical whatever
-// -j and GOMAXPROCS are. Per-experiment progress and wall-time lines
-// stream to stderr as runs finish.
+// Experiments run one at a time, in selection order, and each one runs the
+// independent simulations of its table concurrently, up to GOMAXPROCS in
+// flight, so every core stays busy. Tables are emitted on stdout in
+// selection order, so the output bytes are identical whatever GOMAXPROCS
+// is. Per-experiment progress and wall-time lines stream to stderr as runs
+// finish.
 package main
 
 import (
@@ -28,7 +26,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -44,7 +41,6 @@ func main() {
 		out     = flag.String("o", "", "also write results to this file")
 		csvDir  = flag.String("csv", "", "also write each table as <dir>/<id>.csv for plotting")
 		chart   = flag.Bool("chart", false, "render figure experiments as terminal bar charts")
-		jobs    = flag.Int("j", runtime.GOMAXPROCS(0), "run at most this many experiments at once; their simulations share one limit of GOMAXPROCS in flight")
 		journal = flag.String("journal", "", "crash-safe batch journal: completed experiments are appended here and skipped on re-run")
 	)
 	flag.Parse()
@@ -93,7 +89,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	opts := experiments.Options{Quick: *quick}
+	opts := experiments.Options{Quick: *quick, Ctx: ctx}
 	fmt.Fprintf(w, "uvmdiscard paperbench — reproducing IISWC'22 \"UVM Discard\" (quick=%v)\n\n", *quick)
 
 	var jnl *experiments.Journal
@@ -117,7 +113,7 @@ func main() {
 	//uvmlint:ignore simdet -- host-side wall time for the progress banner, not simulated time
 	started := time.Now()
 	done := 0
-	results := experiments.RunAllJournaled(ctx, selected, opts, *jobs, jnl, func(r experiments.RunResult) {
+	results := experiments.RunAll(selected, opts, jnl, func(r experiments.RunResult) {
 		done++
 		status := "ok"
 		switch {
@@ -133,7 +129,8 @@ func main() {
 			status, r.Wall.Round(time.Millisecond))
 	})
 
-	// Emit tables in selection order: output bytes are independent of -j.
+	// Emit tables in selection order: output bytes are independent of
+	// GOMAXPROCS.
 	for _, r := range results {
 		if r.Err != nil {
 			continue
@@ -153,9 +150,9 @@ func main() {
 			}
 		}
 	}
-	fmt.Fprintf(os.Stderr, "paperbench: %d experiments in %v wall time (-j %d)\n",
+	fmt.Fprintf(os.Stderr, "paperbench: %d experiments in %v wall time\n",
 		//uvmlint:ignore simdet -- host-side wall time for the summary line, not simulated time
-		len(selected), time.Since(started).Round(time.Millisecond), *jobs)
+		len(selected), time.Since(started).Round(time.Millisecond))
 
 	// Failures are reported together at the end; a broken experiment never
 	// silences the rest of the run.

@@ -168,7 +168,7 @@ func smokeReference(t *testing.T) map[string]string {
 		sel = append(sel, e)
 	}
 	ref := make(map[string]string)
-	for _, r := range experiments.RunAll(nil, sel, experiments.Options{Quick: true}, 2, nil) {
+	for _, r := range experiments.RunAll(sel, experiments.Options{Quick: true}, nil, nil) {
 		if r.Err != nil {
 			t.Fatalf("reference run %s: %v", r.Experiment.ID, r.Err)
 		}

@@ -90,6 +90,8 @@ func (d *daemon) submitBatch(t *testing.T, journal string) smokeJob {
 	body, _ := json.Marshal(map[string]any{
 		"experiments": smokeExperiments,
 		"quick":       true,
+		// Not a BatchRequest field: older clients send it, and the
+		// daemon must still accept their batches.
 		"parallelism": 1,
 		"journal":     journal,
 	})
@@ -166,7 +168,7 @@ func renderReference(t *testing.T) string {
 		sel = append(sel, e)
 	}
 	var out strings.Builder
-	for _, r := range experiments.RunAll(nil, sel, experiments.Options{Quick: true}, 1, nil) {
+	for _, r := range experiments.RunAll(sel, experiments.Options{Quick: true}, nil, nil) {
 		if r.Err != nil {
 			t.Fatalf("reference run %s: %v", r.Experiment.ID, r.Err)
 		}

@@ -118,42 +118,50 @@ func runAblationPreparedTracking(o Options) (*Table, error) {
 		Title:  "Ablation: prepared-chunk tracking (discard/recover cycles)",
 		Header: []string{"Tracking", "Zero-fill blocks", "Cycle time"},
 	}
-	for _, spec := range []struct {
+	specs := []struct {
 		name     string
 		tracking bool
 	}{
 		{"enabled (paper, §5.7)", true},
 		{"disabled", false},
-	} {
+	}
+	t.Rows = make([][]string, len(specs))
+	p := workloads.Platform{GPU: gpudev.Generic(units.Size(blocks+8) * units.BlockSize)}
+	err := runCells(o, p, len(t.Rows), func(p workloads.Platform, i int) error {
+		spec := specs[i]
 		params := core.DefaultParams()
 		params.PreparedTracking = spec.tracking
-		p := workloads.Platform{GPU: gpudev.Generic(units.Size(blocks+8) * units.BlockSize), Params: &params}
-		ctx, err := o.arm(p).NewContext(0)
+		p.Params = &params
+		ctx, err := p.NewContext(0)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		buf, err := ctx.MallocManaged("a3", units.Size(blocks)*units.BlockSize)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s := ctx.Stream("s")
 		if err := s.Launch(cuda.Kernel{Name: "touch",
 			Accesses: []cuda.Access{{Buf: buf, Mode: core.Write}}}); err != nil {
-			return nil, err
+			return err
 		}
 		start := ctx.Elapsed()
-		for i := 0; i < cycles; i++ {
+		for c := 0; c < cycles; c++ {
 			if err := s.DiscardAll(buf); err != nil {
-				return nil, err
+				return err
 			}
 			if err := s.PrefetchAll(buf, cuda.ToGPU); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		ctx.DeviceSynchronize()
 		zb, _ := ctx.Metrics().ZeroFills()
 		cycleTime := (ctx.Elapsed() - start) / sim.Time(cycles)
-		t.AddRow(spec.name, fmt.Sprintf("%d", zb), cycleTime.String())
+		t.Rows[i] = []string{spec.name, fmt.Sprintf("%d", zb), cycleTime.String()}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -172,45 +180,49 @@ func runAblationPartialDiscard(o Options) (*Table, error) {
 		Title:  "Ablation: partial (sub-2MiB) discards",
 		Header: []string{"Policy", "Eviction GB", "Eviction time", "Per-byte cost vs whole-block"},
 	}
-	for _, spec := range []struct {
+	specs := []struct {
 		name  string
 		allow bool
 	}{
 		{"ignore partial (paper, §5.4)", false},
 		{"split blocks", true},
-	} {
+	}
+	t.Rows = make([][]string, len(specs))
+	p := workloads.Platform{GPU: gpudev.Generic(units.Size(blocks+4) * units.BlockSize)}
+	err := runCells(o, p, len(t.Rows), func(p workloads.Platform, i int) error {
+		spec := specs[i]
 		params := core.DefaultParams()
 		params.AllowPartialDiscard = spec.allow
-		p := workloads.Platform{GPU: gpudev.Generic(units.Size(blocks+4) * units.BlockSize), Params: &params}
-		ctx, err := o.arm(p).NewContext(0)
+		p.Params = &params
+		ctx, err := p.NewContext(0)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		buf, err := ctx.MallocManaged("a4", units.Size(blocks)*units.BlockSize)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s := ctx.Stream("s")
 		if err := s.Launch(cuda.Kernel{Name: "touch",
 			Accesses: []cuda.Access{{Buf: buf, Mode: core.Write}}}); err != nil {
-			return nil, err
+			return err
 		}
 		// Discard the first half of every block.
-		for i := 0; i < blocks; i++ {
-			off := units.Size(i) * units.BlockSize
+		for b := 0; b < blocks; b++ {
+			off := units.Size(b) * units.BlockSize
 			if err := s.DiscardAsync(buf, off, units.BlockSize/2); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		// Force eviction of the whole buffer by allocating past capacity.
 		pressure, err := ctx.MallocManaged("pressure", units.Size(blocks+3)*units.BlockSize)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		start := ctx.Elapsed()
 		if err := s.Launch(cuda.Kernel{Name: "pressure",
 			Accesses: []cuda.Access{{Buf: pressure, Mode: core.Write}}}); err != nil {
-			return nil, err
+			return err
 		}
 		ctx.DeviceSynchronize()
 		evictBytes := ctx.Metrics().Bytes(metrics.D2H, metrics.CauseEviction)
@@ -222,7 +234,11 @@ func runAblationPartialDiscard(o Options) (*Table, error) {
 			rate := float64(evictBytes) / evictTime.Seconds()
 			perByte = fmt.Sprintf("%.1fx slower", wholeRate/rate)
 		}
-		t.AddRow(spec.name, fmtGB(evictBytes), evictTime.String(), perByte)
+		t.Rows[i] = []string{spec.name, fmtGB(evictBytes), evictTime.String(), perByte}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"splitting halves the evicted bytes but pays per-4KiB DMA latency on the live remainder")

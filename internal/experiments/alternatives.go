@@ -42,10 +42,14 @@ func runFreeVsDiscard(o Options) (*Table, error) {
 		apiTime sim.Time
 		runtime sim.Time
 	}
-	run := func(strategy string) (outcome, error) {
-		ctx, err := o.arm(workloads.Platform{GPU: gpudev.Generic(units.Size(gpuBlocks) * units.BlockSize)}).NewContext(0)
+	strategies := []string{"keep", "free", "discard", "discard-lazy"}
+	outcomes := make([]outcome, len(strategies))
+	p := workloads.Platform{GPU: gpudev.Generic(units.Size(gpuBlocks) * units.BlockSize)}
+	err := runCells(o, p, len(outcomes), func(p workloads.Platform, k int) error {
+		strategy := strategies[k]
+		ctx, err := p.NewContext(0)
 		if err != nil {
-			return outcome{}, err
+			return err
 		}
 		s := ctx.Stream("s")
 		tmpSize := units.Size(tmpBlocks) * units.BlockSize
@@ -53,11 +57,11 @@ func runFreeVsDiscard(o Options) (*Table, error) {
 		// get evicted between iterations.
 		hot, err := ctx.MallocManaged("hot", units.Size(gpuBlocks-tmpBlocks+4)*units.BlockSize)
 		if err != nil {
-			return outcome{}, err
+			return err
 		}
 		tmp, err := ctx.MallocManaged("tmp", tmpSize)
 		if err != nil {
-			return outcome{}, err
+			return err
 		}
 		for i := 0; i < iters; i++ {
 			if strategy == "discard-lazy" && i > 0 {
@@ -66,7 +70,7 @@ func runFreeVsDiscard(o Options) (*Table, error) {
 				// after the discard, which would revive the blocks before
 				// the eviction pressure could reclaim them.
 				if err := s.PrefetchAll(tmp, cuda.ToGPU); err != nil {
-					return outcome{}, err
+					return err
 				}
 			}
 			if err := s.Launch(cuda.Kernel{
@@ -74,7 +78,7 @@ func runFreeVsDiscard(o Options) (*Table, error) {
 				Compute:  ctx.ComputeForBytes(float64(tmpSize)),
 				Accesses: []cuda.Access{{Buf: tmp, Mode: core.Write}},
 			}); err != nil {
-				return outcome{}, err
+				return err
 			}
 			// The temporary's contents are now dead.
 			switch strategy {
@@ -82,18 +86,18 @@ func runFreeVsDiscard(o Options) (*Table, error) {
 				// Nothing: UVM will ping-pong the dead bytes.
 			case "free":
 				if err := tmp.Free(); err != nil {
-					return outcome{}, err
+					return err
 				}
 				if tmp, err = ctx.MallocManaged("tmp", tmpSize); err != nil {
-					return outcome{}, err
+					return err
 				}
 			case "discard":
 				if err := s.DiscardAll(tmp); err != nil {
-					return outcome{}, err
+					return err
 				}
 			case "discard-lazy":
 				if err := s.DiscardLazyAll(tmp); err != nil {
-					return outcome{}, err
+					return err
 				}
 			}
 			// Interleaved pressure: the hot buffer gets touched, pushing
@@ -103,7 +107,7 @@ func runFreeVsDiscard(o Options) (*Table, error) {
 				Compute:  ctx.ComputeForBytes(float64(hot.Size())),
 				Accesses: []cuda.Access{{Buf: hot, Mode: core.ReadWrite}},
 			}); err != nil {
-				return outcome{}, err
+				return err
 			}
 		}
 		ctx.DeviceSynchronize()
@@ -111,22 +115,19 @@ func runFreeVsDiscard(o Options) (*Table, error) {
 		api := m.APITime("cudaFree") + m.APITime("cudaMallocManaged") +
 			m.APITime("UvmDiscard") + m.APITime("UvmDiscardLazy") +
 			m.APITime("cudaMemPrefetchAsync")
-		return outcome{traffic: m.Traffic(), apiTime: api, runtime: ctx.Elapsed()}, nil
+		outcomes[k] = outcome{traffic: m.Traffic(), apiTime: api, runtime: ctx.Elapsed()}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	var keep outcome
-	for _, strategy := range []string{"keep", "free", "discard", "discard-lazy"} {
-		oc, err := run(strategy)
-		if err != nil {
-			return nil, err
-		}
+	keep := outcomes[0]
+	for i, oc := range outcomes {
 		rel := "-"
-		if strategy == "keep" {
-			keep = oc
-		} else if keep.runtime > 0 {
+		if i > 0 && keep.runtime > 0 {
 			rel = fmt.Sprintf("%.2fx faster", float64(keep.runtime)/float64(oc.runtime))
 		}
-		t.AddRow(strategy, fmtGB(oc.traffic), oc.apiTime.String(), oc.runtime.String(), rel)
+		t.AddRow(strategies[i], fmtGB(oc.traffic), oc.apiTime.String(), oc.runtime.String(), rel)
 	}
 	t.Notes = append(t.Notes,
 		"free+realloc avoids the RMTs but pays allocation API costs and loses §5.7 recovery",

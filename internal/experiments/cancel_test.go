@@ -19,17 +19,17 @@ func stubExperiment(id string, run func(Options) (*Table, error)) Experiment {
 	return Experiment{ID: id, Name: "stub-" + id, Run: run}
 }
 
-// The satellite regression: canceling a batch stops dispatch promptly — the
-// batch returns within the one run already in flight, the in-flight result
-// is kept, and every never-started experiment reports a structured
-// ctx-derived error instead of being silently dropped.
+// Canceling a batch stops it promptly — the batch returns within the one
+// run already in flight, the in-flight result is kept, and every
+// never-started experiment reports a structured ctx-derived error instead
+// of being silently dropped.
 func TestRunAllCancelReturnsWithinInFlightRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	inFlight := make(chan struct{})
 	release := make(chan struct{})
 	selected := []Experiment{
 		stubExperiment("RUN", func(Options) (*Table, error) {
-			close(inFlight) // the dispatcher handed us to a worker
+			close(inFlight) // RunAll started us
 			<-release       // ...and we are mid-run while the cancel lands
 			return &Table{ID: "RUN", Title: "ran", Header: []string{"a"}}, nil
 		}),
@@ -39,7 +39,7 @@ func TestRunAllCancelReturnsWithinInFlightRun(t *testing.T) {
 	}
 
 	done := make(chan []RunResult, 1)
-	go func() { done <- RunAll(ctx, selected, Options{}, 1, nil) }()
+	go func() { done <- RunAll(selected, Options{Ctx: ctx}, nil, nil) }()
 	<-inFlight
 	cancel()
 	close(release)
@@ -67,7 +67,7 @@ func TestRunAllCancelReturnsWithinInFlightRun(t *testing.T) {
 }
 
 // A batch whose context is dead before RunAll is called starts nothing at
-// all — the priority check beats any free worker to the dispatch.
+// all.
 func TestRunAllPreCanceledStartsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -80,7 +80,7 @@ func TestRunAllPreCanceledStartsNothing(t *testing.T) {
 		stubExperiment("B", nil),
 	}
 	var progressed int
-	results := RunAll(ctx, selected, Options{}, 4, func(RunResult) { progressed++ })
+	results := RunAll(selected, Options{Ctx: ctx}, nil, func(RunResult) { progressed++ })
 	if ran {
 		t.Error("pre-canceled batch still started an experiment")
 	}
@@ -96,23 +96,23 @@ func TestRunAllPreCanceledStartsNothing(t *testing.T) {
 
 // Deterministic partial results: a real quick experiment that completes
 // before the cancel renders byte-identical output to an uncancelled run of
-// the same experiment — cancellation never perturbs finished work — and the
-// cancellation reaches the in-flight simulation itself through opts.Ctx,
-// which aborts at a driver checkpoint with a structured interrupt.
+// the same experiment — cancellation never perturbs finished work — and
+// every run after the cancel reports a structured interruption.
 func TestRunAllCancelKeepsDeterministicPartialResults(t *testing.T) {
 	e, ok := Lookup("T4")
 	if !ok {
 		t.Fatal("experiment T4 missing")
 	}
 	opts := Options{Quick: true}
-	solo := RunAll(nil, []Experiment{e}, opts, 1, nil)
+	solo := RunAll([]Experiment{e}, opts, nil, nil)
 	if solo[0].Err != nil {
 		t.Fatalf("baseline run failed: %v", solo[0].Err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
+	opts.Ctx = ctx
 	selected := []Experiment{e, e, e}
-	results := RunAll(ctx, selected, opts, 1, func(r RunResult) {
+	results := RunAll(selected, opts, nil, func(r RunResult) {
 		cancel() // fires after the first completion
 	})
 	if results[0].Err != nil {
@@ -122,14 +122,14 @@ func TestRunAllCancelKeepsDeterministicPartialResults(t *testing.T) {
 		t.Errorf("partial result differs from uncancelled run:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	interrupted := 0
-	for _, r := range results[1:] {
+	for i, r := range results[1:] {
 		if r.Err == nil {
-			t.Fatalf("%s index %d ran to completion after cancel", r.Experiment.ID, r.Index)
+			t.Fatalf("%s index %d ran to completion after cancel", r.Experiment.ID, i+1)
 		}
 		if r.Interrupted() {
 			interrupted++
 		} else {
-			t.Errorf("index %d: %v is not a structured interruption", r.Index, r.Err)
+			t.Errorf("index %d: %v is not a structured interruption", i+1, r.Err)
 		}
 	}
 	if interrupted != len(selected)-1 {
@@ -158,5 +158,29 @@ func TestEveryExperimentHonorsCancel(t *testing.T) {
 		if armed.Load() == 0 {
 			t.Errorf("%s: armed no run control", e.ID)
 		}
+	}
+}
+
+// An interrupt raised inside a simulation is every artifact's error: under
+// a 1 ns sim budget, every experiment but T2 stops in its first cell with
+// an error RunResult.Interrupted accepts and no table. It never panics: only
+// runCell turns a control's abort into an error, so an artifact that
+// drove a context outside runCells would panic here.
+func TestEveryExperimentStopsAtSimBudget(t *testing.T) {
+	for _, e := range All() {
+		if e.ID == "T2" {
+			continue
+		}
+		func() {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Errorf("%s panicked: %v", e.ID, v)
+				}
+			}()
+			tbl, err := e.Run(Options{Quick: true, SimBudget: 1})
+			if !(RunResult{Err: err}).Interrupted() || tbl != nil {
+				t.Errorf("%s: table %v, err %v; want an interrupt and no table", e.ID, tbl != nil, err)
+			}
+		}()
 	}
 }

@@ -66,7 +66,7 @@ func TestCellPanicBecomesExperimentError(t *testing.T) {
 		cellExperiment("PAN", 6, panickyCell),
 		cellExperiment("OK2", 4, ok),
 	}
-	results := RunAll(nil, selected, Options{}, 2, nil)
+	results := RunAll(selected, Options{}, nil, nil)
 	for _, i := range []int{0, 2} {
 		if r := results[i]; r.Err != nil || r.Table == nil || len(r.Table.Rows) != 4 {
 			t.Errorf("%s: err %v, table %v", r.Experiment.ID, r.Err, r.Table)
@@ -187,7 +187,7 @@ func (g *gauge) enter() int32 {
 
 func (g *gauge) leave() { g.now.Add(-1) }
 
-// Two cells of one experiment are in flight at once, and across
+// Two cells of one experiment are in flight at once, and across two
 // experiments run concurrently no more than GOMAXPROCS cells ever are.
 func TestCellsRunConcurrentlyWithinOneLimit(t *testing.T) {
 	setProcs(t, max(2, runtime.GOMAXPROCS(0)))
@@ -219,11 +219,19 @@ func TestCellsRunConcurrentlyWithinOneLimit(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		return nil
 	}
+	// Two experiments run at once, as a daemon's concurrent jobs do.
 	n := 4 * procs
-	results := RunAll(nil, []Experiment{cellExperiment("B1", n, busy), cellExperiment("B2", n, busy)}, Options{}, 2, nil)
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Experiment.ID, r.Err)
+	errs := make(chan error, 2)
+	for _, id := range []string{"B1", "B2"} {
+		e := cellExperiment(id, n, busy)
+		go func() {
+			_, err := e.Run(Options{})
+			errs <- err
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
 	if peak := all.peak.Load(); peak > int32(procs) {

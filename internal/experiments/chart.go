@@ -59,14 +59,15 @@ func (t *Table) Chart(valueCol, width int) string {
 }
 
 // DefaultChartColumn picks which column of a figure experiment to chart:
-// the first numeric column after the labels. Returns 0 when the table has
-// nothing chartable.
+// the first measured column, that is the first mostly-numeric column after
+// the labels. A column of integers only, such as a batch size, is a label,
+// not a measurement. Returns 0 when the table has nothing chartable.
 func (t *Table) DefaultChartColumn() int {
 	if len(t.Rows) == 0 {
 		return 0
 	}
 	for col := 1; col < len(t.Header); col++ {
-		numeric := 0
+		numeric, integers := 0, 0
 		for _, row := range t.Rows {
 			if col >= len(row) {
 				return 0
@@ -74,8 +75,11 @@ func (t *Table) DefaultChartColumn() int {
 			if _, err := strconv.ParseFloat(strings.TrimSuffix(row[col], "%"), 64); err == nil {
 				numeric++
 			}
+			if _, err := strconv.Atoi(row[col]); err == nil {
+				integers++
+			}
 		}
-		if numeric > len(t.Rows)/2 {
+		if numeric > len(t.Rows)/2 && integers < len(t.Rows) {
 			return col
 		}
 	}

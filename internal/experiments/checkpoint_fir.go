@@ -23,8 +23,12 @@ func runCheckpointFIR(o Options) (*Table, error) {
 		// 24 windows, pinned by the benchmark's golden digests.
 		f.InputBytes, f.WindowBytes = 768*units.MiB, 32*units.MiB
 	}
+	var r workloads.Result
 	p := workloads.Platform{GPU: gpu, Gen: pcie.Gen4, OversubPercent: 200}
-	r, err := workloads.Run(o.arm(p), workloads.UvmDiscard, f, nil)
+	err := runCells(o, p, 1, func(p workloads.Platform, _ int) (err error) {
+		r, err = workloads.Run(p, workloads.UvmDiscard, f, nil)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

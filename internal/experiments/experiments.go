@@ -29,34 +29,32 @@ type Options struct {
 	Quick bool
 	// Ctx, when non-nil, cancels in-flight simulations: the driver loop
 	// polls it at operation boundaries and aborts the run with a structured
-	// *runctl.Interrupt error. RunAll fills this in from its own context
-	// when left nil.
+	// *runctl.Interrupt error. It is also RunAll's only cancellation: an
+	// experiment not yet started when it is done does not start.
 	Ctx context.Context
 	// WallBudget caps the host wall-clock time of the runs armed from these
 	// options (the watchdog that kills runaway simulations); zero means no
 	// wall deadline. One armed control spans every run it is reused for:
-	// an experiment that runs its cells concurrently arms once per cell
-	// worker, so the budget covers that worker's cells and its waits for a
-	// cell slot, and an experiment that drives one context arms once.
+	// each cell worker arms once, so the budget covers that worker's cells
+	// and its waits for a cell slot.
 	WallBudget time.Duration
 	// SimBudget caps each run's simulated time; zero means no budget.
 	SimBudget sim.Time
 	// OnControl, when non-nil, observes every run control armed from these
 	// options immediately after construction. The uvmsimd service uses it
 	// to track a batch job's currently active control for the progress
-	// stream; fleet workers use it to renew their lease. An experiment
-	// that runs its cells concurrently arms once per cell worker, so the
-	// hook is called once per worker, from that worker's goroutine, before
-	// the worker's first cell; it must be safe for concurrent use and must
-	// not call into the control beyond the documented cross-goroutine
-	// surface (Progress, and SetObserver before the control's run starts).
+	// stream; fleet workers use it to renew their lease. Each cell worker
+	// arms once, so the hook is called once per worker, from that worker's
+	// goroutine, before the worker's first cell; it must be safe for
+	// concurrent use and must not call into the control beyond the
+	// documented cross-goroutine surface (Progress, and SetObserver before
+	// the control's run starts).
 	OnControl func(*runctl.Control)
 }
 
 // arm attaches a fresh run control to a platform when the options carry a
 // cancellation or budget source; with nothing to enforce it returns p
 // unchanged, so default runs take the exact code path they always did.
-// Experiments that drive one context call this where they build it, and
 // runCells calls it once per cell worker — a control is single-threaded
 // mutable state and must never be shared across concurrent runs, but one
 // goroutine may reuse it for run after run.
@@ -133,17 +131,12 @@ type Experiment struct {
 
 var registry = map[string]Experiment{}
 
-// register adds e, wrapping its Run in runctl.Recover: an experiment that
-// drives a context directly meets an armed control's interrupt as a panic,
-// which becomes its error here for every caller of Run.
+// register adds e to the registry. Every experiment simulates only inside
+// runCells, which turns an armed control's interrupt into the cell's error,
+// so Run returns an interrupt as an error to every caller.
 func register(e Experiment) {
 	if _, dup := registry[e.ID]; dup {
 		panic("experiments: duplicate id " + e.ID)
-	}
-	run := e.Run
-	e.Run = func(o Options) (t *Table, err error) {
-		defer runctl.Recover(&err)
-		return run(o)
 	}
 	registry[e.ID] = e
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -255,5 +256,38 @@ func TestChartRendering(t *testing.T) {
 	empty := &Table{ID: "E", Header: []string{"a", "b"}}
 	if empty.DefaultChartColumn() != 0 {
 		t.Error("empty table should not be chartable")
+	}
+}
+
+// Each quick figure charts its first measured column, not a label column
+// such as F5-F7's batch sizes, and the bars carry that column's values.
+func TestFiguresChartMeasuredColumn(t *testing.T) {
+	want := []struct{ id, header string }{
+		{"F3", "Total"}, {"F4", "PCIe-3"}, {"F5", "UVM-opt"}, {"F6", "UVM-opt"}, {"F7", "UVM-opt"},
+	}
+	for _, w := range want {
+		e, ok := Lookup(w.id)
+		if !ok {
+			t.Fatalf("experiment %s missing", w.id)
+		}
+		tbl, err := e.Run(Options{Quick: true})
+		if err != nil {
+			t.Fatalf("%s: %v", w.id, err)
+		}
+		col := tbl.DefaultChartColumn()
+		if col <= 0 || tbl.Header[col] != w.header {
+			t.Errorf("%s charts column %d of %q, want %q", w.id, col, tbl.Header, w.header)
+			continue
+		}
+		chart := tbl.Chart(col, 40)
+		for _, row := range tbl.Rows {
+			v, err := strconv.ParseFloat(strings.TrimSuffix(row[col], "%"), 64)
+			if err != nil {
+				continue // a "-" cell has no bar
+			}
+			if bar := fmt.Sprintf(" %.4g\n", v); !strings.Contains(chart, bar) {
+				t.Errorf("%s chart has no bar ending %q:\n%s", w.id, bar, chart)
+			}
+		}
 	}
 }

@@ -32,44 +32,50 @@ func faultPlatform() (workloads.Platform, radixsort.Config) {
 	}, cfg
 }
 
-// Retry/backoff determinism across the parallel runner: the same workload
-// under the same seeded fault schedule must report byte-identical metrics
-// whether experiments run serially or across 8 workers. Each run's driver
-// builds a fresh Injector from the shared schedule, so worker scheduling
-// cannot perturb the fault stream.
+// Retry/backoff determinism across cell workers: the same workload under
+// the same seeded fault schedule must report byte-identical metrics whether
+// its cells run on one worker or on 8. Each run's driver builds a fresh
+// Injector from the shared schedule, so worker scheduling cannot perturb
+// the fault stream.
 func TestFaultScheduleDeterministicAcrossRunners(t *testing.T) {
 	p, cfg := faultPlatform()
-	run := Experiment{ID: "XD", Name: "fault-determinism", Run: func(Options) (*Table, error) {
-		r, err := radixsort.Run(p, workloads.UvmDiscard, cfg)
-		if err != nil {
-			return nil, err
-		}
+	// Several copies of the same run, so the 8-worker pass genuinely
+	// overlaps identical fault-injected runs on different workers.
+	const copies = 6
+	probe := func() string {
 		tab := &Table{ID: "XD", Title: "determinism probe",
 			Header: []string{"runtime", "traffic", "retries", "reissues", "replays", "degraded"}}
-		tab.AddRow(r.Runtime.String(), fmtGB(r.TrafficBytes),
-			fmtInt(r.MigrateRetries), fmtInt(r.UnmapRetries),
-			fmtInt(r.FaultReplays), fmtInt(r.DegradedXfers))
-		return tab, nil
-	}}
-	// Several copies of the same experiment, so the -j 8 pass genuinely
-	// overlaps identical fault-injected runs on different workers.
-	selected := []Experiment{run, run, run, run, run, run}
-	serial := renderAll(t, RunAll(nil, selected, Options{}, 1, nil))
-	parallel := renderAll(t, RunAll(nil, selected, Options{}, 8, nil))
-	if serial != parallel {
-		t.Errorf("fault-injected runs diverge across -j:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, parallel)
-	}
-	// Every copy must also have reported the same metrics as the first:
-	// same seed + same schedule ⇒ the same fault stream, run after run.
-	tables := strings.Split(serial, "XD: determinism probe")[1:]
-	if len(tables) != len(selected) {
-		t.Fatalf("rendered %d tables, want %d", len(tables), len(selected))
-	}
-	for i, tab := range tables {
-		if tab != tables[0] {
-			t.Errorf("run %d reported different metrics:\n%s\nvs run 0:\n%s", i, tab, tables[0])
+		tab.Rows = make([][]string, copies)
+		err := runCells(Options{}, p, copies, func(p workloads.Platform, i int) error {
+			r, err := radixsort.Run(p, workloads.UvmDiscard, cfg)
+			if err != nil {
+				return err
+			}
+			tab.Rows[i] = []string{r.Runtime.String(), fmtGB(r.TrafficBytes),
+				fmtInt(r.MigrateRetries), fmtInt(r.UnmapRetries),
+				fmtInt(r.FaultReplays), fmtInt(r.DegradedXfers)}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		// Every copy must also have reported the same metrics as the
+		// first: same seed + same schedule ⇒ the same fault stream, run
+		// after run.
+		for i, row := range tab.Rows {
+			if got, want := strings.Join(row, " "), strings.Join(tab.Rows[0], " "); got != want {
+				t.Errorf("run %d reported %s, run 0 %s", i, got, want)
+			}
+		}
+		return tab.String()
+	}
+	setProcs(t, 1)
+	serial := probe()
+	setProcs(t, 8)
+	parallel := probe()
+	if serial != parallel {
+		t.Errorf("fault-injected runs diverge across cell workers:\n--- 1 worker ---\n%s\n--- 8 workers ---\n%s",
+			serial, parallel)
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -32,8 +31,8 @@ type journalRecord struct {
 // canceled, or hit a deadline re-runs on resume — an interrupted run is a
 // fact about the interruption, not a result worth replaying.
 //
-// A Journal is safe for concurrent Record calls (RunAll's progress callback
-// already serializes them, but the journal does not rely on that).
+// A Journal is safe for concurrent use. A nil *Journal holds nothing and
+// records nothing, so RunAll takes nil for a batch without one.
 type Journal struct {
 	mu    sync.Mutex
 	ap    *jsonl.Appender
@@ -80,6 +79,9 @@ func (j *Journal) Resumed() int {
 
 // Done returns the journaled table for an experiment ID, if present.
 func (j *Journal) Done(id string) (*Table, bool) {
+	if j == nil {
+		return nil, false
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	t, ok := j.done[id]
@@ -90,7 +92,7 @@ func (j *Journal) Done(id string) (*Table, bool) {
 // before returning — after Record returns, a kill -9 cannot lose the
 // entry. Failed or interrupted results are ignored.
 func (j *Journal) Record(r RunResult) error {
-	if r.Err != nil || r.Table == nil {
+	if j == nil || r.Err != nil || r.Table == nil {
 		return nil
 	}
 	line, err := json.Marshal(journalRecord{
@@ -116,59 +118,4 @@ func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.ap.Close()
-}
-
-// RunAllJournaled is RunAll with crash-safe resume: experiments already
-// completed in the journal are returned from it (marked Resumed) without
-// running, and every freshly successful result is journaled — fsynced
-// before the progress callback sees it — so the batch can be killed and
-// resumed at any point and still render byte-identical output. Journal
-// write errors surface on the matching RunResult.Err rather than silently
-// degrading to a non-resumable run.
-func RunAllJournaled(ctx context.Context, selected []Experiment, opts Options, parallelism int, j *Journal, progress func(RunResult)) []RunResult {
-	if j == nil {
-		return RunAll(ctx, selected, opts, parallelism, progress)
-	}
-	results := make([]RunResult, len(selected))
-	var pending []Experiment
-	pendingIdx := make([]int, 0, len(selected))
-	for i, e := range selected {
-		if tbl, ok := j.Done(e.ID); ok {
-			results[i] = RunResult{Experiment: e, Index: i, Table: tbl, Resumed: true}
-			continue
-		}
-		pending = append(pending, e)
-		pendingIdx = append(pendingIdx, i)
-	}
-	// Replay the skipped results through the progress callback first, so a
-	// caller streaming status sees every selected experiment exactly once.
-	if progress != nil {
-		for _, r := range results {
-			if r.Resumed {
-				progress(r)
-			}
-		}
-	}
-	ran := RunAll(ctx, pending, opts, parallelism, func(r RunResult) {
-		if err := j.Record(r); err != nil {
-			r.Err = err
-			r.Table = nil
-		}
-		if progress != nil {
-			progress(r)
-		}
-	})
-	for k, r := range ran {
-		// Journal errors reported through the callback must also land in the
-		// returned slice; re-check the journal's view of the record.
-		if r.Err == nil && r.Table != nil {
-			if _, ok := j.Done(r.Experiment.ID); !ok {
-				r.Err = fmt.Errorf("journal: result for %s was not recorded", r.Experiment.ID)
-				r.Table = nil
-			}
-		}
-		r.Index = pendingIdx[k]
-		results[pendingIdx[k]] = r
-	}
-	return results
 }

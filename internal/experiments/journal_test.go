@@ -30,7 +30,7 @@ func TestJournalResumeIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := RunAllJournaled(nil, selected, Options{}, 2, j, nil)
+	first := RunAll(selected, Options{}, j, nil)
 	j.Close()
 	want := renderResults(first)
 
@@ -52,7 +52,7 @@ func TestJournalResumeIsByteIdentical(t *testing.T) {
 	if j2.Resumed() != len(selected) {
 		t.Fatalf("journal resumed %d records, want %d", j2.Resumed(), len(selected))
 	}
-	second := RunAllJournaled(nil, poisoned, Options{}, 2, j2, nil)
+	second := RunAll(poisoned, Options{}, j2, nil)
 	for _, r := range second {
 		if !r.Resumed || r.Err != nil {
 			t.Errorf("%s: resumed=%v err=%v", r.Experiment.ID, r.Resumed, r.Err)

@@ -66,36 +66,45 @@ func runFigure4(opts Options) (*Table, error) {
 		Title:  "cudaMemPrefetchAsync throughput vs transfer size (GB/s)",
 		Header: []string{"Size", "PCIe-3", "PCIe-4", "PCIe-3 peak%", "PCIe-4 peak%"},
 	}
-	for _, size := range sizes {
-		var tps [2]float64
-		var fracs [2]float64
-		for i, gen := range []pcie.Generation{pcie.Gen3, pcie.Gen4} {
-			ctx, err := opts.arm(workloads.Platform{GPU: gpudev.RTX3080Ti(), Gen: gen}).NewContext(0)
-			if err != nil {
-				return nil, err
-			}
-			buf, err := ctx.MallocManaged("f4", size)
-			if err != nil {
-				return nil, err
-			}
-			if err := buf.HostWrite(0, buf.Size()); err != nil {
-				return nil, err
-			}
-			s := ctx.Stream("s")
-			// Measure from issue time: the host population above already
-			// advanced the clock.
-			before := ctx.Clock().Now()
-			if err := s.PrefetchAll(buf, cuda.ToGPU); err != nil {
-				return nil, err
-			}
-			dur := s.Tail() - before
-			tp := float64(size) / dur.Seconds()
-			tps[i] = tp / 1e9
-			fracs[i] = 100 * tp / ctx.Driver().Link().PeakBandwidth()
+	gens := [2]pcie.Generation{pcie.Gen3, pcie.Gen4}
+	// Cell i prefetches sizes[i/2] over gens[i%2]; tps and fracs keep its
+	// throughput in GB/s and as a share of the link's peak.
+	tps := make([][2]float64, len(sizes))
+	fracs := make([][2]float64, len(sizes))
+	err := runCells(opts, workloads.Platform{GPU: gpudev.RTX3080Ti()}, 2*len(sizes), func(p workloads.Platform, i int) error {
+		size, g := sizes[i/2], i%2
+		p.Gen = gens[g]
+		ctx, err := p.NewContext(0)
+		if err != nil {
+			return err
 		}
+		buf, err := ctx.MallocManaged("f4", size)
+		if err != nil {
+			return err
+		}
+		if err := buf.HostWrite(0, buf.Size()); err != nil {
+			return err
+		}
+		s := ctx.Stream("s")
+		// Measure from issue time: the host population above already
+		// advanced the clock.
+		before := ctx.Clock().Now()
+		if err := s.PrefetchAll(buf, cuda.ToGPU); err != nil {
+			return err
+		}
+		dur := s.Tail() - before
+		tp := float64(size) / dur.Seconds()
+		tps[i/2][g] = tp / 1e9
+		fracs[i/2][g] = 100 * tp / ctx.Driver().Link().PeakBandwidth()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for k, size := range sizes {
 		t.AddRow(units.Format(size),
-			fmt.Sprintf("%.2f", tps[0]), fmt.Sprintf("%.2f", tps[1]),
-			fmt.Sprintf("%.0f%%", fracs[0]), fmt.Sprintf("%.0f%%", fracs[1]))
+			fmt.Sprintf("%.2f", tps[k][0]), fmt.Sprintf("%.2f", tps[k][1]),
+			fmt.Sprintf("%.0f%%", fracs[k][0]), fmt.Sprintf("%.0f%%", fracs[k][1]))
 	}
 	t.Notes = append(t.Notes,
 		"shape target: latency-bound at 4 KiB, saturating near 12.3 / 24.7 GB/s beyond a few MiB")

@@ -37,18 +37,21 @@ func runMultiGPUPipeline(o Options) (*Table, error) {
 		Header: []string{"System", "Peer GB", "Peer ops", "Peer saved GB",
 			"PCIe GB", "Runtime"},
 	}
-	for _, sys := range []workloads.System{workloads.UVMOpt, workloads.UvmDiscard, workloads.UvmDiscardLazy} {
-		ctx, err := o.arm(workloads.Platform{GPU: gpudev.Generic(gpuMem), GPUs: 2}).NewContext(0)
+	systems := []workloads.System{workloads.UVMOpt, workloads.UvmDiscard, workloads.UvmDiscardLazy}
+	t.Rows = make([][]string, len(systems))
+	err := runCells(o, workloads.Platform{GPU: gpudev.Generic(gpuMem), GPUs: 2}, len(t.Rows), func(p workloads.Platform, i int) error {
+		sys := systems[i]
+		ctx, err := p.NewContext(0)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		act, err := ctx.MallocManaged("activation", actBytes)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out, err := ctx.MallocManaged("stage1-out", actBytes/4)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s := ctx.Stream("pipe")
 		for mb := 0; mb < micro; mb++ {
@@ -56,7 +59,7 @@ func runMultiGPUPipeline(o Options) (*Table, error) {
 				// The lazy flavor's mandatory pairing prefetch before the
 				// buffer is repurposed on GPU 0 (§5.2).
 				if err := s.PrefetchAllTo(act, 0); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			err := s.Launch(cuda.Kernel{
@@ -65,7 +68,7 @@ func runMultiGPUPipeline(o Options) (*Table, error) {
 				Accesses: []cuda.Access{{Buf: act, Mode: core.Write}},
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			err = s.Launch(cuda.Kernel{
 				Name: "stage1", GPU: 1,
@@ -76,18 +79,22 @@ func runMultiGPUPipeline(o Options) (*Table, error) {
 				},
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			// The handed-off activation is dead once stage 1 consumed it.
 			if err := workloads.Discard(sys, s, act); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		ctx.DeviceSynchronize()
 		m := ctx.Metrics()
 		peerBytes, peerOps := m.Peer()
-		t.AddRow(sys.String(), fmtGB(peerBytes), fmt.Sprintf("%d", peerOps),
-			fmtGB(m.PeerSaved()), fmtGB(m.Traffic()), ctx.Elapsed().String())
+		t.Rows[i] = []string{sys.String(), fmtGB(peerBytes), fmt.Sprintf("%d", peerOps),
+			fmtGB(m.PeerSaved()), fmtGB(m.Traffic()), ctx.Elapsed().String()}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"without discard every microbatch bounces the dead activation back to GPU 0 before overwriting it",

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"uvmdiscard/internal/runctl"
@@ -16,20 +14,16 @@ import (
 type RunResult struct {
 	// Experiment is the experiment that ran.
 	Experiment Experiment
-	// Index is the experiment's position in the selection passed to RunAll;
-	// results are returned sorted by it, so rendering the tables in result
-	// order reproduces the serial output byte for byte.
-	Index int
 	// Table is the rendered result; nil when Err is set.
 	Table *Table
 	// Err is the experiment's error, or a captured panic (with its stack).
 	// A failure never aborts the other experiments.
 	Err error
-	// Wall is how long the experiment took on its worker goroutine; zero
-	// for experiments the batch context canceled before they started.
+	// Wall is how long the experiment took; zero for experiments served
+	// from the journal or canceled before they started.
 	Wall time.Duration
 	// Resumed marks a result served from a batch journal instead of being
-	// re-run (see RunAllJournaled).
+	// re-run.
 	Resumed bool
 }
 
@@ -40,28 +34,26 @@ func (r RunResult) Interrupted() bool {
 		errors.Is(r.Err, context.DeadlineExceeded)
 }
 
-// RunAll executes the selected experiments across a pool of parallelism
-// worker goroutines (values < 1 mean runtime.GOMAXPROCS(0)) and returns one
-// RunResult per experiment, in selection order regardless of completion
-// order.
+// RunAll runs the selected experiments one at a time, in selection order,
+// and returns one RunResult per experiment in that order, so rendering the
+// tables in result order gives the same bytes whatever GOMAXPROCS is. Each
+// experiment runs the independent simulations of its table (its cells)
+// concurrently through runCells, under the one process-wide limit of
+// GOMAXPROCS cells in flight.
 //
-// Cancellation: when ctx is canceled, dispatch stops promptly — experiments
-// not yet handed to a worker are reported with a ctx-derived error and are
-// never started, and runs already in flight are interrupted at the next
-// driver checkpoint (opts.Ctx is filled in from ctx when nil, so the
-// cancellation reaches the simulation loop itself). RunAll returns within
-// roughly one in-flight driver operation of the cancel; every selected
-// experiment still gets a RunResult — canceled runs are reported, never
-// silently dropped. A nil ctx behaves like context.Background().
+// With a journal (j nil means none), an experiment it already holds is
+// returned from it, marked Resumed, without running, and a fresh success
+// is journaled, fsynced, before progress sees it, so the batch can be
+// killed and resumed at any point and still render byte-identical output.
+// A journal write error becomes that result's error, with no table.
 //
-// parallelism bounds the experiments in flight. Inside an experiment, the
-// independent simulations of its table (its cells) run concurrently too
-// (runCells), and every cell of every experiment shares one process-wide
-// limit of GOMAXPROCS cells in flight, so -j 8 on a 2-core host still
-// simulates at most two cells at a time.
+// Cancellation comes from opts.Ctx alone: once it is done, the experiment
+// in flight is interrupted at its next driver checkpoint, and every
+// experiment after it is reported with a ctx-derived error and never
+// started — canceled runs are reported, never silently dropped.
 //
-// Isolation rules (what makes this safe — and what any new experiment must
-// preserve):
+// Isolation rules (what makes concurrent cells safe — and what any new
+// experiment must preserve):
 //
 //   - Every cell builds its own core.Driver, metrics.Collector,
 //     trace.Recorder, and sim.RNG (workloads.Run and Platform.NewContext
@@ -80,85 +72,27 @@ func (r RunResult) Interrupted() bool {
 // A panic inside an experiment is recovered and reported as that
 // experiment's Err, stack attached; the remaining experiments keep running.
 //
-// The optional progress callback is invoked once per experiment as it
-// finishes, in completion order (not selection order), serialized by an
-// internal mutex so callers may print from it without further locking.
-func RunAll(ctx context.Context, selected []Experiment, opts Options, parallelism int, progress func(RunResult)) []RunResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.Ctx == nil {
-		opts.Ctx = ctx
-	}
-	if parallelism < 1 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(selected) {
-		parallelism = len(selected)
-	}
+// The optional progress callback is invoked once per experiment, in
+// selection order, as its result is final.
+func RunAll(selected []Experiment, opts Options, j *Journal, progress func(RunResult)) []RunResult {
 	results := make([]RunResult, len(selected))
-	if len(selected) == 0 {
-		return results
-	}
-
-	var (
-		wg         sync.WaitGroup
-		progressMu sync.Mutex
-	)
-	emit := func(r RunResult) {
-		results[r.Index] = r
+	for i, e := range selected {
+		r := RunResult{Experiment: e}
+		if tbl, ok := j.Done(e.ID); ok {
+			r.Table, r.Resumed = tbl, true
+		} else if opts.Ctx != nil && opts.Ctx.Err() != nil {
+			r.Err = fmt.Errorf("experiment %s (%s) not started: %w", e.ID, e.Name, opts.Ctx.Err())
+		} else {
+			r = runOne(e, opts)
+			if err := j.Record(r); err != nil {
+				r.Table, r.Err = nil, err
+			}
+		}
+		results[i] = r
 		if progress != nil {
-			progressMu.Lock()
 			progress(r)
-			progressMu.Unlock()
 		}
 	}
-	jobs := make(chan int)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				r := runOne(selected[i], opts)
-				r.Index = i
-				emit(r)
-			}
-		}()
-	}
-dispatch:
-	for i := range selected {
-		// Checked before the select too: when the context is already dead,
-		// a free worker must not win the race and start another run.
-		if ctx.Err() != nil {
-			for j := i; j < len(selected); j++ {
-				emit(RunResult{
-					Experiment: selected[j],
-					Index:      j,
-					Err: fmt.Errorf("experiment %s (%s) not started: %w",
-						selected[j].ID, selected[j].Name, ctx.Err()),
-				})
-			}
-			break dispatch
-		}
-		select {
-		case <-ctx.Done():
-			// Shed everything not yet started. The in-flight runs notice
-			// the same cancellation through opts.Ctx and abort at their
-			// next driver checkpoint.
-			for j := i; j < len(selected); j++ {
-				emit(RunResult{
-					Experiment: selected[j],
-					Index:      j,
-					Err: fmt.Errorf("experiment %s (%s) not started: %w",
-						selected[j].ID, selected[j].Name, ctx.Err()),
-				})
-			}
-			break dispatch
-		case jobs <- i:
-		}
-	}
-	close(jobs)
-	wg.Wait()
 	return results
 }
 

@@ -20,26 +20,28 @@ func renderAll(t *testing.T, results []RunResult) string {
 	return b.String()
 }
 
-// The headline concurrency claim: running the quick experiment set across 8
-// workers renders byte-identical tables to the serial run, in the same
-// order. Any shared mutable state between experiments would show up here as
-// a diff (and as a data race under -race).
+// The headline concurrency claim: running the quick experiment set with 8
+// cell workers renders byte-identical tables to one worker running every
+// cell in index order. Any shared mutable state between cells would show up
+// here as a diff (and as a data race under -race).
 func TestRunAllDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suite twice")
 	}
 	opts := Options{Quick: true}
 	selected := All()
-	serial := renderAll(t, RunAll(nil, selected, opts, 1, nil))
-	parallel := renderAll(t, RunAll(nil, selected, opts, 8, nil))
+	setProcs(t, 1)
+	serial := renderAll(t, RunAll(selected, opts, nil, nil))
+	setProcs(t, 8)
+	parallel := renderAll(t, RunAll(selected, opts, nil, nil))
 	if serial != parallel {
-		t.Errorf("-j 8 output differs from -j 1:\n--- serial ---\n%s\n--- parallel ---\n%s",
+		t.Errorf("8 cell workers differ from 1:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, parallel)
 	}
 }
 
 // Results come back in selection order with one progress callback per
-// experiment, whatever order they finish in.
+// experiment, in the same order.
 func TestRunAllOrderAndProgress(t *testing.T) {
 	mk := func(id string) Experiment {
 		return Experiment{ID: id, Name: "stub-" + id, Run: func(Options) (*Table, error) {
@@ -48,27 +50,27 @@ func TestRunAllOrderAndProgress(t *testing.T) {
 	}
 	selected := []Experiment{mk("S1"), mk("S2"), mk("S3"), mk("S4"), mk("S5")}
 	var progressed []string
-	results := RunAll(nil, selected, Options{}, 4, func(r RunResult) {
+	results := RunAll(selected, Options{}, nil, func(r RunResult) {
 		progressed = append(progressed, r.Experiment.ID)
 	})
 	if len(results) != len(selected) {
 		t.Fatalf("%d results, want %d", len(results), len(selected))
 	}
 	for i, r := range results {
-		if r.Experiment.ID != selected[i].ID || r.Index != i {
-			t.Errorf("result %d is %s (index %d), want %s", i, r.Experiment.ID, r.Index, selected[i].ID)
+		if r.Experiment.ID != selected[i].ID {
+			t.Errorf("result %d is %s, want %s", i, r.Experiment.ID, selected[i].ID)
 		}
 		if r.Err != nil || r.Table == nil {
 			t.Errorf("result %d: err=%v table=%v", i, r.Err, r.Table)
 		}
 	}
-	if len(progressed) != len(selected) {
-		t.Errorf("progress fired %d times, want %d", len(progressed), len(selected))
+	if got, want := strings.Join(progressed, ","), "S1,S2,S3,S4,S5"; got != want {
+		t.Errorf("progress fired for %s, want %s", got, want)
 	}
 }
 
 // A panicking or erroring experiment is captured — stack attached — without
-// killing the workers or the other experiments.
+// stopping the other experiments.
 func TestRunAllCapturesPanicsAndErrors(t *testing.T) {
 	boom := errors.New("boom")
 	selected := []Experiment{
@@ -85,7 +87,7 @@ func TestRunAllCapturesPanicsAndErrors(t *testing.T) {
 			return &Table{ID: "OK2", Title: "fine", Header: []string{"a"}}, nil
 		}},
 	}
-	results := RunAll(nil, selected, Options{}, 2, nil)
+	results := RunAll(selected, Options{}, nil, nil)
 	if results[0].Err != nil || results[3].Err != nil {
 		t.Errorf("healthy experiments failed: %v / %v", results[0].Err, results[3].Err)
 	}
@@ -104,19 +106,15 @@ func TestRunAllCapturesPanicsAndErrors(t *testing.T) {
 	}
 }
 
-// Degenerate inputs: empty selection and oversized parallelism.
+// Degenerate inputs: an empty selection and a selection of one.
 func TestRunAllEdgeCases(t *testing.T) {
-	if got := RunAll(nil, nil, Options{}, 8, nil); len(got) != 0 {
+	if got := RunAll(nil, Options{}, nil, nil); len(got) != 0 {
 		t.Errorf("empty selection produced %d results", len(got))
 	}
 	one := []Experiment{{ID: "X", Name: "x", Run: func(Options) (*Table, error) {
 		return &Table{ID: "X", Title: "x", Header: []string{"a"}}, nil
 	}}}
-	// parallelism 0 and parallelism >> len(selected) both work.
-	for _, j := range []int{0, 64} {
-		results := RunAll(nil, one, Options{}, j, nil)
-		if len(results) != 1 || results[0].Err != nil {
-			t.Errorf("j=%d: %v", j, results)
-		}
+	if results := RunAll(one, Options{}, nil, nil); len(results) != 1 || results[0].Err != nil {
+		t.Errorf("one experiment: %v", results)
 	}
 }

@@ -117,9 +117,6 @@ type BatchRequest struct {
 	Experiments []string `json:"experiments"`
 	// Quick runs the scaled-down problem sizes.
 	Quick bool `json:"quick"`
-	// Parallelism is the batch's internal worker count; <1 means 1, which
-	// is also the deterministic setting journal resume is verified against.
-	Parallelism int `json:"parallelism"`
 	// Journal names this batch's crash-safe journal (a path-safe slug). A
 	// re-submitted batch with the same journal name and Quick flag resumes:
 	// completed experiments are served from disk, byte-identical. Requires

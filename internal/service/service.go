@@ -6,7 +6,7 @@
 // deadlines and sim-time budgets via internal/runctl), panics (per-request
 // and per-job isolation), operator cancellation (DELETE on a job), graceful
 // shutdown (in-flight runs drain, queued runs are shed), and process death
-// mid-batch (crash-safe journals via experiments.RunAllJournaled).
+// mid-batch (crash-safe batch journals, experiments.Journal).
 //
 // This package is host-side control plane, not simulation: it is on the
 // simdet allowlist and may read the wall clock, but it never touches

@@ -328,7 +328,7 @@ func renderSelection(t *testing.T, ids ...string) string {
 		}
 		sel = append(sel, e)
 	}
-	results := experiments.RunAll(nil, sel, experiments.Options{Quick: true}, 1, nil)
+	results := experiments.RunAll(sel, experiments.Options{Quick: true}, nil, nil)
 	var b strings.Builder
 	for _, r := range results {
 		if r.Err != nil {

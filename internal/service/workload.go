@@ -175,13 +175,9 @@ func (s *Server) runBatchJob(j *job) (res string, err error) {
 		Ctx:        j.ctx,
 		WallBudget: j.wall,
 		SimBudget:  j.simB,
-		// Track each experiment's control as it arms, so the progress
+		// Track each cell worker's control as it arms, so the progress
 		// stream follows the batch run by run.
 		OnControl: j.setControl,
-	}
-	par := b.Parallelism
-	if par < 1 {
-		par = 1
 	}
 	var jnl *experiments.Journal
 	if b.Journal != "" {
@@ -198,7 +194,7 @@ func (s *Server) runBatchJob(j *job) (res string, err error) {
 			}
 		}()
 	}
-	results := experiments.RunAllJournaled(j.ctx, b.selected, opts, par, jnl, func(r experiments.RunResult) {
+	results := experiments.RunAll(b.selected, opts, jnl, func(r experiments.RunResult) {
 		j.addFinished(1)
 		if r.Resumed {
 			j.addResumed(1)

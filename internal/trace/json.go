@@ -28,19 +28,24 @@ var kindValues = func() map[string]Kind {
 }()
 
 // WriteJSON streams the recorder's events as JSON Lines (one event per
-// line), a format external tools can consume incrementally.
+// line), a format external tools can consume incrementally. A trace holding
+// a kind the format cannot name is refused before anything is written.
 func WriteJSON(w io.Writer, r *Recorder) error {
 	if r.Len() == 0 {
 		return nil
+	}
+	for c, i := r.head, 0; i < r.n; c = c.next {
+		for k := 0; k < chunkLen && i < r.n; k, i = k+1, i+1 {
+			if kind, _ := r.kindSize(c, k, i); !kind.named() {
+				return fmt.Errorf("trace: unknown kind %d", int(kind))
+			}
+		}
 	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for c, i := r.head, 0; i < r.n; c = c.next {
 		for k := 0; k < chunkLen && i < r.n; k, i = k+1, i+1 {
 			ev := r.event(c, k, i)
-			if !ev.Kind.named() {
-				return fmt.Errorf("trace: unknown kind %d", int(ev.Kind))
-			}
 			if err := enc.Encode(jsonEvent{
 				T: int64(ev.T), Kind: kindNames[ev.Kind], Alloc: ev.Alloc, Block: ev.Block, Bytes: ev.Bytes,
 			}); err != nil {

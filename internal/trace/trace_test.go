@@ -264,6 +264,26 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// A trace holding a kind the dump cannot name is refused before the first
+// byte is written, so a caller dumping to a file is not left with a
+// truncated dump: here the bad kind follows enough events to fill the
+// writer's buffer many times over.
+func TestWriteJSONRefusesUnknownKindUpFront(t *testing.T) {
+	r := NewRecorder()
+	for i := range 1000 {
+		r.Record(ev(sim.Time(i), GPURead, 0))
+	}
+	r.Record(Event{T: 1000, Kind: Kind(42), Alloc: 0, Block: 0, Bytes: 1})
+	var buf bytes.Buffer
+	err := WriteJSON(&buf, r)
+	if err == nil || !strings.Contains(err.Error(), "unknown kind 42") {
+		t.Errorf("err = %v, want the unknown kind refused", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("a refused dump wrote %d bytes", buf.Len())
+	}
+}
+
 func TestReadJSONErrors(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader(`{"kind":"nope"}`)); err == nil {
 		t.Error("unknown kind accepted")

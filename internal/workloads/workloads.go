@@ -164,8 +164,8 @@ type Platform struct {
 	Metrics *metrics.Collector
 	// Control attaches a run control (internal/runctl): the driver loop
 	// polls it and aborts the run with a structured *runctl.Interrupt on
-	// cancellation or budget exhaustion; Run (and the experiments registry,
-	// for experiments that drive a context directly) converts the abort
+	// cancellation or budget exhaustion; Run (and the experiments' cell
+	// runner, for cells that drive a context directly) converts the abort
 	// back into an ordinary error with runctl.Recover. Unlike
 	// Faults, a Control is per-run mutable state: build a fresh one for
 	// every run (a Platform carrying a Control must not be reused across
