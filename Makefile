@@ -26,8 +26,9 @@ lint:
 lint-baseline:
 	$(GO) run ./cmd/uvmlint -format=json . | diff -u lint.baseline.json -
 
-# Full suite under the race detector — the gate on the parallel experiment
-# runner's concurrency claims.
+# Full suite under the race detector — the gate on the concurrency claims of
+# the experiment cell runner (internal/experiments/cells.go) and of the
+# metrics collector's live reads.
 test-race:
 	$(GO) test -race ./...
 

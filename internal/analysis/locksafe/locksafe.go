@@ -13,7 +13,8 @@
 // hot-path structs: fields declared *before* mu are unguarded by design
 // and must be individually safe (sync/atomic values, or immutable after
 // construction). metrics.Collector is the exemplar — its counters are
-// lock-free atomics ahead of mu, so driver-loop adds never lock, while
+// lock-free atomics ahead of mu, so the driver's batched folds of its
+// per-run tally never lock and live readers load them race-free, while
 // the composite state after mu (residency gauges, the API-time map)
 // keeps the mutex. Moving a field across the mu line is therefore a
 // semantic change this analyzer enforces, not a style choice.

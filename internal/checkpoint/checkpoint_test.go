@@ -183,6 +183,39 @@ func TestStepBeyondEndRejected(t *testing.T) {
 	}
 }
 
+// Restore refuses a block value that does not fit the block's field instead
+// of truncating it into a different, plausible value.
+func TestOutOfRangeBlockFieldsRejected(t *testing.T) {
+	ref := reference(t)
+	blobs := captureAll(t, ref)
+	for name, corrupt := range map[string]func(*checkpoint.BlockState){
+		"gpu":         func(b *checkpoint.BlockState) { b.GPU = 1 << 32 },
+		"remote accs": func(b *checkpoint.BlockState) { b.RemoteAccs = 1 << 32 },
+		"live pages":  func(b *checkpoint.BlockState) { b.LivePages = 1<<16 + 1 },
+	} {
+		snap, err := checkpoint.DecodeSnapshot(blobs[3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(&snap.Allocs[0].Blocks[0])
+		blob, err := checkpoint.EncodeSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := &checkpoint.Env{Restore: blob}
+		r, err := fir.RunCheckpointed(plat(), sysUnderTest, smallCfg(), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !env.Stats.Rejected {
+			t.Errorf("%s: out-of-range value accepted", name)
+		}
+		if !reflect.DeepEqual(r, ref) {
+			t.Errorf("%s: fallback diverged:\n got %+v\nwant %+v", name, r, ref)
+		}
+	}
+}
+
 // TestResumeCommittedSnapshot resumes testdata/fir-step4.ckpt, a snapshot an
 // earlier build wrote for smallCfg() on plat() after step 4. It pins the
 // snapshot format and FIR's digest inputs, so snapshots already on disk (a

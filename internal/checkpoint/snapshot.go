@@ -5,8 +5,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
+	"uvmdiscard/internal/core"
 	"uvmdiscard/internal/cuda"
 	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/metrics"
@@ -217,7 +219,7 @@ func Capture(ctx *cuda.Context, digest string, step int, start sim.Time) (*Snaps
 			bs := BlockState{
 				Residency:   int(b.Residency),
 				Chunk:       -1,
-				GPU:         b.GPUIndex,
+				GPU:         int(b.GPUIndex),
 				CPUHasPages: b.CPUHasPages,
 				CPUPinned:   b.CPUPinned,
 				CPUStale:    b.CPUStale,
@@ -228,11 +230,11 @@ func Capture(ctx *cuda.Context, digest string, step int, start sim.Time) (*Snaps
 				Preferred:   int(b.Preferred),
 				ReadMostly:  b.ReadMostly,
 				Degraded:    b.Degraded,
-				RemoteAccs:  b.RemoteAccesses,
-				LivePages:   b.LivePages,
+				RemoteAccs:  int(b.RemoteAccesses),
+				LivePages:   int(b.LivePages),
 			}
-			if b.Chunk != nil {
-				bs.Chunk = int32(b.Chunk.ID())
+			if id, ok := b.Chunk(); ok {
+				bs.Chunk = int32(id)
 			}
 			as.Blocks = append(as.Blocks, bs)
 		}
@@ -253,7 +255,7 @@ func Capture(ctx *cuda.Context, digest string, step int, start sim.Time) (*Snaps
 			if c.PreparedPages != 0 || c.NeedsUnmapOnReclaim || c.DeviceBuffer {
 				ds.Chunks = append(ds.Chunks, ChunkState{
 					ID:            int32(c.ID()),
-					PreparedPages: c.PreparedPages,
+					PreparedPages: int(c.PreparedPages),
 					NeedsUnmap:    c.NeedsUnmapOnReclaim,
 					DeviceBuffer:  c.DeviceBuffer,
 				})
@@ -348,13 +350,14 @@ func Restore(ctx *cuda.Context, s *Snapshot) (out *Restored, err error) {
 				return nil, fmt.Errorf("checkpoint: GPU %d chunk %d prepared pages %d outside [0,%d]",
 					gpu, cs.ID, cs.PreparedPages, pagesPerChunk)
 			}
-			c.PreparedPages = cs.PreparedPages
+			c.PreparedPages = uint16(cs.PreparedPages)
 			c.NeedsUnmapOnReclaim = cs.NeedsUnmap
 			c.DeviceBuffer = cs.DeviceBuffer
 		}
 	}
 
-	// Reapply block state and wire the chunk↔block back-pointers.
+	// Reapply block state and wire the chunk↔block back-references. Every
+	// value is checked to fit its block field before it is narrowed into it.
 	for _, as := range s.Allocs {
 		a := drv.Space().ByID(as.ID)
 		for i := range as.Blocks {
@@ -365,9 +368,18 @@ func Restore(ctx *cuda.Context, s *Snapshot) (out *Restored, err error) {
 			if bs.Preferred < int(vaspace.PreferNone) || bs.Preferred > int(vaspace.PreferGPU) {
 				return nil, fmt.Errorf("checkpoint: %q block %d preference %d out of range", as.Name, i, bs.Preferred)
 			}
+			if bs.GPU < 0 || bs.GPU >= drv.NumGPUs() {
+				return nil, fmt.Errorf("checkpoint: %q block %d claims GPU %d of %d", as.Name, i, bs.GPU, drv.NumGPUs())
+			}
+			if bs.RemoteAccs < 0 || bs.RemoteAccs > math.MaxInt32 {
+				return nil, fmt.Errorf("checkpoint: %q block %d remote accesses %d out of range", as.Name, i, bs.RemoteAccs)
+			}
+			if bs.LivePages < 0 || bs.LivePages > units.PagesPerBlock {
+				return nil, fmt.Errorf("checkpoint: %q block %d live pages %d outside [0,%d]", as.Name, i, bs.LivePages, units.PagesPerBlock)
+			}
 			b := a.Block(i)
 			b.Residency = vaspace.Residency(bs.Residency)
-			b.GPUIndex = bs.GPU
+			b.GPUIndex = int32(bs.GPU)
 			b.CPUHasPages = bs.CPUHasPages
 			b.CPUPinned = bs.CPUPinned
 			b.CPUStale = bs.CPUStale
@@ -378,21 +390,18 @@ func Restore(ctx *cuda.Context, s *Snapshot) (out *Restored, err error) {
 			b.Preferred = vaspace.Preference(bs.Preferred)
 			b.ReadMostly = bs.ReadMostly
 			b.Degraded = bs.Degraded
-			b.RemoteAccesses = bs.RemoteAccs
-			b.LivePages = bs.LivePages
+			b.RemoteAccesses = int32(bs.RemoteAccs)
+			b.LivePages = int16(bs.LivePages)
 			if bs.Chunk >= 0 {
-				if bs.GPU < 0 || bs.GPU >= drv.NumGPUs() {
-					return nil, fmt.Errorf("checkpoint: %q block %d claims GPU %d of %d", as.Name, i, bs.GPU, drv.NumGPUs())
-				}
 				c, cerr := drv.DeviceAt(bs.GPU).ChunkByID(bs.Chunk)
 				if cerr != nil {
 					return nil, fmt.Errorf("checkpoint: %q block %d: %w", as.Name, i, cerr)
 				}
-				if c.Owner != nil {
+				if c.Owner != 0 {
 					return nil, fmt.Errorf("checkpoint: GPU %d chunk %d claimed by two blocks", bs.GPU, bs.Chunk)
 				}
-				b.Chunk = c
-				c.Owner = b
+				b.SetChunk(bs.GPU, int(bs.Chunk))
+				c.Owner = core.OwnerHandle(b)
 			}
 		}
 	}

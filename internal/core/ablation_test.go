@@ -69,7 +69,7 @@ func TestImmediateReclaimAblation(t *testing.T) {
 	if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Write, 0); err != nil {
 		t.Fatal(err)
 	}
-	chunk := a.Block(0).Chunk
+	chunk := d.chunkOf(a.Block(0))
 	if _, err := d.Discard(a, 0, uint64(a.Size()), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestPartialDiscardAblation(t *testing.T) {
 		t.Fatal("half-covered block fully discarded")
 	}
 	wantLive := int(units.MiB / units.PageSize)
-	if b.LivePages != wantLive {
+	if int(b.LivePages) != wantLive {
 		t.Fatalf("live pages = %d, want %d", b.LivePages, wantLive)
 	}
 	// Eviction now moves only the live half…

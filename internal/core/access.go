@@ -91,7 +91,7 @@ func (d *Driver) GPUAccessOn(gpu int, a *vaspace.Alloc, off, length uint64, orde
 					// A write to a read-mostly duplicate collapses it: the
 					// host copy is dropped (§ SetReadMostly semantics).
 					done = d.collapseDupToGPU(b, done)
-				} else if b.Residency == vaspace.GPUResident && b.Chunk != nil {
+				} else if b.Residency == vaspace.GPUResident && b.HasChunk() {
 					b.CPUStale = true
 				}
 			}

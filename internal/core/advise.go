@@ -111,13 +111,13 @@ func (d *Driver) collapseDupToGPU(b *vaspace.Block, now sim.Time) sim.Time {
 // host copy authoritative (used when the CPU writes).
 func (d *Driver) collapseDupToCPU(b *vaspace.Block, now sim.Time) sim.Time {
 	cur := now
-	if b.Chunk != nil {
+	if c := d.chunkOf(b); c != nil {
 		dev := d.devs[b.GPUIndex]
-		dev.Detach(b.Chunk)
-		dev.PushFree(b.Chunk)
-		b.Chunk = nil
+		dev.Detach(c)
+		dev.PushFree(c)
+		b.ClearChunk()
 		cur += dev.Profile().UnmapPerBlock
-		d.m.AddUnmap(1)
+		d.t.AddUnmap(1)
 	}
 	b.GPUMapped = false
 	b.Residency = vaspace.CPUResident

@@ -209,7 +209,7 @@ func TestWritesCollapseDuplicate(t *testing.T) {
 	gpuAccess(t, d2, a2, Read)     // duplicate
 	cpuAccess(t, d2, a2, Write, 0) // collapse
 	b2 := a2.Block(0)
-	if b2.Residency != vaspace.CPUResident || b2.Chunk != nil {
+	if b2.Residency != vaspace.CPUResident || b2.HasChunk() {
 		t.Errorf("host write did not collapse GPU copy: %+v", b2)
 	}
 	if d2.Device().QueueLen(gpudev.QueueFree) != 4 {

@@ -54,7 +54,7 @@ func (d *Driver) discard(a *vaspace.Alloc, off, length uint64, now sim.Time, laz
 	if d.p.AllowPartialDiscard {
 		cur = d.discardPartialEdges(a, off, length, cur, lazy)
 	}
-	d.m.AddDiscard(covered)
+	d.t.AddDiscard(covered)
 	if lazy {
 		d.verify("DiscardLazy")
 	} else {
@@ -84,7 +84,7 @@ func (d *Driver) discardBlock(b *vaspace.Block, now sim.Time, lazy bool) (sim.Ti
 		}
 		d.record(cur, trace.Discard, b, b.Bytes())
 	case vaspace.GPUResident:
-		c := b.Chunk
+		c := d.chunkOf(b)
 		dev := d.devs[b.GPUIndex]
 		if c.Queue() == gpudev.QueueUsed {
 			dev.Detach(c)
@@ -141,7 +141,7 @@ func (d *Driver) discardPartialEdges(a *vaspace.Alloc, off, length uint64, now s
 			continue
 		}
 		alreadySplit := b.LivePages > 0
-		live := b.LivePages
+		live := int(b.LivePages)
 		if live == 0 {
 			live = int(b.Bytes() / units.PageSize)
 		}
@@ -156,13 +156,13 @@ func (d *Driver) discardPartialEdges(a *vaspace.Alloc, off, length uint64, now s
 			// shrinks its live set without more PTE work.
 			prof := d.devs[b.GPUIndex].Profile()
 			cur = d.unmapBlock(d.devs[b.GPUIndex], cur) + prof.MapPerBlock
-			d.m.AddMap(1)
+			d.t.AddMap(1)
 		}
 		if live == 0 {
 			// The whole block ended up dead across partial discards.
 			cur, _ = d.discardBlock(b, cur, lazy)
 		} else {
-			b.LivePages = live
+			b.LivePages = int16(live)
 		}
 	}
 	return cur

@@ -60,10 +60,16 @@ type Driver struct {
 	link  *pcie.Link
 	space *vaspace.Space
 	m     *metrics.Collector
-	tr    *trace.Recorder
-	p     Params
-	fi    *faultinject.Injector // nil when running fault-free
-	ctl   *runctl.Control       // nil when the run is unbounded
+	// t holds the run's counts not yet folded into m: the per-block paths
+	// add to it without an atomic read-modify-write, and the driver folds
+	// it into m when it republishes the residency gauges, before it aborts
+	// the run, and whenever m is read through it (Metrics,
+	// PublishResidency). A Driver is single-threaded per run, so no lock.
+	t   metrics.Tally
+	tr  *trace.Recorder
+	p   Params
+	fi  *faultinject.Injector // nil when running fault-free
+	ctl *runctl.Control       // nil when the run is unbounded
 
 	// dma is the migration path between host and device. Although PCIe is
 	// full duplex and the GPU has per-direction copy engines, the paper's
@@ -224,8 +230,22 @@ func (d *Driver) Link() *pcie.Link { return d.link }
 // Space returns the unified VA space.
 func (d *Driver) Space() *vaspace.Space { return d.space }
 
-// Metrics returns the instrumentation collector.
-func (d *Driver) Metrics() *metrics.Collector { return d.m }
+// Metrics folds the driver's pending counts into its collector and returns
+// the collector, so what the caller reads next is exact.
+func (d *Driver) Metrics() *metrics.Collector {
+	d.m.Fold(&d.t)
+	return d.m
+}
+
+// AddAPITime attributes host-side time to a named API on the driver's
+// collector. Every CUDA call records its API time, so this does not fold
+// the pending counts as Metrics does.
+func (d *Driver) AddAPITime(api string, t sim.Time) { d.m.AddAPITime(api, t) }
+
+// AddPeer counts a GPU-to-GPU transfer of n bytes that a caller made over
+// the peer fabric itself, such as a data-parallel all-reduce, with the
+// driver's own counts.
+func (d *Driver) AddPeer(n uint64) { d.t.AddPeer(n) }
 
 // Trace returns the trace recorder (may be nil).
 func (d *Driver) Trace() *trace.Recorder { return d.tr }
@@ -297,11 +317,15 @@ func (d *Driver) blockCheckpoint(op string, now sim.Time) {
 func (d *Driver) poll(op string, now sim.Time) {
 	d.blockPolls = blockPollStride
 	if i := d.ctl.Check(op, now); i != nil {
+		// The collector of an aborted run is read as it stands: fold the
+		// pending counts first.
+		d.m.Fold(&d.t)
 		runctl.Abort(i)
 	}
-	// Controlled runs are service runs: republish the residency gauges on a
-	// stride so a /metrics scrape of a live run sees fresh per-device
-	// occupancy without a collector-mutex acquisition per driver operation.
+	// Controlled runs are service runs: republish the residency gauges, and
+	// fold the pending counts, on a stride so a /metrics scrape of a live
+	// run sees fresh per-device occupancy and counters without a
+	// collector-mutex acquisition or atomic add per driver operation.
 	d.pubTick++
 	if d.pubTick&(residencyPublishStride-1) == 0 {
 		d.PublishResidency()
@@ -316,8 +340,9 @@ const blockPollStride = 32
 // gauge refreshes; a power of two so the stride test is a mask.
 const residencyPublishStride = 64
 
-// PublishResidency pushes every device's current queue occupancy into the
-// metrics collector as per-device gauges (metrics.DeviceResidency).
+// PublishResidency folds the driver's pending counts into its collector and
+// pushes every device's current queue occupancy into it as per-device
+// gauges (metrics.DeviceResidency).
 // Chunks are uniform (units.BlockSize), so occupancy is queue length times
 // chunk size. The driver calls this on a stride from checkpoint during
 // controlled (service) runs, and workloads.Collect calls it once at the end
@@ -325,6 +350,7 @@ const residencyPublishStride = 64
 // only queue lengths and never mutates driver state, so publishing has no
 // effect on simulated time or determinism.
 func (d *Driver) PublishResidency() {
+	d.m.Fold(&d.t)
 	for i, dev := range d.devs {
 		bs := uint64(units.BlockSize)
 		d.m.SetDeviceResidency(i, metrics.DeviceResidency{
@@ -359,18 +385,18 @@ func (d *Driver) FreeManaged(a *vaspace.Alloc) error {
 	d.clearRun(a)
 	for i := 0; i < a.NumBlocks(); i++ {
 		b := a.Block(i)
-		if b.Chunk != nil {
+		if c := d.chunkOf(b); c != nil {
 			dev := d.devs[b.GPUIndex]
-			dev.Detach(b.Chunk)
+			dev.Detach(c)
 			// Freeing tears down the VA range and its mappings with it,
 			// so a lazily discarded chunk's deferred unmap (§5.6) no
 			// longer applies at reclaim time; leaving the marker set
 			// would charge a phantom unmap when the unused chunk is
 			// reused.
-			b.Chunk.NeedsUnmapOnReclaim = false
-			b.Chunk.Owner = nil
-			dev.PushUnused(b.Chunk)
-			b.Chunk = nil
+			c.NeedsUnmapOnReclaim = false
+			c.Owner = 0
+			dev.PushUnused(c)
+			b.ClearChunk()
 		}
 		if b.CPUHasPages {
 			if b.CPUPinned {
@@ -457,9 +483,9 @@ func (d *Driver) ExplicitCopy(dir metrics.Direction, n units.Size, now sim.Time)
 	end, ok := d.reserveTransfer(d.dma, faultinject.LinkPCIe, d.link.TransferTime(uint64(n)), now)
 	if !ok {
 		_, end = d.dma.Reserve(end, d.scaleDMA(d.link.RemoteAccessTime(uint64(n)), end))
-		d.m.AddDegraded(uint64(n))
+		d.t.AddDegraded(uint64(n))
 	}
-	d.m.AddTransfer(dir, metrics.CauseMemcpy, uint64(n))
+	d.t.AddTransfer(dir, metrics.CauseMemcpy, uint64(n))
 	return end
 }
 
@@ -469,6 +495,6 @@ func (d *Driver) record(t sim.Time, kind trace.Kind, b *vaspace.Block, bytes uni
 		return
 	}
 	d.tr.Record(trace.Event{
-		T: t, Kind: kind, Alloc: b.Alloc.ID(), Block: b.Index, Bytes: uint64(bytes),
+		T: t, Kind: kind, Alloc: int(b.Alloc), Block: int(b.Index), Bytes: uint64(bytes),
 	})
 }

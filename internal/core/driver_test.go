@@ -106,7 +106,7 @@ func TestFigure1Lifecycle(t *testing.T) {
 	// Step 3: host touches the buffer — migrate back, GPU chunks freed.
 	cpuAccess(t, d, a, Read, 0)
 	for _, b := range allBlocks(a) {
-		if b.Residency != vaspace.CPUResident || b.Chunk != nil || b.CPUPinned {
+		if b.Residency != vaspace.CPUResident || b.HasChunk() || b.CPUPinned {
 			t.Fatalf("after host read-back: %+v", b)
 		}
 	}
@@ -135,7 +135,7 @@ func TestFirstTouchOnGPUZeroFills(t *testing.T) {
 		t.Errorf("zero-filled %d blocks, want 3", zb)
 	}
 	for _, b := range allBlocks(a) {
-		if b.Residency != vaspace.GPUResident || b.Chunk.PreparedPages != units.PagesPerBlock {
+		if b.Residency != vaspace.GPUResident || d.chunkOf(b).PreparedPages != gpudev.FullyPrepared {
 			t.Fatalf("block not prepared: %+v", b)
 		}
 	}
@@ -263,7 +263,7 @@ func TestAccessAfterEagerDiscardRecovers(t *testing.T) {
 	d := testDriver(t, 8)
 	a := mustAlloc(t, d, "a", units.BlockSize)
 	gpuAccess(t, d, a, Write)
-	chunk := a.Block(0).Chunk
+	chunk := d.chunkOf(a.Block(0))
 
 	if _, err := d.Discard(a, 0, uint64(a.Size()), 0); err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestAccessAfterEagerDiscardRecovers(t *testing.T) {
 
 	// Re-access before any pressure: same chunk recovered, remapped.
 	gpuAccess(t, d, a, Write)
-	if a.Block(0).Chunk != chunk {
+	if d.chunkOf(a.Block(0)) != chunk {
 		t.Error("recovery did not reuse the same chunk")
 	}
 	if !a.Block(0).GPUMapped || a.Block(0).Discarded {
@@ -312,7 +312,7 @@ func TestPrefetchAfterLazyDiscardIsCheap(t *testing.T) {
 	if !b.GPUMapped {
 		t.Fatal("lazy discard must keep mappings")
 	}
-	if !b.Chunk.NeedsUnmapOnReclaim {
+	if !d.chunkOf(b).NeedsUnmapOnReclaim {
 		t.Error("lazy-discarded chunk must owe an unmap at reclaim")
 	}
 	if d.Metrics().Unmaps() != 0 {
@@ -322,7 +322,7 @@ func TestPrefetchAfterLazyDiscardIsCheap(t *testing.T) {
 	if _, err := d.PrefetchToGPU(a, 0, uint64(a.Size()), 0); err != nil {
 		t.Fatal(err)
 	}
-	if b.Discarded || b.Chunk.Queue() != gpudev.QueueUsed {
+	if b.Discarded || d.chunkOf(b).Queue() != gpudev.QueueUsed {
 		t.Error("prefetch did not revive lazily discarded block")
 	}
 	if d.Metrics().Maps() != 1 { // only the initial map; nothing destroyed

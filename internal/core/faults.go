@@ -63,7 +63,7 @@ func (d *Driver) reserveTransfer(eng *sim.Engine, link faultinject.LinkID, dur, 
 		if !fails {
 			return end, true
 		}
-		d.m.AddMigrateRetry()
+		d.t.AddMigrateRetry()
 		if attempt >= d.p.MaxMigrateRetries {
 			return end, false
 		}
@@ -82,7 +82,7 @@ func (d *Driver) retryH2D(b *vaspace.Block, now sim.Time) (sim.Time, bool) {
 	cur := now
 	_, dur := d.migrationCost(b)
 	for attempt := 0; ; attempt++ {
-		d.m.AddMigrateRetry()
+		d.t.AddMigrateRetry()
 		_, end := d.dma.Reserve(cur, d.scaleDMA(dur, cur))
 		if attempt >= d.p.MaxMigrateRetries {
 			return end, false
@@ -103,8 +103,8 @@ func (d *Driver) retryH2D(b *vaspace.Block, now sim.Time) (sim.Time, bool) {
 // link.
 func (d *Driver) degradeToHost(b *vaspace.Block, now sim.Time) sim.Time {
 	_, end := d.dma.Reserve(now, d.scaleDMA(d.link.RemoteAccessTime(uint64(b.Bytes())), now))
-	d.m.AddTransfer(metrics.H2D, metrics.CauseRemote, uint64(b.Bytes()))
-	d.m.AddDegraded(uint64(b.Bytes()))
+	d.t.AddTransfer(metrics.H2D, metrics.CauseRemote, uint64(b.Bytes()))
+	d.t.AddDegraded(uint64(b.Bytes()))
 	b.Degraded = true
 	return end
 }
@@ -119,7 +119,7 @@ func (d *Driver) reserveD2H(b *vaspace.Block, xfer, now sim.Time) sim.Time {
 		return end
 	}
 	_, end2 := d.dma.Reserve(end, d.scaleDMA(d.link.RemoteAccessTime(uint64(b.Bytes())), end))
-	d.m.AddDegraded(uint64(b.Bytes()))
+	d.t.AddDegraded(uint64(b.Bytes()))
 	return end2
 }
 
@@ -130,13 +130,13 @@ func (d *Driver) reserveD2H(b *vaspace.Block, xfer, now sim.Time) sim.Time {
 // UnmapPerBlock and is recorded as an unmap retry.
 func (d *Driver) unmapBlock(dev *gpudev.Device, now sim.Time) sim.Time {
 	cur := now + dev.Profile().UnmapPerBlock
-	d.m.AddUnmap(1)
+	d.t.AddUnmap(1)
 	if d.fi == nil {
 		return cur
 	}
 	for i := 0; i < d.p.MaxMigrateRetries+1 && d.fi.UnmapFails(); i++ {
 		cur += dev.Profile().UnmapPerBlock
-		d.m.AddUnmapRetry()
+		d.t.AddUnmapRetry()
 	}
 	return cur
 }
@@ -151,7 +151,7 @@ func (d *Driver) unmapBlocks(dev *gpudev.Device, n int, now sim.Time) sim.Time {
 		}
 		return now
 	}
-	d.m.AddUnmap(n)
+	d.t.AddUnmap(n)
 	return now + sim.Time(n)*dev.Profile().UnmapPerBlock
 }
 
@@ -198,8 +198,8 @@ func (d *Driver) maybePoison(now sim.Time) sim.Time {
 // — the same "reads observe zeros" outcome as a reclaimed discard (§4.1),
 // but *recorded* as loss, never silent.
 func (d *Driver) poisonChunk(gpu int, c *gpudev.Chunk, now sim.Time) sim.Time {
-	b := c.Owner.(*vaspace.Block)
-	d.clearRun(b.Alloc)
+	b := d.owner(c)
+	d.clearRun(d.space.AllocOf(b))
 	dev := d.devs[gpu]
 	dev.Detach(c)
 	cur := d.unmapBlock(dev, now)
@@ -213,7 +213,7 @@ func (d *Driver) poisonChunk(gpu int, c *gpudev.Chunk, now sim.Time) sim.Time {
 		}
 		b.Residency = vaspace.CPUResident
 		b.CPUMapped = true
-		d.m.AddPoison(n, 0)
+		d.t.AddPoison(n, 0)
 	} else {
 		// No valid copy anywhere else: the data is lost. The block returns
 		// to Untouched and the loss is accounted, not hidden.
@@ -223,14 +223,14 @@ func (d *Driver) poisonChunk(gpu int, c *gpudev.Chunk, now sim.Time) sim.Time {
 			}
 			d.host.Release(b.Bytes())
 		}
-		b.Alloc.ZeroBlockData(b.Index)
+		d.zeroData(b)
 		b.Residency = vaspace.Untouched
 		b.CPUHasPages, b.CPUPinned, b.CPUMapped = false, false, false
-		d.m.AddPoison(0, n)
+		d.t.AddPoison(0, n)
 	}
 	b.CPUStale = false
 	b.GPUMapped = false
-	b.Chunk = nil
+	b.ClearChunk()
 	b.Discarded, b.LazyDiscard = false, false
 	b.Degraded = false
 	b.RemoteAccesses = 0

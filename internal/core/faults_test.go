@@ -197,7 +197,7 @@ func TestPoisonQuarantine(t *testing.T) {
 	if d.Device().UsableChunks() != 7 {
 		t.Fatalf("UsableChunks = %d after poison, want 7", d.Device().UsableChunks())
 	}
-	if b.Chunk != nil || b.Residency == vaspace.GPUResident {
+	if b.HasChunk() || b.Residency == vaspace.GPUResident {
 		t.Fatalf("poisoned block still GPU-resident: %+v", b)
 	}
 	chunks, recovered, lost := d.Metrics().Poisoned()

@@ -140,9 +140,9 @@ func TestLazyDiscardOnPeerDefersUnmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := a.Block(0)
-	if !b.GPUMapped || !b.Chunk.NeedsUnmapOnReclaim {
+	if !b.GPUMapped || !d.chunkOf(b).NeedsUnmapOnReclaim {
 		t.Fatalf("setup: lazy discard state wrong: mapped=%v marker=%v",
-			b.GPUMapped, b.Chunk.NeedsUnmapOnReclaim)
+			b.GPUMapped, d.chunkOf(b).NeedsUnmapOnReclaim)
 	}
 	unmapsBefore := d.Metrics().Unmaps()
 
@@ -182,14 +182,14 @@ func TestSanitizerByteConservationAcrossDevices(t *testing.T) {
 
 	// Leak a chunk from the peer: peers have no device buffers, so any
 	// detached chunk there is corruption.
-	d.DeviceAt(1).Detach(p.Block(0).Chunk)
+	d.DeviceAt(1).Detach(d.chunkOf(p.Block(0)))
 	mustViolate(t, d, "GPU 1", "no queue")
 
 	// Repair and re-verify, then free the device buffer. The repair
 	// restores the used queue's exact order (block 0 before block 1), which
 	// p's resident run relies on.
-	d.DeviceAt(1).PushUsed(p.Block(0).Chunk)
-	d.DeviceAt(1).Touch(p.Block(1).Chunk)
+	d.DeviceAt(1).PushUsed(d.chunkOf(p.Block(0)))
+	d.DeviceAt(1).Touch(d.chunkOf(p.Block(1)))
 	if err := d.CheckNow(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"uvmdiscard/internal/gpudev"
+	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/vaspace"
 )
@@ -13,15 +15,21 @@ import (
 // matters because the DL sweeps push hundreds of thousands of block ops per
 // experiment.
 
-// newBenchDriver builds a driver on a GPU of gpuBlocks blocks. Its
-// sanitizer stride is set past any benchmark's operation count, so the
-// full sweep TestMain would otherwise force after every operation stays out
-// of the timing, as in TestRunAccessIsConstantTime.
+// newBenchDriver builds a driver on a GPU of gpuBlocks blocks (see
+// newBenchDriverOn).
 func newBenchDriver(b *testing.B, gpuBlocks int) *Driver {
+	return newBenchDriverOn(b, gpudev.Generic(units.Size(gpuBlocks)*units.BlockSize), nil)
+}
+
+// newBenchDriverOn builds a driver on GPU gpu under run control ctl (nil:
+// none). Its sanitizer stride is set past any benchmark's operation count,
+// so the full sweep TestMain would otherwise force after every operation
+// stays out of the timing, as in TestRunAccessIsConstantTime.
+func newBenchDriverOn(b *testing.B, gpu gpudev.Profile, ctl *runctl.Control) *Driver {
 	b.Helper()
 	params := DefaultParams()
 	params.CheckInvariantsEvery = 1 << 30
-	d, err := New(Config{GPU: gpudev.Generic(units.Size(gpuBlocks) * units.BlockSize), Params: &params})
+	d, err := New(Config{GPU: gpu, Params: &params, Control: ctl})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -85,15 +93,31 @@ func BenchmarkDriverDiscardRecover(b *testing.B) {
 	}
 }
 
+// BenchmarkDriverEvictionChurn runs an all-miss access round over a
+// footprint twice the GPU's capacity: every block evicts its LRU victim to
+// the host and migrates in, the simulator's worst case. On 64 chunks all of
+// the driver's block and chunk state fits in L1. RTX3080Ti-armed is the same
+// churn at paper scale, on the GPU every DL cell runs on and under a run
+// control, as every paper_full cell is, so the tables' size and the GC's
+// work on them show in the time.
 func BenchmarkDriverEvictionChurn(b *testing.B) {
-	// Footprint 2x capacity: every access round is all-miss with LRU
-	// evictions — the simulator's worst case.
-	d := newBenchDriver(b, 64)
-	a, err := d.AllocManaged("churn", 128*units.BlockSize)
+	b.Run("64chunks", func(b *testing.B) {
+		evictionChurn(b, newBenchDriver(b, 64))
+	})
+	b.Run("RTX3080Ti-armed", func(b *testing.B) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		evictionChurn(b, newBenchDriverOn(b, gpudev.RTX3080Ti(), runctl.New(ctx, 0, 0)))
+	})
+}
+
+func evictionChurn(b *testing.B, d *Driver) {
+	a, err := d.AllocManaged("churn", 2*d.Device().UsableBytes())
 	if err != nil {
 		b.Fatal(err)
 	}
 	cpuAccess(b, d, a, Write, 0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.GPUAccess(a, 0, uint64(a.Size()), Read, 0); err != nil {

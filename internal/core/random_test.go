@@ -196,13 +196,13 @@ func checkGlobalInvariants(t *testing.T, d *Driver, allocs []*vaspace.Alloc, see
 			}
 			switch b.Residency {
 			case vaspace.GPUResident:
-				if b.Chunk == nil {
+				if !b.HasChunk() {
 					t.Fatalf("seed %d op %d: GPU-resident without chunk", seed, op)
 				}
-				if b.Chunk.Owner != b {
+				if d.owner(d.chunkOf(b)) != b {
 					t.Fatalf("seed %d op %d: chunk owner back-pointer wrong", seed, op)
 				}
-				q := b.Chunk.Queue()
+				q := d.chunkOf(b).Queue()
 				if q != gpudev.QueueUsed && q != gpudev.QueueDiscarded {
 					t.Fatalf("seed %d op %d: resident chunk on queue %v", seed, op, q)
 				}
@@ -210,18 +210,18 @@ func checkGlobalInvariants(t *testing.T, d *Driver, allocs []*vaspace.Alloc, see
 					t.Fatalf("seed %d op %d: discard state %v but queue %v",
 						seed, op, b.Discarded, q)
 				}
-				if b.GPUIndex < 0 || b.GPUIndex >= d.NumGPUs() {
+				if b.GPUIndex < 0 || int(b.GPUIndex) >= d.NumGPUs() {
 					t.Fatalf("seed %d op %d: GPU index %d", seed, op, b.GPUIndex)
 				}
 			case vaspace.CPUResident:
-				if b.Chunk != nil {
+				if b.HasChunk() {
 					t.Fatalf("seed %d op %d: CPU-resident with chunk", seed, op)
 				}
 				if !b.CPUHasPages {
 					t.Fatalf("seed %d op %d: CPU-resident without pages", seed, op)
 				}
 			case vaspace.Untouched:
-				if b.Chunk != nil || b.CPUHasPages {
+				if b.HasChunk() || b.CPUHasPages {
 					t.Fatalf("seed %d op %d: untouched with backing: %+v", seed, op, b)
 				}
 			}

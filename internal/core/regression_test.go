@@ -34,7 +34,7 @@ func TestPartialDiscardKeepsLazyFlag(t *testing.T) {
 	if !b.GPUMapped {
 		t.Error("lazy discard destroyed the GPU mapping eagerly")
 	}
-	if !b.Chunk.NeedsUnmapOnReclaim {
+	if !d.chunkOf(b).NeedsUnmapOnReclaim {
 		t.Error("deferred unmap not recorded on the chunk")
 	}
 
@@ -52,7 +52,7 @@ func TestPartialDiscardKeepsLazyFlag(t *testing.T) {
 		t.Errorf("eager partial discard: Discarded=%v LazyDiscard=%v, want true/false",
 			b2.Discarded, b2.LazyDiscard)
 	}
-	if b2.GPUMapped || b2.Chunk.NeedsUnmapOnReclaim {
+	if b2.GPUMapped || d.chunkOf(b2).NeedsUnmapOnReclaim {
 		t.Error("eager discard should unmap immediately")
 	}
 }
@@ -122,7 +122,7 @@ func TestEvictPartialBlockCreditsSavedD2H(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := a.Block(0)
-	if b.Discarded || b.LivePages != int(units.MiB/units.PageSize) {
+	if b.Discarded || int(b.LivePages) != int(units.MiB/units.PageSize) {
 		t.Fatalf("setup: Discarded=%v LivePages=%d", b.Discarded, b.LivePages)
 	}
 
@@ -154,7 +154,7 @@ func TestFreeManagedClearsDeferredUnmap(t *testing.T) {
 	if _, err := d.DiscardLazy(a, 0, uint64(units.BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
-	c := a.Block(0).Chunk
+	c := d.chunkOf(a.Block(0))
 	if !c.NeedsUnmapOnReclaim {
 		t.Fatal("setup: lazy discard did not set the deferred-unmap marker")
 	}
@@ -165,7 +165,7 @@ func TestFreeManagedClearsDeferredUnmap(t *testing.T) {
 	if got := c.Queue(); got != gpudev.QueueUnused {
 		t.Fatalf("freed chunk on %v queue, want unused", got)
 	}
-	if c.Owner != nil {
+	if c.Owner != 0 {
 		t.Error("freed chunk still has an owner")
 	}
 	if c.NeedsUnmapOnReclaim {
@@ -206,7 +206,7 @@ func TestPartialDiscardSplitChargedOnce(t *testing.T) {
 		t.Errorf("second partial discard re-charged the remap: %d maps, want %d", got, maps)
 	}
 	b := a.Block(0)
-	if want := int(uint64(units.BlockSize)/2) / int(units.PageSize); b.LivePages != want {
+	if want := int(uint64(units.BlockSize)/2) / int(units.PageSize); int(b.LivePages) != want {
 		t.Errorf("LivePages = %d, want %d", b.LivePages, want)
 	}
 

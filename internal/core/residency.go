@@ -29,26 +29,26 @@ func (d *Driver) allocChunk(b *vaspace.Block, gpu int, now sim.Time) (*gpudev.Ch
 	d.blockCheckpoint("evict", now)
 	dev := d.devs[gpu]
 	if c := dev.PopFree(); c != nil {
-		d.m.AddEviction(metrics.EvictFree)
+		d.t.AddEviction(metrics.EvictFree)
 		return d.assign(c, b), now, nil
 	}
 	for _, src := range d.p.EvictionOrder {
 		switch src {
 		case metrics.EvictUnused:
 			if c := dev.PopUnused(); c != nil {
-				d.m.AddEviction(metrics.EvictUnused)
+				d.t.AddEviction(metrics.EvictUnused)
 				return d.assign(c, b), now, nil
 			}
 		case metrics.EvictDiscarded:
 			if c := dev.PopDiscarded(); c != nil {
 				done := d.reclaimDiscarded(c, now)
-				d.m.AddEviction(metrics.EvictDiscarded)
+				d.t.AddEviction(metrics.EvictDiscarded)
 				return d.assign(c, b), done, nil
 			}
 		case metrics.EvictLRU:
 			if victim := d.lruVictim(gpu); victim != nil {
 				done := d.evictUsed(victim, now)
-				d.m.AddEviction(metrics.EvictLRU)
+				d.t.AddEviction(metrics.EvictLRU)
 				return d.assign(victim, b), done, nil
 			}
 		}
@@ -59,33 +59,74 @@ func (d *Driver) allocChunk(b *vaspace.Block, gpu int, now sim.Time) (*gpudev.Ch
 // lruVictim picks the least-recently-used chunk whose block is not pinned
 // to the GPU by SetPreferredLocation; if everything is preferred, the
 // plain LRU victim is taken anyway (the hint is advice, not a guarantee).
+// The LRU chunk's block is almost never preferred, so the used queue is
+// walked only when it is.
 func (d *Driver) lruVictim(gpu int) *gpudev.Chunk {
-	var fallback *gpudev.Chunk
-	var victim *gpudev.Chunk
-	d.devs[gpu].EachUsed(func(c *gpudev.Chunk) bool {
-		if fallback == nil {
-			fallback = c
-		}
-		vb, ok := c.Owner.(*vaspace.Block)
-		if !ok || vb.Preferred != vaspace.PreferGPU {
+	dev := d.devs[gpu]
+	victim := dev.LRUVictim()
+	if victim == nil || !d.prefersGPU(victim) {
+		return victim
+	}
+	dev.EachUsed(func(c *gpudev.Chunk) bool {
+		if !d.prefersGPU(c) {
 			victim = c
 			return false
 		}
 		return true
 	})
-	if victim != nil {
-		return victim
-	}
-	return fallback
+	return victim
+}
+
+// prefersGPU reports whether c's block is pinned to the GPU by
+// SetPreferredLocation.
+func (d *Driver) prefersGPU(c *gpudev.Chunk) bool {
+	b := d.owner(c)
+	return b != nil && b.Preferred == vaspace.PreferGPU
 }
 
 // assign points a detached chunk at its new owning block and resets
-// per-tenancy state.
+// per-tenancy state. The caller records the chunk on the block
+// (Block.SetChunk).
 func (d *Driver) assign(c *gpudev.Chunk, b *vaspace.Block) *gpudev.Chunk {
-	c.Owner = b
+	c.Owner = OwnerHandle(b)
 	c.PreparedPages = 0
 	c.NeedsUnmapOnReclaim = false
 	return c
+}
+
+// OwnerHandle is the gpudev.Chunk.Owner handle that names b: its
+// allocation's id plus one in the high 32 bits and its index in the low
+// ones, so that no block's handle is 0, the unowned chunk's.
+func OwnerHandle(b *vaspace.Block) uint64 {
+	return uint64(b.Alloc+1)<<32 | uint64(uint32(b.Index))
+}
+
+// owner returns the block c's Owner handle names, or nil when c is unowned
+// or the handle names no block of a live allocation. It is the one place
+// the driver turns a chunk back into its block.
+func (d *Driver) owner(c *gpudev.Chunk) *vaspace.Block {
+	if c.Owner == 0 {
+		return nil
+	}
+	a := d.space.ByID(int(c.Owner>>32) - 1)
+	if i := int(uint32(c.Owner)); a != nil && i < a.NumBlocks() {
+		return a.Block(i)
+	}
+	return nil
+}
+
+// chunkOf returns the chunk holding b's data, or nil when b holds none.
+func (d *Driver) chunkOf(b *vaspace.Block) *gpudev.Chunk {
+	if id, ok := b.Chunk(); ok {
+		return d.devs[b.GPUIndex].Chunk(id)
+	}
+	return nil
+}
+
+// zeroData zeroes b's backing bytes, if its allocation carries any: the
+// block's data died, and later reads observe zeros (§4.1).
+func (d *Driver) zeroData(b *vaspace.Block) {
+	d.space.AllocOf(b).ZeroBlockData(int(b.Index))
 }
 
 // reclaimDiscarded reclaims a chunk popped from the discarded queue: its
@@ -94,22 +135,22 @@ func (d *Driver) assign(c *gpudev.Chunk, b *vaspace.Block) *gpudev.Chunk {
 // is paid now (§5.6). No data transfer happens: this is the paper's saved
 // D2H.
 func (d *Driver) reclaimDiscarded(c *gpudev.Chunk, now sim.Time) sim.Time {
-	vb := c.Owner.(*vaspace.Block)
-	d.clearRun(vb.Alloc)
+	vb := d.owner(c)
+	d.clearRun(d.space.AllocOf(vb))
 	cur := now
 	if c.NeedsUnmapOnReclaim {
 		cur = d.unmapBlock(d.devs[vb.GPUIndex], cur)
 	}
-	d.m.AddSaved(metrics.D2H, uint64(vb.Bytes()))
+	d.t.AddSaved(metrics.D2H, uint64(vb.Bytes()))
 	if vb.CPUHasPages {
 		if vb.CPUPinned {
 			d.host.Unpin(vb.Bytes())
 		}
 		d.host.Release(vb.Bytes())
 	}
-	vb.Alloc.ZeroBlockData(vb.Index)
+	d.zeroData(vb)
 	vb.Residency = vaspace.Untouched
-	vb.Chunk = nil
+	vb.ClearChunk()
 	vb.GPUMapped, vb.CPUMapped = false, false
 	vb.CPUHasPages, vb.CPUPinned, vb.CPUStale = false, false, false
 	vb.Discarded, vb.LazyDiscard = false, false
@@ -122,8 +163,8 @@ func (d *Driver) reclaimDiscarded(c *gpudev.Chunk, now sim.Time) sim.Time {
 // ablation) only the live 4 KiB pages move, each as its own small DMA
 // operation.
 func (d *Driver) evictUsed(c *gpudev.Chunk, now sim.Time) sim.Time {
-	vb := c.Owner.(*vaspace.Block)
-	d.clearRun(vb.Alloc)
+	vb := d.owner(c)
+	d.clearRun(d.space.AllocOf(vb))
 	dev := d.devs[vb.GPUIndex]
 	dev.Detach(c)
 
@@ -139,7 +180,7 @@ func (d *Driver) evictUsed(c *gpudev.Chunk, now sim.Time) sim.Time {
 		vb.CPUMapped = true
 		vb.GPUMapped = false
 		vb.Residency = vaspace.CPUResident
-		vb.Chunk = nil
+		vb.ClearChunk()
 		vb.RemoteAccesses = 0
 		return cur
 	}
@@ -149,11 +190,11 @@ func (d *Driver) evictUsed(c *gpudev.Chunk, now sim.Time) sim.Time {
 		// A partial discard (§5.4) left only LivePages of the block live:
 		// the dead remainder never crosses the link, which is exactly the
 		// "saved by discard" D2H traffic the ablation reports.
-		d.m.AddSaved(metrics.D2H, uint64(dead))
+		d.t.AddSaved(metrics.D2H, uint64(dead))
 	}
 	cur := d.unmapBlock(dev, now)
 	cur = d.reserveD2H(vb, xfer, cur)
-	d.m.AddTransfer(metrics.D2H, metrics.CauseEviction, uint64(bytes))
+	d.t.AddTransfer(metrics.D2H, metrics.CauseEviction, uint64(bytes))
 	d.record(cur, trace.TransferD2H, vb, bytes)
 
 	if vb.CPUHasPages {
@@ -172,7 +213,7 @@ func (d *Driver) evictUsed(c *gpudev.Chunk, now sim.Time) sim.Time {
 	vb.Residency = vaspace.CPUResident
 	vb.CPUStale = false
 	vb.RemoteAccesses = 0
-	vb.Chunk = nil
+	vb.ClearChunk()
 	return cur
 }
 
@@ -205,7 +246,7 @@ const (
 func (d *Driver) classifyForGPU(b *vaspace.Block, gpu int, viaFault bool) blockAction {
 	switch b.Residency {
 	case vaspace.GPUResident:
-		if b.GPUIndex != gpu {
+		if int(b.GPUIndex) != gpu {
 			if b.Discarded {
 				return actPeerDead
 			}
@@ -238,7 +279,7 @@ func (d *Driver) classifyForGPU(b *vaspace.Block, gpu int, viaFault bool) blockA
 			return actRemote
 		}
 		if viaFault && d.remoteAccessEnabled() &&
-			b.RemoteAccesses < d.p.RemoteAccessMigrateThreshold {
+			int(b.RemoteAccesses) < d.p.RemoteAccessMigrateThreshold {
 			// Coherent hardware satisfies the access in place; the
 			// driver's access counters decide when migrating pays off.
 			return actRemote
@@ -302,7 +343,7 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 				n = d.p.FaultBatchBlocks
 			}
 			cur += dev.Profile().FaultBatchLatency + sim.Time(n)*dev.Profile().FaultPerBlock
-			d.m.AddFaultBatch(n)
+			d.t.AddFaultBatch(n)
 			misses -= n
 		}
 		if d.fi != nil && total > 0 {
@@ -311,7 +352,7 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 				// capacity were dropped by the hardware and re-raised, each
 				// replay round costing another buffer drain.
 				cur += sim.Time(rounds) * dev.Profile().FaultBatchLatency
-				d.m.AddFaultReplay(rounds)
+				d.t.AddFaultReplay(rounds)
 			}
 		}
 	}
@@ -330,8 +371,8 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 		}
 		_, end := d.dma.Reserve(cur, d.scaleDMA(d.link.TransferTime(uint64(runBytes)), cur))
 		cur = end
-		d.m.AddTransfer(metrics.H2D, cause, uint64(runBytes))
-		d.m.AddMap(runCount)
+		d.t.AddTransfer(metrics.H2D, cause, uint64(runBytes))
+		d.t.AddMap(runCount)
 		if d.tr != nil {
 			for k := runStart; k < runStart+runCount; k++ {
 				rb := seq.at(k)
@@ -350,8 +391,8 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 		}
 		switch act {
 		case actHit:
-			if b.Chunk.Queue() == gpudev.QueueUsed {
-				dev.Touch(b.Chunk)
+			if c := d.chunkOf(b); c.Queue() == gpudev.QueueUsed {
+				dev.Touch(c)
 			}
 			if viaFault && b.LivePages > 0 {
 				// The block's 2 MiB mapping was split by a partial
@@ -369,7 +410,7 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 			// sanitizer's strict protocol mode this hazard panics at the
 			// access instead of losing the data at some later reclaim.
 			if d.p.PanicOnSilentReuse {
-				panic("core: sanitizer: " + silentReuseDiag(b))
+				panic("core: sanitizer: " + d.silentReuseDiag(b))
 			}
 		case actRemote:
 			// The GPU reads/writes host memory through the link without
@@ -377,7 +418,7 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 			// PreferCPU block). Bandwidth still bounds it. Preferred
 			// blocks never promote; counter-mode blocks do.
 			_, cur = d.dma.Reserve(cur, d.scaleDMA(d.link.RemoteAccessTime(uint64(b.Bytes())), cur))
-			d.m.AddTransfer(metrics.H2D, metrics.CauseRemote, uint64(b.Bytes()))
+			d.t.AddTransfer(metrics.H2D, metrics.CauseRemote, uint64(b.Bytes()))
 			if b.Preferred != vaspace.PreferCPU && !b.Degraded {
 				// Degraded blocks never promote on access counters: only a
 				// prefetch re-attempts the failed migration.
@@ -394,11 +435,11 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 		case actPeerDead:
 			// Discarded on a peer GPU: reclaim the remote chunk without a
 			// peer transfer, then fall through to fresh zeroed memory here.
-			d.m.AddPeerSaved(uint64(b.Bytes()))
+			d.t.AddPeerSaved(uint64(b.Bytes()))
 			remote := d.devs[b.GPUIndex]
-			old := b.Chunk
+			old := d.chunkOf(b)
 			remote.Detach(old)
-			cur = d.reclaimDiscarded(old, cur) // clears b.Chunk and discard state
+			cur = d.reclaimDiscarded(old, cur) // clears b's chunk and discard state
 			remote.PushFree(old)
 			fallthrough
 		case actZero:
@@ -428,15 +469,15 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 				return cur, err
 			}
 			cur = ready
-			b.Chunk = chunk
+			b.SetChunk(gpu, chunk.ID())
 			if b.LivePages > 0 {
 				// Partial block: page-granular migration, not coalesced.
 				n, t := d.migrationCost(b)
 				_, cur = d.dma.Reserve(cur, d.scaleDMA(t, cur))
-				d.m.AddTransfer(metrics.H2D, cause, uint64(n))
-				d.m.AddMap(1)
+				d.t.AddTransfer(metrics.H2D, cause, uint64(n))
+				d.t.AddMap(1)
 				d.record(cur, trace.TransferH2D, b, n)
-				chunk.PreparedPages = units.PagesPerBlock // live pages moved, rest zeroed below cost
+				chunk.PreparedPages = gpudev.FullyPrepared // live pages moved, rest zeroed below cost
 			} else {
 				// PTE establishment for bulk migrations is pipelined with
 				// the copy engine (unlike recovery remaps, which sit on the
@@ -447,9 +488,8 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 				}
 				runBytes += b.Bytes()
 				runCount++
-				chunk.PreparedPages = units.PagesPerBlock
+				chunk.PreparedPages = gpudev.FullyPrepared
 			}
-			b.GPUIndex = gpu
 			// Host pages stay pinned while the block is GPU-mapped (§2.2).
 			if !b.CPUPinned {
 				d.host.Pin(b.Bytes())
@@ -467,7 +507,7 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 			b.GPUMapped = true
 			b.Degraded = false
 			b.RemoteAccesses = 0
-			dev.PushUsed(b.Chunk)
+			dev.PushUsed(chunk)
 		}
 		if clean {
 			clean, stale = cleanHit(b, gpu), stale && b.CPUStale
@@ -488,19 +528,19 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 // destroyed. A chunk that was never fully prepared is re-zeroed.
 func (d *Driver) recoverDiscarded(b *vaspace.Block, now sim.Time, viaFault bool) sim.Time {
 	cur := now
-	c := b.Chunk
+	c := d.chunkOf(b)
 	dev := d.devs[b.GPUIndex]
 	dev.Detach(c)
 	if !b.GPUMapped {
 		cur += dev.Profile().MapPerBlock
-		d.m.AddMap(1)
+		d.t.AddMap(1)
 		b.GPUMapped = true
 	}
-	if !d.p.PreparedTracking || c.PreparedPages < units.PagesPerBlock {
+	if !d.p.PreparedTracking || c.PreparedPages < gpudev.FullyPrepared {
 		cur += dev.Profile().ZeroTimeBlock()
-		d.m.AddZeroFill(1, 0)
-		c.PreparedPages = units.PagesPerBlock
-		b.Alloc.ZeroBlockData(b.Index)
+		d.t.AddZeroFill(1, 0)
+		c.PreparedPages = gpudev.FullyPrepared
+		d.zeroData(b)
 		d.record(cur, trace.ZeroFill, b, b.Bytes())
 	}
 	c.NeedsUnmapOnReclaim = false
@@ -514,7 +554,7 @@ func (d *Driver) recoverDiscarded(b *vaspace.Block, now sim.Time, viaFault bool)
 // (no host DRAM involvement), and the source chunk is freed.
 func (d *Driver) migratePeer(b *vaspace.Block, gpu int, now sim.Time) (sim.Time, error) {
 	src := d.devs[b.GPUIndex]
-	oldChunk := b.Chunk
+	oldChunk := d.chunkOf(b)
 	chunk, cur, err := d.allocChunk(b, gpu, now)
 	if err != nil {
 		return cur, err
@@ -523,7 +563,7 @@ func (d *Driver) migratePeer(b *vaspace.Block, gpu int, now sim.Time) (sim.Time,
 	end, ok := d.reserveTransfer(d.peer, faultinject.LinkPeer, peerLink.TransferTime(n), cur)
 	if ok {
 		cur = end
-		d.m.AddPeer(n)
+		d.t.AddPeer(n)
 	} else {
 		// The peer fabric will not carry this block: bounce it through
 		// host DRAM on the DMA engine instead (D2H off the source, H2D
@@ -531,17 +571,16 @@ func (d *Driver) migratePeer(b *vaspace.Block, gpu int, now sim.Time) (sim.Time,
 		// degradation path must terminate.
 		_, mid := d.dma.Reserve(end, d.scaleDMA(d.link.TransferTime(n), end))
 		_, cur = d.dma.Reserve(mid, d.scaleDMA(d.link.TransferTime(n), mid))
-		d.m.AddTransfer(metrics.D2H, metrics.CauseFault, n)
-		d.m.AddTransfer(metrics.H2D, metrics.CauseFault, n)
-		d.m.AddDegraded(n)
+		d.t.AddTransfer(metrics.D2H, metrics.CauseFault, n)
+		d.t.AddTransfer(metrics.H2D, metrics.CauseFault, n)
+		d.t.AddDegraded(n)
 	}
 	d.record(cur, trace.TransferPeer, b, b.Bytes())
 	cur = d.unmapBlock(src, cur)
 	src.Detach(oldChunk)
 	src.PushFree(oldChunk)
-	chunk.PreparedPages = units.PagesPerBlock
-	b.Chunk = chunk
-	b.GPUIndex = gpu
+	chunk.PreparedPages = gpudev.FullyPrepared
+	b.SetChunk(gpu, chunk.ID())
 	b.GPUMapped = true
 	b.RemoteAccesses = 0
 	d.devs[gpu].PushUsed(chunk)
@@ -555,7 +594,7 @@ func (d *Driver) migratePeer(b *vaspace.Block, gpu int, now sim.Time) (sim.Time,
 func (d *Driver) populateZeroed(b *vaspace.Block, gpu int, now sim.Time) (sim.Time, error) {
 	if b.Discarded {
 		// Skip the H2D transfer the non-discard driver would have done.
-		d.m.AddSaved(metrics.H2D, uint64(b.Bytes()))
+		d.t.AddSaved(metrics.H2D, uint64(b.Bytes()))
 		if b.CPUHasPages {
 			if b.CPUPinned {
 				d.host.Unpin(b.Bytes())
@@ -563,7 +602,7 @@ func (d *Driver) populateZeroed(b *vaspace.Block, gpu int, now sim.Time) (sim.Ti
 			d.host.Release(b.Bytes())
 			b.CPUHasPages, b.CPUPinned = false, false
 		}
-		b.Alloc.ZeroBlockData(b.Index)
+		d.zeroData(b)
 		b.Discarded, b.LazyDiscard = false, false
 	}
 	chunk, cur, err := d.allocChunk(b, gpu, now)
@@ -572,12 +611,11 @@ func (d *Driver) populateZeroed(b *vaspace.Block, gpu int, now sim.Time) (sim.Ti
 	}
 	dev := d.devs[gpu]
 	cur += dev.Profile().ZeroTimeBlock() + dev.Profile().MapPerBlock
-	d.m.AddZeroFill(1, 0)
-	d.m.AddMap(1)
-	chunk.PreparedPages = units.PagesPerBlock
-	b.Chunk = chunk
+	d.t.AddZeroFill(1, 0)
+	d.t.AddMap(1)
+	chunk.PreparedPages = gpudev.FullyPrepared
+	b.SetChunk(gpu, chunk.ID())
 	b.Residency = vaspace.GPUResident
-	b.GPUIndex = gpu
 	b.GPUMapped = true
 	b.CPUMapped = false
 	b.Degraded = false
@@ -592,7 +630,7 @@ func (d *Driver) populateZeroed(b *vaspace.Block, gpu int, now sim.Time) (sim.Ti
 // GPU-resident blocks are *duplicated* to the host on reads rather than
 // migrated (the write-intent collapse happens in cpuAccessBlock).
 func (d *Driver) ensureCPUBlock(b *vaspace.Block, now sim.Time, cause metrics.Cause, forWrite bool) sim.Time {
-	d.clearRun(b.Alloc)
+	d.clearRun(d.space.AllocOf(b))
 	cur := now
 	switch b.Residency {
 	case vaspace.CPUResident:
@@ -623,7 +661,7 @@ func (d *Driver) ensureCPUBlock(b *vaspace.Block, now sim.Time, cause metrics.Ca
 			// D2H copy, after which reads are local on both sides.
 			bytes, xfer := d.migrationCost(b)
 			cur = d.reserveD2H(b, xfer, cur)
-			d.m.AddTransfer(metrics.D2H, cause, uint64(bytes))
+			d.t.AddTransfer(metrics.D2H, cause, uint64(bytes))
 			d.record(cur, trace.TransferD2H, b, bytes)
 			if !b.CPUHasPages {
 				if err := d.host.Reserve(b.Bytes()); err != nil {
@@ -635,7 +673,7 @@ func (d *Driver) ensureCPUBlock(b *vaspace.Block, now sim.Time, cause metrics.Ca
 			b.CPUMapped = true
 			return cur
 		}
-		c := b.Chunk
+		c := d.chunkOf(b)
 		dev := d.devs[b.GPUIndex]
 		if b.Discarded {
 			// Reclaim without transferring: saved D2H.
@@ -643,16 +681,16 @@ func (d *Driver) ensureCPUBlock(b *vaspace.Block, now sim.Time, cause metrics.Ca
 			if c.NeedsUnmapOnReclaim {
 				cur = d.unmapBlock(dev, cur)
 			}
-			d.m.AddSaved(metrics.D2H, uint64(b.Bytes()))
+			d.t.AddSaved(metrics.D2H, uint64(b.Bytes()))
 			dev.PushFree(c)
-			b.Alloc.ZeroBlockData(b.Index)
+			d.zeroData(b)
 			b.Discarded, b.LazyDiscard = false, false
 		} else {
 			dev.Detach(c)
 			bytes, xfer := d.migrationCost(b)
 			cur = d.unmapBlock(dev, cur)
 			cur = d.reserveD2H(b, xfer, cur)
-			d.m.AddTransfer(metrics.D2H, cause, uint64(bytes))
+			d.t.AddTransfer(metrics.D2H, cause, uint64(bytes))
 			d.record(cur, trace.TransferD2H, b, bytes)
 			dev.PushFree(c)
 		}
@@ -670,7 +708,7 @@ func (d *Driver) ensureCPUBlock(b *vaspace.Block, now sim.Time, cause metrics.Ca
 		b.CPUMapped = true
 		b.GPUMapped = false
 		b.CPUStale = false
-		b.Chunk = nil
+		b.ClearChunk()
 		b.Residency = vaspace.CPUResident
 	}
 	return cur

@@ -68,7 +68,7 @@ func (s blockSeq) whole() bool {
 // read-mostly (whose writes collapse a duplicate). A GPU-resident block that
 // is not discarded always has its chunk on the used queue.
 func cleanHit(b *vaspace.Block, gpu int) bool {
-	return b.Residency == vaspace.GPUResident && b.GPUIndex == gpu &&
+	return b.Residency == vaspace.GPUResident && int(b.GPUIndex) == gpu &&
 		!b.Discarded && b.LivePages == 0 && !b.ReadMostly
 }
 
@@ -119,7 +119,7 @@ func (d *Driver) touchRun(a *vaspace.Alloc, now, step sim.Time) sim.Time {
 	d.runAccesses++
 	n := a.NumBlocks()
 	d.runCheckpoints(n, now, step)
-	d.devs[a.Resident.GPU].MoveStretch(a.Block(0).Chunk, a.Block(n-1).Chunk, n, gpudev.QueueUsed, nil)
+	d.devs[a.Resident.GPU].MoveStretch(d.chunkOf(a.Block(0)), d.chunkOf(a.Block(n-1)), n, gpudev.QueueUsed, nil)
 	return now + sim.Time(n)*step
 }
 
@@ -142,15 +142,16 @@ func (d *Driver) discardRun(a *vaspace.Alloc, now sim.Time, lazy bool) sim.Time 
 	if !lazy {
 		now = d.unmapBlocks(dev, len(span), now)
 	}
-	dev.MoveStretch(span[0].Chunk, span[len(span)-1].Chunk, len(span), gpudev.QueueDiscarded,
+	dev.MoveStretch(d.chunkOf(&span[0]), d.chunkOf(&span[len(span)-1]), len(span), gpudev.QueueDiscarded,
 		func(i int) *gpudev.Chunk {
 			b := &span[i]
+			c := d.chunkOf(b)
 			b.Discarded, b.LazyDiscard = true, lazy
-			b.Chunk.NeedsUnmapOnReclaim = lazy
+			c.NeedsUnmapOnReclaim = lazy
 			if !lazy {
 				b.GPUMapped = false
 			}
-			return b.Chunk
+			return c
 		})
 	r.Discarded, r.Lazy = true, lazy
 	return now
@@ -180,16 +181,17 @@ func (d *Driver) recoverRun(a *vaspace.Alloc, now sim.Time) sim.Time {
 	span := a.Span(0, n-1)
 	stale := true
 	if !r.Lazy {
-		d.m.AddMap(n)
+		d.t.AddMap(n)
 	}
-	dev.MoveStretch(span[0].Chunk, span[n-1].Chunk, n, gpudev.QueueUsed,
+	dev.MoveStretch(d.chunkOf(&span[0]), d.chunkOf(&span[n-1]), n, gpudev.QueueUsed,
 		func(i int) *gpudev.Chunk {
 			b := &span[i]
+			c := d.chunkOf(b)
 			b.Discarded, b.LazyDiscard = false, false
 			b.GPUMapped = true
-			b.Chunk.NeedsUnmapOnReclaim = false
+			c.NeedsUnmapOnReclaim = false
 			stale = stale && b.CPUStale
-			return b.Chunk
+			return c
 		})
 	*r = vaspace.ResidentRun{On: true, GPU: r.GPU, Stale: stale}
 	return now + sim.Time(n)*step

@@ -254,16 +254,13 @@ func driverState(d *Driver, bufs []*vaspace.Alloc) string {
 		}
 		dev.EachChunk(func(c *gpudev.Chunk) bool {
 			fmt.Fprintf(&s, "GPU %d chunk %d: %v, owner %s, prepared %d, unmap on reclaim %v, device buffer %v\n",
-				g, c.ID(), c.Queue(), ownerName(c.Owner), c.PreparedPages, c.NeedsUnmapOnReclaim, c.DeviceBuffer)
+				g, c.ID(), c.Queue(), d.ownerName(c), c.PreparedPages, c.NeedsUnmapOnReclaim, c.DeviceBuffer)
 			return true
 		})
 	}
 	for _, a := range bufs {
 		for i := 0; i < a.NumBlocks(); i++ {
-			b := *a.Block(i)
-			c := chunkID(b.Chunk)
-			b.Alloc, b.Chunk = nil, nil
-			fmt.Fprintf(&s, "%s block %d: %+v on %s\n", a.Name(), i, b, c)
+			fmt.Fprintf(&s, "%s block %d: %+v\n", a.Name(), i, *a.Block(i))
 		}
 	}
 	m := d.Metrics()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/units"
@@ -16,7 +15,8 @@ import (
 //
 //   - every physical chunk lives in exactly one queue, and the per-device
 //     queue bookkeeping is self-consistent (§5.5);
-//   - chunk↔block back-pointers agree in both directions;
+//   - chunk↔block back-references (a chunk's owner handle, a block's chunk
+//     id and GPU) agree in both directions;
 //   - bytes are conserved: free + unused + used + discarded + reserved +
 //     cudaMalloc'd device buffers == GPU capacity, on every device;
 //   - host DRAM accounting matches the blocks that claim host pages;
@@ -79,26 +79,26 @@ func (d *Driver) checkChunks(gpu int, dev *gpudev.Device) error {
 	dev.EachChunk(func(c *gpudev.Chunk) bool {
 		switch c.Queue() {
 		case gpudev.QueueUsed, gpudev.QueueDiscarded:
-			b, ok := c.Owner.(*vaspace.Block)
-			if !ok || b == nil {
+			b := d.owner(c)
+			if b == nil {
 				err = fmt.Errorf("sanitizer: GPU %d chunk %d on %v queue has no owning block",
 					gpu, c.ID(), c.Queue())
 				return false
 			}
-			if b.Chunk != c {
+			if id, ok := b.Chunk(); !ok || id != c.ID() {
 				err = fmt.Errorf("sanitizer: GPU %d chunk %d owner %s does not point back (block.Chunk=%v)",
-					gpu, c.ID(), blockName(b), chunkID(b.Chunk))
+					gpu, c.ID(), d.blockName(b), blockChunk(b))
 				return false
 			}
-			if b.GPUIndex != gpu {
+			if int(b.GPUIndex) != gpu {
 				err = fmt.Errorf("sanitizer: GPU %d chunk %d owned by %s which claims GPU %d",
-					gpu, c.ID(), blockName(b), b.GPUIndex)
+					gpu, c.ID(), d.blockName(b), b.GPUIndex)
 				return false
 			}
 		case gpudev.QueueFree, gpudev.QueueUnused, gpudev.QueueReserved, gpudev.QueuePoisoned:
-			if c.Owner != nil {
+			if c.Owner != 0 {
 				err = fmt.Errorf("sanitizer: GPU %d chunk %d on %v queue still has owner %s",
-					gpu, c.ID(), c.Queue(), ownerName(c.Owner))
+					gpu, c.ID(), c.Queue(), d.ownerName(c))
 				return false
 			}
 		case gpudev.QueueNone:
@@ -110,10 +110,10 @@ func (d *Driver) checkChunks(gpu int, dev *gpudev.Device) error {
 			return false
 		}
 		if c.NeedsUnmapOnReclaim {
-			b, ok := c.Owner.(*vaspace.Block)
-			if c.Queue() != gpudev.QueueDiscarded || !ok || !b.LazyDiscard {
+			b := d.owner(c)
+			if c.Queue() != gpudev.QueueDiscarded || b == nil || !b.LazyDiscard {
 				err = fmt.Errorf("sanitizer: GPU %d chunk %d (queue %v, owner %s) has NeedsUnmapOnReclaim set but is not a lazily discarded chunk",
-					gpu, c.ID(), c.Queue(), ownerName(c.Owner))
+					gpu, c.ID(), c.Queue(), d.ownerName(c))
 				return false
 			}
 		}
@@ -135,8 +135,8 @@ func (d *Driver) checkChunks(gpu int, dev *gpudev.Device) error {
 			return fmt.Errorf("sanitizer: GPU 0 chunk %d is on no queue and not marked as a device buffer: leaked",
 				c.ID())
 		}
-		if c.Owner != nil {
-			return fmt.Errorf("sanitizer: device-buffer chunk %d has owner %s", c.ID(), ownerName(c.Owner))
+		if c.Owner != 0 {
+			return fmt.Errorf("sanitizer: device-buffer chunk %d has owner %s", c.ID(), d.ownerName(c))
 		}
 	}
 	if gpu == 0 {
@@ -196,39 +196,43 @@ func (d *Driver) checkBlocks() error {
 
 func (d *Driver) checkBlock(b *vaspace.Block) error {
 	if b.CPUPinned && !b.CPUHasPages {
-		return fmt.Errorf("sanitizer: %s is pinned without host pages", blockName(b))
+		return fmt.Errorf("sanitizer: %s is pinned without host pages", d.blockName(b))
 	}
 	if b.LazyDiscard && !b.Discarded {
-		return fmt.Errorf("sanitizer: %s has LazyDiscard without Discarded", blockName(b))
+		return fmt.Errorf("sanitizer: %s has LazyDiscard without Discarded", d.blockName(b))
 	}
-	if pages := int(b.Bytes() / units.PageSize); b.LivePages < 0 || b.LivePages > pages {
-		return fmt.Errorf("sanitizer: %s has LivePages %d outside [0,%d]", blockName(b), b.LivePages, pages)
+	if pages := int(b.Bytes() / units.PageSize); b.LivePages < 0 || int(b.LivePages) > pages {
+		return fmt.Errorf("sanitizer: %s has LivePages %d outside [0,%d]", d.blockName(b), b.LivePages, pages)
 	}
 	switch b.Residency {
 	case vaspace.GPUResident:
 		if b.Degraded {
 			// Degradation is the *failure* to reach GPU residency; a block
 			// that made it must have cleared the flag.
-			return fmt.Errorf("sanitizer: %s is GPU-resident but still marked degraded", blockName(b))
+			return fmt.Errorf("sanitizer: %s is GPU-resident but still marked degraded", d.blockName(b))
 		}
-		c := b.Chunk
-		if c == nil {
-			return fmt.Errorf("sanitizer: %s is GPU-resident without a chunk", blockName(b))
+		id, ok := b.Chunk()
+		if !ok {
+			return fmt.Errorf("sanitizer: %s is GPU-resident without a chunk", d.blockName(b))
 		}
-		if b.GPUIndex < 0 || b.GPUIndex >= len(d.devs) {
-			return fmt.Errorf("sanitizer: %s claims GPU %d of %d", blockName(b), b.GPUIndex, len(d.devs))
+		if b.GPUIndex < 0 || int(b.GPUIndex) >= len(d.devs) {
+			return fmt.Errorf("sanitizer: %s claims GPU %d of %d", d.blockName(b), b.GPUIndex, len(d.devs))
 		}
-		if c.Owner != b {
+		c, err := d.devs[b.GPUIndex].ChunkByID(int32(id))
+		if err != nil {
+			return fmt.Errorf("sanitizer: %s: %w", d.blockName(b), err)
+		}
+		if d.owner(c) != b {
 			return fmt.Errorf("sanitizer: %s points at chunk %d whose owner is %s",
-				blockName(b), c.ID(), ownerName(c.Owner))
+				d.blockName(b), c.ID(), d.ownerName(c))
 		}
 		switch q := c.Queue(); {
 		case b.Discarded && q != gpudev.QueueDiscarded:
 			return fmt.Errorf("sanitizer: %s is discarded but its chunk %d sits on the %v queue",
-				blockName(b), c.ID(), q)
+				d.blockName(b), c.ID(), q)
 		case !b.Discarded && q != gpudev.QueueUsed:
 			return fmt.Errorf("sanitizer: %s is live but its chunk %d sits on the %v queue",
-				blockName(b), c.ID(), q)
+				d.blockName(b), c.ID(), q)
 		}
 		if b.Discarded && !b.LazyDiscard {
 			// §5.1: the eager discard destroyed the mappings; if any
@@ -236,42 +240,42 @@ func (d *Driver) checkBlock(b *vaspace.Block) error {
 			// the driver would never observe the re-use.
 			if b.GPUMapped {
 				return fmt.Errorf("sanitizer: eagerly discarded %s is still GPU-mapped: a touch would not fault",
-					blockName(b))
+					d.blockName(b))
 			}
 			if c.NeedsUnmapOnReclaim {
 				return fmt.Errorf("sanitizer: eagerly discarded %s carries NeedsUnmapOnReclaim on chunk %d",
-					blockName(b), c.ID())
+					d.blockName(b), c.ID())
 			}
 		}
 		if b.Discarded && b.LazyDiscard {
 			// §5.2/§5.6: lazy discard keeps the mappings and defers the
 			// unmap to reclamation.
 			if !b.GPUMapped {
-				return fmt.Errorf("sanitizer: lazily discarded %s lost its GPU mapping", blockName(b))
+				return fmt.Errorf("sanitizer: lazily discarded %s lost its GPU mapping", d.blockName(b))
 			}
 			if !c.NeedsUnmapOnReclaim {
 				return fmt.Errorf("sanitizer: lazily discarded %s chunk %d is missing NeedsUnmapOnReclaim",
-					blockName(b), c.ID())
+					d.blockName(b), c.ID())
 			}
 		}
 		if !b.Discarded && !b.GPUMapped {
-			return fmt.Errorf("sanitizer: %s is GPU-resident and live but unmapped", blockName(b))
+			return fmt.Errorf("sanitizer: %s is GPU-resident and live but unmapped", d.blockName(b))
 		}
 	case vaspace.CPUResident:
-		if b.Chunk != nil {
+		if id, ok := b.Chunk(); ok {
 			return fmt.Errorf("sanitizer: %s is CPU-resident but holds GPU chunk %d",
-				blockName(b), b.Chunk.ID())
+				d.blockName(b), id)
 		}
 		if !b.CPUHasPages {
-			return fmt.Errorf("sanitizer: %s is CPU-resident without host pages", blockName(b))
+			return fmt.Errorf("sanitizer: %s is CPU-resident without host pages", d.blockName(b))
 		}
 		if b.GPUMapped {
-			return fmt.Errorf("sanitizer: %s is CPU-resident but still GPU-mapped", blockName(b))
+			return fmt.Errorf("sanitizer: %s is CPU-resident but still GPU-mapped", d.blockName(b))
 		}
 	case vaspace.Untouched:
-		if b.Chunk != nil || b.CPUHasPages || b.CPUPinned || b.GPUMapped || b.CPUMapped || b.Discarded || b.Degraded {
+		if b.HasChunk() || b.CPUHasPages || b.CPUPinned || b.GPUMapped || b.CPUMapped || b.Discarded || b.Degraded {
 			return fmt.Errorf("sanitizer: untouched %s has physical state (chunk=%v pages=%v pinned=%v gpuMap=%v cpuMap=%v discarded=%v degraded=%v)",
-				blockName(b), chunkID(b.Chunk), b.CPUHasPages, b.CPUPinned, b.GPUMapped, b.CPUMapped, b.Discarded, b.Degraded)
+				d.blockName(b), blockChunk(b), b.CPUHasPages, b.CPUPinned, b.GPUMapped, b.CPUMapped, b.Discarded, b.Degraded)
 		}
 	}
 	return nil
@@ -299,64 +303,68 @@ func (d *Driver) checkRun(a *vaspace.Alloc) error {
 	var prev *gpudev.Chunk
 	for i := 0; i < a.NumBlocks(); i++ {
 		b := a.Block(i)
+		c := d.chunkOf(b) // checkBlock has checked every chunk a block holds
 		switch {
 		case !r.Discarded && !cleanHit(b, r.GPU):
 			return fmt.Errorf("sanitizer: resident run on GPU %d covers %s, which is not a clean hit there (%v on GPU %d, discarded=%v livePages=%d readMostly=%v)",
-				r.GPU, blockName(b), b.Residency, b.GPUIndex, b.Discarded, b.LivePages, b.ReadMostly)
-		case r.Discarded && !discardedInRun(b, r):
+				r.GPU, d.blockName(b), b.Residency, b.GPUIndex, b.Discarded, b.LivePages, b.ReadMostly)
+		case r.Discarded && !discardedInRun(b, c, r):
 			return fmt.Errorf("sanitizer: discarded run (lazy=%v) on GPU %d covers %s, which is not a fully prepared block discarded there with that flavour (%v on GPU %d, discarded=%v lazy=%v livePages=%d readMostly=%v prepared=%v)",
-				r.Lazy, r.GPU, blockName(b), b.Residency, b.GPUIndex, b.Discarded, b.LazyDiscard, b.LivePages, b.ReadMostly,
-				b.Chunk != nil && b.Chunk.PreparedPages == units.PagesPerBlock)
+				r.Lazy, r.GPU, d.blockName(b), b.Residency, b.GPUIndex, b.Discarded, b.LazyDiscard, b.LivePages, b.ReadMostly,
+				c != nil && c.PreparedPages == gpudev.FullyPrepared)
 		}
-		if prev != nil && dev.Next(prev) != b.Chunk {
+		if prev != nil && dev.Next(prev) != c {
 			return fmt.Errorf("sanitizer: %s run on GPU %d is not contiguous: %s does not follow block %d on the %v queue",
-				shape, r.GPU, blockName(b), i-1, prev.Queue())
+				shape, r.GPU, d.blockName(b), i-1, prev.Queue())
 		}
 		if r.Stale && !b.CPUStale {
 			return fmt.Errorf("sanitizer: %s run on GPU %d claims every host copy stale, but %s's is not",
-				shape, r.GPU, blockName(b))
+				shape, r.GPU, d.blockName(b))
 		}
-		prev = b.Chunk
+		prev = c
 	}
 	return nil
 }
 
-// discardedInRun reports whether b fits the discarded run r: discarded on
-// r's GPU with r's flavour while still resident there, with no live-page
-// split, not read-mostly, and its chunk fully prepared, so recovering it
-// zeroes nothing.
-func discardedInRun(b *vaspace.Block, r vaspace.ResidentRun) bool {
-	return b.Residency == vaspace.GPUResident && b.GPUIndex == r.GPU &&
+// discardedInRun reports whether b, holding chunk c, fits the discarded run
+// r: discarded on r's GPU with r's flavour while still resident there,
+// with no live-page split, not read-mostly, and its chunk fully prepared,
+// so recovering it zeroes nothing.
+func discardedInRun(b *vaspace.Block, c *gpudev.Chunk, r vaspace.ResidentRun) bool {
+	return b.Residency == vaspace.GPUResident && int(b.GPUIndex) == r.GPU &&
 		b.Discarded && b.LazyDiscard == r.Lazy && b.LivePages == 0 && !b.ReadMostly &&
-		b.Chunk.PreparedPages == units.PagesPerBlock
+		c.PreparedPages == gpudev.FullyPrepared
 }
 
 // silentReuseDiag names the block involved in a §5.2 protocol violation:
 // a GPU access to a lazily discarded, still-resident block. No fault
 // occurs, the driver never learns the data is live again, and a later
 // reclaim silently destroys it.
-func silentReuseDiag(b *vaspace.Block) string {
+func (d *Driver) silentReuseDiag(b *vaspace.Block) string {
 	return fmt.Sprintf("lazy-discard protocol violation: GPU access to %s without the mandatory prefetch (UvmDiscardLazy §5.2); the write is silent and a later reclaim loses it",
-		blockName(b))
+		d.blockName(b))
 }
 
-func blockName(b *vaspace.Block) string {
-	return fmt.Sprintf("block %d of alloc %q (id %d)", b.Index, b.Alloc.Name(), b.Alloc.ID())
+func (d *Driver) blockName(b *vaspace.Block) string {
+	return fmt.Sprintf("block %d of alloc %q (id %d)", b.Index, d.space.AllocOf(b).Name(), b.Alloc)
 }
 
-func ownerName(o any) string {
-	if o == nil {
+// ownerName names the block c's owner handle names, "<nil>" for an unowned
+// chunk, or the raw handle when it names no block of a live allocation.
+func (d *Driver) ownerName(c *gpudev.Chunk) string {
+	if c.Owner == 0 {
 		return "<nil>"
 	}
-	if b, ok := o.(*vaspace.Block); ok {
-		return blockName(b)
+	if b := d.owner(c); b != nil {
+		return d.blockName(b)
 	}
-	return strings.TrimSpace(fmt.Sprintf("%T", o))
+	return fmt.Sprintf("handle %#x", c.Owner)
 }
 
-func chunkID(c *gpudev.Chunk) string {
-	if c == nil {
-		return "<nil>"
+// blockChunk names the chunk b holds, or "<nil>".
+func blockChunk(b *vaspace.Block) string {
+	if id, ok := b.Chunk(); ok {
+		return fmt.Sprintf("chunk %d", id)
 	}
-	return fmt.Sprintf("chunk %d", c.ID())
+	return "<nil>"
 }

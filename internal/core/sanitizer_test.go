@@ -51,7 +51,7 @@ func TestSanitizerDetectsOwnerMismatch(t *testing.T) {
 	gpuAccess(t, d, b, Write)
 
 	// Point a's chunk at b's block: the back-pointer no longer matches.
-	a.Block(0).Chunk.Owner = b.Block(0)
+	d.chunkOf(a.Block(0)).Owner = OwnerHandle(b.Block(0))
 	mustViolate(t, d, "does not point back", `alloc "b"`)
 }
 
@@ -62,7 +62,7 @@ func TestSanitizerDetectsStrayDeferredUnmap(t *testing.T) {
 
 	// A live used chunk must never carry the lazy-discard marker: at
 	// reclaim it would charge an unmap that was never deferred.
-	a.Block(0).Chunk.NeedsUnmapOnReclaim = true
+	d.chunkOf(a.Block(0)).NeedsUnmapOnReclaim = true
 	mustViolate(t, d, "NeedsUnmapOnReclaim", "not a lazily discarded chunk")
 }
 
@@ -73,7 +73,7 @@ func TestSanitizerDetectsLeakedChunk(t *testing.T) {
 
 	// Pull the chunk off every queue without tracking it as a device
 	// buffer: it has escaped the allocator.
-	d.Device().Detach(a.Block(0).Chunk)
+	d.Device().Detach(d.chunkOf(a.Block(0)))
 	mustViolate(t, d, "leaked")
 }
 
@@ -111,7 +111,7 @@ func TestSanitizerDetectsLostLazyMarker(t *testing.T) {
 	}
 
 	// §5.6: losing the marker means the deferred unmap is never paid.
-	a.Block(0).Chunk.NeedsUnmapOnReclaim = false
+	d.chunkOf(a.Block(0)).NeedsUnmapOnReclaim = false
 	mustViolate(t, d, "missing NeedsUnmapOnReclaim")
 }
 
@@ -125,7 +125,7 @@ func TestSanitizerDetectsQueueMismatch(t *testing.T) {
 
 	// Move the discarded chunk back to the used queue while the block
 	// still says Discarded: the two views disagree.
-	c := a.Block(0).Chunk
+	c := d.chunkOf(a.Block(0))
 	d.Device().Detach(c)
 	d.Device().PushUsed(c)
 	mustViolate(t, d, "discarded but its chunk", gpudev.QueueUsed.String())
@@ -139,7 +139,7 @@ func TestVerifyPanicsWithOperationName(t *testing.T) {
 	b := mustAlloc(t, d, "b", units.BlockSize)
 	gpuAccess(t, d, a, Write)
 
-	a.Block(0).Chunk.NeedsUnmapOnReclaim = true
+	d.chunkOf(a.Block(0)).NeedsUnmapOnReclaim = true
 
 	defer func() {
 		r := recover()
@@ -210,7 +210,7 @@ func TestSanitizerSamplingStride(t *testing.T) {
 	a := mustAlloc(t, d, "a", units.BlockSize)
 	b := mustAlloc(t, d, "b", units.BlockSize)
 	gpuAccess(t, d, a, Write) // op 1
-	a.Block(0).Chunk.NeedsUnmapOnReclaim = true
+	d.chunkOf(a.Block(0)).NeedsUnmapOnReclaim = true
 
 	panicked := make(chan bool, 1)
 	func() {

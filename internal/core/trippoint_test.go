@@ -7,6 +7,7 @@ import (
 
 	"uvmdiscard/internal/faultinject"
 	"uvmdiscard/internal/gpudev"
+	"uvmdiscard/internal/metrics"
 	"uvmdiscard/internal/pcie"
 	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/sim"
@@ -186,15 +187,17 @@ func discardedRun(d *Driver, a *vaspace.Alloc, discard func(*vaspace.Alloc, uint
 	return now, err
 }
 
-// runTripScenario runs a scenario under ctl and returns the setup and run
-// completion times and the interrupt that stopped it, if any.
-func runTripScenario(t *testing.T, sc tripScenario, ctl *runctl.Control) (setupDone, runDone sim.Time, trip *runctl.Interrupt) {
+// runTripScenario runs a scenario under ctl, counting into m (nil: a fresh
+// collector), and returns the setup and run completion times and the
+// interrupt that stopped it, if any.
+func runTripScenario(t *testing.T, sc tripScenario, ctl *runctl.Control, m *metrics.Collector) (setupDone, runDone sim.Time, trip *runctl.Interrupt) {
 	t.Helper()
 	d, err := New(Config{
 		GPU:     gpudev.Generic(units.Size(sc.gpuBlocks) * units.BlockSize),
 		Link:    pcie.Preset(pcie.Gen4),
 		Control: ctl,
 		Faults:  sc.faults,
+		Metrics: m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -311,15 +314,70 @@ func TestSimBudgetTripPoints(t *testing.T) {
 	defer cancel()
 	for _, tc := range tests {
 		sc := tripScenarios[tc.scenario]
-		start, end, trip := runTripScenario(t, sc, nil)
-		if trip != nil || end <= start {
-			t.Fatalf("%s: calibration run tripped or took no time: %v..%v, %v", tc.scenario, start, end, trip)
-		}
-		budget := start + (end-start)*sim.Time(tc.eighth)/8
-		_, _, trip = runTripScenario(t, sc, runctl.New(ctx, 0, budget))
+		budget := tripBudget(t, tc.scenario, tc.eighth)
+		_, _, trip := runTripScenario(t, sc, runctl.New(ctx, 0, budget), nil)
 		if trip == nil || trip.Reason != runctl.SimBudget || trip.Op != tc.op || trip.SimTime != tc.at {
 			t.Errorf("%s at %d/8 (budget %d): trip %+v, want sim-budget at %s, sim time %d",
 				tc.scenario, tc.eighth, budget, trip, tc.op, tc.at)
+		}
+	}
+}
+
+// tripBudget returns the sim budget at eighth/8 of a scenario's run span,
+// from a calibration run without a budget.
+func tripBudget(t *testing.T, scenario string, eighth int) sim.Time {
+	t.Helper()
+	start, end, trip := runTripScenario(t, tripScenarios[scenario], nil, nil)
+	if trip != nil || end <= start {
+		t.Fatalf("%s: calibration run tripped or took no time: %v..%v, %v", scenario, start, end, trip)
+	}
+	return start + (end-start)*sim.Time(eighth)/8
+}
+
+// TestSimBudgetTripCounts pins what a run's collector holds when a sim
+// budget stops the run inside an eviction train. The collector is the one
+// passed in through Config.Metrics, read directly as a service's exporter
+// reads it, not through Driver.Metrics: the driver must fold its pending
+// per-block counts into it before it aborts. The counts were recorded when
+// every count went straight into the collector.
+func TestSimBudgetTripCounts(t *testing.T) {
+	tests := []struct {
+		scenario string
+		eighth   int
+		want     string
+	}{
+		{"ensure-gpu", 0, "unmaps 0, maps 32, H2D fault 0 B, D2H eviction 0 B, zero-fills 32, evictions free/unused/discarded/lru 32/0/0/0"},
+		{"ensure-gpu", 1, "unmaps 5, maps 37, H2D fault 0 B, D2H eviction 10485760 B, zero-fills 37, evictions free/unused/discarded/lru 32/0/0/5"},
+		{"ensure-gpu", 2, "unmaps 13, maps 45, H2D fault 0 B, D2H eviction 27262976 B, zero-fills 45, evictions free/unused/discarded/lru 32/0/0/13"},
+		{"ensure-gpu", 3, "unmaps 22, maps 54, H2D fault 0 B, D2H eviction 46137344 B, zero-fills 54, evictions free/unused/discarded/lru 32/0/0/22"},
+		{"ensure-gpu", 4, "unmaps 30, maps 62, H2D fault 0 B, D2H eviction 62914560 B, zero-fills 62, evictions free/unused/discarded/lru 32/0/0/30"},
+		{"ensure-gpu", 5, "unmaps 39, maps 71, H2D fault 0 B, D2H eviction 81788928 B, zero-fills 71, evictions free/unused/discarded/lru 32/0/0/39"},
+		{"ensure-gpu", 6, "unmaps 47, maps 79, H2D fault 0 B, D2H eviction 98566144 B, zero-fills 79, evictions free/unused/discarded/lru 32/0/0/47"},
+		{"ensure-gpu", 7, "unmaps 56, maps 88, H2D fault 0 B, D2H eviction 117440512 B, zero-fills 88, evictions free/unused/discarded/lru 32/0/0/56"},
+		{"evict", 0, "unmaps 0, maps 0, H2D fault 0 B, D2H eviction 0 B, zero-fills 0, evictions free/unused/discarded/lru 0/0/0/0"},
+		{"evict", 1, "unmaps 0, maps 40, H2D fault 83886080 B, D2H eviction 0 B, zero-fills 0, evictions free/unused/discarded/lru 40/0/0/0"},
+		{"evict", 2, "unmaps 0, maps 40, H2D fault 83886080 B, D2H eviction 0 B, zero-fills 0, evictions free/unused/discarded/lru 40/0/0/0"},
+		{"evict", 3, "unmaps 0, maps 40, H2D fault 83886080 B, D2H eviction 0 B, zero-fills 0, evictions free/unused/discarded/lru 40/0/0/0"},
+		{"evict", 4, "unmaps 0, maps 40, H2D fault 83886080 B, D2H eviction 0 B, zero-fills 0, evictions free/unused/discarded/lru 40/0/0/0"},
+		{"evict", 5, "unmaps 0, maps 81, H2D fault 167772160 B, D2H eviction 0 B, zero-fills 1, evictions free/unused/discarded/lru 81/0/0/0"},
+		{"evict", 6, "unmaps 0, maps 81, H2D fault 167772160 B, D2H eviction 0 B, zero-fills 1, evictions free/unused/discarded/lru 81/0/0/0"},
+		{"evict", 7, "unmaps 0, maps 81, H2D fault 167772160 B, D2H eviction 0 B, zero-fills 1, evictions free/unused/discarded/lru 81/0/0/0"},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range tests {
+		m := metrics.New()
+		_, _, trip := runTripScenario(t, tripScenarios[tc.scenario], runctl.New(ctx, 0, tripBudget(t, tc.scenario, tc.eighth)), m)
+		if trip == nil {
+			t.Fatalf("%s at %d/8: the run did not trip", tc.scenario, tc.eighth)
+		}
+		zeroFills, _ := m.ZeroFills()
+		got := fmt.Sprintf("unmaps %d, maps %d, H2D fault %d B, D2H eviction %d B, zero-fills %d, evictions free/unused/discarded/lru %d/%d/%d/%d",
+			m.Unmaps(), m.Maps(), m.Bytes(metrics.H2D, metrics.CauseFault), m.Bytes(metrics.D2H, metrics.CauseEviction), zeroFills,
+			m.Evictions(metrics.EvictFree), m.Evictions(metrics.EvictUnused),
+			m.Evictions(metrics.EvictDiscarded), m.Evictions(metrics.EvictLRU))
+		if got != tc.want {
+			t.Errorf("%s at %d/8: collector at the trip holds\n%s\nwant\n%s", tc.scenario, tc.eighth, got, tc.want)
 		}
 	}
 }

@@ -164,7 +164,7 @@ func (c *Context) MallocManaged(name string, size units.Size) (*Buffer, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.drv.Metrics().AddAPITime("cudaMallocManaged", c.drv.Costs().MallocManaged.Eval(size))
+	c.drv.AddAPITime("cudaMallocManaged", c.drv.Costs().MallocManaged.Eval(size))
 	return &Buffer{ctx: c, alloc: a}, nil
 }
 
@@ -172,7 +172,7 @@ func (c *Context) MallocManaged(name string, size units.Size) (*Buffer, error) {
 func (b *Buffer) Free() error {
 	cost := b.ctx.drv.Costs().Free.Eval(b.alloc.Size())
 	b.ctx.clock.Advance(cost)
-	b.ctx.drv.Metrics().AddAPITime("cudaFree", cost)
+	b.ctx.drv.AddAPITime("cudaFree", cost)
 	return b.ctx.drv.FreeManaged(b.alloc)
 }
 
@@ -222,7 +222,7 @@ type DeviceBuffer struct {
 func (c *Context) Malloc(size units.Size) (*DeviceBuffer, error) {
 	cost := c.drv.Costs().Malloc.Eval(size)
 	c.clock.Advance(cost)
-	c.drv.Metrics().AddAPITime("cudaMalloc", cost)
+	c.drv.AddAPITime("cudaMalloc", cost)
 	chunks, err := c.drv.MallocDevice(size)
 	if err != nil {
 		return nil, err
@@ -234,7 +234,7 @@ func (c *Context) Malloc(size units.Size) (*DeviceBuffer, error) {
 func (db *DeviceBuffer) Free() {
 	cost := db.ctx.drv.Costs().Free.Eval(db.size)
 	db.ctx.clock.Advance(cost)
-	db.ctx.drv.Metrics().AddAPITime("cudaFree", cost)
+	db.ctx.drv.AddAPITime("cudaFree", cost)
 	db.ctx.drv.FreeDevice(db.chunks)
 	db.chunks = nil
 }
@@ -301,7 +301,7 @@ func (s *Stream) WaitEvent(e *Event) {
 // with prefetch and discard.
 func (s *Stream) MemAdvise(b *Buffer, off, length units.Size, adv core.Advice) error {
 	start := s.ready(sim.Micros(4))
-	s.ctx.drv.Metrics().AddAPITime("cudaMemAdvise", sim.Micros(4))
+	s.ctx.drv.AddAPITime("cudaMemAdvise", sim.Micros(4))
 	done, err := s.ctx.drv.MemAdvise(b.alloc, off, length, adv, start)
 	if err != nil {
 		return err
@@ -321,7 +321,7 @@ func (s *Stream) MemAdviseAll(b *Buffer, adv core.Advice) error {
 func (s *Stream) MemPrefetchAsync(b *Buffer, off, length units.Size, dst Location) error {
 	costs := s.ctx.drv.Costs()
 	start := s.ready(costs.PrefetchIssue)
-	s.ctx.drv.Metrics().AddAPITime("cudaMemPrefetchAsync", costs.PrefetchIssue)
+	s.ctx.drv.AddAPITime("cudaMemPrefetchAsync", costs.PrefetchIssue)
 	var done sim.Time
 	var err error
 	if dst == ToGPU {
@@ -346,7 +346,7 @@ func (s *Stream) PrefetchAll(b *Buffer, dst Location) error {
 func (s *Stream) PrefetchAllTo(b *Buffer, gpu int) error {
 	costs := s.ctx.drv.Costs()
 	start := s.ready(costs.PrefetchIssue)
-	s.ctx.drv.Metrics().AddAPITime("cudaMemPrefetchAsync", costs.PrefetchIssue)
+	s.ctx.drv.AddAPITime("cudaMemPrefetchAsync", costs.PrefetchIssue)
 	done, err := s.ctx.drv.PrefetchToGPUOn(gpu, b.alloc, 0, b.Size(), start)
 	if err != nil {
 		return err
@@ -420,7 +420,7 @@ func (s *Stream) discardAsync(b *Buffer, off, length units.Size, lazy bool) erro
 	// of PTE/TLB work for the eager flavor — that is what Table 2
 	// measures); the state transition applies at stream order.
 	start := s.ready(apiCost)
-	s.ctx.drv.Metrics().AddAPITime(api, apiCost)
+	s.ctx.drv.AddAPITime(api, apiCost)
 	var done sim.Time
 	var err error
 	if lazy {

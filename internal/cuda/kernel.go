@@ -56,7 +56,7 @@ type Kernel struct {
 func (s *Stream) Launch(k Kernel) error {
 	costs := s.ctx.drv.Costs()
 	start := s.ready(costs.KernelLaunch)
-	s.ctx.drv.Metrics().AddAPITime("kernelLaunch", costs.KernelLaunch)
+	s.ctx.drv.AddAPITime("kernelLaunch", costs.KernelLaunch)
 	if k.GPU < 0 || k.GPU >= s.ctx.NumGPUs() {
 		return fmt.Errorf("cuda: kernel %s targets GPU %d of %d", k.Name, k.GPU, s.ctx.NumGPUs())
 	}

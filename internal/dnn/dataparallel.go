@@ -206,7 +206,7 @@ func (d *dataParallel) Step(int) error {
 		if err := r.compute.Launch(d.allreduce[g]); err != nil {
 			return err
 		}
-		d.ctx.Metrics().AddPeer(d.gradBytes)
+		d.ctx.Driver().AddPeer(d.gradBytes)
 	}
 	return nil
 }

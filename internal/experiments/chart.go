@@ -9,10 +9,18 @@ import (
 // Chart renders one numeric column of the table as horizontal unicode
 // bars, grouped by the leading label columns — a terminal rendition of the
 // paper's figures. valueCol indexes the column to plot; width is the bar
-// length of the maximum value.
+// length of the maximum value. A bar's label joins its row's label columns
+// before valueCol (see labelColumn), so a measured column never shows up in
+// a label.
 func (t *Table) Chart(valueCol, width int) string {
 	if valueCol <= 0 || valueCol >= len(t.Header) || width <= 0 {
 		return ""
+	}
+	var labelCols []int
+	for col := 0; col < valueCol; col++ {
+		if t.labelColumn(col) {
+			labelCols = append(labelCols, col)
+		}
 	}
 	type bar struct {
 		label string
@@ -23,7 +31,11 @@ func (t *Table) Chart(valueCol, width int) string {
 	maxVal := 0.0
 	labelWidth := 0
 	for _, row := range t.Rows {
-		label := strings.Join(row[:valueCol], " ")
+		parts := make([]string, len(labelCols))
+		for i, col := range labelCols {
+			parts[i] = row[col]
+		}
+		label := strings.Join(parts, " ")
 		// Skip paper-reference rows; they are context, not data.
 		if strings.Contains(label, "(paper)") {
 			continue
@@ -56,6 +68,23 @@ func (t *Table) Chart(valueCol, width int) string {
 			strings.Repeat("█", n)+strings.Repeat("░", width-n), b.value)
 	}
 	return sb.String()
+}
+
+// labelColumn reports whether column col labels the rows rather than
+// measuring them: none of its cells is a number other than an integer. Text,
+// such as a model name, and integers only, such as a batch size, are
+// labels; a column of measured values is not, even where some of its cells
+// are "-".
+func (t *Table) labelColumn(col int) bool {
+	for _, row := range t.Rows {
+		cell := row[col]
+		if _, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64); err == nil {
+			if _, err := strconv.Atoi(cell); err != nil {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // DefaultChartColumn picks which column of a figure experiment to chart:

@@ -259,6 +259,37 @@ func TestChartRendering(t *testing.T) {
 	}
 }
 
+// A figure chart labels each bar with its row's label columns only. F6
+// charts UVM-opt, the column after No-UVM's measured throughput, and its
+// labels must be the model and the batch, never No-UVM's value.
+func TestFigureChartLabelsAreLabelColumns(t *testing.T) {
+	e, ok := Lookup("F6")
+	if !ok {
+		t.Fatal("experiment F6 missing")
+	}
+	tbl, err := e.Run(Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Header[:2]; got[0] != "Model" || got[1] != "Batch" {
+		t.Fatalf("F6 label columns are %q, want Model and Batch", got)
+	}
+	col := tbl.DefaultChartColumn()
+	lines := strings.Split(strings.TrimSuffix(tbl.Chart(col, 40), "\n"), "\n")
+	if len(lines) != len(tbl.Rows)+1 {
+		t.Fatalf("F6 chart has %d lines for %d rows:\n%s", len(lines), len(tbl.Rows), strings.Join(lines, "\n"))
+	}
+	width := 0
+	for _, row := range tbl.Rows {
+		width = max(width, len(row[0]+" "+row[1]))
+	}
+	for i, row := range tbl.Rows {
+		if want := fmt.Sprintf("  %-*s  ", width, row[0]+" "+row[1]); !strings.HasPrefix(lines[i+1], want) {
+			t.Errorf("F6 bar %d is %q, want it labelled %q", i, lines[i+1], want)
+		}
+	}
+}
+
 // Each quick figure charts its first measured column, not a label column
 // such as F5-F7's batch sizes, and the bars carry that column's values.
 func TestFiguresChartMeasuredColumn(t *testing.T) {

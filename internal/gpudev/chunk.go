@@ -1,10 +1,14 @@
 package gpudev
 
-import "fmt"
+import (
+	"fmt"
+
+	"uvmdiscard/internal/units"
+)
 
 // QueueKind identifies which of the driver's physical page queues a chunk is
 // on (§5.5).
-type QueueKind int
+type QueueKind uint8
 
 const (
 	// QueueNone means the chunk is not tracked by the device (never the
@@ -57,28 +61,29 @@ func (k QueueKind) String() string {
 // Chunk is one 2 MiB GPU physical page. Chunks are owned by a Device and
 // live on exactly one queue at all times.
 //
-// Queue links are int32 indices into the owning Device's chunk array
-// rather than pointers. The chunk pool is a single fixed-size slice, so an
-// index identifies a chunk as well as a pointer does — and moving a chunk
-// between queues then writes only plain integers, which keeps the GC's
-// write barrier entirely off the driver's hottest path (queue pushes and
-// LRU touches showed up as wbBufFlush time in the PR 9 CPU profile).
+// A chunk holds no pointer. Queue links are int32 indices into the owning
+// Device's chunk array, and the owner is an integer handle: the chunk pool
+// is a single fixed-size slice, so an index identifies a chunk as well as a
+// pointer does. Moving a chunk between queues or handing it to a new block
+// then writes only plain integers, which keeps the GC's write barrier off
+// the driver's hottest path, and the GC never scans a device's chunks.
 type Chunk struct {
-	id    int32
-	queue QueueKind
-	prev  int32 // index of previous chunk on the queue, or noChunk
-	next  int32 // index of next chunk on the queue, or noChunk
+	// Owner is an opaque handle the driver sets to name the virtual block
+	// currently mapped to this chunk; 0 means unowned. The device never
+	// interprets it; it exists so eviction can find the victim's virtual
+	// state without an O(n) search.
+	Owner uint64
 
-	// Owner is an opaque back-pointer set by the driver to the virtual
-	// block currently mapped to this chunk (nil when unowned). The device
-	// never interprets it; it exists so eviction can find the victim's
-	// virtual state without an O(n) search.
-	Owner any
+	id   int32
+	prev int32 // index of previous chunk on the queue, or noChunk
+	next int32 // index of next chunk on the queue, or noChunk
 
 	// PreparedPages counts how many of the chunk's 512 4 KiB pages have
 	// been zeroed or migrated into since allocation (§5.7). A chunk is
-	// "fully prepared" when PreparedPages == units.PagesPerBlock.
-	PreparedPages int
+	// "fully prepared" when PreparedPages == FullyPrepared.
+	PreparedPages uint16
+
+	queue QueueKind
 
 	// NeedsUnmapOnReclaim marks a lazily-discarded chunk whose GPU
 	// mappings still exist; reclaiming it must pay the unmap cost that
@@ -92,6 +97,10 @@ type Chunk struct {
 	// tests are a field load instead of a map probe.
 	DeviceBuffer bool
 }
+
+// FullyPrepared is the PreparedPages of a chunk whose every 4 KiB page has
+// been zeroed or migrated into.
+const FullyPrepared = uint16(units.PagesPerBlock)
 
 // noChunk is the nil value of a chunk-index link.
 const noChunk int32 = -1

@@ -180,7 +180,7 @@ func (d *Device) PushDiscarded(c *Chunk) { d.pushTo(&d.discarded, c, QueueDiscar
 // state cleared, reducing the device's usable capacity for the rest of the
 // run. The eviction process never consults this queue.
 func (d *Device) PushPoisoned(c *Chunk) {
-	c.Owner = nil
+	c.Owner = 0
 	c.PreparedPages = 0
 	c.NeedsUnmapOnReclaim = false
 	d.pushTo(&d.poisoned, c, QueuePoisoned)
@@ -189,7 +189,7 @@ func (d *Device) PushPoisoned(c *Chunk) {
 // PushFree returns a detached chunk to the free queue, clearing per-use
 // state: a freed chunk has no owner, no preparedness, no pending unmap.
 func (d *Device) PushFree(c *Chunk) {
-	c.Owner = nil
+	c.Owner = 0
 	c.PreparedPages = 0
 	c.NeedsUnmapOnReclaim = false
 	d.pushTo(&d.free, c, QueueFree)
@@ -305,6 +305,10 @@ func (d *Device) EachChunk(fn func(*Chunk) bool) {
 	}
 }
 
+// Chunk returns the chunk with the given id, which must be in range: the
+// driver's lookup of a block's chunk.
+func (d *Device) Chunk(id int) *Chunk { return &d.chunks[id] }
+
 // ChunkByID returns the chunk with the given id, or an error when the id is
 // out of range. It is the checkpoint-restore lookup: snapshot payloads name
 // chunks by id, and a corrupt snapshot must produce an error, not an
@@ -368,7 +372,7 @@ func (d *Device) RestoreQueues(free, unused, used, discarded, reserved, poisoned
 		c := &d.chunks[i]
 		c.queue = QueueNone
 		c.prev, c.next = noChunk, noChunk
-		c.Owner = nil
+		c.Owner = 0
 		c.PreparedPages = 0
 		c.NeedsUnmapOnReclaim = false
 		c.DeviceBuffer = false

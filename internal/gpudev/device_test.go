@@ -285,11 +285,11 @@ func TestUnusedFIFO(t *testing.T) {
 func TestPushFreeClearsState(t *testing.T) {
 	d := newTestDevice(t, 2, 0)
 	c := d.PopFree()
-	c.Owner = "block"
-	c.PreparedPages = units.PagesPerBlock
+	c.Owner = 7
+	c.PreparedPages = FullyPrepared
 	c.NeedsUnmapOnReclaim = true
 	d.PushFree(c)
-	if c.Owner != nil || c.PreparedPages != 0 || c.NeedsUnmapOnReclaim {
+	if c.Owner != 0 || c.PreparedPages != 0 || c.NeedsUnmapOnReclaim {
 		t.Error("PushFree did not clear chunk state")
 	}
 	if c.Queue() != QueueFree {
@@ -437,14 +437,14 @@ func TestA100Profile(t *testing.T) {
 func TestPoisonedQueueQuarantine(t *testing.T) {
 	d := newTestDevice(t, 8, 0)
 	c := d.PopFree()
-	c.Owner = "victim"
+	c.Owner = 9
 	c.PreparedPages = 3
 	c.NeedsUnmapOnReclaim = true
 	d.PushPoisoned(c)
 	if q := c.Queue(); q != QueuePoisoned {
 		t.Fatalf("queue = %v", q)
 	}
-	if c.Owner != nil || c.PreparedPages != 0 || c.NeedsUnmapOnReclaim {
+	if c.Owner != 0 || c.PreparedPages != 0 || c.NeedsUnmapOnReclaim {
 		t.Fatalf("per-use state survived quarantine: %+v", c)
 	}
 	if got := d.QueueLen(QueuePoisoned); got != 1 {

@@ -11,16 +11,19 @@ import (
 // monotonic as finished runs fold in.
 func TestMergeSumsCountersAndAdoptsGauges(t *testing.T) {
 	a, b := New(), New()
-	a.AddTransfer(H2D, CauseFault, 100)
-	b.AddTransfer(H2D, CauseFault, 23)
-	b.AddTransfer(D2H, CauseEviction, 7)
-	a.AddSaved(H2D, 11)
-	b.AddSaved(D2H, 5)
-	a.AddEviction(EvictLRU)
-	b.AddEviction(EvictLRU)
-	b.AddEviction(EvictDiscarded)
-	b.AddDiscard(3)
-	b.AddPoison(8, 2)
+	var ta, tb Tally
+	ta.AddTransfer(H2D, CauseFault, 100)
+	tb.AddTransfer(H2D, CauseFault, 23)
+	tb.AddTransfer(D2H, CauseEviction, 7)
+	ta.AddSaved(H2D, 11)
+	tb.AddSaved(D2H, 5)
+	ta.AddEviction(EvictLRU)
+	tb.AddEviction(EvictLRU)
+	tb.AddEviction(EvictDiscarded)
+	tb.AddDiscard(3)
+	tb.AddPoison(8, 2)
+	a.Fold(&ta)
+	b.Fold(&tb)
 	a.AddAPITime("discard", sim.Time(4))
 	b.AddAPITime("discard", sim.Time(6))
 	b.SetDeviceResidency(1, DeviceResidency{UsedBytes: 42, CapacityBytes: 100})

@@ -108,54 +108,75 @@ func (s EvictSource) String() string {
 	}
 }
 
+// counter indexes one of a Collector's (and a Tally's) counters. Merge,
+// Snapshot, Reset and Fold loop over them, and CounterState.fields maps each
+// to its field of the checkpoint image.
+type counter uint8
+
+const (
+	cSavedH2D  counter = iota // bytes of H2D transfer avoided by discard
+	cSavedD2H                 // bytes of D2H transfer avoided by discard
+	cPeerBytes                // GPU-to-GPU transfers (do not cross host DRAM)
+	cPeerOps
+	cPeerSaved // peer transfers avoided by discard
+	cFaultBatches
+	cFaultedBlocks
+	cZeroBlocks
+	cZeroPages
+	cUnmapBlocks
+	cMapBlocks
+	cDiscardCalls
+	cDiscardBlocks
+	cMigrateRetries // failed DMA/peer migration attempts that were retried
+	cUnmapRetries   // reissued unmap/TLB shootdowns
+	cFaultReplays   // replayed fault rounds after buffer overflow
+	cDegradedBlocks // migrations degraded to coherent host-pinned access
+	cDegradedBytes  // bytes served through the degradation path
+	cPoisonedChunks // chunks quarantined by ECC-style poison
+	cPoisonLost     // poisoned bytes with no valid host copy (data lost)
+	cPoisonSaved    // poisoned bytes recovered from a valid host copy
+	// cEvicts starts numEvictSources counters, one per eviction source.
+	cEvicts
+	// cBytes and cOps each start numTransfers counters: the bytes and the
+	// DMA operations of each direction and cause (transfer).
+	cBytes      = cEvicts + counter(numEvictSources)
+	cOps        = cBytes + numTransfers
+	numCounters = cOps + numTransfers
+)
+
+// numTransfers is the number of (direction, cause) pairs.
+const numTransfers = counter(numDirections) * counter(numCauses)
+
+// transfer returns the offset of (dir, cause) within the cBytes and cOps
+// families.
+func transfer(dir Direction, cause Cause) counter {
+	return counter(dir)*counter(numCauses) + counter(cause)
+}
+
 // Collector accumulates counters for one simulation run. The zero value is
 // ready to use.
 //
-// Ownership model (hot path): the counters are lock-free atomics. The
-// driver goroutine that owns a run is the only writer on the Add* paths,
-// so an add is a single uncontended atomic RMW — no mutex, no lock
-// acquisition in the driver loop. Concurrent readers (the service's
-// /metrics exporter snapshotting a live run, SSE progress reporters) load
-// the same atomics, so scraping a running collector stays race-free. Each
-// counter is individually exact and monotonic; a snapshot taken mid-add
-// may be skewed by the operation in flight, which monotonic counters
-// tolerate. Deterministic outputs only ever read a collector after its
-// run finished, where every view is exact.
+// Ownership model (hot path): the counters are lock-free atomics, and the
+// goroutine that owns a run is their only writer. Counts arrive in batches
+// (Fold of a Tally): the driver adds its per-block counts to a plain tally
+// that only it touches, and folds the tally in when it republishes the
+// residency gauges, before it aborts a run, and whenever its collector is
+// read through the driver (core.Driver.Metrics, PublishResidency), so the
+// per-block path pays no atomic read-modify-write.
+// Concurrent readers (the service's /metrics exporter snapshotting a live
+// run, SSE progress reporters) load the same atomics, so scraping a
+// running collector stays race-free; a live view lags the driver's own
+// counts by at most one publishing stride, as the residency gauges do.
+// Each counter is individually exact and monotonic; a snapshot taken
+// mid-fold may be skewed by the fold in flight, which monotonic counters
+// tolerate. Deterministic outputs only ever read a collector after its run
+// finished and its tally was folded, where every view is exact.
 //
 // The mutex below guards only the cold composite state declared after it:
 // the per-device residency gauges (republished at checkpoint stride, not
 // per-op) and the API-time map.
 type Collector struct {
-	bytes    [numDirections][numCauses]atomic.Uint64
-	ops      [numDirections][numCauses]atomic.Int64
-	evicts   [numEvictSources]atomic.Int64
-	savedH2D atomic.Uint64 // bytes of H2D transfer avoided by discard
-	savedD2H atomic.Uint64 // bytes of D2H transfer avoided by discard
-
-	peerBytes atomic.Uint64 // GPU-to-GPU transfers (do not cross host DRAM)
-	peerOps   atomic.Int64
-	peerSaved atomic.Uint64 // peer transfers avoided by discard
-
-	faultBatches  atomic.Int64
-	faultedBlocks atomic.Int64
-	zeroBlocks    atomic.Int64
-	zeroPages     atomic.Int64
-	unmapBlocks   atomic.Int64
-	mapBlocks     atomic.Int64
-	discardCalls  atomic.Int64
-	discardBlocks atomic.Int64
-
-	// Fault-recovery instrumentation (internal/faultinject): every injected
-	// failure the driver survives is visible here, so the chaos harness can
-	// prove none was silently dropped.
-	migrateRetries atomic.Int64  // failed DMA/peer migration attempts that were retried
-	unmapRetries   atomic.Int64  // reissued unmap/TLB shootdowns
-	faultReplays   atomic.Int64  // replayed fault rounds after buffer overflow
-	degradedBlocks atomic.Int64  // migrations degraded to coherent host-pinned access
-	degradedBytes  atomic.Uint64 // bytes served through the degradation path
-	poisonedChunks atomic.Int64  // chunks quarantined by ECC-style poison
-	poisonLost     atomic.Uint64 // poisoned bytes with no valid host copy (data lost)
-	poisonSaved    atomic.Uint64 // poisoned bytes recovered from a valid host copy
+	n [numCounters]atomic.Uint64
 
 	mu sync.Mutex
 
@@ -170,6 +191,105 @@ type Collector struct {
 	devResInline [1]DeviceResidency
 
 	apiTime map[string]sim.Time
+}
+
+// Tally is a plain, unsynchronized batch of counter additions, and the way
+// counts reach a Collector: the counting code adds to a tally and folds it
+// into the collector (Collector.Fold). The driver keeps one tally per run,
+// adds its per-block counts to it and folds it only now and then, so its
+// per-block path pays no atomic read-modify-write. A Tally belongs to one
+// goroutine.
+type Tally struct {
+	n [numCounters]uint64
+}
+
+// AddTransfer records a transfer of n bytes.
+func (t *Tally) AddTransfer(dir Direction, cause Cause, n uint64) {
+	k := transfer(dir, cause)
+	t.n[cBytes+k] += n
+	t.n[cOps+k]++
+}
+
+// AddSaved records n bytes of transfer avoided because the data was
+// discarded.
+func (t *Tally) AddSaved(dir Direction, n uint64) { t.n[savedCounter(dir)] += n }
+
+// AddPeer records a GPU-to-GPU transfer of n bytes over the peer fabric.
+func (t *Tally) AddPeer(n uint64) {
+	t.n[cPeerBytes] += n
+	t.n[cPeerOps]++
+}
+
+// AddPeerSaved records n bytes of peer transfer avoided by discard.
+func (t *Tally) AddPeerSaved(n uint64) { t.n[cPeerSaved] += n }
+
+// AddEviction records one chunk allocation satisfied from the given source.
+func (t *Tally) AddEviction(src EvictSource) { t.n[cEvicts+counter(src)]++ }
+
+// AddFaultBatch records one fault-service batch covering n blocks.
+func (t *Tally) AddFaultBatch(blocks int) {
+	t.n[cFaultBatches]++
+	t.n[cFaultedBlocks] += uint64(blocks)
+}
+
+// AddZeroFill records zero-fill work: whole blocks and loose 4 KiB pages.
+func (t *Tally) AddZeroFill(blocks, pages int) {
+	t.n[cZeroBlocks] += uint64(blocks)
+	t.n[cZeroPages] += uint64(pages)
+}
+
+// AddUnmap records PTE-destruction work on n blocks.
+func (t *Tally) AddUnmap(blocks int) { t.n[cUnmapBlocks] += uint64(blocks) }
+
+// AddMap records PTE-establishment work on n blocks.
+func (t *Tally) AddMap(blocks int) { t.n[cMapBlocks] += uint64(blocks) }
+
+// AddDiscard records one discard API call covering n blocks.
+func (t *Tally) AddDiscard(blocks int) {
+	t.n[cDiscardCalls]++
+	t.n[cDiscardBlocks] += uint64(blocks)
+}
+
+// AddMigrateRetry records one retried (or finally degraded) DMA or peer
+// migration attempt.
+func (t *Tally) AddMigrateRetry() { t.n[cMigrateRetries]++ }
+
+// AddUnmapRetry records one reissued unmap/TLB shootdown.
+func (t *Tally) AddUnmapRetry() { t.n[cUnmapRetries]++ }
+
+// AddFaultReplay records n replayed fault rounds.
+func (t *Tally) AddFaultReplay(rounds int) { t.n[cFaultReplays] += uint64(rounds) }
+
+// AddDegraded records one block migration degraded to host-pinned access.
+func (t *Tally) AddDegraded(bytes uint64) {
+	t.n[cDegradedBlocks]++
+	t.n[cDegradedBytes] += bytes
+}
+
+// AddPoison records one chunk quarantined by ECC-style poison.
+func (t *Tally) AddPoison(recovered, lost uint64) {
+	t.n[cPoisonedChunks]++
+	t.n[cPoisonSaved] += recovered
+	t.n[cPoisonLost] += lost
+}
+
+// Fold adds t's counts into c and empties t. Each counter takes one atomic
+// add, and only if t counted anything for it.
+func (c *Collector) Fold(t *Tally) {
+	for k, n := range t.n {
+		if n != 0 {
+			c.n[k].Add(n)
+		}
+	}
+	t.n = [numCounters]uint64{}
+}
+
+// savedCounter returns the counter of transfer bytes avoided in dir.
+func savedCounter(dir Direction) counter {
+	if dir == H2D {
+		return cSavedH2D
+	}
+	return cSavedD2H
 }
 
 // DeviceResidency is a point-in-time view of one simulated GPU's physical
@@ -192,133 +312,36 @@ func New() *Collector {
 	return &Collector{apiTime: make(map[string]sim.Time)}
 }
 
-// AddTransfer records a transfer of n bytes.
-func (c *Collector) AddTransfer(dir Direction, cause Cause, n uint64) {
-	c.bytes[dir][cause].Add(n)
-	c.ops[dir][cause].Add(1)
-}
-
-// AddSaved records n bytes of transfer avoided because the data was
-// discarded.
-func (c *Collector) AddSaved(dir Direction, n uint64) {
-	if dir == H2D {
-		c.savedH2D.Add(n)
-	} else {
-		c.savedD2H.Add(n)
-	}
-}
-
-// AddPeer records a GPU-to-GPU transfer of n bytes over the peer fabric.
-func (c *Collector) AddPeer(n uint64) {
-	c.peerBytes.Add(n)
-	c.peerOps.Add(1)
-}
-
-// AddPeerSaved records n bytes of peer transfer avoided by discard.
-func (c *Collector) AddPeerSaved(n uint64) {
-	c.peerSaved.Add(n)
-}
-
 // Peer returns (bytes, ops) of GPU-to-GPU traffic.
 func (c *Collector) Peer() (bytes uint64, ops int64) {
-	return c.peerBytes.Load(), c.peerOps.Load()
+	return c.n[cPeerBytes].Load(), c.load(cPeerOps)
 }
 
 // PeerSaved returns the peer-transfer bytes avoided by discard.
-func (c *Collector) PeerSaved() uint64 {
-	return c.peerSaved.Load()
-}
+func (c *Collector) PeerSaved() uint64 { return c.n[cPeerSaved].Load() }
 
-// AddEviction records one chunk allocation satisfied from the given source.
-func (c *Collector) AddEviction(src EvictSource) {
-	c.evicts[src].Add(1)
-}
-
-// AddFaultBatch records one fault-service batch covering n blocks.
-func (c *Collector) AddFaultBatch(blocks int) {
-	c.faultBatches.Add(1)
-	c.faultedBlocks.Add(int64(blocks))
-}
-
-// AddZeroFill records zero-fill work: whole blocks and loose 4 KiB pages.
-func (c *Collector) AddZeroFill(blocks, pages int) {
-	c.zeroBlocks.Add(int64(blocks))
-	c.zeroPages.Add(int64(pages))
-}
-
-// AddUnmap records PTE-destruction work on n blocks.
-func (c *Collector) AddUnmap(blocks int) {
-	c.unmapBlocks.Add(int64(blocks))
-}
-
-// AddMap records PTE-establishment work on n blocks.
-func (c *Collector) AddMap(blocks int) {
-	c.mapBlocks.Add(int64(blocks))
-}
-
-// AddDiscard records one discard API call covering n blocks.
-func (c *Collector) AddDiscard(blocks int) {
-	c.discardCalls.Add(1)
-	c.discardBlocks.Add(int64(blocks))
-}
-
-// AddMigrateRetry records one failed DMA or peer migration attempt that the
-// driver retried (or, once retries were exhausted, degraded).
-func (c *Collector) AddMigrateRetry() {
-	c.migrateRetries.Add(1)
-}
-
-// AddUnmapRetry records one reissued unmap/TLB shootdown.
-func (c *Collector) AddUnmapRetry() {
-	c.unmapRetries.Add(1)
-}
-
-// AddFaultReplay records n replayed fault rounds forced by a
-// replayable-fault-buffer overflow.
-func (c *Collector) AddFaultReplay(rounds int) {
-	c.faultReplays.Add(int64(rounds))
-}
-
-// AddDegraded records one block migration that fell back to coherent
-// host-pinned access after exhausting its retries.
-func (c *Collector) AddDegraded(bytes uint64) {
-	c.degradedBlocks.Add(1)
-	c.degradedBytes.Add(bytes)
-}
-
-// AddPoison records one chunk quarantined by ECC-style poison: recovered
-// bytes had a valid host copy, lost bytes did not.
-func (c *Collector) AddPoison(recovered, lost uint64) {
-	c.poisonedChunks.Add(1)
-	c.poisonSaved.Add(recovered)
-	c.poisonLost.Add(lost)
-}
+// load reads counter k as the signed count its accessor reports.
+func (c *Collector) load(k counter) int64 { return int64(c.n[k].Load()) }
 
 // MigrateRetries returns the number of retried migration attempts.
-func (c *Collector) MigrateRetries() int64 {
-	return c.migrateRetries.Load()
-}
+func (c *Collector) MigrateRetries() int64 { return c.load(cMigrateRetries) }
 
 // UnmapRetries returns the number of reissued unmap shootdowns.
-func (c *Collector) UnmapRetries() int64 {
-	return c.unmapRetries.Load()
-}
+func (c *Collector) UnmapRetries() int64 { return c.load(cUnmapRetries) }
 
 // FaultReplays returns the number of replayed fault rounds.
-func (c *Collector) FaultReplays() int64 {
-	return c.faultReplays.Load()
-}
+func (c *Collector) FaultReplays() int64 { return c.load(cFaultReplays) }
 
 // Degraded returns (blocks, bytes) that fell back to coherent host-pinned
 // access.
 func (c *Collector) Degraded() (blocks int64, bytes uint64) {
-	return c.degradedBlocks.Load(), c.degradedBytes.Load()
+	return c.load(cDegradedBlocks), c.n[cDegradedBytes].Load()
 }
 
 // Poisoned returns quarantined-chunk counts: recovered bytes had a valid
 // host copy, lost bytes did not.
 func (c *Collector) Poisoned() (chunks int64, recovered, lost uint64) {
-	return c.poisonedChunks.Load(), c.poisonSaved.Load(), c.poisonLost.Load()
+	return c.load(cPoisonedChunks), c.n[cPoisonSaved].Load(), c.n[cPoisonLost].Load()
 }
 
 // SetDeviceResidency records a point-in-time residency view for GPU gpu,
@@ -352,36 +375,9 @@ func (c *Collector) DeviceResidency() []DeviceResidency {
 // snapshotted first, so merging a live collector is safe.
 func (c *Collector) Merge(src *Collector) {
 	s := src.Snapshot()
-	for dir := Direction(0); dir < numDirections; dir++ {
-		for cause := Cause(0); cause < numCauses; cause++ {
-			c.bytes[dir][cause].Add(s.bytes[dir][cause].Load())
-			c.ops[dir][cause].Add(s.ops[dir][cause].Load())
-		}
+	for k := range c.n {
+		c.n[k].Add(s.n[k].Load())
 	}
-	for es := EvictSource(0); es < numEvictSources; es++ {
-		c.evicts[es].Add(s.evicts[es].Load())
-	}
-	c.savedH2D.Add(s.savedH2D.Load())
-	c.savedD2H.Add(s.savedD2H.Load())
-	c.peerBytes.Add(s.peerBytes.Load())
-	c.peerOps.Add(s.peerOps.Load())
-	c.peerSaved.Add(s.peerSaved.Load())
-	c.faultBatches.Add(s.faultBatches.Load())
-	c.faultedBlocks.Add(s.faultedBlocks.Load())
-	c.zeroBlocks.Add(s.zeroBlocks.Load())
-	c.zeroPages.Add(s.zeroPages.Load())
-	c.unmapBlocks.Add(s.unmapBlocks.Load())
-	c.mapBlocks.Add(s.mapBlocks.Load())
-	c.discardCalls.Add(s.discardCalls.Load())
-	c.discardBlocks.Add(s.discardBlocks.Load())
-	c.migrateRetries.Add(s.migrateRetries.Load())
-	c.unmapRetries.Add(s.unmapRetries.Load())
-	c.faultReplays.Add(s.faultReplays.Load())
-	c.degradedBlocks.Add(s.degradedBlocks.Load())
-	c.degradedBytes.Add(s.degradedBytes.Load())
-	c.poisonedChunks.Add(s.poisonedChunks.Load())
-	c.poisonLost.Add(s.poisonLost.Load())
-	c.poisonSaved.Add(s.poisonSaved.Load())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(s.devRes) > 0 {
@@ -407,19 +403,19 @@ func (c *Collector) AddAPITime(api string, t sim.Time) {
 
 // Bytes returns the bytes transferred in dir for cause.
 func (c *Collector) Bytes(dir Direction, cause Cause) uint64 {
-	return c.bytes[dir][cause].Load()
+	return c.n[cBytes+transfer(dir, cause)].Load()
 }
 
 // Ops returns the number of DMA operations in dir for cause.
 func (c *Collector) Ops(dir Direction, cause Cause) int64 {
-	return c.ops[dir][cause].Load()
+	return c.load(cOps + transfer(dir, cause))
 }
 
 // TotalBytes returns all interconnect traffic in one direction.
 func (c *Collector) TotalBytes(dir Direction) uint64 {
 	var t uint64
 	for cause := Cause(0); cause < numCauses; cause++ {
-		t += c.bytes[dir][cause].Load()
+		t += c.Bytes(dir, cause)
 	}
 	return t
 }
@@ -432,37 +428,33 @@ func (c *Collector) Traffic() uint64 {
 
 // Saved returns the bytes of transfer avoided by discard in each direction.
 func (c *Collector) Saved() (h2d, d2h uint64) {
-	return c.savedH2D.Load(), c.savedD2H.Load()
+	return c.n[cSavedH2D].Load(), c.n[cSavedD2H].Load()
 }
 
 // Evictions returns the count for one eviction source.
 func (c *Collector) Evictions(src EvictSource) int64 {
-	return c.evicts[src].Load()
+	return c.load(cEvicts + counter(src))
 }
 
 // FaultBatches returns (batches, totalFaultedBlocks).
 func (c *Collector) FaultBatches() (batches, blocks int64) {
-	return c.faultBatches.Load(), c.faultedBlocks.Load()
+	return c.load(cFaultBatches), c.load(cFaultedBlocks)
 }
 
 // ZeroFills returns (wholeBlocks, loosePages).
 func (c *Collector) ZeroFills() (blocks, pages int64) {
-	return c.zeroBlocks.Load(), c.zeroPages.Load()
+	return c.load(cZeroBlocks), c.load(cZeroPages)
 }
 
 // Unmaps returns the number of blocks whose PTEs were destroyed.
-func (c *Collector) Unmaps() int64 {
-	return c.unmapBlocks.Load()
-}
+func (c *Collector) Unmaps() int64 { return c.load(cUnmapBlocks) }
 
 // Maps returns the number of blocks whose PTEs were established.
-func (c *Collector) Maps() int64 {
-	return c.mapBlocks.Load()
-}
+func (c *Collector) Maps() int64 { return c.load(cMapBlocks) }
 
 // Discards returns (calls, blocksCovered).
 func (c *Collector) Discards() (calls, blocks int64) {
-	return c.discardCalls.Load(), c.discardBlocks.Load()
+	return c.load(cDiscardCalls), c.load(cDiscardBlocks)
 }
 
 // APITime returns accumulated host time for a named API.
@@ -474,36 +466,9 @@ func (c *Collector) APITime(api string) sim.Time {
 
 // Reset zeroes all counters.
 func (c *Collector) Reset() {
-	for dir := Direction(0); dir < numDirections; dir++ {
-		for cause := Cause(0); cause < numCauses; cause++ {
-			c.bytes[dir][cause].Store(0)
-			c.ops[dir][cause].Store(0)
-		}
+	for k := range c.n {
+		c.n[k].Store(0)
 	}
-	for es := EvictSource(0); es < numEvictSources; es++ {
-		c.evicts[es].Store(0)
-	}
-	c.savedH2D.Store(0)
-	c.savedD2H.Store(0)
-	c.peerBytes.Store(0)
-	c.peerOps.Store(0)
-	c.peerSaved.Store(0)
-	c.faultBatches.Store(0)
-	c.faultedBlocks.Store(0)
-	c.zeroBlocks.Store(0)
-	c.zeroPages.Store(0)
-	c.unmapBlocks.Store(0)
-	c.mapBlocks.Store(0)
-	c.discardCalls.Store(0)
-	c.discardBlocks.Store(0)
-	c.migrateRetries.Store(0)
-	c.unmapRetries.Store(0)
-	c.faultReplays.Store(0)
-	c.degradedBlocks.Store(0)
-	c.degradedBytes.Store(0)
-	c.poisonedChunks.Store(0)
-	c.poisonLost.Store(0)
-	c.poisonSaved.Store(0)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.devRes = nil
@@ -517,36 +482,9 @@ func (c *Collector) Reset() {
 // whose run has finished is exact.
 func (c *Collector) Snapshot() *Collector {
 	s := &Collector{}
-	for dir := Direction(0); dir < numDirections; dir++ {
-		for cause := Cause(0); cause < numCauses; cause++ {
-			s.bytes[dir][cause].Store(c.bytes[dir][cause].Load())
-			s.ops[dir][cause].Store(c.ops[dir][cause].Load())
-		}
+	for k := range c.n {
+		s.n[k].Store(c.n[k].Load())
 	}
-	for es := EvictSource(0); es < numEvictSources; es++ {
-		s.evicts[es].Store(c.evicts[es].Load())
-	}
-	s.savedH2D.Store(c.savedH2D.Load())
-	s.savedD2H.Store(c.savedD2H.Load())
-	s.peerBytes.Store(c.peerBytes.Load())
-	s.peerOps.Store(c.peerOps.Load())
-	s.peerSaved.Store(c.peerSaved.Load())
-	s.faultBatches.Store(c.faultBatches.Load())
-	s.faultedBlocks.Store(c.faultedBlocks.Load())
-	s.zeroBlocks.Store(c.zeroBlocks.Load())
-	s.zeroPages.Store(c.zeroPages.Load())
-	s.unmapBlocks.Store(c.unmapBlocks.Load())
-	s.mapBlocks.Store(c.mapBlocks.Load())
-	s.discardCalls.Store(c.discardCalls.Load())
-	s.discardBlocks.Store(c.discardBlocks.Load())
-	s.migrateRetries.Store(c.migrateRetries.Load())
-	s.unmapRetries.Store(c.unmapRetries.Load())
-	s.faultReplays.Store(c.faultReplays.Load())
-	s.degradedBlocks.Store(c.degradedBlocks.Load())
-	s.degradedBytes.Store(c.degradedBytes.Load())
-	s.poisonedChunks.Store(c.poisonedChunks.Load())
-	s.poisonLost.Store(c.poisonLost.Load())
-	s.poisonSaved.Store(c.poisonSaved.Load())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s.devRes = append([]DeviceResidency(nil), c.devRes...)
@@ -565,40 +503,44 @@ func (c *Collector) Summary() string {
 		units.GB(c.TotalBytes(H2D)), units.GB(c.TotalBytes(D2H)))
 	for dir := Direction(0); dir < numDirections; dir++ {
 		for cause := Cause(0); cause < numCauses; cause++ {
-			n := c.bytes[dir][cause].Load()
+			n := c.Bytes(dir, cause)
 			if n == 0 {
 				continue
 			}
 			fmt.Fprintf(&b, "  %s/%s: %.2f GB in %d ops\n",
-				dir, cause, units.GB(n), c.ops[dir][cause].Load())
+				dir, cause, units.GB(n), c.Ops(dir, cause))
 		}
 	}
+	savedH2D, savedD2H := c.Saved()
 	fmt.Fprintf(&b, "saved by discard: H2D %.2f GB, D2H %.2f GB\n",
-		units.GB(c.savedH2D.Load()), units.GB(c.savedD2H.Load()))
-	if c.peerBytes.Load() > 0 || c.peerSaved.Load() > 0 {
+		units.GB(savedH2D), units.GB(savedD2H))
+	if peerBytes, peerOps := c.Peer(); peerBytes > 0 || c.PeerSaved() > 0 {
 		fmt.Fprintf(&b, "peer (GPU-GPU): %.2f GB in %d ops; saved by discard %.2f GB\n",
-			units.GB(c.peerBytes.Load()), c.peerOps.Load(), units.GB(c.peerSaved.Load()))
+			units.GB(peerBytes), peerOps, units.GB(c.PeerSaved()))
 	}
 	fmt.Fprintf(&b, "evictions: free %d, unused %d, discarded %d, lru %d\n",
-		c.evicts[EvictFree].Load(), c.evicts[EvictUnused].Load(),
-		c.evicts[EvictDiscarded].Load(), c.evicts[EvictLRU].Load())
+		c.Evictions(EvictFree), c.Evictions(EvictUnused),
+		c.Evictions(EvictDiscarded), c.Evictions(EvictLRU))
+	faultBatches, faultedBlocks := c.FaultBatches()
+	zeroBlocks, zeroPages := c.ZeroFills()
 	fmt.Fprintf(&b, "faults: %d batches, %d blocks; zero-fill: %d blocks + %d pages\n",
-		c.faultBatches.Load(), c.faultedBlocks.Load(), c.zeroBlocks.Load(), c.zeroPages.Load())
+		faultBatches, faultedBlocks, zeroBlocks, zeroPages)
+	discardCalls, discardBlocks := c.Discards()
 	fmt.Fprintf(&b, "PTE ops: %d unmapped, %d mapped; discards: %d calls over %d blocks\n",
-		c.unmapBlocks.Load(), c.mapBlocks.Load(), c.discardCalls.Load(), c.discardBlocks.Load())
+		c.Unmaps(), c.Maps(), discardCalls, discardBlocks)
 	// Resilience lines appear only when fault injection actually fired, so
 	// fault-free runs render byte-identical summaries to earlier versions.
-	if c.migrateRetries.Load() > 0 || c.unmapRetries.Load() > 0 || c.faultReplays.Load() > 0 {
+	if c.MigrateRetries() > 0 || c.UnmapRetries() > 0 || c.FaultReplays() > 0 {
 		fmt.Fprintf(&b, "fault recovery: %d migrate retries, %d unmap reissues, %d replayed fault rounds\n",
-			c.migrateRetries.Load(), c.unmapRetries.Load(), c.faultReplays.Load())
+			c.MigrateRetries(), c.UnmapRetries(), c.FaultReplays())
 	}
-	if c.degradedBlocks.Load() > 0 {
+	if blocks, bytes := c.Degraded(); blocks > 0 {
 		fmt.Fprintf(&b, "degraded to host-pinned: %d transfers, %.2f GB\n",
-			c.degradedBlocks.Load(), units.GB(c.degradedBytes.Load()))
+			blocks, units.GB(bytes))
 	}
-	if c.poisonedChunks.Load() > 0 {
+	if chunks, recovered, lost := c.Poisoned(); chunks > 0 {
 		fmt.Fprintf(&b, "poisoned chunks: %d quarantined (%.2f GB recovered from host, %.2f GB lost)\n",
-			c.poisonedChunks.Load(), units.GB(c.poisonSaved.Load()), units.GB(c.poisonLost.Load()))
+			chunks, units.GB(recovered), units.GB(lost))
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -10,10 +10,12 @@ import (
 
 func TestTransfersAndTotals(t *testing.T) {
 	c := New()
-	c.AddTransfer(H2D, CauseFault, 100)
-	c.AddTransfer(H2D, CausePrefetch, 200)
-	c.AddTransfer(D2H, CauseEviction, 300)
-	c.AddTransfer(D2H, CauseMemcpy, 50)
+	var tl Tally
+	tl.AddTransfer(H2D, CauseFault, 100)
+	tl.AddTransfer(H2D, CausePrefetch, 200)
+	tl.AddTransfer(D2H, CauseEviction, 300)
+	tl.AddTransfer(D2H, CauseMemcpy, 50)
+	c.Fold(&tl)
 
 	if c.Bytes(H2D, CauseFault) != 100 {
 		t.Errorf("fault bytes = %d", c.Bytes(H2D, CauseFault))
@@ -34,9 +36,11 @@ func TestTransfersAndTotals(t *testing.T) {
 
 func TestSaved(t *testing.T) {
 	c := New()
-	c.AddSaved(H2D, 10)
-	c.AddSaved(D2H, 20)
-	c.AddSaved(D2H, 5)
+	var tl Tally
+	tl.AddSaved(H2D, 10)
+	tl.AddSaved(D2H, 20)
+	tl.AddSaved(D2H, 5)
+	c.Fold(&tl)
 	h, d := c.Saved()
 	if h != 10 || d != 25 {
 		t.Errorf("saved = %d/%d", h, d)
@@ -45,10 +49,12 @@ func TestSaved(t *testing.T) {
 
 func TestEvictionCounters(t *testing.T) {
 	c := New()
-	c.AddEviction(EvictFree)
-	c.AddEviction(EvictDiscarded)
-	c.AddEviction(EvictDiscarded)
-	c.AddEviction(EvictLRU)
+	var tl Tally
+	tl.AddEviction(EvictFree)
+	tl.AddEviction(EvictDiscarded)
+	tl.AddEviction(EvictDiscarded)
+	tl.AddEviction(EvictLRU)
+	c.Fold(&tl)
 	if c.Evictions(EvictFree) != 1 || c.Evictions(EvictDiscarded) != 2 ||
 		c.Evictions(EvictLRU) != 1 || c.Evictions(EvictUnused) != 0 {
 		t.Error("eviction counters wrong")
@@ -57,23 +63,28 @@ func TestEvictionCounters(t *testing.T) {
 
 func TestFaultZeroMapCounters(t *testing.T) {
 	c := New()
-	c.AddFaultBatch(3)
-	c.AddFaultBatch(2)
+	var tl Tally
+	tl.AddFaultBatch(3)
+	tl.AddFaultBatch(2)
+	c.Fold(&tl)
 	batches, blocks := c.FaultBatches()
 	if batches != 2 || blocks != 5 {
 		t.Errorf("faults = %d/%d", batches, blocks)
 	}
-	c.AddZeroFill(2, 10)
+	tl.AddZeroFill(2, 10)
+	c.Fold(&tl)
 	zb, zp := c.ZeroFills()
 	if zb != 2 || zp != 10 {
 		t.Errorf("zeros = %d/%d", zb, zp)
 	}
-	c.AddUnmap(4)
-	c.AddMap(7)
+	tl.AddUnmap(4)
+	tl.AddMap(7)
+	c.Fold(&tl)
 	if c.Unmaps() != 4 || c.Maps() != 7 {
 		t.Error("map counters wrong")
 	}
-	c.AddDiscard(16)
+	tl.AddDiscard(16)
+	c.Fold(&tl)
 	calls, covered := c.Discards()
 	if calls != 1 || covered != 16 {
 		t.Errorf("discards = %d/%d", calls, covered)
@@ -95,7 +106,9 @@ func TestAPITime(t *testing.T) {
 func TestZeroValueCollectorUsable(t *testing.T) {
 	var c Collector
 	c.AddAPITime("x", 1) // must not panic on nil map
-	c.AddTransfer(H2D, CauseFault, 1)
+	var tl Tally
+	tl.AddTransfer(H2D, CauseFault, 1)
+	c.Fold(&tl)
 	if c.Traffic() != 1 {
 		t.Error("zero-value collector broken")
 	}
@@ -103,8 +116,10 @@ func TestZeroValueCollectorUsable(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	c := New()
-	c.AddTransfer(H2D, CauseFault, 100)
-	c.AddEviction(EvictLRU)
+	var tl Tally
+	tl.AddTransfer(H2D, CauseFault, 100)
+	tl.AddEviction(EvictLRU)
+	c.Fold(&tl)
 	c.AddAPITime("x", 5)
 	c.Reset()
 	if c.Traffic() != 0 || c.Evictions(EvictLRU) != 0 || c.APITime("x") != 0 {
@@ -133,9 +148,11 @@ func TestStringers(t *testing.T) {
 
 func TestSummaryMentionsKeyFields(t *testing.T) {
 	c := New()
-	c.AddTransfer(H2D, CausePrefetch, 1_000_000_000)
-	c.AddSaved(D2H, 2_000_000_000)
-	c.AddEviction(EvictDiscarded)
+	var tl Tally
+	tl.AddTransfer(H2D, CausePrefetch, 1_000_000_000)
+	tl.AddSaved(D2H, 2_000_000_000)
+	tl.AddEviction(EvictDiscarded)
+	c.Fold(&tl)
 	c.AddAPITime("UvmDiscard", sim.Micros(4))
 	s := c.Summary()
 	for _, want := range []string{"traffic", "H2D/prefetch", "saved by discard", "discarded 1", "UvmDiscard"} {
@@ -145,9 +162,9 @@ func TestSummaryMentionsKeyFields(t *testing.T) {
 	}
 }
 
-// The collector must tolerate concurrent writers and readers: the parallel
-// experiment runner snapshots collectors for live progress while the owning
-// run is still adding to them. The race detector is the real assertion here.
+// The collector must tolerate concurrent writers and readers: a service's
+// /metrics exporter snapshots a run's collector while the run is still
+// folding its counts in. The race detector is the real assertion here.
 func TestCollectorConcurrentAccess(t *testing.T) {
 	c := New()
 	var wg sync.WaitGroup
@@ -155,10 +172,12 @@ func TestCollectorConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var tl Tally
 			for i := 0; i < 500; i++ {
-				c.AddTransfer(H2D, CauseFault, 10)
-				c.AddSaved(D2H, 5)
-				c.AddEviction(EvictLRU)
+				tl.AddTransfer(H2D, CauseFault, 10)
+				tl.AddSaved(D2H, 5)
+				tl.AddEviction(EvictLRU)
+				c.Fold(&tl)
 				c.AddAPITime("api", sim.Micros(1))
 			}
 		}(w)
@@ -180,10 +199,13 @@ func TestCollectorConcurrentAccess(t *testing.T) {
 // Snapshot is a detached, consistent copy.
 func TestCollectorSnapshotDetached(t *testing.T) {
 	c := New()
-	c.AddTransfer(D2H, CauseEviction, 100)
+	var tl Tally
+	tl.AddTransfer(D2H, CauseEviction, 100)
+	c.Fold(&tl)
 	c.AddAPITime("x", sim.Micros(2))
 	s := c.Snapshot()
-	c.AddTransfer(D2H, CauseEviction, 900)
+	tl.AddTransfer(D2H, CauseEviction, 900)
+	c.Fold(&tl)
 	c.AddAPITime("x", sim.Micros(8))
 	if got := s.Bytes(D2H, CauseEviction); got != 100 {
 		t.Errorf("snapshot bytes = %d, want 100", got)

@@ -44,41 +44,47 @@ type CounterState struct {
 	APITime map[string]sim.Time `json:"api_time,omitempty"`
 }
 
+// fields returns pointers to s's counter fields, indexed by counter: the
+// one place the image's names meet the counter list. Each is a *uint64 or
+// an *int64.
+func (s *CounterState) fields() [numCounters]any {
+	f := [numCounters]any{
+		cSavedH2D: &s.SavedH2D, cSavedD2H: &s.SavedD2H,
+		cPeerBytes: &s.PeerBytes, cPeerOps: &s.PeerOps, cPeerSaved: &s.PeerSaved,
+		cFaultBatches: &s.FaultBatches, cFaultedBlocks: &s.FaultedBlocks,
+		cZeroBlocks: &s.ZeroBlocks, cZeroPages: &s.ZeroPages,
+		cUnmapBlocks: &s.UnmapBlocks, cMapBlocks: &s.MapBlocks,
+		cDiscardCalls: &s.DiscardCalls, cDiscardBlocks: &s.DiscardBlocks,
+		cMigrateRetries: &s.MigrateRetries, cUnmapRetries: &s.UnmapRetries,
+		cFaultReplays:   &s.FaultReplays,
+		cDegradedBlocks: &s.DegradedBlocks, cDegradedBytes: &s.DegradedBytes,
+		cPoisonedChunks: &s.PoisonedChunks, cPoisonLost: &s.PoisonLost, cPoisonSaved: &s.PoisonSaved,
+	}
+	for src := range s.Evicts {
+		f[cEvicts+counter(src)] = &s.Evicts[src]
+	}
+	for dir := Direction(0); dir < numDirections; dir++ {
+		for cause := Cause(0); cause < numCauses; cause++ {
+			f[cBytes+transfer(dir, cause)] = &s.Bytes[dir][cause]
+			f[cOps+transfer(dir, cause)] = &s.Ops[dir][cause]
+		}
+	}
+	return f
+}
+
 // State captures every counter into a CounterState. Like Snapshot, each
 // counter is read atomically; a state captured after the owning run has
 // quiesced (the only point checkpoints are taken) is exact.
 func (c *Collector) State() CounterState {
 	var s CounterState
-	for dir := Direction(0); dir < numDirections; dir++ {
-		for cause := Cause(0); cause < numCauses; cause++ {
-			s.Bytes[dir][cause] = c.bytes[dir][cause].Load()
-			s.Ops[dir][cause] = c.ops[dir][cause].Load()
+	for k, f := range s.fields() {
+		switch p := f.(type) {
+		case *uint64:
+			*p = c.n[k].Load()
+		case *int64:
+			*p = int64(c.n[k].Load())
 		}
 	}
-	for es := EvictSource(0); es < numEvictSources; es++ {
-		s.Evicts[es] = c.evicts[es].Load()
-	}
-	s.SavedH2D = c.savedH2D.Load()
-	s.SavedD2H = c.savedD2H.Load()
-	s.PeerBytes = c.peerBytes.Load()
-	s.PeerOps = c.peerOps.Load()
-	s.PeerSaved = c.peerSaved.Load()
-	s.FaultBatches = c.faultBatches.Load()
-	s.FaultedBlocks = c.faultedBlocks.Load()
-	s.ZeroBlocks = c.zeroBlocks.Load()
-	s.ZeroPages = c.zeroPages.Load()
-	s.UnmapBlocks = c.unmapBlocks.Load()
-	s.MapBlocks = c.mapBlocks.Load()
-	s.DiscardCalls = c.discardCalls.Load()
-	s.DiscardBlocks = c.discardBlocks.Load()
-	s.MigrateRetries = c.migrateRetries.Load()
-	s.UnmapRetries = c.unmapRetries.Load()
-	s.FaultReplays = c.faultReplays.Load()
-	s.DegradedBlocks = c.degradedBlocks.Load()
-	s.DegradedBytes = c.degradedBytes.Load()
-	s.PoisonedChunks = c.poisonedChunks.Load()
-	s.PoisonLost = c.poisonLost.Load()
-	s.PoisonSaved = c.poisonSaved.Load()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.apiTime) > 0 {
@@ -94,36 +100,14 @@ func (c *Collector) State() CounterState {
 // Reset then AddState leaves the collector carrying exactly the snapshot's
 // counters; AddState alone folds a snapshot into a cumulative collector.
 func (c *Collector) AddState(s CounterState) {
-	for dir := Direction(0); dir < numDirections; dir++ {
-		for cause := Cause(0); cause < numCauses; cause++ {
-			c.bytes[dir][cause].Add(s.Bytes[dir][cause])
-			c.ops[dir][cause].Add(s.Ops[dir][cause])
+	for k, f := range s.fields() {
+		switch p := f.(type) {
+		case *uint64:
+			c.n[k].Add(*p)
+		case *int64:
+			c.n[k].Add(uint64(*p))
 		}
 	}
-	for es := EvictSource(0); es < numEvictSources; es++ {
-		c.evicts[es].Add(s.Evicts[es])
-	}
-	c.savedH2D.Add(s.SavedH2D)
-	c.savedD2H.Add(s.SavedD2H)
-	c.peerBytes.Add(s.PeerBytes)
-	c.peerOps.Add(s.PeerOps)
-	c.peerSaved.Add(s.PeerSaved)
-	c.faultBatches.Add(s.FaultBatches)
-	c.faultedBlocks.Add(s.FaultedBlocks)
-	c.zeroBlocks.Add(s.ZeroBlocks)
-	c.zeroPages.Add(s.ZeroPages)
-	c.unmapBlocks.Add(s.UnmapBlocks)
-	c.mapBlocks.Add(s.MapBlocks)
-	c.discardCalls.Add(s.DiscardCalls)
-	c.discardBlocks.Add(s.DiscardBlocks)
-	c.migrateRetries.Add(s.MigrateRetries)
-	c.unmapRetries.Add(s.UnmapRetries)
-	c.faultReplays.Add(s.FaultReplays)
-	c.degradedBlocks.Add(s.DegradedBlocks)
-	c.degradedBytes.Add(s.DegradedBytes)
-	c.poisonedChunks.Add(s.PoisonedChunks)
-	c.poisonLost.Add(s.PoisonLost)
-	c.poisonSaved.Add(s.PoisonSaved)
 	if len(s.APITime) > 0 {
 		c.mu.Lock()
 		defer c.mu.Unlock()

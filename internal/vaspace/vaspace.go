@@ -12,14 +12,14 @@ package vaspace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
-	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/units"
 )
 
 // Residency says where a block's authoritative data currently lives.
-type Residency int
+type Residency uint8
 
 const (
 	// Untouched blocks have never been populated anywhere; first touch
@@ -29,7 +29,7 @@ const (
 	Untouched Residency = iota
 	// CPUResident blocks live in host DRAM.
 	CPUResident
-	// GPUResident blocks live in a GPU chunk (Block.Chunk is non-nil).
+	// GPUResident blocks live in a GPU chunk (Block.HasChunk).
 	GPUResident
 )
 
@@ -49,7 +49,7 @@ func (r Residency) String() string {
 
 // Preference pins a block's home location (the cudaMemAdvise
 // SetPreferredLocation hint).
-type Preference int
+type Preference uint8
 
 const (
 	// PreferNone lets the fault-driven policy place the block.
@@ -78,19 +78,44 @@ func (p Preference) String() string {
 
 // Block is one 2 MiB-aligned virtual block of an allocation — the
 // granularity at which the driver migrates, discards, and evicts (§5.4).
+//
+// A block holds no pointer: its allocation is an id (Space.ByID resolves
+// it) and its chunk an index on its GPU's device. An allocation's block
+// array is then plain data the GC never scans, and the driver's per-block
+// updates pay no write barrier.
 type Block struct {
-	// Alloc is the owning allocation.
-	Alloc *Alloc
+	// Alloc is the owning allocation's id.
+	Alloc int32
 	// Index is the block's position within the allocation.
-	Index int
+	Index int32
+
+	// chunk is one more than the id of the GPU chunk holding the block's
+	// data on GPU GPUIndex, or 0 when it holds none (see Chunk).
+	chunk int32
+	// GPUIndex identifies which GPU holds the chunk (multi-GPU systems);
+	// meaningful only while GPUResident.
+	GPUIndex int32
+
+	// RemoteAccesses counts GPU accesses served remotely over a coherent
+	// interconnect since the block last became CPU-resident; the driver's
+	// access-counter policy migrates the block once it crosses a
+	// threshold (§2.3).
+	RemoteAccesses int32
+
+	// bytes is the block's size (Bytes).
+	bytes uint32
+
+	// LivePages, when non-zero, records that a *partial* discard (the
+	// §5.4 ablation) left this many 4 KiB pages of live data in the
+	// block; migrating the block then moves only the live pages but at
+	// 4 KiB DMA granularity, which is far slower per byte.
+	LivePages int16
 
 	// Residency is where the data lives now.
 	Residency Residency
-	// Chunk is the GPU physical chunk when GPUResident, else nil.
-	Chunk *gpudev.Chunk
-	// GPUIndex identifies which GPU holds Chunk (multi-GPU systems);
-	// meaningful only while GPUResident.
-	GPUIndex int
+	// Preferred is the SetPreferredLocation hint for this block.
+	Preferred Preference
+
 	// CPUHasPages reports that host physical pages exist for this block
 	// (counted against host DRAM). They may be the live copy (CPUResident)
 	// or a pinned stale copy kept while the block is GPU-mapped.
@@ -118,8 +143,6 @@ type Block struct {
 	// (§5.2). Meaningful only while Discarded.
 	LazyDiscard bool
 
-	// Preferred is the SetPreferredLocation hint for this block.
-	Preferred Preference
 	// ReadMostly is the SetReadMostly hint: the block may be *duplicated*
 	// read-only on both processors so reads are local everywhere. The
 	// block is currently duplicated when it is GPUResident with
@@ -132,35 +155,30 @@ type Block struct {
 	// succeeds, faulting GPU accesses are served over the interconnect at
 	// coherent host-pinned cost instead of re-attempting the migration.
 	Degraded bool
-
-	// RemoteAccesses counts GPU accesses served remotely over a coherent
-	// interconnect since the block last became CPU-resident; the driver's
-	// access-counter policy migrates the block once it crosses a
-	// threshold (§2.3).
-	RemoteAccesses int
-
-	// LivePages, when non-zero, records that a *partial* discard (the
-	// §5.4 ablation) left this many 4 KiB pages of live data in the
-	// block; migrating the block then moves only the live pages but at
-	// 4 KiB DMA granularity, which is far slower per byte.
-	LivePages int
 }
 
 // Bytes returns the block's size: BlockSize except possibly for the final
 // block of an unaligned allocation, which covers only the remainder.
-func (b *Block) Bytes() units.Size {
-	off := units.Size(b.Index) * units.BlockSize
-	rem := b.Alloc.size - off
-	if rem > units.BlockSize {
-		return units.BlockSize
-	}
-	return rem
+func (b *Block) Bytes() units.Size { return units.Size(b.bytes) }
+
+// Chunk returns the id of the chunk holding the block's data on GPU
+// GPUIndex, and whether the block holds one.
+func (b *Block) Chunk() (id int, ok bool) { return int(b.chunk) - 1, b.chunk != 0 }
+
+// HasChunk reports whether the block holds a GPU chunk.
+func (b *Block) HasChunk() bool { return b.chunk != 0 }
+
+// SetChunk records that chunk id of GPU gpu holds the block's data. The
+// chunk and its GPU are always set together: a chunk id names a chunk only
+// on its own device.
+func (b *Block) SetChunk(gpu, id int) {
+	b.chunk = int32(id) + 1
+	b.GPUIndex = int32(gpu)
 }
 
-// VA returns the block's starting virtual address.
-func (b *Block) VA() uint64 {
-	return b.Alloc.base + uint64(b.Index)*uint64(units.BlockSize)
-}
+// ClearChunk records that the block holds no GPU chunk. GPUIndex keeps its
+// last value.
+func (b *Block) ClearChunk() { b.chunk = 0 }
 
 // Alloc is one unified-memory allocation (cudaMallocManaged result).
 type Alloc struct {
@@ -169,7 +187,6 @@ type Alloc struct {
 	base   uint64
 	size   units.Size
 	blocks []Block
-	space  *Space
 	freed  bool
 
 	backing []byte // lazily allocated functional payload
@@ -280,17 +297,15 @@ func (a *Alloc) ZeroBlockData(idx int) {
 		return
 	}
 	start := units.Size(idx) * units.BlockSize
-	end := start + a.blocks[idx].Bytes()
-	for i := start; i < end; i++ {
-		a.backing[i] = 0
-	}
+	clear(a.backing[start : start+a.blocks[idx].Bytes()])
 }
 
 // Space is a unified virtual address space: an ordered set of allocations.
 type Space struct {
-	nextVA  uint64
-	nextID  int
-	allocs  map[int]*Alloc
+	nextVA uint64
+	// byID holds every allocation ever made at its id (ids count up from
+	// 0), nil once freed: Block.Alloc resolves in one index.
+	byID    []*Alloc
 	ordered []*Alloc
 }
 
@@ -301,7 +316,7 @@ func NewSpace() *Space {
 	// Alloc calls don't grow the map and ordered list step by step.
 	return &Space{
 		nextVA:  uint64(units.BlockSize),
-		allocs:  make(map[int]*Alloc, 8),
+		byID:    make([]*Alloc, 0, 8),
 		ordered: make([]*Alloc, 0, 8),
 	}
 }
@@ -312,21 +327,24 @@ func (s *Space) Alloc(name string, size units.Size) (*Alloc, error) {
 		return nil, fmt.Errorf("vaspace: zero-size allocation %q", name)
 	}
 	n := units.BlocksIn(size)
+	if n > math.MaxInt32 || len(s.byID) == math.MaxInt32 {
+		return nil, fmt.Errorf("vaspace: allocation %q of %d blocks overflows the block table", name, n)
+	}
 	a := &Alloc{
-		id:     s.nextID,
+		id:     len(s.byID),
 		name:   name,
 		base:   s.nextVA,
 		size:   size,
 		blocks: make([]Block, n),
-		space:  s,
 	}
 	for i := range a.blocks {
-		a.blocks[i].Alloc = a
-		a.blocks[i].Index = i
+		b := &a.blocks[i]
+		b.Alloc = int32(a.id)
+		b.Index = int32(i)
+		b.bytes = uint32(min(size-units.Size(i)*units.BlockSize, units.BlockSize))
 	}
-	s.nextID++
 	s.nextVA += uint64(units.AlignUp(size, units.BlockSize))
-	s.allocs[a.id] = a
+	s.byID = append(s.byID, a)
 	s.ordered = append(s.ordered, a)
 	return a, nil
 }
@@ -338,7 +356,7 @@ func (s *Space) Free(a *Alloc) error {
 		return fmt.Errorf("vaspace: double free of %s", a.name)
 	}
 	a.freed = true
-	delete(s.allocs, a.id)
+	s.byID[a.id] = nil
 	for i, x := range s.ordered {
 		if x == a {
 			s.ordered = append(s.ordered[:i], s.ordered[i+1:]...)
@@ -364,7 +382,15 @@ func (s *Space) Lookup(va uint64) *Alloc {
 }
 
 // ByID returns the live allocation with the given id, or nil.
-func (s *Space) ByID(id int) *Alloc { return s.allocs[id] }
+func (s *Space) ByID(id int) *Alloc {
+	if id < 0 || id >= len(s.byID) {
+		return nil
+	}
+	return s.byID[id]
+}
+
+// AllocOf returns the live allocation that owns b.
+func (s *Space) AllocOf(b *Block) *Alloc { return s.byID[b.Alloc] }
 
 // Live returns all live allocations in allocation order.
 func (s *Space) Live() []*Alloc {

@@ -29,8 +29,8 @@ func TestAllocBasics(t *testing.T) {
 	if a.Block(0).Bytes() != units.BlockSize {
 		t.Errorf("full block bytes = %d", a.Block(0).Bytes())
 	}
-	if a.Block(1).VA() != a.Base()+uint64(units.BlockSize) {
-		t.Error("block VA wrong")
+	if b := a.Block(1); b.Index != 1 || s.AllocOf(b) != a {
+		t.Errorf("block 1 has index %d and alloc id %d, want 1 and %d", b.Index, b.Alloc, a.ID())
 	}
 }
 
@@ -279,7 +279,7 @@ func TestResidencyString(t *testing.T) {
 func idxOf(bs []*Block) []int {
 	out := make([]int, len(bs))
 	for i, b := range bs {
-		out[i] = b.Index
+		out[i] = int(b.Index)
 	}
 	return out
 }

@@ -92,13 +92,13 @@ func Run(p Platform, sys System, s Stepper, env *checkpoint.Env) (res Result, er
 	}
 	if first == 0 {
 		if err := s.Setup(ctx, p, sys); err != nil {
-			return Result{}, err
+			return Result{}, failed(ctx, err)
 		}
 		start = ctx.Elapsed()
 	}
 	for i, n := first, s.Steps(); i < n; i++ {
 		if err := s.Step(i); err != nil {
-			return Result{}, err
+			return Result{}, failed(ctx, err)
 		}
 		if env != nil {
 			env.Stats.StepsExecuted++
@@ -109,6 +109,15 @@ func Run(p Platform, sys System, s Stepper, env *checkpoint.Env) (res Result, er
 	}
 	ctx.DeviceSynchronize()
 	return CollectSince(sys, ctx, start), nil
+}
+
+// failed ends a run that failed with err and returns err. The driver folds
+// its per-block counts into the run's collector only now and then, and a
+// caller that supplied the collector (Platform.Metrics) keeps it, so a
+// failed run, like a finished one (Collect), folds its last counts in.
+func failed(ctx *cuda.Context, err error) error {
+	ctx.Driver().Metrics() // Metrics folds the pending counts.
+	return err
 }
 
 // resume restores blob into ctx and rebinds r to it, returning the

@@ -1,11 +1,14 @@
 package workloads_test
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"uvmdiscard/internal/checkpoint"
 	"uvmdiscard/internal/cuda"
+	"uvmdiscard/internal/metrics"
 	"uvmdiscard/internal/workloads"
 	"uvmdiscard/internal/workloads/radixsort"
 )
@@ -49,5 +52,56 @@ func TestRunRejectsCheckpointWithoutResume(t *testing.T) {
 	}
 	if s.setups != 1 || s.steps != s.Steps() || s.steps == 0 {
 		t.Errorf("%d setups, %d of %d steps", s.setups, s.steps, s.Steps())
+	}
+}
+
+// cut runs the first steps of a radix sort and, when fail is set, fails
+// after the last of them instead of finishing.
+type cut struct {
+	*radixsort.Sort
+	steps int
+	fail  bool
+}
+
+var errCut = errors.New("cut")
+
+func (c *cut) Steps() int { return c.steps + 1 }
+
+func (c *cut) Step(i int) error {
+	if i == c.steps {
+		if c.fail {
+			return errCut
+		}
+		return nil
+	}
+	return c.Sort.Step(i)
+}
+
+// A run that fails leaves every count it made in the collector the caller
+// supplied, as a finished run does: a service merges a failed run's
+// collector into its totals as it stands.
+func TestFailedRunKeepsItsCounts(t *testing.T) {
+	counts := func(fail bool) metrics.CounterState {
+		rs, gpu := radixsort.Preset(true)
+		m := metrics.New()
+		p := workloads.Platform{GPU: gpu, OversubPercent: 200, Metrics: m}
+		c := &cut{Sort: rs, steps: 2, fail: fail}
+		var want error
+		if fail {
+			want = errCut
+		}
+		if _, err := workloads.Run(p, workloads.UvmDiscard, c, nil); !errors.Is(err, want) {
+			t.Fatalf("fail=%v: err = %v, want %v", fail, err, want)
+		}
+		s := m.State()
+		s.APITime = nil
+		return s
+	}
+	failed, finished := counts(true), counts(false)
+	if failed.Bytes == [2][5]uint64{} {
+		t.Fatal("the steps moved no data")
+	}
+	if !reflect.DeepEqual(failed, finished) {
+		t.Errorf("failed run's collector holds\n%+v\nthe same steps finished hold\n%+v", failed, finished)
 	}
 }

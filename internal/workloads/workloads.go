@@ -157,10 +157,14 @@ type Platform struct {
 	// Metrics, when non-nil, supplies the run's collector instead of a
 	// fresh one. The uvmsimd service passes a per-job collector here so
 	// its /metrics exporter can snapshot a live run's counters and
-	// per-device residency while the simulation is still going. Per-run
-	// isolation still holds: a Collector is mutex-safe for concurrent
-	// readers, but must never be shared between two simultaneously
-	// executing runs (its counters would interleave).
+	// per-device residency while the simulation is still going. Concurrent
+	// readers may load a Collector's atomic counters while its run writes
+	// them; the driver folds its per-block counts in batches, so a live
+	// view is at most one residency-publishing stride old, and the
+	// collector is exact once the run has finished, failed or been
+	// interrupted. Per-run isolation still holds: a Collector must never
+	// be shared between two simultaneously executing runs (its counters
+	// would interleave).
 	Metrics *metrics.Collector
 	// Control attaches a run control (internal/runctl): the driver loop
 	// polls it and aborts the run with a structured *runctl.Interrupt on
