@@ -150,10 +150,12 @@ bench-check:
 bench-harness:
 	cd _perfbench && GOPROXY=off $(GO) vet . && GOPROXY=off $(GO) test -count=1 .
 
-# CPU+heap profiles of a driver-loop-dominated run (fully oversubscribed
-# FIR), the workflow behind the §15 hot-path work:
+# CPU+heap profiles of a driver-loop-dominated run, the workflow behind the
+# §15 hot-path work: an oversubscribed ResNet-53 training run, long enough
+# (about a second of CPU) for the profile to hold samples, most of them in
+# the fault-in and eviction loop (core.ensureGPUBlocks).
 #   make profile && go tool pprof -top out/cpu.pprof
-PROFILE_ARGS ?= -workload fir -ovsp 400
+PROFILE_ARGS ?= -workload dl -model resnet53 -batch 150 -steps 1000
 profile:
 	mkdir -p out
 	$(GO) run ./cmd/uvmsim $(PROFILE_ARGS) -cpuprofile out/cpu.pprof -memprofile out/mem.pprof

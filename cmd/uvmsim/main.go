@@ -13,7 +13,7 @@
 //	uvmsim -workload dl -model resnet53 -batch 115 -rmt
 //	uvmsim -workload fir -ovsp 200 -rmt -advise -dump trace.jsonl
 //	uvmsim -workload radixsort -ovsp 200 -faults seed=7,dma=0.05,unmap=0.01,fbcap=4
-//	uvmsim -workload fir -ovsp 400 -cpuprofile cpu.out -memprofile mem.out
+//	uvmsim -workload dl -model resnet53 -batch 150 -steps 1000 -cpuprofile cpu.out
 //
 // The -rmt, -advise and -dump flags trace the run's driver events: -rmt
 // splits its transfers into required and redundant ones the way the
@@ -23,7 +23,9 @@
 //
 // The -cpuprofile/-memprofile flags write pprof profiles of the run, the
 // entry point `make profile` uses to attribute driver hot-path time
-// (DESIGN.md §15).
+// (DESIGN.md §15). A profile needs a run that lasts: the oversubscribed
+// ResNet-53 run above takes about a second of CPU, while most fir or
+// radixsort runs finish in a millisecond, too soon for one sample.
 package main
 
 import (

@@ -58,10 +58,10 @@ func (d *Driver) GPUAccess(a *vaspace.Alloc, off, length uint64, mode AccessMode
 // GPUAccessOn is GPUAccess targeted at a specific GPU (multi-GPU systems):
 // blocks resident on a peer migrate over the peer fabric. order, when
 // non-nil, lists the indexes of the covered blocks in the order the access
-// visits them (a Scatter pass's shuffle of the span); nil visits them in
-// address order. An access over the whole allocation in address order that
-// finds its resident run standing (run.go) is served without visiting the
-// blocks, unless a trace recorder needs their events.
+// visits them, each once (a Scatter pass's shuffle of the span); nil visits
+// them in address order. An access over the whole allocation in address
+// order that finds its resident run standing (run.go) is served without
+// visiting the blocks, unless a trace recorder needs their events.
 func (d *Driver) GPUAccessOn(gpu int, a *vaspace.Alloc, off, length uint64, order []int, mode AccessMode, now sim.Time) (sim.Time, error) {
 	d.checkpoint("GPUAccess", now)
 	seq, err := accessSeq(a, off, length, order)
@@ -70,12 +70,18 @@ func (d *Driver) GPUAccessOn(gpu int, a *vaspace.Alloc, off, length uint64, orde
 	}
 	now = d.maybePoison(now)
 	done := now
-	// Through the run every block is a clean hit: no fault, no transfer,
-	// and a write leaves every block's (already stale) host copy as it is,
-	// so only a recorder needs the blocks visited below.
-	run := d.onRun(seq, gpu, false) && (a.Resident.Stale || !mode.writes())
+	// Through the run every block is a clean hit: no fault and no transfer.
+	// A write only marks each host copy stale, as the write loop below
+	// would for a clean hit that is not read-mostly, so only a recorder
+	// needs the blocks visited below.
+	run := d.onRun(seq, gpu, false)
 	if run {
 		d.touchRun(a, now, 0)
+		if mode.writes() && !a.Resident.Stale {
+			for i := range seq.span {
+				seq.span[i].CPUStale = true
+			}
+		}
 	} else if done, err = d.ensureGPUBlocks(seq, now, metrics.CauseFault, true, gpu); err != nil {
 		return done, err
 	}
@@ -98,7 +104,8 @@ func (d *Driver) GPUAccessOn(gpu int, a *vaspace.Alloc, off, length uint64, orde
 		}
 	}
 	if mode.writes() && a.Resident.On {
-		// The pass formed a run and has just made every host copy stale.
+		// The access went through the run or formed it, and has just made
+		// every host copy stale.
 		a.Resident.Stale = true
 	}
 	d.verify("GPUAccess")

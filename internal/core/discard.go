@@ -36,19 +36,35 @@ func (d *Driver) discard(a *vaspace.Alloc, off, length uint64, now sim.Time, laz
 	}
 	cur := now
 	covered := 0
+	whole := first == 0 && last == a.NumBlocks()-1 && d.discardsRuns()
 	// A discard of the whole allocation over its resident run moves the
 	// run to the discarded queue at once (run.go).
-	if r := a.Resident; r.On && !r.Discarded && first == 0 && last == a.NumBlocks()-1 && d.discardsRuns() {
+	if r := a.Resident; r.On && !r.Discarded && whole {
 		cur = d.discardRun(a, cur, lazy)
 		covered = a.NumBlocks()
 	} else {
 		d.clearRun(a)
+		// A buffer a Scatter or partial access made resident holds no run.
+		// If every block is a clean hit on one GPU with its chunk fully
+		// prepared, the loop still leaves the discarded run's shape: it
+		// pushes each chunk to the discarded tail in block order, so the
+		// stretch is contiguous, and the run can stand. Each block is
+		// checked just before its own discard, which changes no other.
+		stand, gpu, stale := whole, int(a.Block(0).GPUIndex), true
 		for i := first; i <= last; i++ {
+			b := a.Block(i)
+			if stand {
+				stand = cleanHit(b, gpu) && d.chunkOf(b).PreparedPages == gpudev.FullyPrepared
+				stale = stale && b.CPUStale
+			}
 			var ok bool
-			cur, ok = d.discardBlock(a.Block(i), cur, lazy)
+			cur, ok = d.discardBlock(b, cur, lazy)
 			if ok {
 				covered++
 			}
+		}
+		if stand {
+			a.Resident = vaspace.ResidentRun{On: true, GPU: gpu, Stale: stale, Discarded: true, Lazy: lazy}
 		}
 	}
 	if d.p.AllowPartialDiscard {

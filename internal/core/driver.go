@@ -111,13 +111,19 @@ type Driver struct {
 	// single-threaded rule.
 	forming *vaspace.Alloc
 	// runAccesses, runDiscards and runRecoveries count the accesses,
-	// discards and prefetch recoveries served through runs, so the
-	// randomized tests can show they take those paths. Same rule.
-	runAccesses, runDiscards, runRecoveries uint64
+	// discards and prefetch recoveries served through runs, and fillPasses
+	// the ensureGPUBlocks passes fillBlocks served, so the randomized tests
+	// can show they take those paths. Same rule.
+	runAccesses, runDiscards, runRecoveries, fillPasses uint64
 	// perBlock keeps every access, discard and prefetch on the per-block
-	// loops, so that tests can hold the run paths to them. Only tests set
-	// it.
+	// loops, and every fill pass on the generic one (visitBlocks), so that
+	// tests can hold the run paths and the fill loop to them. Only tests
+	// set it.
 	perBlock bool
+
+	// fullXfer is the link time of one full block's migration, which
+	// migrationCost returns for every full block an eviction moves.
+	fullXfer sim.Time
 }
 
 // Interconnects are immutable after construction (pcie.Link has no
@@ -203,6 +209,7 @@ func New(cfg Config) (*Driver, error) {
 		simLimit: cfg.Control.SimLimit(),
 		dma:      sim.NewEngine("dma"),
 		peer:     sim.NewEngine("peer-fabric"),
+		fullXfer: link.TransferTime(uint64(units.BlockSize)),
 	}, nil
 }
 
@@ -489,11 +496,18 @@ func (d *Driver) ExplicitCopy(dir metrics.Direction, n units.Size, now sim.Time)
 	return end
 }
 
-// record emits a trace event if tracing is on.
+// record emits a trace event if tracing is on. It inlines to the nil
+// compare, so an untraced run pays no call per event.
 func (d *Driver) record(t sim.Time, kind trace.Kind, b *vaspace.Block, bytes units.Size) {
-	if d.tr == nil {
-		return
+	if d.tr != nil {
+		d.recordEvent(t, kind, b, bytes)
 	}
+}
+
+// recordEvent is record's body, kept out of line so that record inlines.
+//
+//go:noinline
+func (d *Driver) recordEvent(t sim.Time, kind trace.Kind, b *vaspace.Block, bytes units.Size) {
 	d.tr.Record(trace.Event{
 		T: t, Kind: kind, Alloc: int(b.Alloc), Block: int(b.Index), Bytes: uint64(bytes),
 	})

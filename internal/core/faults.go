@@ -114,6 +114,10 @@ func (d *Driver) degradeToHost(b *vaspace.Block, now sim.Time) sim.Time {
 // drained through the coherent host-pinned path at remote-access cost — so
 // a D2H fault can never strand dirty data on the GPU.
 func (d *Driver) reserveD2H(b *vaspace.Block, xfer, now sim.Time) sim.Time {
+	if d.fi == nil {
+		_, end := d.dma.Reserve(now, xfer)
+		return end
+	}
 	end, ok := d.reserveTransfer(d.dma, faultinject.LinkPCIe, xfer, now)
 	if ok {
 		return end
@@ -198,8 +202,8 @@ func (d *Driver) maybePoison(now sim.Time) sim.Time {
 // — the same "reads observe zeros" outcome as a reclaimed discard (§4.1),
 // but *recorded* as loss, never silent.
 func (d *Driver) poisonChunk(gpu int, c *gpudev.Chunk, now sim.Time) sim.Time {
-	b := d.owner(c)
-	d.clearRun(d.space.AllocOf(b))
+	a, b := d.ownerOf(c)
+	d.clearRun(a)
 	dev := d.devs[gpu]
 	dev.Detach(c)
 	cur := d.unmapBlock(dev, now)

@@ -25,7 +25,7 @@ import (
 //  5. No operation fails (the GPUs always have evictable capacity).
 //  6. The programs take every run path (run.go): accesses, discards and
 //     recoveries, so the sanitizer's run check sees standing runs of both
-//     shapes after every operation.
+//     shapes after every operation; and they take fill passes (fill.go).
 func TestRandomProgramInvariants(t *testing.T) {
 	var runs runUse
 	for seed := uint64(1); seed <= 12; seed++ {
@@ -35,8 +35,8 @@ func TestRandomProgramInvariants(t *testing.T) {
 		})
 	}
 	t.Logf("%v", runs)
-	if m := runs.missing(); m != "" {
-		t.Errorf("no %s took the run path", m)
+	if m := runs.missing(true); m != "" {
+		t.Errorf("no %s took its path", m)
 	}
 }
 

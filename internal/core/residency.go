@@ -46,8 +46,8 @@ func (d *Driver) allocChunk(b *vaspace.Block, gpu int, now sim.Time) (*gpudev.Ch
 				return d.assign(c, b), done, nil
 			}
 		case metrics.EvictLRU:
-			if victim := d.lruVictim(gpu); victim != nil {
-				done := d.evictUsed(victim, now)
+			if victim, va, vb := d.lruVictim(gpu); victim != nil {
+				done := d.evictUsed(victim, va, vb, now)
 				d.t.AddEviction(metrics.EvictLRU)
 				return d.assign(victim, b), done, nil
 			}
@@ -59,28 +59,32 @@ func (d *Driver) allocChunk(b *vaspace.Block, gpu int, now sim.Time) (*gpudev.Ch
 // lruVictim picks the least-recently-used chunk whose block is not pinned
 // to the GPU by SetPreferredLocation; if everything is preferred, the
 // plain LRU victim is taken anyway (the hint is advice, not a guarantee).
-// The LRU chunk's block is almost never preferred, so the used queue is
-// walked only when it is.
-func (d *Driver) lruVictim(gpu int) *gpudev.Chunk {
+// It returns the chunk with its owning allocation and block, decoded once
+// for the eviction. The LRU chunk's block is almost never preferred, so
+// the used queue is walked only when it is.
+func (d *Driver) lruVictim(gpu int) (*gpudev.Chunk, *vaspace.Alloc, *vaspace.Block) {
 	dev := d.devs[gpu]
 	victim := dev.LRUVictim()
-	if victim == nil || !d.prefersGPU(victim) {
-		return victim
+	if victim == nil {
+		return nil, nil, nil
+	}
+	va, vb := d.ownerOf(victim)
+	if !prefersGPU(vb) {
+		return victim, va, vb
 	}
 	dev.EachUsed(func(c *gpudev.Chunk) bool {
-		if !d.prefersGPU(c) {
-			victim = c
+		if a, b := d.ownerOf(c); !prefersGPU(b) {
+			victim, va, vb = c, a, b
 			return false
 		}
 		return true
 	})
-	return victim
+	return victim, va, vb
 }
 
-// prefersGPU reports whether c's block is pinned to the GPU by
-// SetPreferredLocation.
-func (d *Driver) prefersGPU(c *gpudev.Chunk) bool {
-	b := d.owner(c)
+// prefersGPU reports whether b, a chunk's owning block, is pinned to the
+// GPU by SetPreferredLocation.
+func prefersGPU(b *vaspace.Block) bool {
 	return b != nil && b.Preferred == vaspace.PreferGPU
 }
 
@@ -101,18 +105,24 @@ func OwnerHandle(b *vaspace.Block) uint64 {
 	return uint64(b.Alloc+1)<<32 | uint64(uint32(b.Index))
 }
 
-// owner returns the block c's Owner handle names, or nil when c is unowned
-// or the handle names no block of a live allocation. It is the one place
-// the driver turns a chunk back into its block.
-func (d *Driver) owner(c *gpudev.Chunk) *vaspace.Block {
+// ownerOf returns the allocation and block c's Owner handle names, or nils
+// when c is unowned or the handle names no block of a live allocation. It
+// is the one place the driver turns a chunk back into its block.
+func (d *Driver) ownerOf(c *gpudev.Chunk) (*vaspace.Alloc, *vaspace.Block) {
 	if c.Owner == 0 {
-		return nil
+		return nil, nil
 	}
 	a := d.space.ByID(int(c.Owner>>32) - 1)
 	if i := int(uint32(c.Owner)); a != nil && i < a.NumBlocks() {
-		return a.Block(i)
+		return a, a.Block(i)
 	}
-	return nil
+	return nil, nil
+}
+
+// owner returns the block c's Owner handle names (see ownerOf).
+func (d *Driver) owner(c *gpudev.Chunk) *vaspace.Block {
+	_, b := d.ownerOf(c)
+	return b
 }
 
 // chunkOf returns the chunk holding b's data, or nil when b holds none.
@@ -135,8 +145,8 @@ func (d *Driver) zeroData(b *vaspace.Block) {
 // is paid now (§5.6). No data transfer happens: this is the paper's saved
 // D2H.
 func (d *Driver) reclaimDiscarded(c *gpudev.Chunk, now sim.Time) sim.Time {
-	vb := d.owner(c)
-	d.clearRun(d.space.AllocOf(vb))
+	a, vb := d.ownerOf(c)
+	d.clearRun(a)
 	cur := now
 	if c.NeedsUnmapOnReclaim {
 		cur = d.unmapBlock(d.devs[vb.GPUIndex], cur)
@@ -148,7 +158,7 @@ func (d *Driver) reclaimDiscarded(c *gpudev.Chunk, now sim.Time) sim.Time {
 		}
 		d.host.Release(vb.Bytes())
 	}
-	d.zeroData(vb)
+	a.ZeroBlockData(int(vb.Index))
 	vb.Residency = vaspace.Untouched
 	vb.ClearChunk()
 	vb.GPUMapped, vb.CPUMapped = false, false
@@ -158,13 +168,12 @@ func (d *Driver) reclaimDiscarded(c *gpudev.Chunk, now sim.Time) sim.Time {
 	return cur
 }
 
-// evictUsed swaps the LRU victim out to host DRAM (§2.2 step 3): a D2H
-// transfer plus PTE teardown. For partially discarded blocks (§5.4
-// ablation) only the live 4 KiB pages move, each as its own small DMA
-// operation.
-func (d *Driver) evictUsed(c *gpudev.Chunk, now sim.Time) sim.Time {
-	vb := d.owner(c)
-	d.clearRun(d.space.AllocOf(vb))
+// evictUsed swaps the LRU victim c, block vb of allocation va, out to host
+// DRAM (§2.2 step 3): a D2H transfer plus PTE teardown. For partially
+// discarded blocks (§5.4 ablation) only the live 4 KiB pages move, each as
+// its own small DMA operation.
+func (d *Driver) evictUsed(c *gpudev.Chunk, va *vaspace.Alloc, vb *vaspace.Block, now sim.Time) sim.Time {
+	d.clearRun(va)
 	dev := d.devs[vb.GPUIndex]
 	dev.Detach(c)
 
@@ -226,6 +235,9 @@ func (d *Driver) migrationCost(b *vaspace.Block) (units.Size, sim.Time) {
 		return n, t
 	}
 	n := b.Bytes()
+	if n == units.BlockSize {
+		return n, d.fullXfer
+	}
 	return n, d.link.TransferTime(uint64(n))
 }
 
@@ -309,6 +321,11 @@ func (d *Driver) remoteAccessEnabled() bool {
 // viaFault is true the blocks arrive via GPU page faults and fault-servicing
 // costs are charged in batches of Params.FaultBatchBlocks.
 //
+// One scan classifies the blocks before the pass changes any (scanPass). A
+// fill pass, whose every block takes a fresh chunk, then runs the lean loop
+// of fill.go; any other pass visits each block through the generic action
+// switch (visitBlocks).
+//
 // The pass clears the allocation's resident run, and forms it again when it
 // visits every block in address order, every block ends a clean hit, and
 // none of the allocation's chunks was evicted on the way (run.go). The
@@ -319,30 +336,25 @@ func (d *Driver) remoteAccessEnabled() bool {
 // It returns the completion time of the last operation.
 func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause, viaFault bool, gpu int) (sim.Time, error) {
 	cur := now
-	dev := d.devs[gpu]
 	d.clearRun(seq.a)
 	d.forming = nil
-	clean, stale := seq.whole(), true
+	clean := seq.whole()
 	if clean {
 		d.forming = seq.a
 	}
 
+	misses, fill := d.scanPass(seq, gpu, viaFault)
 	// Fault service cost: replayable faults are reported in batches; the
 	// driver pays a batch latency plus per-block work (§2.2).
 	if viaFault {
-		misses := 0
-		for k := 0; k < seq.n; k++ {
-			if d.classifyForGPU(seq.at(k), gpu, viaFault).faults() {
-				misses++
-			}
-		}
+		prof := d.devs[gpu].Profile()
 		total := misses
 		for misses > 0 {
 			n := misses
 			if n > d.p.FaultBatchBlocks {
 				n = d.p.FaultBatchBlocks
 			}
-			cur += dev.Profile().FaultBatchLatency + sim.Time(n)*dev.Profile().FaultPerBlock
+			cur += prof.FaultBatchLatency + sim.Time(n)*prof.FaultPerBlock
 			d.t.AddFaultBatch(n)
 			misses -= n
 		}
@@ -351,28 +363,75 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 				// The replayable fault buffer overflowed: faults beyond its
 				// capacity were dropped by the hardware and re-raised, each
 				// replay round costing another buffer drain.
-				cur += sim.Time(rounds) * dev.Profile().FaultBatchLatency
+				cur += sim.Time(rounds) * prof.FaultBatchLatency
 				d.t.AddFaultReplay(rounds)
 			}
 		}
 	}
 
-	// State transitions + data movement, with H2D coalescing across
-	// consecutive full-block transfers. Per-block bookkeeping (map counts,
-	// trace records) amortizes into the same per-run flush the DMA
-	// reservation already uses. A coalesced run is the runCount blocks
-	// visited from position runStart on: a block that joins no run flushes
-	// the pending one first.
+	var stale bool
+	var err error
+	if fill {
+		cur, clean, stale, err = d.fillBlocks(seq, cur, cause, gpu, clean)
+	} else {
+		cur, clean, stale, err = d.visitBlocks(seq, cur, cause, viaFault, gpu, clean)
+	}
+	if err != nil {
+		return cur, err
+	}
+	if clean && d.forming == seq.a {
+		seq.a.Resident = vaspace.ResidentRun{On: true, GPU: gpu, Stale: stale}
+	}
+	d.forming = nil
+	return cur, nil
+}
+
+// scanPass classifies each block of seq once, before the pass changes any.
+// For a faulting access it counts the blocks that miss; and it reports
+// whether the pass is a fill pass (fill.go). A prefetch counts no misses,
+// so its scan stops at the first block that rules a fill pass out.
+func (d *Driver) scanPass(seq blockSeq, gpu int, viaFault bool) (misses int, fill bool) {
+	fill = seq.n > 0 && d.tr == nil && d.fi == nil && !d.perBlock
+	if !fill && !viaFault {
+		return 0, false
+	}
+	for k := 0; k < seq.n; k++ {
+		b := seq.at(k)
+		act := d.classifyForGPU(b, gpu, viaFault)
+		if act.faults() {
+			misses++
+		}
+		if fill && act != actZero && (act != actTransfer || b.LivePages > 0) {
+			fill = false
+			if !viaFault {
+				break
+			}
+		}
+	}
+	return misses, fill
+}
+
+// visitBlocks is ensureGPUBlocks's generic loop: it classifies each block
+// of seq as the loop reaches it and dispatches it on its action. clean
+// says whether the pass may form a resident run; it returns the time, and
+// whether every block ended a clean hit and every host copy stale.
+//
+// State transitions + data movement, with H2D coalescing across
+// consecutive full-block transfers. Per-block bookkeeping (map counts,
+// trace records) amortizes into the same per-run flush the DMA reservation
+// already uses. A coalesced run is the runCount blocks visited from
+// position runStart on: a block that joins no run flushes the pending one
+// first.
+func (d *Driver) visitBlocks(seq blockSeq, now sim.Time, cause metrics.Cause, viaFault bool, gpu int, clean bool) (sim.Time, bool, bool, error) {
+	cur, stale := now, true
+	dev := d.devs[gpu]
 	var runBytes units.Size
 	var runCount, runStart int
 	flush := func() {
 		if runBytes == 0 {
 			return
 		}
-		_, end := d.dma.Reserve(cur, d.scaleDMA(d.link.TransferTime(uint64(runBytes)), cur))
-		cur = end
-		d.t.AddTransfer(metrics.H2D, cause, uint64(runBytes))
-		d.t.AddMap(runCount)
+		cur = d.flushH2D(cur, runBytes, runCount, cause)
 		if d.tr != nil {
 			for k := runStart; k < runStart+runCount; k++ {
 				rb := seq.at(k)
@@ -430,7 +489,7 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 			var err error
 			cur, err = d.migratePeer(b, gpu, cur)
 			if err != nil {
-				return cur, err
+				return cur, false, false, err
 			}
 		case actPeerDead:
 			// Discarded on a peer GPU: reclaim the remote chunk without a
@@ -446,7 +505,7 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 			var err error
 			cur, err = d.populateZeroed(b, gpu, cur)
 			if err != nil {
-				return cur, err
+				return cur, false, false, err
 			}
 		case actTransfer:
 			// Fault injection: draw this block's migration outcome before
@@ -466,10 +525,9 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 			}
 			chunk, ready, err := d.allocChunk(b, gpu, cur)
 			if err != nil {
-				return cur, err
+				return cur, false, false, err
 			}
 			cur = ready
-			b.SetChunk(gpu, chunk.ID())
 			if b.LivePages > 0 {
 				// Partial block: page-granular migration, not coalesced.
 				n, t := d.migrationCost(b)
@@ -477,7 +535,6 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 				d.t.AddTransfer(metrics.H2D, cause, uint64(n))
 				d.t.AddMap(1)
 				d.record(cur, trace.TransferH2D, b, n)
-				chunk.PreparedPages = gpudev.FullyPrepared // live pages moved, rest zeroed below cost
 			} else {
 				// PTE establishment for bulk migrations is pipelined with
 				// the copy engine (unlike recovery remaps, which sit on the
@@ -488,37 +545,51 @@ func (d *Driver) ensureGPUBlocks(seq blockSeq, now sim.Time, cause metrics.Cause
 				}
 				runBytes += b.Bytes()
 				runCount++
-				chunk.PreparedPages = gpudev.FullyPrepared
 			}
-			// Host pages stay pinned while the block is GPU-mapped (§2.2).
-			if !b.CPUPinned {
-				d.host.Pin(b.Bytes())
-				b.CPUPinned = true
-			}
-			if b.ReadMostly {
-				// SetReadMostly: this is a read-only duplication — the
-				// host copy stays valid and mapped.
-				b.CPUStale = false
-			} else {
-				b.CPUMapped = false
-				b.CPUStale = true
-			}
-			b.Residency = vaspace.GPUResident
-			b.GPUMapped = true
-			b.Degraded = false
-			b.RemoteAccesses = 0
-			dev.PushUsed(chunk)
+			d.migratedIn(b, gpu, chunk)
 		}
 		if clean {
 			clean, stale = cleanHit(b, gpu), stale && b.CPUStale
 		}
 	}
 	flush()
-	if clean && d.forming == seq.a {
-		seq.a.Resident = vaspace.ResidentRun{On: true, GPU: gpu, Stale: stale}
+	return cur, clean, stale, nil
+}
+
+// flushH2D issues a coalesced run of count whole-block host-to-device
+// migrations, bytes in all, as one DMA operation from cur, and counts its
+// transfer and its count maps. It returns the time the operation ends.
+func (d *Driver) flushH2D(cur sim.Time, bytes units.Size, count int, cause metrics.Cause) sim.Time {
+	_, end := d.dma.Reserve(cur, d.scaleDMA(d.link.TransferTime(uint64(bytes)), cur))
+	d.t.AddTransfer(metrics.H2D, cause, uint64(bytes))
+	d.t.AddMap(count)
+	return end
+}
+
+// migratedIn makes b GPU-resident on gpu in chunk c, into which its data
+// has migrated from the host (the caller charges the transfer): the chunk
+// is fully prepared (live pages moved, the rest zeroed below cost), and the
+// host pages stay pinned while the block is GPU-mapped (§2.2).
+func (d *Driver) migratedIn(b *vaspace.Block, gpu int, c *gpudev.Chunk) {
+	b.SetChunk(gpu, c.ID())
+	c.PreparedPages = gpudev.FullyPrepared
+	if !b.CPUPinned {
+		d.host.Pin(b.Bytes())
+		b.CPUPinned = true
 	}
-	d.forming = nil
-	return cur, nil
+	if b.ReadMostly {
+		// SetReadMostly: this is a read-only duplication — the host copy
+		// stays valid and mapped.
+		b.CPUStale = false
+	} else {
+		b.CPUMapped = false
+		b.CPUStale = true
+	}
+	b.Residency = vaspace.GPUResident
+	b.GPUMapped = true
+	b.Degraded = false
+	b.RemoteAccesses = 0
+	d.devs[gpu].PushUsed(c)
 }
 
 // recoverDiscarded handles re-use of a block that was discarded but whose
@@ -592,36 +663,51 @@ func (d *Driver) migratePeer(b *vaspace.Block, gpu int, now sim.Time) (sim.Time,
 // block whose contents were discarded while CPU-resident — the latter is
 // the paper's saved H2D (§5.3 scenario two).
 func (d *Driver) populateZeroed(b *vaspace.Block, gpu int, now sim.Time) (sim.Time, error) {
-	if b.Discarded {
-		// Skip the H2D transfer the non-discard driver would have done.
-		d.t.AddSaved(metrics.H2D, uint64(b.Bytes()))
-		if b.CPUHasPages {
-			if b.CPUPinned {
-				d.host.Unpin(b.Bytes())
-			}
-			d.host.Release(b.Bytes())
-			b.CPUHasPages, b.CPUPinned = false, false
-		}
-		d.zeroData(b)
-		b.Discarded, b.LazyDiscard = false, false
-	}
 	chunk, cur, err := d.allocChunk(b, gpu, now)
 	if err != nil {
 		return cur, err
 	}
-	dev := d.devs[gpu]
-	cur += dev.Profile().ZeroTimeBlock() + dev.Profile().MapPerBlock
+	if b.Discarded {
+		d.dropDiscarded(b)
+	}
+	prof := d.devs[gpu].Profile()
+	cur += prof.ZeroTimeBlock() + prof.MapPerBlock
+	d.zeroFilled(b, gpu, chunk, cur)
+	return cur, nil
+}
+
+// dropDiscarded forgets the data of b, discarded while host-resident, once a
+// chunk to populate with zeros has been found for it: the H2D transfer the
+// non-discard driver would have made is saved, the host pages are
+// released, and reads observe zeros. It comes after allocChunk, so that a
+// run aborted at the eviction's checkpoint, or a failed allocation, leaves
+// the block host-resident with its pages.
+func (d *Driver) dropDiscarded(b *vaspace.Block) {
+	d.t.AddSaved(metrics.H2D, uint64(b.Bytes()))
+	if b.CPUHasPages {
+		if b.CPUPinned {
+			d.host.Unpin(b.Bytes())
+		}
+		d.host.Release(b.Bytes())
+		b.CPUHasPages, b.CPUPinned = false, false
+	}
+	d.zeroData(b)
+	b.Discarded, b.LazyDiscard = false, false
+}
+
+// zeroFilled makes b GPU-resident on gpu in chunk c, zero-filled and mapped
+// (the caller charges the time, which ends at cur).
+func (d *Driver) zeroFilled(b *vaspace.Block, gpu int, c *gpudev.Chunk, cur sim.Time) {
 	d.t.AddZeroFill(1, 0)
 	d.t.AddMap(1)
-	chunk.PreparedPages = gpudev.FullyPrepared
-	b.SetChunk(gpu, chunk.ID())
+	c.PreparedPages = gpudev.FullyPrepared
+	b.SetChunk(gpu, c.ID())
 	b.Residency = vaspace.GPUResident
 	b.GPUMapped = true
 	b.CPUMapped = false
 	b.Degraded = false
-	dev.PushUsed(chunk)
+	d.devs[gpu].PushUsed(c)
 	d.record(cur, trace.ZeroFill, b, b.Bytes())
-	return cur, nil
 }
 
 // ensureCPUBlock makes one block CPU-accessible. GPU-resident live data

@@ -30,9 +30,10 @@ type blockSeq struct {
 }
 
 // accessSeq resolves [off, off+length) of a, visited in order (nil: address
-// order), to a block sequence. order must hold only indexes of the span: at
-// panics on any other, and a GPU access's fault pass visits every block
-// before the access changes one.
+// order), to a block sequence. order must be a permutation of the span's
+// indexes: at panics on an index outside it, and a GPU access's scan
+// (scanPass) visits every block before the access changes one; a fill pass
+// (fill.go) relies on reaching each block once.
 func accessSeq(a *vaspace.Alloc, off, length uint64, order []int) (blockSeq, error) {
 	first, last, err := a.BlockSpan(off, length, false)
 	if err != nil {

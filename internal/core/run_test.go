@@ -84,6 +84,66 @@ func TestRunAccessIsConstantTime(t *testing.T) {
 	}
 }
 
+// TestRunWritesMarkHostCopiesStale: a read pass that zero-fills a buffer
+// forms its resident run with every host copy current (not Stale). A
+// whole-buffer write over that run, kernel write or read-write, must go
+// through the run and leave exactly the state the per-block write loop
+// leaves: every host copy stale, and the same queues, blocks, counts and
+// returned time. The run is then Stale, and later writes leave it so.
+func TestRunWritesMarkHostCopiesStale(t *testing.T) {
+	for _, mode := range []AccessMode{Write, ReadWrite} {
+		drive := func(perBlock bool) (*Driver, *vaspace.Alloc, []string, []sim.Time) {
+			d, err := New(Config{GPU: gpudev.Generic(64 * units.BlockSize), Link: pcie.Preset(pcie.Gen4)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.perBlock = perBlock
+			a := mustAlloc(t, d, "a", 24*units.BlockSize-units.PageSize)
+			size := uint64(a.Size())
+			var states []string
+			var times []sim.Time
+			now, err := d.GPUAccess(a, 0, size, Read, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := a.Resident; !perBlock && (!r.On || r.Stale) {
+				t.Fatalf("%v: the zero-filling read left run %+v, want one standing with current host copies", mode, r)
+			}
+			for i := 0; i < 2; i++ {
+				before := d.runAccesses
+				if now, err = d.GPUAccess(a, 0, size, mode, now); err != nil {
+					t.Fatal(err)
+				}
+				if got := d.runAccesses - before; !perBlock && got != 1 {
+					t.Fatalf("%v %d: %d run accesses, want 1", mode, i, got)
+				}
+				if r := a.Resident; !perBlock && (!r.On || !r.Stale) {
+					t.Fatalf("%v %d: the write left run %+v, want it standing and Stale", mode, i, r)
+				}
+				states = append(states, driverState(d, []*vaspace.Alloc{a}))
+				times = append(times, now)
+			}
+			return d, a, states, times
+		}
+		_, pa, want, wantTimes := drive(true)
+		d, a, got, gotTimes := drive(false)
+		for i := range want {
+			if gotTimes[i] != wantTimes[i] || got[i] != want[i] {
+				t.Fatalf("%v %d: the run path returned %v and left\n%s\nthe per-block loop %v and\n%s",
+					mode, i, gotTimes[i], got[i], wantTimes[i], want[i])
+			}
+		}
+		for i := 0; i < a.NumBlocks(); i++ {
+			if !a.Block(i).CPUStale || !pa.Block(i).CPUStale {
+				t.Fatalf("%v: block %d's host copy is not stale after the writes", mode, i)
+			}
+		}
+		if err := d.CheckNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // pollOutcome is what drivePolls observed.
 type pollOutcome struct {
 	polls     uint64
@@ -212,24 +272,29 @@ func TestVisitOrderMustStayInSpan(t *testing.T) {
 	}
 }
 
-// runUse counts what a driver served through runs: whole-buffer accesses,
-// discards and prefetch recoveries.
-type runUse struct{ accesses, discards, recoveries uint64 }
+// runUse counts what a driver served through runs — whole-buffer accesses,
+// discards and prefetch recoveries — and through fill passes.
+type runUse struct{ accesses, discards, recoveries, fills uint64 }
 
-func runUseOf(d *Driver) runUse { return runUse{d.runAccesses, d.runDiscards, d.runRecoveries} }
+func runUseOf(d *Driver) runUse {
+	return runUse{d.runAccesses, d.runDiscards, d.runRecoveries, d.fillPasses}
+}
 
 func (u *runUse) add(v runUse) {
 	u.accesses += v.accesses
 	u.discards += v.discards
 	u.recoveries += v.recoveries
+	u.fills += v.fills
 }
 
 func (u runUse) String() string {
-	return fmt.Sprintf("%d accesses, %d discards and %d recoveries served through runs", u.accesses, u.discards, u.recoveries)
+	return fmt.Sprintf("%d accesses, %d discards and %d recoveries served through runs, %d fill passes",
+		u.accesses, u.discards, u.recoveries, u.fills)
 }
 
-// missing names the run paths u never took, or returns "" if it took all.
-func (u runUse) missing() string {
+// missing names the run paths u never took, and the fill loop if fills is
+// set and u took none, or returns "" if it took all.
+func (u runUse) missing(fills bool) string {
 	var m []string
 	for _, p := range []struct {
 		n    uint64
@@ -239,12 +304,15 @@ func (u runUse) missing() string {
 			m = append(m, p.name)
 		}
 	}
+	if fills && u.fills == 0 {
+		m = append(m, "fill pass")
+	}
 	return strings.Join(m, ", ")
 }
 
 // driverState renders everything a run path could change: every device's
 // queues in order, every chunk's per-use fields, every block of bufs, and
-// the collector's exact counts.
+// the collector's exact counts (collectorState).
 func driverState(d *Driver, bufs []*vaspace.Alloc) string {
 	var s strings.Builder
 	for g := 0; g < d.NumGPUs(); g++ {
@@ -263,6 +331,13 @@ func driverState(d *Driver, bufs []*vaspace.Alloc) string {
 			fmt.Fprintf(&s, "%s block %d: %+v\n", a.Name(), i, *a.Block(i))
 		}
 	}
+	s.WriteString(collectorState(d))
+	return s.String()
+}
+
+// collectorState renders the exact counts of d's collector.
+func collectorState(d *Driver) string {
+	var s strings.Builder
 	m := d.Metrics()
 	for _, dir := range []metrics.Direction{metrics.H2D, metrics.D2H} {
 		for _, cause := range []metrics.Cause{metrics.CauseFault, metrics.CausePrefetch, metrics.CauseEviction, metrics.CauseMemcpy, metrics.CauseRemote} {
@@ -300,16 +375,25 @@ type discardScenario struct {
 	gpuBlocks int
 	lazy      bool
 	gpu       int // the GPU the program runs on; 1 is a peer
+	// scatter makes every kernel access visit its buffer's blocks in a
+	// shuffled order, as a Scatter pass does. Such an access clears the
+	// resident run a prefetch formed and forms none, so no discard finds a
+	// run standing: the per-block discard leaves the discarded run, which
+	// the next prefetch recovers.
+	scatter bool
 }
 
 // discardScenarios are the platforms of TestDiscardedRunsMatchPerBlockLoop.
 var discardScenarios = []discardScenario{
-	{"eager fitting", 64, false, 0},
-	{"lazy fitting", 64, true, 0},
-	{"eager oversubscribed", 38, false, 0},
-	{"lazy oversubscribed", 38, true, 0},
-	{"eager on a peer", 64, false, 1},
-	{"lazy on a peer", 64, true, 1},
+	{"eager fitting", 64, false, 0, false},
+	{"lazy fitting", 64, true, 0, false},
+	{"eager oversubscribed", 38, false, 0, false},
+	{"lazy oversubscribed", 38, true, 0, false},
+	{"eager on a peer", 64, false, 1, false},
+	{"lazy on a peer", 64, true, 1, false},
+	{"eager scatter", 64, false, 0, true},
+	{"lazy scatter", 64, true, 0, true},
+	{"lazy scatter oversubscribed", 38, true, 0, true},
 }
 
 // driveDiscards runs TestDiscardedRunsMatchPerBlockLoop's program on sc: on
@@ -341,6 +425,7 @@ func driveDiscards(t *testing.T, sc discardScenario, perBlock bool, budget sim.T
 		discard = d.DiscardLazy
 	}
 	var now sim.Time
+	rng := sim.NewRNG(1)
 	step := func(done sim.Time, err error) error {
 		now = done
 		if budget == 0 {
@@ -362,7 +447,11 @@ func driveDiscards(t *testing.T, sc discardScenario, perBlock bool, budget sim.T
 					return err
 				}
 				mode := [...]AccessMode{Write, Read, ReadWrite}[(i+j)%3]
-				if err := step(d.GPUAccessOn(sc.gpu, x, 0, size, nil, mode, now)); err != nil {
+				var order []int
+				if sc.scatter {
+					order = rng.Perm(x.NumBlocks())
+				}
+				if err := step(d.GPUAccessOn(sc.gpu, x, 0, size, order, mode, now)); err != nil {
 					return err
 				}
 				switch (i + j) % 7 {
@@ -411,7 +500,9 @@ func driveDiscards(t *testing.T, sc discardScenario, perBlock bool, budget sim.T
 // progress and kept the same countdown; and a sim budget anywhere in the
 // program must trip both at the same checkpoint and sim time. The program
 // also discards a discarded buffer again, whole and in part, and touches
-// buffers from the host, which clears their runs.
+// buffers from the host, which clears their runs. In the scatter scenarios
+// the kernel accesses leave no resident run to discard, so every discarded
+// run a prefetch recovers was left by the per-block discard.
 func TestDiscardedRunsMatchPerBlockLoop(t *testing.T) {
 	drive := func(sc discardScenario, perBlock bool, budget sim.Time) discardOutcome {
 		return driveDiscards(t, sc, perBlock, budget, nil)
@@ -420,8 +511,8 @@ func TestDiscardedRunsMatchPerBlockLoop(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			perBlock, runs := drive(sc, true, 0), drive(sc, false, 0)
 			t.Logf("%d run discards, %d run recoveries", runs.discards, runs.recovers)
-			if perBlock.discards+perBlock.recovers != 0 || runs.discards == 0 || runs.recovers == 0 {
-				t.Fatalf("per-block driver took %d run discards and %d recoveries, the other %d and %d: want none, then some of each",
+			if perBlock.discards+perBlock.recovers != 0 || (runs.discards == 0) != sc.scatter || runs.recovers == 0 {
+				t.Fatalf("per-block driver took %d run discards and %d recoveries, the other %d and %d: want none, then recoveries and, unless scattered, discards",
 					perBlock.discards, perBlock.recovers, runs.discards, runs.recovers)
 			}
 			for k := range perBlock.states {
@@ -483,6 +574,9 @@ func TestTracedRunsRecordLikePerBlockLoop(t *testing.T) {
 		return drivePolls(t, perBlock, 0, tr).runs
 	})
 	for _, sc := range discardScenarios {
+		if sc.scatter {
+			continue // a traced scatter program stands no run
+		}
 		check(sc.name, func(perBlock bool, tr *trace.Recorder) uint64 {
 			return driveDiscards(t, sc, perBlock, 0, tr).accesses
 		})

@@ -17,10 +17,11 @@ import (
 
 // tripScenario drives one of the driver's per-block checkpoint sites: setup
 // prepares residency, and run is the operation whose span the sim-budget
-// ladder cuts through.
+// ladder cuts through. fill says that run's pass is a fill pass (fill.go).
 type tripScenario struct {
 	gpuBlocks, allocBlocks int
 	faults                 *faultinject.Config
+	fill                   bool
 	setup                  func(d *Driver, a *vaspace.Alloc) (sim.Time, error)
 	run                    func(d *Driver, a *vaspace.Alloc, now sim.Time) (sim.Time, error)
 }
@@ -35,7 +36,7 @@ var tripScenarios = map[string]tripScenario{
 	// after swapping out an LRU victim, so the clock moves between the
 	// ensure-gpu checkpoints of consecutive blocks.
 	"ensure-gpu": {
-		gpuBlocks: 32, allocBlocks: 96,
+		gpuBlocks: 32, allocBlocks: 96, fill: true,
 		setup: func(d *Driver, a *vaspace.Alloc) (sim.Time, error) {
 			return d.GPUAccess(a, 0, 32*uint64(units.BlockSize), Write, 0)
 		},
@@ -48,7 +49,7 @@ var tripScenarios = map[string]tripScenario{
 	// checkpoint, so its evict checkpoint is the first to see the later
 	// clock.
 	"evict": {
-		gpuBlocks: 96, allocBlocks: 96,
+		gpuBlocks: 96, allocBlocks: 96, fill: true,
 		setup: func(d *Driver, a *vaspace.Alloc) (sim.Time, error) {
 			now, err := d.CPUAccessRange(a, 0, 40*uint64(units.BlockSize), Write, 0)
 			if err != nil {
@@ -203,14 +204,19 @@ func runTripScenario(t *testing.T, sc tripScenario, ctl *runctl.Control, m *metr
 		t.Fatal(err)
 	}
 	a := mustAlloc(t, d, "buf", units.Size(sc.allocBlocks)*units.BlockSize)
+	var fills uint64
 	err = func() (err error) {
 		defer runctl.Recover(&err)
 		if setupDone, err = sc.setup(d, a); err != nil {
 			return err
 		}
+		fills = d.fillPasses
 		runDone, err = sc.run(d, a, setupDone)
 		return err
 	}()
+	if sc.fill && d.fillPasses == fills {
+		t.Fatal("the scenario's run took no fill pass")
+	}
 	trip = runctl.AsInterrupt(err)
 	if err != nil && trip == nil {
 		t.Fatal(err)
