@@ -7,10 +7,10 @@
 // shed), crash-safe batch journals: a batch killed mid-run (kill -9
 // included) resumes from its journal and renders byte-identical output —
 // and, with -data-dir, crash-survivable checkpointed runs: a fir run
-// submitted with a "checkpoint" name persists an fsync'd snapshot of the
-// live simulation at every step boundary, and a re-submitted run after a
-// SIGKILL of the whole daemon resumes from the last snapshot, producing
-// bytes identical to an uninterrupted run.
+// submitted with a "checkpoint" name persists an fsync'd step marker at
+// every step boundary, and a re-submitted run after a SIGKILL of the whole
+// daemon resumes from the last marker by re-simulating the finished steps,
+// producing bytes identical to an uninterrupted run.
 //
 // Endpoints:
 //
@@ -55,7 +55,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 64, "admission queue depth; submits beyond it are shed with 503")
 		journalDir = flag.String("journal-dir", "", "directory for crash-safe batch journals (empty disables)")
-		dataDir    = flag.String("data-dir", "", "directory for per-run checkpoint snapshots (empty disables checkpointed runs)")
+		dataDir    = flag.String("data-dir", "", "directory for per-run checkpoint markers (empty disables checkpointed runs)")
 		wallBudget = flag.Duration("wall-budget", 2*time.Minute, "default per-job wall-clock deadline")
 		simBudget  = flag.Duration("sim-budget", 0, "default per-run simulated-time budget (0 = unlimited)")
 		drainWait  = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain window for in-flight runs")

@@ -11,9 +11,8 @@
 //   - (*os.File).Sync — every fsync path
 //   - runctl.Control.Check — the returned *Interrupt is the deadline/
 //     cancellation verdict; dropping it keeps a dead job running
-//   - checkpoint.WriteFile — the durable snapshot a crash resume replays
-//     from; a dropped error means the resume silently starts from stale
-//     or missing state
+//   - checkpoint.WriteFile — the durable step marker a crash resume reads;
+//     a dropped error counts a save that never reached the disk
 //
 // A call is "discarded" when it stands alone as a statement, is deferred
 // or spawned (`defer j.Close()`, `go j.Close()`), or is assigned entirely
@@ -49,7 +48,7 @@ var mustCheck = []struct{ pkg, recv, name, why string }{
 	{"uvmdiscard/internal/jsonl", "Appender", "Close", "a dropped close can lose buffered log state"},
 	{"os", "File", "Sync", "an unchecked fsync is not durable"},
 	{"uvmdiscard/internal/runctl", "Control", "Check", "the *Interrupt is the cancellation verdict; dropping it keeps a dead job running"},
-	{"uvmdiscard/internal/checkpoint", "", "WriteFile", "a dropped snapshot write means a crash resume replays stale or missing state"},
+	{"uvmdiscard/internal/checkpoint", "", "WriteFile", "a dropped checkpoint write counts a save the disk does not hold"},
 }
 
 func run(pass *analysis.Pass) error {

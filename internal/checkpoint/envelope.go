@@ -1,24 +1,19 @@
-// Package checkpoint implements deterministic checkpoint/restore for live
-// simulations: versioned, fsync'd, self-validating snapshots of the whole
-// simulation state — driver block/chunk state, RNG streams, engine and
-// stream timelines, metrics counters, and the workload's step cursor —
-// captured at step boundaries (the sanitizer-consistent points the driver's
-// runctl checkpoints established) and restored into a fresh context with a
-// full sanitizer audit before the first resumed step.
+// Package checkpoint makes a step workload's run resumable after a crash.
+// A checkpoint is a step marker: the run's configuration digest and the
+// number of steps it had finished, in a versioned, fsync'd, self-validating
+// envelope. The simulator is deterministic, so a resumed run re-simulates
+// from step 0 and reproduces the interrupted run's state exactly; the
+// marker only tells it which saves the interrupted run already made. It
+// costs a re-simulation of the finished steps, which at this simulator's
+// sizes is cheaper than writing and reading the whole driver state.
 //
 // The design constraint is the repo's core invariant: byte-identical output.
-// A run that is interrupted after step k and resumed from a snapshot must
-// produce exactly the bytes an uninterrupted run produces, including every
-// metrics counter and the simulated runtime. Everything that can influence
-// a later step is therefore part of the snapshot; everything that cannot
-// (sanitizer sampling position, scratch buffers) is deliberately excluded.
-//
-// Torn or corrupt snapshots are detected, never resumed: the envelope
-// carries a magic, a format version, a length, and a SHA-256 checksum over
-// the payload, and Restore validates every id and enum before touching
-// driver state, finishing with the driver's own full invariant sweep
-// (core.Driver.CheckNow). A snapshot that fails any of those checks yields
-// an error — the caller falls back to restart-from-zero.
+// Every run computes its answer from step 0 under its own configuration, so
+// no checkpoint, valid or not, can change the answer. Torn or corrupt files
+// are still detected and reported, never resumed: the envelope carries a
+// magic, a format version, a length, and a SHA-256 checksum over the
+// payload, and a marker of another configuration or an impossible step is
+// rejected the same way.
 package checkpoint
 
 import (
@@ -35,7 +30,7 @@ import (
 //	[4]  format version
 //	[8]  payload length
 //	[32] SHA-256 of the payload
-//	[n]  payload (JSON-encoded Snapshot)
+//	[n]  payload (JSON-encoded Marker)
 const (
 	magic      = "UVMCKPT\n"
 	version    = 1
@@ -43,8 +38,8 @@ const (
 
 	// MaxPayload bounds the payload length a decoder will accept; a torn or
 	// hostile length field can therefore never drive an allocation larger
-	// than this. Real snapshots of the paper's workloads are well under a
-	// megabyte.
+	// than this. A marker is under a hundred bytes; whole-state snapshots
+	// of earlier builds were under a megabyte.
 	MaxPayload = 64 << 20
 )
 
@@ -99,8 +94,8 @@ func Decode(blob []byte) ([]byte, error) {
 // renamed over path, and the directory is fsync'd — so a crash at any point
 // leaves either the previous checkpoint or the new one, never a torn mix.
 // The returned error is load-bearing crash-safety state (errsink enforces
-// that callers consume it): an unsaved checkpoint silently re-runs work
-// after the next crash.
+// that callers consume it): a failed write leaves the previous marker, or
+// none, for the next resume, and only the caller can count it.
 func WriteFile(path string, blob []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -134,7 +129,7 @@ func WriteFile(path string, blob []byte) error {
 }
 
 // ReadFile reads an encoded checkpoint blob from path. The blob is returned
-// as-is (still enveloped); Decode/DecodeSnapshot validate it. A missing file
+// as-is (still enveloped); Decode/DecodeMarker validate it. A missing file
 // returns the underlying fs error (check with os.IsNotExist).
 func ReadFile(path string) ([]byte, error) {
 	return os.ReadFile(path)

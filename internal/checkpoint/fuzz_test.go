@@ -3,6 +3,7 @@ package checkpoint_test
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"reflect"
 	"testing"
 
@@ -14,13 +15,11 @@ import (
 	"uvmdiscard/internal/workloads/fir"
 )
 
-// FuzzCheckpointDecode feeds arbitrary bytes through the whole restore path
+// FuzzCheckpointDecode feeds arbitrary bytes through the whole resume path
 // as a checkpoint blob. The oracle is the subsystem's safety contract: a
-// blob either fails decode/validation (the run restarts from zero and
-// produces the reference result) or restores a state that passes the full
-// sanitizer audit — never a silent bad state, and never a panic. Resumes
-// that do succeed must reproduce the reference result exactly, since the
-// digest binds a valid snapshot to this exact configuration.
+// blob is either rejected or resumed, never both and never neither, and
+// never a panic; and either way the run reproduces the reference result
+// exactly, since every run re-simulates from step 0.
 func FuzzCheckpointDecode(f *testing.F) {
 	cfg := fir.Config{
 		InputBytes:  128 * units.MiB,
@@ -38,7 +37,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	// Seeds: a genuine mid-run snapshot plus targeted corruptions of it.
+	// Seeds: a genuine mid-run marker plus targeted corruptions of it.
 	var valid []byte
 	env := &checkpoint.Env{Every: 1, Save: func(b []byte) error {
 		if valid == nil {
@@ -50,7 +49,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	if valid == nil {
-		f.Fatal("no snapshot captured for seeding")
+		f.Fatal("no marker saved for seeding")
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/3]) // torn tail
@@ -66,6 +65,26 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(huge)                // oversized length field
 	f.Add([]byte("UVMCKPT\n")) // bare magic
 	f.Add([]byte{})
+	old, err := os.ReadFile("testdata/fir-step4.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old) // an earlier build's whole-state snapshot, of another config
+	m, err := checkpoint.DecodeMarker(valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, bad := range []checkpoint.Marker{
+		{Digest: "another run", Step: m.Step},
+		{Digest: m.Digest, Step: 0},
+		{Digest: m.Digest, Step: 3}, // the run has 2 steps
+	} {
+		blob, err := checkpoint.EncodeMarker(bad)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		env := &checkpoint.Env{Restore: blob}

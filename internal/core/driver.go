@@ -266,30 +266,6 @@ func (d *Driver) Params() Params { return d.p }
 // Control returns the run control (may be nil).
 func (d *Driver) Control() *runctl.Control { return d.ctl }
 
-// HasFaultInjection reports whether a fault-injection schedule is attached.
-// Checkpoint capture refuses faulted runs: injector state (pending schedule
-// position, retry backoff) is not serialized, so a resumed run would diverge
-// from an uninterrupted one.
-func (d *Driver) HasFaultInjection() bool { return d.fi != nil }
-
-// RestoreDeviceAlloc overwrites the non-UVM device-buffer accounting from a
-// checkpoint snapshot. Validated rather than trusted: the inputs come from a
-// decoded file, and the pair must be internally consistent (whole chunks)
-// or the sanitizer's conservation check would fail in a misleading place.
-func (d *Driver) RestoreDeviceAlloc(bytes units.Size, chunks int) error {
-	if chunks < 0 || bytes < 0 {
-		return fmt.Errorf("core: restore with negative device-buffer accounting (%d chunks, %s)",
-			chunks, units.Format(bytes))
-	}
-	if bytes != units.Size(chunks)*units.BlockSize {
-		return fmt.Errorf("core: restore device-buffer accounting mismatch: %s is not %d whole chunks",
-			units.Format(bytes), chunks)
-	}
-	d.deviceAllocBytes = bytes
-	d.deviceChunkCount = chunks
-	return nil
-}
-
 // checkpoint polls the run control at a public driver operation's entry.
 // All checkpoint sites, these and the per-block ones (blockCheckpoint), sit
 // at points where the memory-management state is self-consistent (between

@@ -98,33 +98,6 @@ func (c *Context) Stream(name string) *Stream {
 	return s
 }
 
-// Streams returns the context's streams in creation order. Checkpoint
-// capture records each stream's name and tail; do not mutate the slice.
-func (c *Context) Streams() []*Stream { return c.streams }
-
-// RNGState returns the context RNG's internal state, for checkpointing.
-func (c *Context) RNGState() uint64 { return c.rng.State() }
-
-// RestoreRNGState overwrites the context RNG's state from a checkpoint.
-func (c *Context) RestoreRNGState(s uint64) { c.rng.SetState(s) }
-
-// RestoreStream recreates a stream with the given name and tail position.
-// Unlike Stream, which always starts a stream at tail zero, this is the
-// checkpoint-restore path: the resumed stream continues issuing work exactly
-// where the snapshotted one left off.
-func (c *Context) RestoreStream(name string, tail sim.Time) *Stream {
-	s := &Stream{ctx: c, name: name, tail: tail}
-	c.streams = append(c.streams, s)
-	return s
-}
-
-// RestoreBuffer wraps an already-reconstituted allocation in a Buffer
-// without charging cudaMallocManaged time — the interrupted run already paid
-// it, and the charge lives in the restored clock and API-time counters.
-func (c *Context) RestoreBuffer(a *vaspace.Alloc) *Buffer {
-	return &Buffer{ctx: c, alloc: a}
-}
-
 // DeviceSynchronize blocks the host until all streams have drained,
 // returning the new host time.
 func (c *Context) DeviceSynchronize() sim.Time {

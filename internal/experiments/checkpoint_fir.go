@@ -14,7 +14,7 @@ func init() {
 }
 
 // runCheckpointFIR is one FIR run, UvmDiscard at 200% oversubscription.
-// X10 now runs without snapshots in every caller. Its title and the quick
+// X10 now runs without checkpoints in every caller. Its title and the quick
 // 24-window override stay only because the benchmark's golden digests pin
 // X10's bytes.
 func runCheckpointFIR(o Options) (*Table, error) {

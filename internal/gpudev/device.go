@@ -310,9 +310,8 @@ func (d *Device) EachChunk(fn func(*Chunk) bool) {
 func (d *Device) Chunk(id int) *Chunk { return &d.chunks[id] }
 
 // ChunkByID returns the chunk with the given id, or an error when the id is
-// out of range. It is the checkpoint-restore lookup: snapshot payloads name
-// chunks by id, and a corrupt snapshot must produce an error, not an
-// out-of-bounds panic.
+// out of range. The core sanitizer looks up a block's chunk this way, so a
+// corrupt id is reported, not an out-of-bounds panic.
 func (d *Device) ChunkByID(id int32) (*Chunk, error) {
 	if id < 0 || int(id) >= len(d.chunks) {
 		return nil, fmt.Errorf("gpudev: chunk id %d outside [0,%d)", id, len(d.chunks))
@@ -321,10 +320,8 @@ func (d *Device) ChunkByID(id int32) (*Chunk, error) {
 }
 
 // AppendQueueIDs appends the ids of the chunks on queue k, in list order
-// (head first), to dst and returns it. Checkpoint capture records every
-// queue's exact order this way: FIFO position and LRU position are part of
-// the simulation state, and a resumed run must replay evictions in the same
-// order an uninterrupted one would.
+// (head first), to dst and returns it. FIFO position and LRU position are
+// part of the simulation state, so tests compare queues this way.
 func (d *Device) AppendQueueIDs(dst []int32, k QueueKind) []int32 {
 	l := d.list(k)
 	if l == nil {
@@ -334,59 +331,6 @@ func (d *Device) AppendQueueIDs(dst []int32, k QueueKind) []int32 {
 		dst = append(dst, i)
 	}
 	return dst
-}
-
-// RestoreQueues relinks every queue to the exact sequences a checkpoint
-// snapshot recorded, in head-to-tail order. Ids absent from every sequence
-// are left detached (queue = none) — those are the cudaMalloc'd device
-// buffers, which the driver accounts separately. All per-use chunk fields
-// (Owner, PreparedPages, ...) are cleared; the caller reapplies them from the
-// snapshot after relinking. The sequences are validated — every id in range
-// and no id listed twice — and an invalid set of sequences returns an error
-// with the device unmodified, so a corrupt snapshot can never half-restore a
-// device.
-func (d *Device) RestoreQueues(free, unused, used, discarded, reserved, poisoned []int32) error {
-	seqs := []struct {
-		l   *chunkList
-		k   QueueKind
-		ids []int32
-	}{
-		{&d.free, QueueFree, free}, {&d.unused, QueueUnused, unused},
-		{&d.used, QueueUsed, used}, {&d.discarded, QueueDiscarded, discarded},
-		{&d.reserved, QueueReserved, reserved}, {&d.poisoned, QueuePoisoned, poisoned},
-	}
-	seen := make([]bool, len(d.chunks))
-	for _, q := range seqs {
-		for _, id := range q.ids {
-			if id < 0 || int(id) >= len(d.chunks) {
-				return fmt.Errorf("gpudev: restore: %v queue names chunk %d outside [0,%d)",
-					q.k, id, len(d.chunks))
-			}
-			if seen[id] {
-				return fmt.Errorf("gpudev: restore: chunk %d listed on more than one queue", id)
-			}
-			seen[id] = true
-		}
-	}
-	for i := range d.chunks {
-		c := &d.chunks[i]
-		c.queue = QueueNone
-		c.prev, c.next = noChunk, noChunk
-		c.Owner = 0
-		c.PreparedPages = 0
-		c.NeedsUnmapOnReclaim = false
-		c.DeviceBuffer = false
-	}
-	for _, q := range seqs {
-		q.l.init()
-		q.l.size = 0
-		for _, id := range q.ids {
-			c := &d.chunks[id]
-			c.queue = q.k
-			q.l.pushTail(d.chunks, c)
-		}
-	}
-	return nil
 }
 
 // CheckInvariants verifies that every chunk is on exactly the queue its

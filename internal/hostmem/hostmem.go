@@ -79,25 +79,6 @@ func (h *Host) Pin(n units.Size) {
 	}
 }
 
-// Restore overwrites the resident/pinned accounting with values from a
-// checkpoint snapshot. Unlike Release/Pin/Unpin, which panic on misuse
-// because a live driver can never legally reach those states, Restore
-// validates and returns an error: its inputs come from a decoded file, and a
-// corrupt snapshot must fail the restore, not crash the process.
-func (h *Host) Restore(resident, pinned units.Size) error {
-	if resident < 0 || pinned < 0 {
-		return fmt.Errorf("hostmem: restore with negative accounting (resident=%d pinned=%d)",
-			resident, pinned)
-	}
-	if resident > h.capacity || pinned > h.capacity {
-		return fmt.Errorf("hostmem: restore exceeds capacity %s (resident=%s pinned=%s)",
-			units.Format(h.capacity), units.Format(resident), units.Format(pinned))
-	}
-	h.resident = resident
-	h.pinned = pinned
-	return nil
-}
-
 // Unpin releases n bytes of pinned accounting.
 func (h *Host) Unpin(n units.Size) {
 	if n > h.pinned {

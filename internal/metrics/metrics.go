@@ -109,8 +109,7 @@ func (s EvictSource) String() string {
 }
 
 // counter indexes one of a Collector's (and a Tally's) counters. Merge,
-// Snapshot, Reset and Fold loop over them, and CounterState.fields maps each
-// to its field of the checkpoint image.
+// Snapshot, Reset and Fold loop over them.
 type counter uint8
 
 const (

@@ -32,13 +32,13 @@ type ServiceCollector struct {
 	Panics atomic.Int64
 	// Resumed counts journaled experiment results served without re-running
 	// when a batch resumed from its journal, plus workload runs resumed from
-	// an on-disk checkpoint snapshot.
+	// an on-disk checkpoint marker.
 	Resumed atomic.Int64
-	// CheckpointsSaved counts snapshot files durably written for
+	// CheckpointsSaved counts checkpoint files durably written for
 	// checkpoint-enabled workload runs.
 	CheckpointsSaved atomic.Int64
-	// CheckpointsCorrupt counts restore attempts that rejected a torn or
-	// corrupt snapshot and fell back to a from-zero run.
+	// CheckpointsCorrupt counts resumes that rejected a torn, corrupt or
+	// foreign checkpoint and saved every step, as a fresh run does.
 	CheckpointsCorrupt atomic.Int64
 }
 

@@ -38,18 +38,3 @@ func TestFoldEmptiesTheTally(t *testing.T) {
 		t.Errorf("poisoned = %d chunks, %d recovered, %d lost; want 1, 59, 61", chunks, rec, lost)
 	}
 }
-
-// State and AddState carry every counter, each through its own field.
-func TestStateCoversEveryCounter(t *testing.T) {
-	c := New()
-	for k := counter(0); k < numCounters; k++ {
-		c.n[k].Store(uint64(k) + 1)
-	}
-	r := New()
-	r.AddState(c.State())
-	for k := counter(0); k < numCounters; k++ {
-		if got := r.n[k].Load(); got != uint64(k)+1 {
-			t.Errorf("counter %d came back as %d through State and AddState, want %d", k, got, k+1)
-		}
-	}
-}

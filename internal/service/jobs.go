@@ -62,9 +62,9 @@ type RunRequest struct {
 	// SimBudgetMS caps this run's simulated time in milliseconds of sim
 	// time; 0 uses the server default.
 	SimBudgetMS int64 `json:"sim_budget_ms"`
-	// Checkpoint names this run's crash-survivable snapshot file (a
+	// Checkpoint names this run's crash-survivable checkpoint file (a
 	// path-safe slug; resumable workloads only, i.e. fir). The run persists
-	// a snapshot at every step boundary; a re-submitted run with the same
+	// a step marker at every step boundary; a re-submitted run with the same
 	// name resumes from the last one — byte-identical to an uninterrupted
 	// run — and a clean completion deletes the file. Needs a data directory.
 	Checkpoint string `json:"checkpoint"`
@@ -99,7 +99,7 @@ func (r *RunRequest) validate() error {
 	}
 	if r.Checkpoint != "" {
 		if !resumable {
-			return fmt.Errorf("the %s workload cannot resume from a snapshot, so it cannot checkpoint", r.Workload)
+			return fmt.Errorf("the %s workload cannot resume, so it cannot checkpoint", r.Workload)
 		}
 		if !journalName.MatchString(r.Checkpoint) {
 			return fmt.Errorf("checkpoint name %q: want 1-128 chars of [A-Za-z0-9._-]", r.Checkpoint)
@@ -168,7 +168,7 @@ type job struct {
 	// time, so the job record shows what will actually be enforced.
 	wall time.Duration
 	simB sim.Time
-	// ckpt is the run's snapshot file path (workload jobs submitted with a
+	// ckpt is the run's checkpoint file path (workload jobs submitted with a
 	// checkpoint name); eviction from the retention table reclaims it.
 	ckpt string
 

@@ -165,13 +165,13 @@ func (s *Server) promFamilies() []promexp.Family {
 		promexp.Counter("uvmsimd_panics_total",
 			"Panics recovered by request or job isolation.", float64(sc.Panics)),
 		promexp.Counter("uvmsimd_batch_results_resumed_total",
-			"Batch experiment results served from a crash-safe journal instead of re-running, plus workload runs resumed from a checkpoint snapshot.",
+			"Batch experiment results served from a crash-safe journal instead of re-running, plus workload runs resumed from a checkpoint marker.",
 			float64(sc.Resumed)),
 		promexp.Counter("uvmsimd_checkpoints_saved_total",
-			"Checkpoint snapshots durably written for checkpoint-enabled runs.",
+			"Checkpoint markers durably written for checkpoint-enabled runs.",
 			float64(sc.CheckpointsSaved)),
 		promexp.Counter("uvmsimd_checkpoints_corrupt_total",
-			"Corrupt or torn checkpoint snapshots rejected at restore (from-zero fallbacks).",
+			"Corrupt, torn or foreign checkpoints rejected at resume (the run saves every step).",
 			float64(sc.CheckpointsCorrupt)),
 		promexp.Gauge("uvmsimd_queue_depth",
 			"Jobs waiting in the admission queue right now.", float64(len(s.queue))),

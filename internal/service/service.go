@@ -51,11 +51,11 @@ type Config struct {
 	// a journal name appends completed results to <JournalDir>/<name>.jsonl
 	// and resumes from it on re-submit. Empty disables journaling.
 	JournalDir string
-	// DataDir enables per-run checkpoint snapshots: a workload run submitted
-	// with a checkpoint name durably persists a snapshot of the live
-	// simulation to <DataDir>/<name>.ckpt at every step boundary, and a
-	// re-submitted run with the same name resumes from it — surviving even a
-	// SIGKILL of the whole daemon. Empty disables checkpointing.
+	// DataDir enables per-run checkpoints: a workload run submitted with a
+	// checkpoint name durably persists a step marker to <DataDir>/<name>.ckpt
+	// at every step boundary, and a re-submitted run with the same name
+	// resumes from it — surviving even a SIGKILL of the whole daemon. Empty
+	// disables checkpointing.
 	DataDir string
 	// DefaultWallBudget caps each job's wall-clock time when the request
 	// does not set its own; <=0 means 2 minutes. This is the watchdog that
@@ -226,7 +226,7 @@ func (s *Server) pruneLocked() {
 		keep = append(keep, id)
 	}
 	s.order = keep
-	// Evicting a job also reclaims its on-disk snapshot — the data dir is
+	// Evicting a job also reclaims its on-disk checkpoint — the data dir is
 	// bounded by the same retention policy as the job table — unless a
 	// retained job (a resubmitted resume under the same name) still points
 	// at the file.
@@ -241,7 +241,7 @@ func (s *Server) pruneLocked() {
 }
 
 // checkpointInUseLocked reports whether any retained job still references
-// the snapshot at path. Caller holds s.mu.
+// the checkpoint at path. Caller holds s.mu.
 func (s *Server) checkpointInUseLocked(path string) bool {
 	for _, j := range s.jobs {
 		if j.ckpt == path {
@@ -521,7 +521,7 @@ func (s *Server) journalPath(name string) string {
 	return filepath.Join(s.cfg.JournalDir, name+".jsonl")
 }
 
-// checkpointPath places a run's snapshot file inside DataDir; names share
+// checkpointPath places a run's checkpoint file inside DataDir; names share
 // the journal slug alphabet so the file always lands there.
 func (s *Server) checkpointPath(name string) string {
 	return filepath.Join(s.cfg.DataDir, name+".ckpt")

@@ -93,10 +93,10 @@ func (s *Server) runWorkloadJob(j *job) (string, error) {
 	return string(out) + "\n", nil
 }
 
-// checkpointEnv builds the job's on-disk checkpoint environment: restore
-// from the job's snapshot file when one survives on disk, durably rewrite
-// it at every step boundary, and count a rejected (torn/corrupt) restore as
-// it falls back to a from-zero run. Nil when the run was submitted without
+// checkpointEnv builds the job's on-disk checkpoint environment: resume
+// from the job's checkpoint file when one survives on disk, durably rewrite
+// it at every step boundary, and count a rejected (torn, corrupt or
+// foreign) checkpoint. Nil when the run was submitted without
 // a checkpoint name — that path stays exactly as before.
 func (s *Server) checkpointEnv(j *job) *checkpoint.Env {
 	if j.ckpt == "" {

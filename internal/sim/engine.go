@@ -56,21 +56,6 @@ func (e *Engine) Reset() {
 	e.ops = 0
 }
 
-// Restore sets the engine's timeline state directly. It is the
-// checkpoint-restore hook: a resumed run reconstitutes each engine to the
-// exact position the snapshot recorded, so later reservations land on the
-// same intervals they would have in an uninterrupted run.
-func (e *Engine) Restore(freeAt, busy Time, ops int64) error {
-	if freeAt < 0 || busy < 0 || ops < 0 {
-		return fmt.Errorf("sim: engine %s restore with negative state (freeAt=%v busy=%v ops=%d)",
-			e.name, freeAt, busy, ops)
-	}
-	e.freeAt = freeAt
-	e.busy = busy
-	e.ops = ops
-	return nil
-}
-
 // Clock tracks the host thread's position on the virtual timeline. CUDA API
 // calls consume host time (they advance the clock); asynchronous work
 // completes on engines at times at or after the call returned.

@@ -38,20 +38,6 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// State returns the generator's internal state, for checkpointing. A
-// generator restored with SetState(State()) continues the exact stream.
-func (r *RNG) State() uint64 { return r.state }
-
-// SetState overwrites the generator's internal state with a value previously
-// obtained from State. State 0 is remapped the same way NewRNG remaps seed 0,
-// so a corrupt snapshot cannot produce a degenerate stream.
-func (r *RNG) SetState(s uint64) {
-	if s == 0 {
-		s = 0x9e3779b97f4a7c15
-	}
-	r.state = s
-}
-
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

@@ -75,8 +75,7 @@ func RunCheckpointed(p workloads.Platform, sys workloads.System, cfg Config, env
 }
 
 // Filter is one FIR run for workloads.Run: step i filters window i. It is
-// a workloads.Resumer, because between windows its only state besides the
-// driver's is the four handles it rebinds by name.
+// a workloads.Resumer, the only workload that checkpoints.
 type Filter struct {
 	Config
 
@@ -93,21 +92,14 @@ func (f *Filter) Name() string { return "fir" }
 // Steps is the number of windows.
 func (f *Filter) Steps() int { return int((f.InputBytes + f.WindowBytes - 1) / f.WindowBytes) }
 
-func (f *Filter) validate(sys workloads.System) error {
+// Setup allocates the input and output and has the host generate the full
+// input signal.
+func (f *Filter) Setup(ctx *cuda.Context, _ workloads.Platform, sys workloads.System) (err error) {
 	if err := workloads.RequireUVM("fir", sys); err != nil {
 		return err
 	}
 	if f.WindowBytes == 0 || f.InputBytes == 0 || f.FilterRate <= 0 {
 		return fmt.Errorf("fir: invalid config %+v", f.Config)
-	}
-	return nil
-}
-
-// Setup allocates the input and output and has the host generate the full
-// input signal.
-func (f *Filter) Setup(ctx *cuda.Context, _ workloads.Platform, sys workloads.System) (err error) {
-	if err := f.validate(sys); err != nil {
-		return err
 	}
 	if f.in, err = ctx.MallocManaged("fir-in", f.InputBytes); err != nil {
 		return err
@@ -118,13 +110,20 @@ func (f *Filter) Setup(ctx *cuda.Context, _ workloads.Platform, sys workloads.Sy
 	if err := f.in.HostWrite(0, f.in.Size()); err != nil {
 		return err
 	}
-	f.bind(ctx, sys, ctx.Stream("copy"), ctx.Stream("compute"))
+	f.ctx, f.sys = ctx, sys
+	f.copyS, f.computeS = ctx.Stream("copy"), ctx.Stream("compute")
+	// One access list reused across windows: only the window offset/length
+	// change per launch, so the slice is built once instead of per kernel.
+	f.accesses = []cuda.Access{
+		{Buf: f.in, Mode: core.Read},
+		{Buf: f.out, Mode: core.Write},
+	}
 	return nil
 }
 
 // Digest identifies a FIR configuration for checkpoint compatibility. Its
-// inputs are part of the on-disk snapshot format: changing them orphans
-// every snapshot already written.
+// inputs are part of the on-disk checkpoint format: changing them orphans
+// every checkpoint already written.
 func (f *Filter) Digest(p workloads.Platform, sys workloads.System) string {
 	params := "default"
 	if p.Params != nil {
@@ -132,30 +131,6 @@ func (f *Filter) Digest(p workloads.Platform, sys workloads.System) string {
 	}
 	return checkpoint.Digest("fir/1", sys, p.GPU, p.Gen, p.OversubPercent, params,
 		f.InputBytes, f.WindowBytes, f.FilterRate)
-}
-
-// Resume rebinds the buffers and streams of a restored run.
-func (f *Filter) Resume(ctx *cuda.Context, _ workloads.Platform, sys workloads.System, r *checkpoint.Restored) error {
-	if err := f.validate(sys); err != nil {
-		return err
-	}
-	f.in, f.out = r.Bufs["fir-in"], r.Bufs["fir-out"]
-	copyS, computeS := r.Streams["copy"], r.Streams["compute"]
-	if f.in == nil || f.out == nil || copyS == nil || computeS == nil {
-		return fmt.Errorf("fir: snapshot is missing the fir buffers or streams")
-	}
-	f.bind(ctx, sys, copyS, computeS)
-	return nil
-}
-
-func (f *Filter) bind(ctx *cuda.Context, sys workloads.System, copyS, computeS *cuda.Stream) {
-	f.ctx, f.sys, f.copyS, f.computeS = ctx, sys, copyS, computeS
-	// One access list reused across windows: only the window offset/length
-	// change per launch, so the slice is built once instead of per kernel.
-	f.accesses = []cuda.Access{
-		{Buf: f.in, Mode: core.Read},
-		{Buf: f.out, Mode: core.Write},
-	}
 }
 
 // Step prefetches window i, filters it and discards the consumed input.

@@ -104,9 +104,8 @@ func Run(p workloads.Platform, sys workloads.System, cfg Config) (workloads.Resu
 }
 
 // Join is one hash-join run for workloads.Run: step i is batch
-// i%Batches of join i/Batches. It cannot resume from a snapshot: each
-// batch frees its consumed tables, and checkpoint.Capture refuses a VA
-// space with freed allocations.
+// i%Batches of join i/Batches. It does not checkpoint: only FIR is a
+// workloads.Resumer.
 type Join struct {
 	Config
 

@@ -90,8 +90,7 @@ func Run(p workloads.Platform, sys workloads.System, cfg Config) (workloads.Resu
 }
 
 // Sort is one radix-sort run for workloads.Run, one kernel per step.
-// It cannot resume from a snapshot: the kernels' scatter orders come from a
-// private RNG that a snapshot does not hold.
+// It does not checkpoint: only FIR is a workloads.Resumer.
 type Sort struct {
 	Config
 

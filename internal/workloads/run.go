@@ -6,7 +6,6 @@ import (
 	"uvmdiscard/internal/checkpoint"
 	"uvmdiscard/internal/cuda"
 	"uvmdiscard/internal/runctl"
-	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
 )
 
@@ -24,23 +23,20 @@ type Stepper interface {
 	// on ctx and does the host pre-processing. Runtime is measured from its
 	// return: it excludes pre-processing, as in §7.5.
 	Setup(ctx *cuda.Context, p Platform, sys System) error
-	// Steps is the number of steps, valid once Setup or Resume succeeded.
+	// Steps is the number of steps, valid once Setup succeeded.
 	Steps() int
-	// Step issues step i; steps run in order, from 0 or from the step a
-	// snapshot resumes at.
+	// Step issues step i; steps run in order from 0.
 	Step(i int) error
 }
 
-// Resumer is a Stepper that can checkpoint: between steps its state is
-// driver state, which a checkpoint.Snapshot holds, plus handles it rebinds.
+// Resumer is a Stepper that can checkpoint. A checkpoint is a step marker
+// (checkpoint.Marker), and a run resumes by replay: the simulation is
+// deterministic, so re-running the finished steps rebuilds their state.
 type Resumer interface {
 	Stepper
 	// Digest folds in every value that steers the simulation, so a
-	// snapshot only restores into the run that wrote it.
+	// marker only resumes the run that wrote it.
 	Digest(p Platform, sys System) string
-	// Resume replaces Setup on a restored context: it validates the
-	// configuration and rebinds the run's buffers and streams from r.
-	Resume(ctx *cuda.Context, p Platform, sys System, r *checkpoint.Restored) error
 }
 
 // Run executes s under sys on p and reports runtime, measured from the end
@@ -48,63 +44,40 @@ type Resumer interface {
 // deadline, sim budget) returns a *runctl.Interrupt error.
 //
 // A non-nil env needs a Resumer; otherwise Run fails before simulating
-// anything. The run resumes from env.Restore when present, restarting from
-// zero if the blob is rejected (corrupt state is never resumed), and saves
-// a snapshot through env.Save after every env.Every-th step. A resumed
+// anything. Every run simulates every step from 0. The run resumes from
+// the marker in env.Restore when it is valid (corrupt, foreign or
+// impossible markers are rejected) and saves a marker through env.Save
+// after every env.Every-th step that the marker does not cover. A resumed
 // run's Result equals an uninterrupted run's. With env == nil, Run does no
 // checkpoint work at all.
 func Run(p Platform, sys System, s Stepper, env *checkpoint.Env) (res Result, err error) {
 	defer runctl.Recover(&err)
 	r, resumable := s.(Resumer)
 	if env != nil && !resumable {
-		return Result{}, fmt.Errorf("%s: cannot checkpoint: the workload cannot resume from a snapshot", s.Name())
+		return Result{}, fmt.Errorf("%s: cannot checkpoint: the workload cannot resume from a marker", s.Name())
 	}
 	ctx, err := p.NewContext(s.Footprint())
 	if err != nil {
 		return Result{}, err
 	}
+	if err := s.Setup(ctx, p, sys); err != nil {
+		return Result{}, failed(ctx, err)
+	}
+	start := ctx.Elapsed()
 	var (
-		start sim.Time
-		first int // > 0 once resumed
-		dig   string
+		dig  string
+		from int // the first step whose marker is not yet saved
 	)
 	if env != nil {
 		dig = r.Digest(p, sys)
+		from = resumeFrom(env, s.Name(), dig, s.Steps())
 	}
-	if env != nil && env.Restore != nil {
-		if start, first, err = resume(ctx, p, sys, r, dig, env.Restore); err == nil {
-			env.Stats.Resumed, env.Stats.ResumedFrom = true, first
-		} else {
-			// Restart from zero on a brand-new context: the failed restore
-			// may have partially applied state, including into a shared
-			// metrics collector.
-			env.Stats.Rejected = true
-			if env.OnReject != nil {
-				env.OnReject(err.Error())
-			}
-			if p.Metrics != nil {
-				p.Metrics.Reset()
-			}
-			if ctx, err = p.NewContext(s.Footprint()); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-	if first == 0 {
-		if err := s.Setup(ctx, p, sys); err != nil {
-			return Result{}, failed(ctx, err)
-		}
-		start = ctx.Elapsed()
-	}
-	for i, n := first, s.Steps(); i < n; i++ {
+	for i, n := 0, s.Steps(); i < n; i++ {
 		if err := s.Step(i); err != nil {
 			return Result{}, failed(ctx, err)
 		}
-		if env != nil {
-			env.Stats.StepsExecuted++
-			if env.Due(i) {
-				save(ctx, env, dig, i+1, start)
-			}
+		if i >= from && env.Due(i) {
+			save(env, dig, i+1)
 		}
 	}
 	ctx.DeviceSynchronize()
@@ -120,42 +93,39 @@ func failed(ctx *cuda.Context, err error) error {
 	return err
 }
 
-// resume restores blob into ctx and rebinds r to it, returning the
-// measurement start and the step to continue from.
-func resume(ctx *cuda.Context, p Platform, sys System, r Resumer, dig string, blob []byte) (sim.Time, int, error) {
-	snap, err := checkpoint.DecodeSnapshot(blob)
-	if err != nil {
-		return 0, 0, err
+// resumeFrom judges the marker in env.Restore for a run of steps steps
+// whose digest is dig, records the verdict in env.Stats, and returns the
+// step the run resumes from: the marker's, or 0 without a valid marker.
+func resumeFrom(env *checkpoint.Env, name, dig string, steps int) int {
+	if env.Restore == nil {
+		return 0
 	}
-	if snap.Digest != dig {
-		return 0, 0, fmt.Errorf("%s: snapshot digest %s does not match this run's %s", r.Name(), snap.Digest, dig)
-	}
-	got, err := checkpoint.Restore(ctx, snap)
-	if err == nil {
-		err = r.Resume(ctx, p, sys, got)
-	}
-	// Captures follow a completed step: a resume starts at step 1 or later.
-	if err == nil && (snap.Step < 1 || snap.Step > r.Steps()) {
-		err = fmt.Errorf("%s: snapshot resumes at step %d of a %d-step run", r.Name(), snap.Step, r.Steps())
+	m, err := checkpoint.DecodeMarker(env.Restore)
+	switch {
+	case err != nil:
+	case m.Digest != dig:
+		err = fmt.Errorf("%s: checkpoint digest %s does not match this run's %s", name, m.Digest, dig)
+	case m.Step < 1 || m.Step > steps:
+		// Saves follow a completed step: a marker counts 1 to steps steps.
+		err = fmt.Errorf("%s: checkpoint resumes at step %d of a %d-step run", name, m.Step, steps)
 	}
 	if err != nil {
-		return 0, 0, err
+		env.Stats.Rejected = true
+		if env.OnReject != nil {
+			env.OnReject(err.Error())
+		}
+		return 0
 	}
-	return snap.Start, snap.Step, nil
+	env.Stats.Resumed, env.Stats.ResumedFrom = true, m.Step
+	return m.Step
 }
 
-// save snapshots the run before step next and hands the blob to env.Save.
+// save hands env.Save the marker of a run that has finished done steps.
 // Failures are counted, not fatal: the answer does not depend on durability.
-func save(ctx *cuda.Context, env *checkpoint.Env, dig string, next int, start sim.Time) {
-	if env.Save == nil {
-		return
-	}
-	snap, err := checkpoint.Capture(ctx, dig, next, start)
+func save(env *checkpoint.Env, dig string, done int) {
+	blob, err := checkpoint.EncodeMarker(checkpoint.Marker{Digest: dig, Step: done})
 	if err == nil {
-		var blob []byte
-		if blob, err = checkpoint.EncodeSnapshot(snap); err == nil {
-			err = env.Save(blob)
-		}
+		err = env.Save(blob)
 	}
 	if err != nil {
 		env.Stats.SaveErrors++

@@ -5,7 +5,7 @@
 // hashjoin and graph (the subpackages) are each a Stepper (host setup, then
 // a fixed sequence of prefetch → kernel → discard steps), and Run is the
 // one runner that owns run control, context construction and checkpoint
-// capture/restore for all of them. The subpackage catalog looks them up by
+// markers for all of them. The subpackage catalog looks them up by
 // name. The deep-learning loops (internal/dnn, internal/lms) are Steppers
 // too, which dnn.Measure runs through Run.
 package workloads
